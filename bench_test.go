@@ -277,8 +277,8 @@ func BenchmarkProfileOne(b *testing.B) {
 }
 
 // BenchmarkAssignmentSearch measures the exhaustive 4-process search on
-// the 4-core server (72 canonical placements, each an equilibrium solve
-// plus a power composition).
+// the 4-core server: 72 canonical placements, made of 41 distinct group
+// layouts and 13 co-run combinations, each solved once per search.
 func BenchmarkAssignmentSearch(b *testing.B) {
 	m := FourCoreServer()
 	pm, err := TrainPowerModel(m, ModelSet(), PowerTrainOptions{

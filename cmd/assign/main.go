@@ -11,8 +11,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -25,36 +27,55 @@ import (
 )
 
 func main() {
-	machineName := flag.String("machine", "server", "server | workstation | laptop")
-	benches := flag.String("benches", "mcf,art,gzip,vpr", "comma-separated benchmarks to place")
-	verify := flag.Bool("verify", false, "simulate the best and worst assignments")
-	top := flag.Int("top", 5, "how many assignments to print")
-	seed := flag.Uint64("seed", 1, "seed")
-	quick := flag.Bool("quick", true, "short profiling/training runs")
-	workers := flag.Int("workers", 0, "profiling/training concurrency (0 = GOMAXPROCS)")
-	load := flag.String("load", "", "directory of saved <bench>.json feature vectors (see profiler -json)")
-	flag.Parse()
+	// ^C abandons training, profiling, and the ranking search promptly.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the command: it returns the exit code, 2 for a request that
+// cannot be served as asked (bad flag, unknown machine or benchmark, more
+// benchmarks than can be ranked) and 1 for a failure while serving it.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("assign", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	machineName := flags.String("machine", "server", "server | workstation | laptop")
+	benches := flags.String("benches", "mcf,art,gzip,vpr", "comma-separated benchmarks to place")
+	verify := flags.Bool("verify", false, "simulate the best and worst assignments")
+	top := flags.Int("top", 5, "how many assignments to print")
+	seed := flags.Uint64("seed", 1, "seed")
+	quick := flags.Bool("quick", true, "short profiling/training runs")
+	workers := flags.Int("workers", 0, "profiling/training concurrency (0 = GOMAXPROCS)")
+	load := flags.String("load", "", "directory of saved <bench>.json feature vectors (see profiler -json)")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	m, err := cli.MachineByName(*machineName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	specs, err := cli.ParseBenches(*benches)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	// Refuse an unrankable request before training or profiling for it.
+	if _, err := core.SearchSpace(m.NumCores, len(specs)); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
-	// ^C abandons training, profiling, and the ranking search promptly.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	fmt.Printf("training the power model on %s...\n", m.Name)
+	fmt.Fprintf(stdout, "training the power model on %s...\n", m.Name)
 	pm, err := core.TrainPowerModel(ctx, m, workload.ModelSet(), cli.TrainOptions(*seed, *quick, *workers))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	cm := core.NewCombinedModel(m, pm)
 
@@ -65,37 +86,37 @@ func main() {
 		Workers: *workers,
 		LoadDir: *load,
 		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
+			fmt.Fprintf(stdout, format+"\n", args...)
 		},
 	}
 	features, err := fc.BuildFeatures(ctx, m, specs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	results, err := cm.BestAssignmentContext(ctx, features, 0)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Printf("\n%d distinct assignments evaluated with the combined model:\n", len(results))
+	fmt.Fprintf(stdout, "\n%d distinct assignments evaluated with the combined model:\n", len(results))
 	show := *top
 	if show > len(results) {
 		show = len(results)
 	}
 	for i := 0; i < show; i++ {
-		fmt.Printf("  #%d  %6.2f W   %s\n", i+1, results[i].Watts, layout(results[i].Assignment))
+		fmt.Fprintf(stdout, "  #%d  %6.2f W   %s\n", i+1, results[i].Watts, layout(results[i].Assignment))
 	}
 	if len(results) > show {
 		last := results[len(results)-1]
-		fmt.Printf("  ...\n  worst %6.2f W   %s\n", last.Watts, layout(last.Assignment))
+		fmt.Fprintf(stdout, "  ...\n  worst %6.2f W   %s\n", last.Watts, layout(last.Assignment))
 	}
 
 	if !*verify {
-		return
+		return 0
 	}
-	fmt.Println("\nverifying best and worst by simulation...")
+	fmt.Fprintln(stdout, "\nverifying best and worst by simulation...")
 	for _, which := range []struct {
 		name string
 		r    core.AssignmentResult
@@ -110,15 +131,16 @@ func main() {
 		if *quick {
 			opts.Warmup, opts.Duration = 2, 4
 		}
-		run, err := sim.Run(m, sim.Assignment{Procs: procs}, opts)
+		measured, err := sim.Run(m, sim.Assignment{Procs: procs}, opts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		meas := run.AvgMeasuredPower()
-		fmt.Printf("  %-5s estimated %6.2f W, measured %6.2f W (err %+.2f%%)\n",
+		meas := measured.AvgMeasuredPower()
+		fmt.Fprintf(stdout, "  %-5s estimated %6.2f W, measured %6.2f W (err %+.2f%%)\n",
 			which.name, which.r.Watts, meas, 100*(which.r.Watts-meas)/meas)
 	}
+	return 0
 }
 
 // layout renders an assignment as core→benchmark lists.

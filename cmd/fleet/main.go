@@ -22,8 +22,7 @@
 // churning placements against one sharded fleet, wall-clock timed,
 // reporting placements/sec and latency percentiles as JSON. That lane
 // is intentionally nondeterministic (it measures the concurrency
-// ceiling, not decisions); scripts/bench_serve.sh appends its report to
-// BENCH_fleet.json.
+// ceiling, not decisions).
 //
 // Usage:
 //

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -13,12 +15,42 @@ type AssignmentResult struct {
 	Watts      float64
 }
 
+// ErrSearchSpace reports an assignment search over more than 2^20
+// process-to-core mappings: the caller asked for too many processes.
+var ErrSearchSpace = errors.New("core: search space too large")
+
+// SearchSpace returns cores^procs, the number of process-to-core mappings
+// BestAssignment enumerates, or ErrSearchSpace when there are more than
+// 2^20 of them. Callers use it to refuse a request before profiling for it.
+func SearchSpace(cores, procs int) (int, error) {
+	total := 1
+	for i := 0; i < procs; i++ {
+		// Tested inside the loop: the product must not get to wrap.
+		if total *= cores; total > 1<<20 {
+			return 0, fmt.Errorf("%w: %d processes on %d cores", ErrSearchSpace, procs, cores)
+		}
+	}
+	return total, nil
+}
+
+// searchTable is the level-1 scratch of one assignment search: the
+// per-process core powers of every ordered co-run combination of distinct
+// feature vectors the search has solved. It lives and dies inside
+// BestAssignmentContext, so nothing ever needs invalidating.
+type searchTable struct {
+	ids    map[*FeatureVector]uint64 // distinct vectors, numbered
+	powers map[string][]float64      // uvarint ids of a combination → powers
+	key    []byte                    // key-building scratch
+}
+
 // BestAssignment exhaustively searches process-to-core mappings of the
 // given processes and returns them sorted by estimated average processor
 // power — the power-aware assignment application of Section 5. The search
-// space is coreCount^k, reduced by the estimation cost being linear in
-// profiling effort rather than exponential in co-run measurements (the
-// paper's headline complexity win).
+// space is coreCount^k, but the estimation cost is not: every distinct
+// co-run combination is solved once and every distinct layout of a cache
+// group averaged (Eq. 10) once, after which a candidate costs one lookup
+// and one add per cache group — the paper's headline complexity win, the
+// profiling data and not the assignment count being what estimation costs.
 //
 // maxResults bounds the returned slice (0 = all). It is
 // BestAssignmentContext without a caller deadline.
@@ -28,58 +60,110 @@ func (cm *CombinedModel) BestAssignment(procs []*FeatureVector, maxResults int) 
 
 // BestAssignmentContext is BestAssignment under a caller-supplied context,
 // checked once per candidate assignment: an abandoned request stops the
-// exhaustive search within one estimation step.
+// exhaustive search within one estimation step. More than 2^20 mappings is
+// ErrSearchSpace.
 func (cm *CombinedModel) BestAssignmentContext(ctx context.Context, procs []*FeatureVector, maxResults int) ([]AssignmentResult, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("core: no processes to assign")
 	}
 	n := cm.Machine.NumCores
-	total := 1
-	for range procs {
-		total *= n
+	total, err := SearchSpace(n, len(procs))
+	if err != nil {
+		return nil, err
 	}
-	if total > 1<<20 {
-		return nil, fmt.Errorf("core: %d processes on %d cores: search space too large", len(procs), n)
+	// scratch holds one cache group's per-core lists while it is estimated;
+	// stacking everything on core 0 first validates every process once.
+	scratch := make(Assignment, n)
+	scratch[0] = procs
+	if err := cm.validate(scratch); err != nil {
+		return nil, err
 	}
-	var results []AssignmentResult
+	scratch[0] = nil
+	tab := &searchTable{ids: make(map[*FeatureVector]uint64), powers: make(map[string][]float64)}
+	for _, f := range procs {
+		if _, ok := tab.ids[f]; !ok {
+			tab.ids[f] = uint64(len(tab.ids))
+		}
+	}
+	// Level 2: the Eq. 10 estimate of a cache group, keyed by which
+	// processes sit on each of its cores. Groups share one associativity,
+	// so equal layouts of different groups share an entry.
+	layouts := make(map[string]float64)
+	var key []byte
+	type candidate struct {
+		watts float64
+		idx   int
+	}
+	var cands []candidate
 	choice := make([]int, len(procs))
+	canon := make([]int, n) // canonicalChoice's scratch
 	for idx := 0; idx < total; idx++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		v := idx
-		for i := range choice {
-			choice[i] = v % n
-			v /= n
-		}
-		if !canonicalChoice(choice, cm.Machine.Groups) {
+		decodeChoice(choice, idx, n)
+		if !canonicalChoice(choice, cm.Machine.Groups, canon) {
 			continue
 		}
+		watts := 0.0
+		for _, group := range cm.Machine.Groups {
+			key = key[:0]
+			for _, c := range group {
+				scratch[c] = scratch[c][:0]
+				for i, pc := range choice {
+					if pc == c {
+						key = binary.AppendUvarint(key, uint64(i)+1)
+						scratch[c] = append(scratch[c], procs[i])
+					}
+				}
+				key = append(key, 0)
+			}
+			w, ok := layouts[string(key)]
+			if !ok {
+				if w, err = cm.estimateGroup(ctx, scratch, group, tab); err != nil {
+					return nil, err
+				}
+				layouts[string(key)] = w
+			}
+			watts += w
+		}
+		cands = append(cands, candidate{watts, idx})
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].watts < cands[j].watts })
+	if maxResults > 0 && len(cands) > maxResults {
+		cands = cands[:maxResults]
+	}
+	// Only the assignments returned are ever built.
+	results := make([]AssignmentResult, len(cands))
+	for r, cand := range cands {
+		decodeChoice(choice, cand.idx, n)
 		asg := make(Assignment, n)
 		for i, c := range choice {
 			asg[c] = append(asg[c], procs[i])
 		}
-		watts, err := cm.EstimateAssignmentContext(ctx, asg)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, AssignmentResult{Assignment: asg, Watts: watts})
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Watts < results[j].Watts })
-	if maxResults > 0 && len(results) > maxResults {
-		results = results[:maxResults]
+		results[r] = AssignmentResult{Assignment: asg, Watts: cand.watts}
 	}
 	return results, nil
+}
+
+// decodeChoice writes candidate idx's core of every process into choice:
+// the base-n digits of idx, process 0 least significant.
+func decodeChoice(choice []int, idx, n int) {
+	for i := range choice {
+		choice[i] = idx % n
+		idx /= n
+	}
 }
 
 // canonicalChoice suppresses assignments equivalent under permuting cores
 // within a cache group (the model is symmetric in them): it keeps only the
 // representative where, within each group, cores are "used" in order and
-// the first process index on each used core increases.
-func canonicalChoice(choice []int, groups [][]int) bool {
+// the first process index on each used core increases. scratch must be at
+// least as long as the largest group.
+func canonicalChoice(choice []int, groups [][]int, scratch []int) bool {
 	for _, g := range groups {
 		// first[i] = index of the first process assigned to g[i], or -1.
-		first := make([]int, len(g))
+		first := scratch[:len(g)]
 		for i := range first {
 			first[i] = -1
 		}

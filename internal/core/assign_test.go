@@ -53,19 +53,19 @@ func TestBestAssignmentErrors(t *testing.T) {
 }
 
 func TestCanonicalChoiceDeduplicates(t *testing.T) {
-	groups := [][]int{{0, 1}}
+	groups, scratch := [][]int{{0, 1}}, make([]int, 2)
 	// Two processes on two symmetric cores: [0,1] kept, [1,0] dropped.
-	if !canonicalChoice([]int{0, 1}, groups) {
+	if !canonicalChoice([]int{0, 1}, groups, scratch) {
 		t.Fatal("canonical arrangement rejected")
 	}
-	if canonicalChoice([]int{1, 0}, groups) {
+	if canonicalChoice([]int{1, 0}, groups, scratch) {
 		t.Fatal("mirror arrangement kept")
 	}
 	// Both on the same core: only core 0 usage is canonical.
-	if !canonicalChoice([]int{0, 0}, groups) {
+	if !canonicalChoice([]int{0, 0}, groups, scratch) {
 		t.Fatal("same-core canonical rejected")
 	}
-	if canonicalChoice([]int{1, 1}, groups) {
+	if canonicalChoice([]int{1, 1}, groups, scratch) {
 		t.Fatal("empty-then-used core kept")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 
 	"mpmc/internal/hpc"
@@ -113,7 +114,7 @@ func (cm *CombinedModel) EstimateAssignmentContext(ctx context.Context, asg Assi
 	}
 	total := 0.0
 	for _, group := range cm.Machine.Groups {
-		watts, err := cm.estimateGroup(ctx, asg, group)
+		watts, err := cm.estimateGroup(ctx, asg, group, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -123,18 +124,17 @@ func (cm *CombinedModel) EstimateAssignmentContext(ctx context.Context, asg Assi
 }
 
 // estimateGroup averages the modeled power of one cache group over all
-// process combinations (Eq. 10). Idle cores contribute P_idle.
-func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, group []int) (float64, error) {
-	var busy []int
-	idle := 0
+// process combinations (Eq. 10). Idle cores contribute P_idle. tab, nil
+// outside an assignment search, answers repeated combinations without a
+// solve (see searchTable).
+func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, group []int, tab *searchTable) (float64, error) {
+	busy := make([]int, 0, 8) // on the stack for groups of up to 8 cores
 	for _, c := range group {
 		if len(asg[c]) > 0 {
 			busy = append(busy, c)
-		} else {
-			idle++
 		}
 	}
-	watts := float64(idle) * cm.Power.PIdle()
+	watts := float64(len(group)-len(busy)) * cm.Power.PIdle()
 	if len(busy) == 0 {
 		return watts, nil
 	}
@@ -150,39 +150,72 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 			return watts + avg, nil
 		}
 	}
-	// Enumerate the cross product of per-core process choices.
-	combo := make([]*FeatureVector, len(busy))
-	var sum float64
-	var count int
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(busy) {
-			preds, err := PredictGroupCached(ctx, combo, cm.Machine.Assoc, cm.Solver, cm.State)
-			if err != nil {
-				return err
-			}
-			for _, p := range preds {
-				sum += cm.ProcessCorePower(p)
-			}
-			count++
-			return nil
-		}
-		for _, f := range asg[busy[i]] {
-			combo[i] = f
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
+	// Enumerate the cross product of per-core process choices: combination
+	// n picks digit i of n, in the mixed radix of the per-core list
+	// lengths, from busy core i; the last busy core varies fastest.
+	count := 1
+	for _, c := range busy {
+		count *= len(asg[c])
 	}
-	if err := rec(0); err != nil {
-		return 0, err
+	combo := make([]*FeatureVector, len(busy))
+	scratch := make([]float64, 0, 8) // on the stack too
+	var sum float64
+	for n := 0; n < count; n++ {
+		v := n
+		for i := len(busy) - 1; i >= 0; i-- {
+			procs := asg[busy[i]]
+			combo[i] = procs[v%len(procs)]
+			v /= len(procs)
+		}
+		powers, err := cm.comboPowers(ctx, combo, tab, scratch)
+		if err != nil {
+			return 0, err
+		}
+		for _, w := range powers {
+			sum += w
+		}
 	}
 	avg := sum / float64(count)
 	if cm.State != nil {
 		cm.State.wattsRecord(wkey, avg)
 	}
 	return watts + avg, nil
+}
+
+// comboPowers returns ProcessCorePower of every process of one co-run
+// combination, in prediction order: appended to buf outside a search,
+// solved once and shared afterwards inside one.
+func (cm *CombinedModel) comboPowers(ctx context.Context, combo []*FeatureVector, tab *searchTable, buf []float64) ([]float64, error) {
+	if tab == nil {
+		return cm.solvePowers(ctx, combo, buf)
+	}
+	tab.key = tab.key[:0]
+	for _, f := range combo {
+		tab.key = binary.AppendUvarint(tab.key, tab.ids[f])
+	}
+	powers, ok := tab.powers[string(tab.key)]
+	if !ok {
+		var err error
+		if powers, err = cm.solvePowers(ctx, combo, make([]float64, 0, len(combo))); err != nil {
+			return nil, err
+		}
+		tab.powers[string(tab.key)] = powers
+	}
+	return powers, nil
+}
+
+// solvePowers predicts one co-run combination and appends the modeled core
+// power of each of its processes to buf. It is apart from comboPowers so
+// that buf never flows into the table and can live on the caller's stack.
+func (cm *CombinedModel) solvePowers(ctx context.Context, combo []*FeatureVector, buf []float64) ([]float64, error) {
+	preds, err := PredictGroupCached(ctx, combo, cm.Machine.Assoc, cm.Solver, cm.State)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range preds {
+		buf = append(buf, cm.ProcessCorePower(p))
+	}
+	return buf, nil
 }
 
 // EstimateAddition implements the Figure 1 algorithm: the estimated

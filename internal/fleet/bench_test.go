@@ -53,9 +53,8 @@ func benchFleetPlace(b *testing.B, scoreCap int) {
 	reportP99(b, lat)
 }
 
-// BenchmarkFleetPlace is the default configuration (score cache on). CI
-// records it benchstat-style in BENCH_fleet.json; the acceptance number
-// for the caching layer is this benchmark's p99 against
+// BenchmarkFleetPlace is the default configuration (score cache on). The
+// acceptance number for the caching layer is this benchmark's p99 against
 // BenchmarkFleetPlaceCold's.
 func BenchmarkFleetPlace(b *testing.B) { benchFleetPlace(b, 0) }
 

@@ -77,7 +77,7 @@ func TestServeStressSingleShardMatchesSharded(t *testing.T) {
 	}
 }
 
-// BenchmarkServeSustained is the bench_serve.sh lane: one sustained
+// BenchmarkServeSustained is the sustained-load lane: one sustained
 // churn of b.N placements across the stress scenario, reporting
 // placements/sec and the latency tail as benchmark metrics.
 func BenchmarkServeSustained(b *testing.B) {

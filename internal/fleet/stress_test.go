@@ -132,18 +132,16 @@ func benchStress(b *testing.B, cfg StressConfig) {
 	}
 }
 
-// BenchmarkFleetStress is the small benchstat-friendly stress point
-// (bench_fleet.sh runs it at -benchtime 1x alongside the placement
-// microbenchmarks' fixed-iteration lane).
+// BenchmarkFleetStress is the small benchstat-friendly stress point:
+// every iteration is a whole churn run, so run it at -benchtime 1x.
 func BenchmarkFleetStress(b *testing.B) {
 	benchStress(b, StressConfig{Machines: 100, Arrivals: 10_000, Predicated: true, Seed: 1})
 }
 
 // BenchmarkFleetStressFull is the headline scalability number: a
 // 1000-machine fleet churning through 1,000,000 arrivals behind the
-// predicated pipeline. Run via scripts/bench_fleet.sh (separate
-// -benchtime 1x invocation); it is far too heavy for the default
-// 20000x lane.
+// predicated pipeline. Run it on its own at -benchtime 1x with a long
+// -timeout; an iteration takes minutes.
 func BenchmarkFleetStressFull(b *testing.B) {
 	benchStress(b, StressConfig{Machines: 1000, Arrivals: 1_000_000, Predicated: true, Seed: 1})
 }

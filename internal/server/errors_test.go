@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mpmc/internal/machine"
 )
 
 // TestHandlerErrorPaths drives every typed failure mode through the real
@@ -121,4 +123,21 @@ func TestUnplaceLifecycle(t *testing.T) {
 	}
 	status, raw := do(t, ts, "DELETE", "/v1/place/mcf%231", "")
 	wantAPIError(t, status, raw, http.StatusNotFound, "unknown_process")
+}
+
+// TestAssignSearchTooLarge: asking /v1/assign to rank more than 2^20
+// mappings is the client's error, for every process count — including
+// those where cores^k wraps an int (k >= 32 on four cores used to answer
+// 200 with "evaluated": 0).
+func TestAssignSearchTooLarge(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.Machine = machine.FourCoreServer() })
+	for _, k := range []int{11, 31, 32, 40} {
+		body := `{"benches":["mcf"` + strings.Repeat(`,"mcf"`, k-1) + `]}`
+		status, raw := do(t, ts, "POST", "/v1/assign", body)
+		wantAPIError(t, status, raw, http.StatusBadRequest, "search_too_large")
+	}
+	// A search that fits still ranks.
+	if status, raw := do(t, ts, "POST", "/v1/assign", `{"benches":["mcf","art","gzip"],"top":1}`); status != http.StatusOK {
+		t.Fatalf("three-process search: status %d, body %s", status, raw)
+	}
 }

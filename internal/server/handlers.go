@@ -207,6 +207,9 @@ func toAPIError(err error) *apiError {
 		return &apiError{Status: http.StatusConflict, Code: "machine_full", Message: err.Error()}
 	case errors.Is(err, manager.ErrUnknownProcess):
 		return &apiError{Status: http.StatusNotFound, Code: "unknown_process", Message: err.Error()}
+	case errors.Is(err, core.ErrSearchSpace):
+		// The client asked for more processes than can be ranked.
+		return &apiError{Status: http.StatusBadRequest, Code: "search_too_large", Message: err.Error()}
 	default:
 		return &apiError{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
 	}
@@ -346,6 +349,10 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) error {
 	}
 	specs, err := resolveBenches(req.Benches)
 	if err != nil {
+		return err
+	}
+	// Refuse an unrankable request before profiling anything for it.
+	if _, err := core.SearchSpace(s.mach.NumCores, len(specs)); err != nil {
 		return err
 	}
 	feats, err := s.features(r.Context(), specs)
