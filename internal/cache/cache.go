@@ -10,6 +10,11 @@
 // tree-PLRU policies are provided for the "assumptions violated" ablation.
 // An optional next-line prefetcher supports the Section 3.1 prefetching
 // study.
+//
+// The cache is the inner loop of every simulated experiment, so it is laid
+// out for the host: one flat array of 16-byte lines and a per-set count, no
+// per-set allocations and no valid flags. Under LRU a set is stored in
+// recency order, which makes a lookup one scan and one shift (see Cache).
 package cache
 
 import (
@@ -47,20 +52,16 @@ func (p Policy) String() string {
 // MaxOwners bounds the number of distinct processes a cache tracks.
 const MaxOwners = 64
 
-type way struct {
-	valid      bool
-	owner      uint8
-	id         uint64
-	prefetched bool
-}
+// MaxPLRUAssoc is the widest set the PLRU policy supports: its tree bits
+// are heap-indexed into one 32-bit word per set.
+const MaxPLRUAssoc = 32
 
-type set struct {
-	ways []way
-	// recency holds way indices from MRU (front) to LRU (back); LRU policy
-	// only. len == number of valid ways.
-	recency []uint8
-	// plruBits holds the PLRU tree state; PLRU policy only.
-	plruBits uint32
+// line is one resident cache line, packed to 16 bytes so a 16-way set spans
+// four host cache lines.
+type line struct {
+	id         uint64
+	owner      uint8
+	prefetched bool
 }
 
 // OwnerStats aggregates the demand-access statistics for one owner.
@@ -91,9 +92,24 @@ type Config struct {
 // Cache is a set-associative cache with per-owner statistics.
 // It is not safe for concurrent use; the simulator is single-threaded per
 // machine (hardware is inherently serialized at the shared cache).
+//
+// All lines live in one array: set s is lines[s·Assoc : s·Assoc+count[s]].
+// A set fills left to right and nothing ever invalidates a line, so the
+// first count[s] slots are exactly the valid ones.
+//
+// Random and PLRU treat a slot as a physical way: the victim draw and the
+// tree bits name slots. LRU has no such state. Which way holds a line is
+// unobservable under LRU: hits, evictions, statistics and occupancy depend
+// only on the order in which the set's lines were last used. So an LRU set
+// keeps its lines sorted MRU-first and is its own recency list: a hit moves
+// the line to the front, the victim is the last line, a prefetch fill goes
+// in last. It behaves access for access like positional ways with a
+// separate recency list, which the tests keep as a reference.
 type Cache struct {
 	cfg       Config
-	sets      []set
+	lines     []line
+	count     []uint8  // resident lines per set
+	plruBits  []uint32 // per-set PLRU tree state, heap-indexed; PLRU only
 	rng       *xrand.Rand
 	stats     [MaxOwners]OwnerStats
 	occupancy [MaxOwners]int // lines currently resident per owner
@@ -108,28 +124,23 @@ func New(cfg Config) *Cache {
 	if cfg.Assoc > 255 {
 		panic("cache: associativity above 255 unsupported")
 	}
-	c := &Cache{
-		cfg:  cfg,
-		sets: make([]set, cfg.NumSets),
-		rng:  xrand.New(cfg.Seed ^ 0xcafef00d),
+	if cfg.Policy == PLRU && cfg.Assoc > MaxPLRUAssoc {
+		panic(fmt.Sprintf("cache: PLRU associativity above %d unsupported", MaxPLRUAssoc))
 	}
-	for i := range c.sets {
-		c.sets[i].ways = make([]way, cfg.Assoc)
-		c.sets[i].recency = make([]uint8, 0, cfg.Assoc)
+	c := &Cache{
+		cfg:   cfg,
+		lines: make([]line, cfg.NumSets*cfg.Assoc),
+		count: make([]uint8, cfg.NumSets),
+		rng:   xrand.New(cfg.Seed ^ 0xcafef00d),
+	}
+	if cfg.Policy == PLRU {
+		c.plruBits = make([]uint32, cfg.NumSets)
 	}
 	return c
 }
 
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return c.cfg.NumSets }
-
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.cfg.Assoc }
-
-// SetIndex returns the set a line maps to.
-func (c *Cache) SetIndex(lineID uint64) int {
-	return int(lineID % uint64(c.cfg.NumSets))
-}
 
 // Access performs a demand access by owner to lineID and reports whether it
 // hit. A miss installs the line (evicting per policy) and, if prefetching
@@ -138,150 +149,100 @@ func (c *Cache) Access(owner int, lineID uint64) bool {
 	c.checkOwner(owner)
 	st := &c.stats[owner]
 	st.Accesses++
-	hit := c.touch(owner, lineID, false)
-	if hit {
+	if c.touch(uint8(owner), lineID, false) {
 		return true
 	}
 	st.Misses++
-	if c.cfg.Prefetch {
-		c.prefetchFill(owner, lineID+1)
+	if c.cfg.Prefetch && !c.touch(uint8(owner), lineID+1, true) {
+		st.PrefetchFill++
 	}
 	return false
 }
 
-// prefetchFill installs lineID for owner if absent, without touching demand
-// statistics (beyond the PrefetchFill counter).
-func (c *Cache) prefetchFill(owner int, lineID uint64) {
-	s := &c.sets[c.SetIndex(lineID)]
-	if c.find(s, owner, lineID) >= 0 {
-		return
-	}
-	c.install(s, owner, lineID, true)
-	c.stats[owner].PrefetchFill++
-}
-
-// touch looks up (owner, lineID); on hit it promotes the line, on miss it
-// installs it. Returns hit.
-func (c *Cache) touch(owner int, lineID uint64, prefetched bool) bool {
-	s := &c.sets[c.SetIndex(lineID)]
-	if w := c.find(s, owner, lineID); w >= 0 {
-		if s.ways[w].prefetched {
-			s.ways[w].prefetched = false
+// touch looks up (owner, lineID) and reports whether it is resident,
+// installing it if not. A demand hit promotes the line; a prefetch probe
+// leaves a resident line alone, and installs an absent one at the LRU end:
+// a wrong prefetch is evicted first and barely pollutes the set.
+func (c *Cache) touch(owner uint8, lineID uint64, prefetch bool) bool {
+	assoc := c.cfg.Assoc
+	si := int(lineID % uint64(c.cfg.NumSets))
+	set := c.lines[si*assoc : (si+1)*assoc]
+	n := int(c.count[si])
+	for i := 0; i < n; i++ {
+		if set[i].id != lineID || set[i].owner != owner {
+			continue
+		}
+		if prefetch {
+			return true
+		}
+		if set[i].prefetched {
+			set[i].prefetched = false
 			c.stats[owner].PrefetchHit++
 		}
-		c.promote(s, w)
+		switch c.cfg.Policy {
+		case LRU:
+			l := set[i]
+			copy(set[1:i+1], set[:i])
+			set[0] = l
+		case PLRU:
+			c.plruTouch(si, i)
+		}
 		return true
 	}
-	c.install(s, owner, lineID, prefetched)
+	w := n // the way to fill: the next free one, else the policy's victim
+	if n < assoc {
+		c.count[si]++
+	} else {
+		switch c.cfg.Policy {
+		case LRU:
+			w = n - 1
+		case Random:
+			w = c.rng.Intn(assoc)
+		case PLRU:
+			w = c.plruVictim(si)
+		}
+		c.occupancy[set[w].owner]--
+	}
+	c.occupancy[owner]++
+	if c.cfg.Policy == LRU && !prefetch {
+		copy(set[1:w+1], set[:w])
+		w = 0
+	}
+	set[w] = line{id: lineID, owner: owner, prefetched: prefetch}
+	if c.cfg.Policy == PLRU {
+		c.plruTouch(si, w)
+	}
 	return false
 }
 
-func (c *Cache) find(s *set, owner int, lineID uint64) int {
-	for i := range s.ways {
-		w := &s.ways[i]
-		if w.valid && w.id == lineID && w.owner == uint8(owner) {
-			return i
-		}
-	}
-	return -1
-}
-
-// promote updates replacement metadata after a hit on way w.
-func (c *Cache) promote(s *set, w int) {
-	switch c.cfg.Policy {
-	case LRU:
-		moveToFront(s.recency, uint8(w))
-	case PLRU:
-		c.plruTouch(s, w)
-	case Random:
-		// stateless
-	}
-}
-
-// install places (owner, lineID) into s, evicting if the set is full.
-func (c *Cache) install(s *set, owner int, lineID uint64, prefetched bool) {
-	victim := -1
-	for i := range s.ways {
-		if !s.ways[i].valid {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		victim = c.chooseVictim(s)
-		c.occupancy[s.ways[victim].owner]--
-	}
-	wasValid := s.ways[victim].valid
-	s.ways[victim] = way{valid: true, owner: uint8(owner), id: lineID, prefetched: prefetched}
-	c.occupancy[owner]++
-	switch c.cfg.Policy {
-	case LRU:
-		if wasValid {
-			removeVal(&s.recency, uint8(victim))
-		}
-		if prefetched {
-			// Speculative fills enter at the LRU end: a wrong prefetch
-			// is evicted first and barely pollutes the set.
-			s.recency = append(s.recency, uint8(victim))
-		} else {
-			s.recency = append(s.recency, 0)
-			copy(s.recency[1:], s.recency)
-			s.recency[0] = uint8(victim)
-		}
-	case PLRU:
-		c.plruTouch(s, victim)
-	case Random:
-		// stateless
-	}
-}
-
-// chooseVictim picks a way to evict from a full set per the policy.
-func (c *Cache) chooseVictim(s *set) int {
-	switch c.cfg.Policy {
-	case LRU:
-		return int(s.recency[len(s.recency)-1])
-	case Random:
-		return c.rng.Intn(len(s.ways))
-	case PLRU:
-		return c.plruVictim(s)
-	}
-	panic("cache: unknown policy")
-}
-
-// plruTouch flips the tree bits on the path to way w so the path points
-// away from it.
-func (c *Cache) plruTouch(s *set, w int) {
-	n := len(s.ways)
-	node := 0
-	lo, hi := 0, n
+// plruTouch flips the tree bits on the path to way w of set si so the path
+// points away from it.
+func (c *Cache) plruTouch(si, w int) {
+	bits := c.plruBits[si]
+	node, lo, hi := 0, 0, c.cfg.Assoc
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if w < mid {
-			s.plruBits |= 1 << uint(node) // point right (away from w)
-			node = 2*node + 1
-			hi = mid
+			bits |= 1 << uint(node) // point right (away from w)
+			node, hi = 2*node+1, mid
 		} else {
-			s.plruBits &^= 1 << uint(node) // point left (away from w)
-			node = 2*node + 2
-			lo = mid
+			bits &^= 1 << uint(node) // point left (away from w)
+			node, lo = 2*node+2, mid
 		}
 	}
+	c.plruBits[si] = bits
 }
 
-// plruVictim walks the tree bits toward the pseudo-LRU way.
-func (c *Cache) plruVictim(s *set) int {
-	n := len(s.ways)
-	node := 0
-	lo, hi := 0, n
+// plruVictim walks set si's tree bits toward the pseudo-LRU way.
+func (c *Cache) plruVictim(si int) int {
+	bits := c.plruBits[si]
+	node, lo, hi := 0, 0, c.cfg.Assoc
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if s.plruBits&(1<<uint(node)) != 0 {
-			// bit set → go right
-			node = 2*node + 2
-			lo = mid
+		if bits&(1<<uint(node)) != 0 { // bit set → go right
+			node, lo = 2*node+2, mid
 		} else {
-			node = 2*node + 1
-			hi = mid
+			node, hi = 2*node+1, mid
 		}
 	}
 	return lo
@@ -313,63 +274,8 @@ func (c *Cache) AvgWays(owner int) float64 {
 	return float64(c.Occupancy(owner)) / float64(c.cfg.NumSets)
 }
 
-// Flush invalidates all lines and clears occupancy (statistics persist).
-func (c *Cache) Flush() {
-	for i := range c.sets {
-		s := &c.sets[i]
-		for j := range s.ways {
-			s.ways[j] = way{}
-		}
-		s.recency = s.recency[:0]
-		s.plruBits = 0
-	}
-	for i := range c.occupancy {
-		c.occupancy[i] = 0
-	}
-}
-
-// FlushOwner invalidates every line belonging to owner (process exit).
-func (c *Cache) FlushOwner(owner int) {
-	c.checkOwner(owner)
-	for i := range c.sets {
-		s := &c.sets[i]
-		for j := range s.ways {
-			if s.ways[j].valid && s.ways[j].owner == uint8(owner) {
-				s.ways[j] = way{}
-				if c.cfg.Policy == LRU {
-					removeVal(&s.recency, uint8(j))
-				}
-			}
-		}
-	}
-	c.occupancy[owner] = 0
-}
-
 func (c *Cache) checkOwner(owner int) {
 	if owner < 0 || owner >= MaxOwners {
 		panic(fmt.Sprintf("cache: owner %d out of range", owner))
-	}
-}
-
-// moveToFront moves value v to the front of order; v must be present.
-func moveToFront(order []uint8, v uint8) {
-	for i, x := range order {
-		if x == v {
-			copy(order[1:i+1], order[:i])
-			order[0] = v
-			return
-		}
-	}
-	panic("cache: recency list corrupt")
-}
-
-// removeVal deletes value v from *order if present.
-func removeVal(order *[]uint8, v uint8) {
-	o := *order
-	for i, x := range o {
-		if x == v {
-			*order = append(o[:i], o[i+1:]...)
-			return
-		}
 	}
 }

@@ -11,6 +11,11 @@ func newLRU(sets, assoc int) *Cache {
 	return New(Config{NumSets: sets, Assoc: assoc, Policy: LRU, Seed: 1})
 }
 
+// residents returns the valid lines of set si, in storage order.
+func residents(c *Cache, si int) []line {
+	return c.lines[si*c.cfg.Assoc:][:c.count[si]]
+}
+
 func TestBasicHitMiss(t *testing.T) {
 	c := newLRU(1, 2)
 	if c.Access(0, 0) {
@@ -158,11 +163,16 @@ func TestOccupancyInvariantProperty(t *testing.T) {
 			}
 			// Recount from actual contents.
 			count := 0
-			for i := range c.sets {
-				for _, w := range c.sets[i].ways {
-					if w.valid {
-						count++
-					}
+			perOwner := make([]int, owners)
+			for si := 0; si < 4; si++ {
+				for _, l := range residents(c, si) {
+					count++
+					perOwner[l.owner]++
+				}
+			}
+			for o := 0; o < owners; o++ {
+				if perOwner[o] != c.Occupancy(o) {
+					return false
 				}
 			}
 			return count == total
@@ -180,14 +190,11 @@ func TestNoDuplicateLinesProperty(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			c.Access(r.Intn(2), uint64(r.Intn(24)))
 		}
-		for i := range c.sets {
+		for si := 0; si < 2; si++ {
 			seen := map[[2]uint64]bool{}
-			for _, w := range c.sets[i].ways {
-				if !w.valid {
-					continue
-				}
-				key := [2]uint64{uint64(w.owner), w.id}
-				if seen[key] {
+			for _, l := range residents(c, si) {
+				key := [2]uint64{uint64(l.owner), l.id}
+				if seen[key] || int(l.id%2) != si {
 					return false
 				}
 				seen[key] = true
@@ -200,30 +207,34 @@ func TestNoDuplicateLinesProperty(t *testing.T) {
 }
 
 func TestLRURecencyConsistencyProperty(t *testing.T) {
-	// The recency list always holds exactly the valid ways, each once.
+	// Each LRU set holds its lines MRU-first: the segment always equals
+	// the distinct (owner, line) pairs of the set's access history, most
+	// recent first, cut at the associativity.
 	if err := quick.Check(func(seed uint64) bool {
 		r := xrand.New(seed)
 		c := newLRU(2, 8)
+		var history [2][]line
 		for i := 0; i < 5000; i++ {
-			c.Access(r.Intn(3), uint64(r.Intn(48)))
-		}
-		for i := range c.sets {
-			s := &c.sets[i]
-			valid := 0
-			for _, w := range s.ways {
-				if w.valid {
-					valid++
+			l := line{owner: uint8(r.Intn(3)), id: uint64(r.Intn(48))}
+			c.Access(int(l.owner), l.id)
+			h := history[l.id%2]
+			for j, x := range h {
+				if x == l {
+					h = append(h[:j], h[j+1:]...)
+					break
 				}
 			}
-			if len(s.recency) != valid {
+			history[l.id%2] = append([]line{l}, h...)
+		}
+		for si := range history {
+			got := residents(c, si)
+			if len(got) != 8 {
 				return false
 			}
-			seen := map[uint8]bool{}
-			for _, w := range s.recency {
-				if seen[w] || !s.ways[w].valid {
+			for j, l := range got {
+				if l != history[si][j] {
 					return false
 				}
-				seen[w] = true
 			}
 		}
 		return true
@@ -298,26 +309,6 @@ func TestPLRUApproximatesLRU(t *testing.T) {
 	}
 }
 
-func TestFlushAndFlushOwner(t *testing.T) {
-	c := newLRU(2, 2)
-	c.Access(0, 0)
-	c.Access(1, 1)
-	c.FlushOwner(0)
-	if c.Occupancy(0) != 0 {
-		t.Fatal("FlushOwner left lines")
-	}
-	if !c.Access(1, 1) {
-		t.Fatal("FlushOwner removed other owner's lines")
-	}
-	c.Flush()
-	if c.Occupancy(1) != 0 {
-		t.Fatal("Flush left lines")
-	}
-	if c.Access(1, 1) {
-		t.Fatal("hit after full flush")
-	}
-}
-
 func TestResetStatsKeepsContents(t *testing.T) {
 	c := newLRU(1, 2)
 	c.Access(0, 0)
@@ -331,7 +322,12 @@ func TestResetStatsKeepsContents(t *testing.T) {
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
-	for _, cfg := range []Config{{NumSets: 0, Assoc: 1}, {NumSets: 1, Assoc: 0}} {
+	for _, cfg := range []Config{
+		{NumSets: 0, Assoc: 1}, {NumSets: 1, Assoc: 0}, {NumSets: 1, Assoc: 256},
+		// PLRU's heap-indexed tree bits live in one uint32: a wider set
+		// would lose bits silently and degenerate the victim walk.
+		{NumSets: 1, Assoc: MaxPLRUAssoc + 1, Policy: PLRU},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -340,6 +336,33 @@ func TestInvalidConfigPanics(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+func TestWidestSetsConstruct(t *testing.T) {
+	// The PLRU width limit binds PLRU only.
+	for _, cfg := range []Config{
+		{NumSets: 2, Assoc: MaxPLRUAssoc, Policy: PLRU},
+		{NumSets: 2, Assoc: 255, Policy: LRU},
+		{NumSets: 2, Assoc: 255, Policy: Random},
+	} {
+		c := New(cfg)
+		for id := uint64(0); id < 1200; id++ {
+			c.Access(0, id%600)
+		}
+		if got := c.Occupancy(0); got != 2*cfg.Assoc {
+			t.Fatalf("%+v: occupancy %d, want the full cache", cfg, got)
+		}
+	}
+}
+
+func TestAccessDoesNotAllocate(t *testing.T) {
+	for _, pol := range []Policy{LRU, Random, PLRU} {
+		c := New(Config{NumSets: 8, Assoc: 4, Policy: pol, Prefetch: true, Seed: 1})
+		r := xrand.New(5)
+		if n := testing.AllocsPerRun(1000, func() { c.Access(r.Intn(3), uint64(r.Intn(96))) }); n != 0 {
+			t.Fatalf("%v: Access allocates %v objects", pol, n)
+		}
 	}
 }
 
@@ -444,11 +467,8 @@ func TestPLRUNeverEvictsJustTouched(t *testing.T) {
 		for id := range resident {
 			delete(resident, id)
 		}
-		s := &c.sets[0]
-		for _, w := range s.ways {
-			if w.valid {
-				resident[w.id] = true
-			}
+		for _, l := range residents(c, 0) {
+			resident[l.id] = true
 		}
 	}
 }

@@ -92,18 +92,18 @@ type PolicyOutcome struct {
 	// is enabled). PreemptPlaced counts priority arrivals admitted
 	// directly; Preemptions..PreemptAborted mirror the fleet's
 	// fleet_preempt_* counters at the end of the run.
-	PreemptPlaced   int      `json:"preempt_placed,omitempty"`
-	Preemptions     uint64   `json:"preemptions,omitempty"`
-	PreemptRequeued uint64   `json:"preempt_requeued,omitempty"`
-	PreemptDropped  uint64   `json:"preempt_dropped,omitempty"`
-	PreemptAborted  uint64   `json:"preempt_aborted,omitempty"`
+	PreemptPlaced   int    `json:"preempt_placed,omitempty"`
+	Preemptions     uint64 `json:"preemptions,omitempty"`
+	PreemptRequeued uint64 `json:"preempt_requeued,omitempty"`
+	PreemptDropped  uint64 `json:"preempt_dropped,omitempty"`
+	PreemptAborted  uint64 `json:"preempt_aborted,omitempty"`
 	// Cap-flip accounting (present only when the cap fault class is
 	// enabled): enforcement actions taken and how many enforcement passes
 	// ended still over budget (the idle floor alone exceeded the cap).
-	CapFlips       int `json:"cap_flips,omitempty"`
-	CapDownclocks  int `json:"cap_downclocks,omitempty"`
-	CapMigrations  int `json:"cap_migrations,omitempty"`
-	CapUnsatisfied int `json:"cap_unsatisfied,omitempty"`
+	CapFlips        int      `json:"cap_flips,omitempty"`
+	CapDownclocks   int      `json:"cap_downclocks,omitempty"`
+	CapMigrations   int      `json:"cap_migrations,omitempty"`
+	CapUnsatisfied  int      `json:"cap_unsatisfied,omitempty"`
 	NodesLost       int      `json:"nodes_lost"`
 	NodesRestored   int      `json:"nodes_restored"`
 	InvariantChecks int      `json:"invariant_checks"`

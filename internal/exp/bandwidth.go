@@ -20,10 +20,10 @@ import (
 type BandwidthResult struct {
 	Machine string
 	// Rows, one per bus configuration.
-	Labels     []string
-	UtilPct    []float64 // measured bus utilization (aggregate misses/s ÷ bandwidth)
-	MPAErrPct  []float64 // mean |MPA err| (points)
-	SPIErrPct  []float64 // mean relative SPI error (%)
+	Labels    []string
+	UtilPct   []float64 // measured bus utilization (aggregate misses/s ÷ bandwidth)
+	MPAErrPct []float64 // mean |MPA err| (points)
+	SPIErrPct []float64 // mean relative SPI error (%)
 }
 
 // Format renders the sweep.

@@ -117,6 +117,9 @@ func (m *Machine) Validate() error {
 	if m.NumSets <= 0 || m.Assoc <= 0 {
 		return fmt.Errorf("machine %s: bad cache geometry", m.Name)
 	}
+	if m.Policy == cache.PLRU && m.Assoc > cache.MaxPLRUAssoc {
+		return fmt.Errorf("machine %s: PLRU supports at most %d ways, have %d", m.Name, cache.MaxPLRUAssoc, m.Assoc)
+	}
 	if m.MemLatency <= 0 || m.Timeslice <= 0 || m.SamplePeriod <= 0 {
 		return fmt.Errorf("machine %s: non-positive timing parameter", m.Name)
 	}

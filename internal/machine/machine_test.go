@@ -97,12 +97,26 @@ func TestValidateCatchesBadMachines(t *testing.T) {
 		func(m *Machine) { m.MemBandwidth = -1 },
 		func(m *Machine) { m.Freq = &freq.Domain{} }, // empty ladder
 		func(m *Machine) { m.Core = freq.CoreType{SPIFactor: -1} },
+		// PLRU's tree bits fit 32 ways; wider must not reach cache.New.
+		func(m *Machine) { m.Policy, m.Assoc = cache.PLRU, cache.MaxPLRUAssoc+1 },
 	}
 	for i, mut := range cases {
 		m := base()
 		mut(m)
 		if err := m.Validate(); err == nil {
 			t.Fatalf("case %d: invalid machine accepted", i)
+		}
+	}
+	// The same width is fine under the other policies, and PLRU at the limit.
+	for _, mut := range []func(*Machine){
+		func(m *Machine) { m.Policy, m.Assoc = cache.LRU, cache.MaxPLRUAssoc+1 },
+		func(m *Machine) { m.Policy, m.Assoc = cache.Random, cache.MaxPLRUAssoc+1 },
+		func(m *Machine) { m.Policy, m.Assoc = cache.PLRU, cache.MaxPLRUAssoc },
+	} {
+		m := base()
+		mut(m)
+		if err := m.Validate(); err != nil {
+			t.Fatalf("valid machine rejected: %v", err)
 		}
 	}
 }

@@ -148,12 +148,17 @@ func (r *Result) ProcByName(name string) *ProcResult {
 type proc struct {
 	spec  *workload.Spec
 	gen   trace.Generator
+	cache *cache.Cache // the shared L2 of the process's core
 	core  int
 	group int
 	owner int
 
+	// Per-access increments, constant for the run.
 	instrPerAccess float64
-	gapTime        float64 // instrPerAccess · BaseSPI
+	l1PerAccess    float64 // L1RPI · instrPerAccess
+	brPerAccess    float64 // BRPI · instrPerAccess
+	fpPerAccess    float64 // FPPI · instrPerAccess
+	gapTime        float64 // instrPerAccess · BaseSPI / core speed
 
 	counts   hpc.Counts
 	runTime  float64
@@ -203,24 +208,31 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 
 	// Build process and core state.
 	var procs []*proc
-	cores := make([]*coreState, m.NumCores)
-	for c := 0; c < m.NumCores; c++ {
-		cs := &coreState{active: -1, nextTime: math.Inf(1)}
+	cores := make([]coreState, m.NumCores)
+	for c := range cores {
+		cs := &cores[c]
+		cs.active, cs.nextTime = -1, math.Inf(1)
 		for _, spec := range asg.Procs[c] {
 			if err := spec.Validate(); err != nil {
 				return nil, err
 			}
+			ipa := 1 / spec.L2RPI
+			group := m.GroupOf(c)
 			p := &proc{
 				spec:           spec,
 				gen:            spec.NewGenerator(m.NumSets, rng.Uint64()),
+				cache:          caches[group],
 				core:           c,
-				group:          m.GroupOf(c),
+				group:          group,
 				owner:          len(procs),
-				instrPerAccess: 1 / spec.L2RPI,
+				instrPerAccess: ipa,
+				l1PerAccess:    spec.L1RPI * ipa,
+				brPerAccess:    spec.BRPI * ipa,
+				fpPerAccess:    spec.FPPI * ipa,
+				// Heterogeneous cores execute instructions faster or slower;
+				// memory latency is shared and unchanged.
+				gapTime: ipa * spec.BaseSPI / m.SpeedOf(c),
 			}
-			// Heterogeneous cores execute instructions faster or slower;
-			// memory latency is shared and unchanged.
-			p.gapTime = p.instrPerAccess * spec.BaseSPI / m.SpeedOf(c)
 			procs = append(procs, p)
 			cs.queue = append(cs.queue, p)
 		}
@@ -229,13 +241,24 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 			cs.sliceEnd = m.Timeslice
 			cs.nextTime = cs.queue[0].gapTime
 		}
-		cores[c] = cs
 	}
 	if len(procs) > cache.MaxOwners {
 		return nil, fmt.Errorf("sim: %d processes exceed owner limit %d", len(procs), cache.MaxOwners)
 	}
 
-	res := &Result{}
+	// The measured window count is known up front, within rounding.
+	windows := int(opts.Duration/m.SamplePeriod) + 1
+	res := &Result{
+		HPCSamples:    make([]hpc.Sample, 0, windows*m.NumCores),
+		MeasuredPower: make(power.Trace, 0, windows),
+	}
+	coreRates := make([]hpc.Rates, m.NumCores)
+	// Miss costs, constant for the run.
+	overlappedStall := m.MemLatency * (1 - m.MLPOverlap)
+	var busService float64
+	if m.MemBandwidth > 0 {
+		busService = 1 / m.MemBandwidth
+	}
 	endTime := opts.Warmup + opts.Duration
 	nextSample := m.SamplePeriod
 	measuring := opts.Warmup == 0
@@ -250,9 +273,9 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 			p.waysSamples = 0
 			p.prevWindow = hpc.Counts{}
 		}
-		for _, cs := range cores {
-			cs.counts = hpc.Counts{}
-			cs.prev = hpc.Counts{}
+		for c := range cores {
+			cores[c].counts = hpc.Counts{}
+			cores[c].prev = hpc.Counts{}
 		}
 		for _, ch := range caches {
 			ch.ResetStats()
@@ -260,7 +283,8 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 	}
 
 	doSample := func(t float64) {
-		for c, cs := range cores {
+		for c := range cores {
+			cs := &cores[c]
 			delta := cs.counts.Sub(cs.prev)
 			cs.prev = cs.counts
 			rates := delta.RatesOver(m.SamplePeriod)
@@ -277,7 +301,6 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 		if measuring {
 			// Oracle consumes the last window's per-core rates.
 			n := len(res.HPCSamples)
-			coreRates := make([]hpc.Rates, m.NumCores)
 			for i := n - m.NumCores; i < n; i++ {
 				coreRates[res.HPCSamples[i].Core] = res.HPCSamples[i].Rates
 			}
@@ -289,14 +312,14 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 				Power: sensor.MeasureWindow(truP, m.SamplePeriod),
 			})
 			for _, p := range procs {
-				p.waysSum += caches[p.group].AvgWays(p.owner)
+				p.waysSum += p.cache.AvgWays(p.owner)
 				p.waysSamples++
 			}
 			if opts.CollectProcSamples {
 				for i, p := range procs {
 					d := p.counts.Sub(p.prevWindow)
 					p.prevWindow = p.counts
-					cs := cores[p.core]
+					cs := &cores[p.core]
 					res.ProcSamples = append(res.ProcSamples, ProcSample{
 						Time:     t,
 						Proc:     i,
@@ -314,9 +337,9 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 		// Next core event.
 		minT := math.Inf(1)
 		minC := -1
-		for c, cs := range cores {
-			if cs.nextTime < minT {
-				minT = cs.nextTime
+		for c := range cores {
+			if cores[c].nextTime < minT {
+				minT = cores[c].nextTime
 				minC = c
 			}
 		}
@@ -341,8 +364,8 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 			// No runnable processes; only sampling advances time.
 			continue
 		}
-		cs := cores[minC]
-		t := cs.nextTime
+		cs := &cores[minC]
+		t := minT
 		if cs.rotate {
 			cs.rotate = false
 			cs.active = (cs.active + 1) % len(cs.queue)
@@ -353,38 +376,37 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 		p := cs.queue[cs.active]
 		// Execute the access interval ending at t.
 		p.counts.Instructions += p.instrPerAccess
-		p.counts.L1Refs += p.spec.L1RPI * p.instrPerAccess
-		p.counts.Branches += p.spec.BRPI * p.instrPerAccess
-		p.counts.FPOps += p.spec.FPPI * p.instrPerAccess
+		p.counts.L1Refs += p.l1PerAccess
+		p.counts.Branches += p.brPerAccess
+		p.counts.FPOps += p.fpPerAccess
 		p.counts.L2Refs++
-		hit := caches[p.group].Access(p.owner, p.gen.Next())
+		hit := p.cache.Access(p.owner, p.gen.Next())
 		dt := p.gapTime
 		if !hit {
 			p.counts.L2Misses++
 			// Back-to-back misses overlap (memory-level parallelism).
 			stall := m.MemLatency
 			if p.lastMiss {
-				stall *= 1 - m.MLPOverlap
+				stall = overlappedStall
 			}
-			if m.MemBandwidth > 0 {
+			if busService > 0 {
 				// The group's memory bus serves one miss per 1/bandwidth
 				// seconds; queued misses wait behind in-flight ones.
-				service := 1 / m.MemBandwidth
 				start := t
 				if busFreeAt[p.group] > start {
 					stall += busFreeAt[p.group] - start
 					start = busFreeAt[p.group]
 				}
-				busFreeAt[p.group] = start + service
+				busFreeAt[p.group] = start + busService
 			}
 			dt += stall
 		}
 		p.lastMiss = !hit
 		p.runTime += dt
 		cs.counts.Instructions += p.instrPerAccess
-		cs.counts.L1Refs += p.spec.L1RPI * p.instrPerAccess
-		cs.counts.Branches += p.spec.BRPI * p.instrPerAccess
-		cs.counts.FPOps += p.spec.FPPI * p.instrPerAccess
+		cs.counts.L1Refs += p.l1PerAccess
+		cs.counts.Branches += p.brPerAccess
+		cs.counts.FPOps += p.fpPerAccess
 		cs.counts.L2Refs++
 		if !hit {
 			cs.counts.L2Misses++

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mpmc/internal/cache"
 	"mpmc/internal/hpc"
 	"mpmc/internal/machine"
 	"mpmc/internal/workload"
@@ -227,6 +228,12 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(m, asg, Options{Duration: 1, Warmup: -1}); err == nil {
 		t.Fatal("accepted negative warmup")
+	}
+	// A PLRU set too wide for its tree bits is an error from the machine's
+	// validation, not a panic out of cache.New.
+	m.Policy, m.Assoc = cache.PLRU, cache.MaxPLRUAssoc+1
+	if _, err := Run(m, asg, Options{Duration: 1}); err == nil {
+		t.Fatal("accepted a 33-way PLRU cache")
 	}
 }
 

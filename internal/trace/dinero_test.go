@@ -33,10 +33,10 @@ func TestParseDin(t *testing.T) {
 
 func TestParseDinErrors(t *testing.T) {
 	cases := []string{
-		"",            // empty
-		"0",           // missing address
-		"x 1000",      // bad label
-		"0 zzzz",      // bad address
+		"",       // empty
+		"0",      // missing address
+		"x 1000", // bad label
+		"0 zzzz", // bad address
 		"# only\n# comments",
 	}
 	for i, c := range cases {

@@ -27,11 +27,6 @@ type Generator interface {
 	Next() uint64
 }
 
-// perSetStack tracks one set's own lines in recency order (MRU first).
-type perSetStack struct {
-	lines []uint64
-}
-
 // freshBase offsets the IDs of generator-allocated fresh lines so they can
 // never collide with the sequential stream's IDs (which start at zero).
 const freshBase = uint64(1) << 40
@@ -48,12 +43,15 @@ const freshBase = uint64(1) << 40
 // (1−SeqFrac)·hist + SeqFrac·δ∞. Sequentiality itself only matters to
 // next-line prefetchers.
 type ReuseGen struct {
-	hist     *hist.Histogram
-	sampler  *xrand.Categorical
-	numSets  int
-	cap      int // per-set stack depth cap (footprint bound)
-	rng      *xrand.Rand
-	sets     []perSetStack
+	hist    *hist.Histogram
+	sampler *xrand.Categorical
+	numSets int
+	cap     int // per-set stack depth cap (footprint bound)
+	rng     *xrand.Rand
+	// stacks holds every set's own lines in recency order (MRU first) in
+	// one array: set s is stacks[s·cap : s·cap+depth[s]].
+	stacks   []uint64
+	depth    []int
 	nextLine []uint64 // per-set allocation counter for fresh lines
 
 	seqFrac      float64
@@ -107,7 +105,8 @@ func NewReuseGenOpts(h *hist.Histogram, numSets, cap int, seed uint64, opts Reus
 		numSets:      numSets,
 		cap:          cap,
 		rng:          xrand.New(seed),
-		sets:         make([]perSetStack, numSets),
+		stacks:       make([]uint64, numSets*cap),
+		depth:        make([]int, numSets),
 		nextLine:     make([]uint64, numSets),
 		seqFrac:      opts.SeqFrac,
 		seqFootprint: opts.SeqFootprint,
@@ -125,40 +124,34 @@ func (g *ReuseGen) Next() uint64 {
 		if g.seqNext >= g.seqFootprint {
 			g.seqNext = 0
 		}
-		set := int(id % uint64(g.numSets))
-		g.push(&g.sets[set], id)
+		g.push(int(id%uint64(g.numSets)), id)
 		return id
 	}
 	set := g.rng.Intn(g.numSets)
-	s := &g.sets[set]
 	idx := g.sampler.Sample(g.rng)
 	d := idx + 1 // distances are 1-based; idx == MaxDistance means overflow
-	if idx == g.hist.MaxDistance() || d > len(s.lines) {
+	if idx == g.hist.MaxDistance() || d > g.depth[set] {
 		// Overflow or not-yet-deep-enough stack: touch a fresh line.
-		return g.fresh(set, s)
+		id := (freshBase+g.nextLine[set])*uint64(g.numSets) + uint64(set)
+		g.nextLine[set]++
+		g.push(set, id)
+		return id
 	}
-	id := s.lines[d-1]
-	copy(s.lines[1:d], s.lines[:d-1])
-	s.lines[0] = id
+	lines := g.stacks[set*g.cap:][:d]
+	id := lines[d-1]
+	copy(lines[1:], lines)
+	lines[0] = id
 	return id
 }
 
-// fresh allocates a new line in set and pushes it to the stack top.
-func (g *ReuseGen) fresh(set int, s *perSetStack) uint64 {
-	id := (freshBase + g.nextLine[set]) * uint64(g.numSets)
-	id += uint64(set)
-	g.nextLine[set]++
-	g.push(s, id)
-	return id
-}
-
-// push puts id at the top of the stack, dropping the tail at the cap.
-func (g *ReuseGen) push(s *perSetStack, id uint64) {
-	if len(s.lines) < g.cap {
-		s.lines = append(s.lines, 0)
+// push puts id at the top of set's stack, dropping the tail at the cap.
+func (g *ReuseGen) push(set int, id uint64) {
+	if g.depth[set] < g.cap {
+		g.depth[set]++
 	}
-	copy(s.lines[1:], s.lines)
-	s.lines[0] = id
+	lines := g.stacks[set*g.cap:][:g.depth[set]]
+	copy(lines[1:], lines)
+	lines[0] = id
 }
 
 // StrideGen emits a pure sequential stream over a bounded footprint — the
@@ -258,6 +251,10 @@ func NewCyclicGen(numSets, linesPerSet int, seed uint64) *CyclicGen {
 func (g *CyclicGen) Next() uint64 {
 	set := g.rng.Intn(g.numSets)
 	k := g.pos[set]
-	g.pos[set] = (k + 1) % g.linesPerSet
+	next := k + 1
+	if next == g.linesPerSet {
+		next = 0
+	}
+	g.pos[set] = next
 	return uint64(k)*uint64(g.numSets) + uint64(set)
 }

@@ -73,9 +73,9 @@ func TestReuseGenFootprintBounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		gen.Next()
 	}
-	for s := range gen.sets {
-		if len(gen.sets[s].lines) > 4 {
-			t.Fatalf("set %d stack grew to %d > cap", s, len(gen.sets[s].lines))
+	for s, depth := range gen.depth {
+		if depth > 4 {
+			t.Fatalf("set %d stack grew to %d > cap", s, depth)
 		}
 	}
 }
