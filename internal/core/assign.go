@@ -75,7 +75,7 @@ func (cm *CombinedModel) BestAssignmentContext(ctx context.Context, procs []*Fea
 	// stacking everything on core 0 first validates every process once.
 	scratch := make(Assignment, n)
 	scratch[0] = procs
-	if err := cm.validate(scratch); err != nil {
+	if err := cm.Validate(scratch); err != nil {
 		return nil, err
 	}
 	scratch[0] = nil
@@ -120,9 +120,11 @@ func (cm *CombinedModel) BestAssignmentContext(ctx context.Context, procs []*Fea
 			}
 			w, ok := layouts[string(key)]
 			if !ok {
-				if w, err = cm.estimateGroup(ctx, scratch, group, tab); err != nil {
+				est, err := cm.estimateGroup(ctx, scratch, group, tab, ReadWatts)
+				if err != nil {
 					return nil, err
 				}
+				w = est.Watts
 				layouts[string(key)] = w
 			}
 			watts += w

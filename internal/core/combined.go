@@ -78,8 +78,9 @@ func (cm *CombinedModel) ProcessCorePower(p Prediction) float64 {
 // time-sharing it (nil/empty = idle core). Index = core ID.
 type Assignment [][]*FeatureVector
 
-// Validate checks the assignment fits the machine.
-func (cm *CombinedModel) validate(asg Assignment) error {
+// Validate checks the assignment fits the machine: one list per core, no
+// nil and no malformed feature vector.
+func (cm *CombinedModel) Validate(asg Assignment) error {
 	if len(asg) != cm.Machine.NumCores {
 		return fmt.Errorf("core: assignment covers %d cores, machine has %d", len(asg), cm.Machine.NumCores)
 	}
@@ -109,45 +110,89 @@ func (cm *CombinedModel) EstimateAssignment(asg Assignment) (float64, error) {
 // solve, so an abandoned request stops between (or inside) solves rather
 // than estimating the whole assignment.
 func (cm *CombinedModel) EstimateAssignmentContext(ctx context.Context, asg Assignment) (float64, error) {
-	if err := cm.validate(asg); err != nil {
+	if err := cm.Validate(asg); err != nil {
 		return 0, err
 	}
 	total := 0.0
 	for _, group := range cm.Machine.Groups {
-		watts, err := cm.estimateGroup(ctx, asg, group, nil)
+		est, err := cm.estimateGroup(ctx, asg, group, nil, ReadWatts)
 		if err != nil {
 			return 0, err
 		}
-		total += watts
+		total += est.Watts
 	}
 	return total, nil
 }
 
-// estimateGroup averages the modeled power of one cache group over all
-// process combinations (Eq. 10). Idle cores contribute P_idle. tab, nil
-// outside an assignment search, answers repeated combinations without a
-// solve (see searchTable).
-func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, group []int, tab *searchTable) (float64, error) {
+// Readout selects what an Eq. 10 pass reads out of the equilibrium
+// solutions of a cache group's co-run combinations.
+type Readout uint8
+
+const (
+	// ReadWatts asks for the group's estimated power (Eq. 10).
+	ReadWatts Readout = 1 << iota
+	// ReadSPI asks for every resident's expected seconds per instruction.
+	ReadSPI
+)
+
+// GroupEstimate is one cache group's Eq. 10 read-out. Eq. 11 takes the SPI
+// and the power of a combination from one equilibrium solution, so one
+// enumeration of the combinations yields both.
+type GroupEstimate struct {
+	// Watts is P_idle per idle core plus the busy cores' modeled power
+	// averaged over the combinations (0 unless ReadWatts was asked for).
+	Watts float64
+	// SPI holds one term per resident in (busy core, arrival) order: the
+	// resident's predicted SPI averaged over the combinations it appears
+	// in — its round-robin share of the time quantum — counted Members
+	// times for a thread-group bundle (nil unless ReadSPI was asked for).
+	SPI []float64
+}
+
+// EstimateGroupContext runs the Eq. 10 pass of cache group gi alone. It is
+// the unit of Figure 1's delta: adding a process to a core changes that
+// core's group and leaves every other group's estimate (P_rest) as it was,
+// and summing the groups' Watts in index order is EstimateAssignmentContext
+// bit for bit. The caller has checked asg with Validate.
+func (cm *CombinedModel) EstimateGroupContext(ctx context.Context, asg Assignment, gi int, read Readout) (GroupEstimate, error) {
+	return cm.estimateGroup(ctx, asg, cm.Machine.Groups[gi], nil, read)
+}
+
+// estimateGroup is the one enumeration of a cache group's co-run
+// combinations (Eq. 10): every combination is solved to equilibrium once
+// and read out for power, for SPI, or for both. Idle cores contribute
+// P_idle. tab, nil outside an assignment search (which reads watts only),
+// answers repeated combinations without a solve (see searchTable).
+func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, group []int, tab *searchTable, read Readout) (GroupEstimate, error) {
 	busy := make([]int, 0, 8) // on the stack for groups of up to 8 cores
+	residents := 0
 	for _, c := range group {
 		if len(asg[c]) > 0 {
 			busy = append(busy, c)
+			residents += len(asg[c])
 		}
 	}
-	watts := float64(len(group)-len(busy)) * cm.Power.PIdle()
+	var est GroupEstimate
+	if read&ReadWatts != 0 {
+		est.Watts = float64(len(group)-len(busy)) * cm.Power.PIdle()
+	}
 	if len(busy) == 0 {
-		return watts, nil
+		return est, nil
 	}
 	// The busy-power average is a pure function of the power model, the
 	// solver, the associativity, and the per-core candidate lists, so the
 	// solver state can memoize it. Only the average is cached; the idle
 	// term is recomputed outside it, and watts + avg runs the same float
-	// operations on the same values either way — bit-identical results.
+	// operations on the same values either way — bit-identical results. A
+	// pass that still owes SPI terms enumerates for those alone.
 	var wkey string
-	if cm.State != nil {
+	if cm.State != nil && read&ReadWatts != 0 {
 		wkey = cm.State.wattsKey(cm.Power, cm.Solver, cm.Machine.Assoc, asg, busy)
 		if avg, ok := cm.State.wattsSeed(wkey); ok {
-			return watts + avg, nil
+			est.Watts += avg
+			if read &^= ReadWatts; read == 0 {
+				return est, nil
+			}
 		}
 	}
 	// Enumerate the cross product of per-core process choices: combination
@@ -158,64 +203,93 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 		count *= len(asg[c])
 	}
 	combo := make([]*FeatureVector, len(busy))
-	scratch := make([]float64, 0, 8) // on the stack too
+	// slot[i] is where the SPI of busy core i's chosen process accumulates:
+	// est.SPI is laid out (busy core, arrival) from the start.
+	slot := make([]int, len(busy), 8)
+	if read&ReadSPI != 0 {
+		est.SPI = make([]float64, residents)
+	}
 	var sum float64
 	for n := 0; n < count; n++ {
-		v := n
+		v, end := n, residents
 		for i := len(busy) - 1; i >= 0; i-- {
 			procs := asg[busy[i]]
-			combo[i] = procs[v%len(procs)]
+			end -= len(procs)
+			combo[i], slot[i] = procs[v%len(procs)], end+v%len(procs)
 			v /= len(procs)
 		}
-		powers, err := cm.comboPowers(ctx, combo, tab, scratch)
+		if tab != nil {
+			powers, err := cm.tablePowers(ctx, combo, tab)
+			if err != nil {
+				return GroupEstimate{}, err
+			}
+			for _, w := range powers {
+				sum += w
+			}
+			continue
+		}
+		preds, err := PredictGroupCached(ctx, combo, cm.Machine.Assoc, cm.Solver, cm.State)
 		if err != nil {
-			return 0, err
+			return GroupEstimate{}, err
 		}
-		for _, w := range powers {
-			sum += w
+		for i, p := range preds {
+			if read&ReadWatts != 0 {
+				sum += cm.ProcessCorePower(p)
+			}
+			if read&ReadSPI != 0 {
+				est.SPI[slot[i]] += p.SPI
+			}
 		}
 	}
-	avg := sum / float64(count)
-	if cm.State != nil {
-		cm.State.wattsRecord(wkey, avg)
+	if read&ReadWatts != 0 {
+		avg := sum / float64(count)
+		if cm.State != nil {
+			cm.State.wattsRecord(wkey, avg)
+		}
+		est.Watts += avg
 	}
-	return watts + avg, nil
+	if read&ReadSPI != 0 {
+		i := 0
+		for _, c := range busy {
+			appearances := float64(count) / float64(len(asg[c]))
+			for _, f := range asg[c] {
+				est.SPI[i] /= appearances
+				// A thread-group bundle resident stands for Members
+				// co-located threads: its solved SPI is the per-member SPI
+				// of the merged stream, so the group total counts it
+				// Members times. Legacy features (Members ≤ 1) skip the
+				// multiply so their terms stay bit-identical.
+				if f.Members > 1 {
+					est.SPI[i] *= float64(f.Members)
+				}
+				i++
+			}
+		}
+	}
+	return est, nil
 }
 
-// comboPowers returns ProcessCorePower of every process of one co-run
-// combination, in prediction order: appended to buf outside a search,
-// solved once and shared afterwards inside one.
-func (cm *CombinedModel) comboPowers(ctx context.Context, combo []*FeatureVector, tab *searchTable, buf []float64) ([]float64, error) {
-	if tab == nil {
-		return cm.solvePowers(ctx, combo, buf)
-	}
+// tablePowers returns ProcessCorePower of every process of one co-run
+// combination of an assignment search, in prediction order: solved on first
+// sight, shared afterwards.
+func (cm *CombinedModel) tablePowers(ctx context.Context, combo []*FeatureVector, tab *searchTable) ([]float64, error) {
 	tab.key = tab.key[:0]
 	for _, f := range combo {
 		tab.key = binary.AppendUvarint(tab.key, tab.ids[f])
 	}
 	powers, ok := tab.powers[string(tab.key)]
 	if !ok {
-		var err error
-		if powers, err = cm.solvePowers(ctx, combo, make([]float64, 0, len(combo))); err != nil {
+		preds, err := PredictGroupCached(ctx, combo, cm.Machine.Assoc, cm.Solver, cm.State)
+		if err != nil {
 			return nil, err
+		}
+		powers = make([]float64, len(preds))
+		for i, p := range preds {
+			powers[i] = cm.ProcessCorePower(p)
 		}
 		tab.powers[string(tab.key)] = powers
 	}
 	return powers, nil
-}
-
-// solvePowers predicts one co-run combination and appends the modeled core
-// power of each of its processes to buf. It is apart from comboPowers so
-// that buf never flows into the table and can live on the caller's stack.
-func (cm *CombinedModel) solvePowers(ctx context.Context, combo []*FeatureVector, buf []float64) ([]float64, error) {
-	preds, err := PredictGroupCached(ctx, combo, cm.Machine.Assoc, cm.Solver, cm.State)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range preds {
-		buf = append(buf, cm.ProcessCorePower(p))
-	}
-	return buf, nil
 }
 
 // EstimateAddition implements the Figure 1 algorithm: the estimated

@@ -254,10 +254,13 @@ func solveWindow(ctx context.Context, features []*FeatureVector, assoc float64) 
 //
 // with a numerically differenced Jacobian, damped steps, and box
 // constraints keeping every S_i in (0, min(A, GMax_i)]. ctx is checked at
-// the top of every Newton iteration.
+// the top of every Newton iteration. Everything but the returned sizes
+// lives in one scratch block, reused across iterations.
 func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) ([]float64, error) {
 	k := len(features)
-	upper := make([]float64, k)
+	scratch := make([]float64, 5*k+k*k)
+	upper, r, rp, trial, step := scratch[:k], scratch[k:2*k], scratch[2*k:3*k], scratch[3*k:4*k], scratch[4*k:5*k]
+	jac := scratch[5*k:]
 	for i, f := range features {
 		upper[i] = math.Min(assoc, f.GMax())
 	}
@@ -279,8 +282,7 @@ func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) 
 	// The Eq. 7 residuals are ratios whose scales differ by orders of
 	// magnitude across heterogeneous processes; taking logarithms turns
 	// them into well-conditioned differences with the same roots.
-	resid := func(s []float64) []float64 {
-		r := make([]float64, k)
+	resid := func(r, s []float64) {
 		sum := 0.0
 		for _, v := range s {
 			sum += v
@@ -295,33 +297,33 @@ func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) 
 			spii := fi.SPI(fi.MPA(s[i]))
 			r[i] = math.Log(inv1/invi) - math.Log((f1.API*spii)/(fi.API*spi1))
 		}
-		return r
 	}
 	const tol = 1e-9
 	for iter := 0; iter < 100; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := resid(s)
-		if linalg.NormInf(r) < tol {
+		resid(r, s)
+		base := linalg.NormInf(r)
+		if base < tol {
 			return s, nil
 		}
-		// Forward-difference Jacobian.
-		jac := linalg.NewMatrix(k, k)
+		// Forward-difference Jacobian, row-major; trial doubles as the
+		// perturbed point.
 		for j := 0; j < k; j++ {
 			h := 1e-6 * math.Max(1, s[j])
 			if s[j]+h > upper[j] {
 				h = -h
 			}
-			sp := append([]float64(nil), s...)
-			sp[j] += h
-			rp := resid(sp)
+			copy(trial, s)
+			trial[j] += h
+			resid(rp, trial)
 			for i := 0; i < k; i++ {
-				jac.Set(i, j, (rp[i]-r[i])/h)
+				jac[i*k+j] = (rp[i] - r[i]) / h
 			}
 		}
-		step, err := linalg.SolveLU(jac, r)
-		if err != nil {
+		copy(step, r)
+		if err := linalg.SolveLUInPlace(jac, step); err != nil {
 			return nil, fmt.Errorf("core: Newton–Raphson Jacobian singular: %w", err)
 		}
 		// Damped update with box clamping.
@@ -339,9 +341,8 @@ func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) 
 			lambda = 0.1
 		}
 		improved := false
-		base := linalg.NormInf(r)
 		for ; lambda > 1e-4; lambda /= 2 {
-			trial := append([]float64(nil), s...)
+			copy(trial, s)
 			ok := true
 			for j := 0; j < k; j++ {
 				trial[j] -= lambda * step[j]
@@ -353,7 +354,8 @@ func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) 
 			if !ok {
 				continue
 			}
-			if linalg.NormInf(resid(trial)) < base {
+			resid(rp, trial)
+			if linalg.NormInf(rp) < base {
 				copy(s, trial)
 				improved = true
 				break

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -222,5 +223,26 @@ func TestGroupOfFourMatchesSimulation(t *testing.T) {
 	}
 	if math.Abs(sumS-float64(single.Assoc)) > 0.1 {
 		t.Errorf("sizes sum to %.2f, want %d", sumS, single.Assoc)
+	}
+}
+
+// TestContendedSolveAllocs pins the Newton solve's heap traffic: one
+// scratch block, the sizes and the predictions, however many iterations and
+// line-search trials the solve takes (it was 37 objects when every
+// residual, trial point, Jacobian and LU copy was its own allocation).
+func TestContendedSolveAllocs(t *testing.T) {
+	m := machine.FourCoreServer()
+	pair := []*FeatureVector{TruthFeature(workload.ByName("mcf"), m), TruthFeature(workload.ByName("art"), m)}
+	if pair[0].GMax()+pair[1].GMax() <= float64(m.Assoc) {
+		t.Fatal("mcf+art do not contend for the cache; the pin would measure nothing")
+	}
+	ctx := context.Background()
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := PredictGroupContext(ctx, pair, m.Assoc, SolverNewton); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 4 {
+		t.Errorf("contended two-process solve allocates %v objects, want at most 4", n)
 	}
 }

@@ -94,14 +94,17 @@ func betaOf(fv *core.FeatureVector) float64 {
 // accumulated incrementally: an accumulator's value depends on the whole
 // update history (each += rounds), so a recovered ledger with identical
 // rows could still differ from the pre-crash one in the last ulp and
-// break byte-identical /v1/fleet/state recovery.
+// break byte-identical /v1/fleet/state recovery. The rows are therefore
+// kept in name order — a fleet's node set is fixed, so an insert happens
+// once per node — and every sum is one left-to-right pass.
 type capLedger struct {
-	mu      sync.Mutex
-	watts   float64 // budget; 0 = no admission checks (tracking only)
-	perNode map[string]float64
+	mu    sync.Mutex
+	watts float64   // budget; 0 = no admission checks (tracking only)
+	names []string  // sorted
+	rows  []float64 // rows[i] is names[i]'s draw
 }
 
-func newCapLedger() *capLedger { return &capLedger{perNode: map[string]float64{}} }
+func newCapLedger() *capLedger { return &capLedger{} }
 
 func (l *capLedger) capWatts() float64 {
 	l.mu.Lock()
@@ -118,16 +121,34 @@ func (l *capLedger) setCap(w float64) {
 // sumLocked is the fleet draw: rows summed in sorted-name order, so the
 // value is a pure function of the rows (caller holds l.mu).
 func (l *capLedger) sumLocked() float64 {
-	names := make([]string, 0, len(l.perNode))
-	for k := range l.perNode {
-		names = append(names, k)
-	}
-	sort.Strings(names)
 	total := 0.0
-	for _, k := range names {
-		total += l.perNode[k]
+	for _, w := range l.rows {
+		total += w
 	}
 	return total
+}
+
+// rowLocked returns name's draw, 0 for a node without a row (caller holds
+// l.mu).
+func (l *capLedger) rowLocked(name string) float64 {
+	if i := sort.SearchStrings(l.names, name); i < len(l.names) && l.names[i] == name {
+		return l.rows[i]
+	}
+	return 0
+}
+
+// setLocked overwrites name's row, inserting it in name order on first
+// sight (caller holds l.mu).
+func (l *capLedger) setLocked(name string, w float64) {
+	i := sort.SearchStrings(l.names, name)
+	if i == len(l.names) || l.names[i] != name {
+		l.names = append(l.names, "")
+		copy(l.names[i+1:], l.names[i:])
+		l.names[i] = name
+		l.rows = append(l.rows, 0)
+		copy(l.rows[i+1:], l.rows[i:])
+	}
+	l.rows[i] = w
 }
 
 func (l *capLedger) usage() float64 {
@@ -139,13 +160,13 @@ func (l *capLedger) usage() float64 {
 func (l *capLedger) nodeWatts(name string) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.perNode[name]
+	return l.rowLocked(name)
 }
 
 func (l *capLedger) usedExcept(name string) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.sumLocked() - l.perNode[name]
+	return l.sumLocked() - l.rowLocked(name)
 }
 
 // setNode overwrites one node's draw row unconditionally (departures and
@@ -153,7 +174,7 @@ func (l *capLedger) usedExcept(name string) float64 {
 func (l *capLedger) setNode(name string, w float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.perNode[name] = w
+	l.setLocked(name, w)
 }
 
 // tryReserve atomically replaces one node's row with its post-placement
@@ -164,11 +185,11 @@ func (l *capLedger) setNode(name string, w float64) {
 func (l *capLedger) tryReserve(name string, w float64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	next := l.sumLocked() - l.perNode[name] + w
+	next := l.sumLocked() - l.rowLocked(name) + w
 	if l.watts > 0 && next > l.watts {
 		return false
 	}
-	l.perNode[name] = w
+	l.setLocked(name, w)
 	return true
 }
 
@@ -177,9 +198,9 @@ func (l *capLedger) tryReserve(name string, w float64) bool {
 func (l *capLedger) snapshotRows() map[string]float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make(map[string]float64, len(l.perNode))
-	for k, v := range l.perNode {
-		out[k] = v
+	out := make(map[string]float64, len(l.names))
+	for i, k := range l.names {
+		out[k] = l.rows[i]
 	}
 	return out
 }
@@ -187,9 +208,9 @@ func (l *capLedger) snapshotRows() map[string]float64 {
 func (l *capLedger) restoreRows(rows map[string]float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.perNode = make(map[string]float64, len(rows))
+	l.names, l.rows = l.names[:0], l.rows[:0]
 	for k, v := range rows {
-		l.perNode[k] = v
+		l.setLocked(k, v)
 	}
 }
 
@@ -457,7 +478,7 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 			continue
 		}
 		asg := f.assignmentOf(n)
-		spiU, err := f.nodeSPI(ctx, n.cfg.Machine, asg)
+		spiU, err := f.nodeSPI(ctx, n, asg)
 		if err != nil {
 			return capAction{}, false, err
 		}
@@ -493,13 +514,13 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 		if n.down {
 			continue
 		}
-		srcM, srcSt := n.cfg.Machine, staticWatts(n)
+		srcSt := staticWatts(n)
 		srcEv := evals[i]
 		srcW1 := freq.ScaleWatts(srcEv.wU, srcSt, dynScaleOf(n))
 		srcSPI1 := freq.ScaleSPI(srcEv.spiU, srcEv.beta, spiScaleOf(n))
 		for _, r := range n.mgr.Residents() {
 			srcAsg2 := withoutResident(f.assignmentOf(n), r)
-			srcSPIU2, err := f.nodeSPI(ctx, srcM, srcAsg2)
+			srcSPIU2, err := f.nodeSPI(ctx, n, srcAsg2)
 			if err != nil {
 				return capAction{}, false, err
 			}
@@ -526,7 +547,7 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 					if dst.cfg.MaxPerCore != 0 && len(dstAsg[c]) >= dst.cfg.MaxPerCore {
 						continue
 					}
-					dstSPIU2, err := f.nodeSPI(ctx, dst.cfg.Machine, withAdditionShared(dstAsg, feat, c))
+					dstSPIU2, err := f.nodeSPI(ctx, dst, withAdditionShared(dstAsg, feat, c))
 					if err != nil {
 						return capAction{}, false, err
 					}

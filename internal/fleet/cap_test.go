@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +61,63 @@ func TestCapLedgerAtomicity(t *testing.T) {
 	l.restoreRows(map[string]float64{"x": 1})
 	if got := l.usage(); got != 1 {
 		t.Fatalf("restoreRows usage = %v, want 1", got)
+	}
+}
+
+// TestCapLedgerSumOrder pins the name-ordered rows against the ledger they
+// replaced — a map, its keys sorted and summed on every call: whatever
+// order rows are inserted, overwritten and restored in, every sum is
+// bit-equal to the sorted-name sum, and reading one costs no allocation.
+func TestCapLedgerSumOrder(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l, rows := newCapLedger(), map[string]float64{}
+		check := func(step string) {
+			t.Helper()
+			names := make([]string, 0, len(rows))
+			for k := range rows {
+				names = append(names, k)
+			}
+			sort.Strings(names)
+			want := 0.0
+			for _, k := range names {
+				want += rows[k]
+			}
+			if got := l.usage(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d, %s: usage = %v, sorted-name sum = %v", seed, step, got, want)
+			}
+			for _, k := range append(names, "absent") {
+				if got, want := l.usedExcept(k), want-rows[k]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d, %s: usedExcept(%s) = %v, want %v", seed, step, k, got, want)
+				}
+				if got := l.nodeWatts(k); got != rows[k] {
+					t.Fatalf("seed %d, %s: nodeWatts(%s) = %v, want %v", seed, step, k, got, rows[k])
+				}
+			}
+		}
+		for i := 0; i < 60; i++ {
+			// 24 names, so most writes after the first few are overwrites.
+			name, w := fmt.Sprintf("m%d", rng.Intn(24)), 200*rng.Float64()
+			if rng.Intn(2) == 0 {
+				l.setNode(name, w)
+			} else if !l.tryReserve(name, w) {
+				t.Fatalf("seed %d: uncapped tryReserve rejected", seed)
+			}
+			rows[name] = w
+			check("write")
+		}
+		snap := l.snapshotRows()
+		l.restoreRows(map[string]float64{"x": 1})
+		l.restoreRows(snap) // map iteration order: a fresh insertion order each run
+		check("restore")
+	}
+
+	l := newCapLedger()
+	for i := 0; i < 24; i++ {
+		l.setNode(fmt.Sprintf("m%d", i), float64(i))
+	}
+	if n := testing.AllocsPerRun(100, func() { l.usedExcept("m7") }); n != 0 {
+		t.Errorf("usedExcept allocates %v objects per call, want 0", n)
 	}
 }
 

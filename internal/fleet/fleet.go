@@ -113,9 +113,6 @@ type Config struct {
 	Seed    uint64
 	Quick   bool
 	Workers int
-	// Solver selects the equilibrium algorithm for SPI scoring
-	// (SolverAuto by default).
-	Solver core.SolverMethod
 	// CacheCap bounds the shared feature-vector LRU (0 = 256 entries).
 	CacheCap int
 	// PowerCap, when positive, is the fleet-wide watt budget: admissions
@@ -290,8 +287,8 @@ type Fleet struct {
 	// but NodeUp filters (no extra predicates, no feasibility cut, no
 	// fault seam, and a policy that consults the memo at all).
 	allowPeek bool
-	// solves counts executed cache-group equilibrium solves (groupTerms
-	// computes; memo hits excluded). See SolverInvocations.
+	// solves counts executed cache-group equilibrium solves (groupEstimate
+	// passes that read SPI; memo hits excluded). See SolverInvocations.
 	solves atomic.Uint64
 
 	mu sync.Mutex
@@ -1523,7 +1520,7 @@ func (f *Fleet) nodeStateLocked(ctx context.Context, n *node) (NodeState, error)
 	// helpers are identity-gated, so an out-of-order node at base reports
 	// the exact legacy floats.
 	ns.EstimatedWatts = freq.ScaleWatts(watts, staticWatts(n), dynScaleOf(n))
-	spi, err := f.nodeSPI(ctx, n.cfg.Machine, asg)
+	spi, err := f.nodeSPI(ctx, n, asg)
 	if err != nil {
 		return NodeState{}, fmt.Errorf("fleet: estimating %s SPI: %w", n.cfg.Name, err)
 	}
@@ -1548,7 +1545,7 @@ func (f *Fleet) Totals(ctx context.Context) (spi, watts float64, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		s, err := f.nodeSPI(ctx, n.cfg.Machine, asg)
+		s, err := f.nodeSPI(ctx, n, asg)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -43,12 +43,12 @@ func (f *Fleet) victimLocked(ctx context.Context, priority int) (nodeIdx int, vi
 				continue
 			}
 			if !baseComputed {
-				if base, err = f.nodeSPI(ctx, n.cfg.Machine, f.assignmentOf(n)); err != nil {
+				if base, err = f.nodeSPI(ctx, n, f.assignmentOf(n)); err != nil {
 					return 0, manager.Resident{}, false, err
 				}
 				baseComputed = true
 			}
-			after, err := f.nodeSPI(ctx, n.cfg.Machine, withoutResident(f.assignmentOf(n), r))
+			after, err := f.nodeSPI(ctx, n, withoutResident(f.assignmentOf(n), r))
 			if err != nil {
 				return 0, manager.Resident{}, false, err
 			}

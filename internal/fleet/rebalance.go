@@ -91,7 +91,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		if f.nodes[i].down {
 			return 0, nil
 		}
-		return f.nodeSPI(ctx, f.nodes[i].cfg.Machine, f.assignmentOf(f.nodes[i]))
+		return f.nodeSPI(ctx, f.nodes[i], f.assignmentOf(f.nodes[i]))
 	})
 	if err != nil {
 		return Move{}, err
@@ -145,7 +145,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 	totals, err := parallel.Map(ctx, f.cfg.Workers, len(cands), func(k int) (float64, error) {
 		cd := cands[k]
 		srcN, dstN := f.nodes[cd.src], f.nodes[cd.dst]
-		srcAfter, err := f.nodeSPI(ctx, srcN.cfg.Machine,
+		srcAfter, err := f.nodeSPI(ctx, srcN,
 			withoutResident(f.assignmentOf(srcN), cd.res))
 		if err != nil {
 			return 0, err
@@ -154,7 +154,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		if err != nil {
 			return 0, err
 		}
-		dstAfter, err := f.nodeSPI(ctx, dstN.cfg.Machine,
+		dstAfter, err := f.nodeSPI(ctx, dstN,
 			withAdditionShared(f.assignmentOf(dstN), feat, cd.dstCore))
 		if err != nil {
 			return 0, err

@@ -11,40 +11,6 @@ import (
 	"mpmc/internal/workload"
 )
 
-// assignmentSPI returns the total predicted SPI of an assignment, one term
-// per RESIDENT: for each cache group, the per-core process choices are
-// enumerated exactly like the combined model's Eq. 10 power averaging and
-// each combination is solved to equilibrium; a resident's expected SPI is
-// then its prediction averaged over the combinations it appears in (its
-// round-robin share of the time quantum), and the machine total sums those
-// expectations over every resident. Counting per resident — not per core —
-// is what makes the metric comparable across layouts: migrating a process
-// from a time-shared core to an idle machine keeps the number of terms
-// fixed and only changes their contention, so an improvement is a real
-// predicted speed-up, not an artifact of the accounting.
-// It is the memo-free reference implementation: the differential suite
-// replays whole scenarios through it and through the cached nodeSPI path
-// and asserts bit equality. The per-group work lives in groupSPITerms
-// (scorecache.go); the accumulation here is the order every cached replay
-// must reproduce.
-func assignmentSPI(ctx context.Context, m *machine.Machine, asg core.Assignment, solver core.SolverMethod) (float64, error) {
-	total := 0.0
-	for _, group := range m.Groups {
-		busy := busyCores(group, asg)
-		if len(busy) == 0 {
-			continue
-		}
-		terms, err := groupSPITerms(ctx, m, busy, asg, solver, nil)
-		if err != nil {
-			return 0, err
-		}
-		for _, t := range terms {
-			total += t
-		}
-	}
-	return total, nil
-}
-
 // soloSPI returns a process's predicted SPI running alone on the machine:
 // the whole cache to itself, the Eq. 3 line at min(GMax, A) ways. It is
 // the interference-free baseline behind BinPack's relative-degradation
@@ -57,18 +23,6 @@ func soloSPI(ctx context.Context, m *machine.Machine, f *core.FeatureVector, sol
 		return 0, err
 	}
 	return preds[0].SPI, nil
-}
-
-// withAddition returns a copy of asg with f appended to core c; asg itself
-// is never mutated, so a scoring pass can evaluate every candidate slot
-// against one consistent snapshot.
-func withAddition(asg core.Assignment, f *core.FeatureVector, c int) core.Assignment {
-	next := make(core.Assignment, len(asg))
-	for i, procs := range asg {
-		next[i] = append([]*core.FeatureVector(nil), procs...)
-	}
-	next[c] = append(next[c], f)
-	return next
 }
 
 // nodeScore is one node's best candidate slot for an arrival under the
@@ -115,241 +69,164 @@ func (f *Fleet) scoreNode(ctx context.Context, n *node, spec *workload.Spec) (no
 }
 
 // scoreNodeCold computes one node's best candidate slot from scratch (up
-// to the term memo), scanning cores in index order with strict less-than
-// comparisons so ties resolve to the lowest core. The node's assignment
-// was read once by the caller, so the whole scan scores against a
-// consistent snapshot; the fleet placement lock guarantees nothing commits
-// mid-scan. fix is the node's DVFS rung at capture time: frequency-blind
-// policies never read it, while the frequency-aware policies price the
-// node's "before" state at it (detached scoring passes the captured rung,
-// so a concurrent re-clock is caught by version revalidation, not by a
-// torn read here).
+// to the term and watts memos), scanning cores in index order with strict
+// less-than comparisons so ties resolve to the lowest core. The node's
+// assignment was read once by the caller, so the whole scan scores against
+// a consistent snapshot; the fleet placement lock guarantees nothing
+// commits mid-scan. fix is the node's DVFS rung at capture time:
+// frequency-blind policies never read it, while the frequency-aware
+// policies price the node's "before" state at it (detached scoring passes
+// the captured rung, so a concurrent re-clock is caught by version
+// revalidation, not by a torn read here).
+//
+// Every model policy is scored by the Figure 1 delta: one Eq. 10 pass per
+// busy group of the current assignment, then one pass of the candidate's
+// own group per admissible core, and the node totals replayed over the
+// groups in index order with that one group swapped in (the others are the
+// paper's P_rest). The replay adds the same per-group values in the same
+// order a whole-machine estimate of the candidate assignment would, so the
+// scores are bit-identical to it — only the unchanged groups' solves are
+// skipped. A pass reads out SPI terms, watts, or both, as the policy's
+// objective needs. A node with no admissible core is never solved at all.
 func (f *Fleet) scoreNodeCold(ctx context.Context, n *node, feat *core.FeatureVector, asg core.Assignment, fix int) (nodeScore, error) {
+	m, policy := n.cfg.Machine, f.cfg.Policy
+	var read core.Readout
+	capW, usedEx := 0.0, 0.0
+	switch policy {
+	case Spread:
+		// Never consults the model; the spread prioritizer handles live
+		// placement. Report admissibility only.
+	case LeastWatts:
+		read = core.ReadWatts
+	case LeastDegradation, BinPack, ColocateSharers, SpreadSharers:
+		read = core.ReadSPI
+	case LeastEnergy:
+		read = core.ReadSPI | core.ReadWatts
+	case CapAware:
+		// Watts only price the cap filter; uncapped they are not needed.
+		read = core.ReadSPI
+		if f.capL != nil {
+			if capW = f.capL.capWatts(); capW > 0 {
+				read |= core.ReadWatts
+				usedEx = f.capL.usedExcept(n.cfg.Name)
+			}
+		}
+	default:
+		return nodeScore{}, errUnknownPolicy(policy)
+	}
 	admissible := func(c int) bool {
 		return n.cfg.MaxPerCore == 0 || len(asg[c]) < n.cfg.MaxPerCore
 	}
-
-	switch f.cfg.Policy {
-	case LeastWatts:
-		baseW, err := n.cm.EstimateAssignmentContext(ctx, asg)
-		if err != nil {
-			return nodeScore{}, err
-		}
-		best := nodeScore{}
-		for c := 0; c < n.cfg.Machine.NumCores; c++ {
-			if !admissible(c) {
-				continue
-			}
-			w, err := n.cm.EstimateAdditionContext(ctx, asg, feat, c)
-			if err != nil {
-				return nodeScore{}, err
-			}
-			added := w - baseW
-			if !best.OK || added < best.Value {
-				best = nodeScore{OK: true, Core: c, Value: added}
-			}
-		}
-		return best, nil
-
-	case LeastDegradation, BinPack, ColocateSharers, SpreadSharers:
-		// Delta evaluation: solve (or recall) the machine's current groups
-		// once, then score "add feat to core c" by re-solving only core c's
-		// group with the newcomer and replaying the whole-machine term
-		// accumulation with that one group's terms swapped in. The replay
-		// walks groups in the same order with the same per-group term
-		// streams a cold assignmentSPI of the candidate assignment would,
-		// so the scores are bit-identical — only the unchanged groups'
-		// solves are skipped.
-		m := n.cfg.Machine
-		baseGroups, err := f.nodeTerms(ctx, m, asg)
-		if err != nil {
-			return nodeScore{}, err
-		}
-		baseSPI := replayTerms(baseGroups)
-		solo, err := soloSPI(ctx, m, feat, f.cfg.Solver, f.solver)
-		if err != nil {
-			return nodeScore{}, err
-		}
-		best := nodeScore{}
-		for c := 0; c < m.NumCores; c++ {
-			if !admissible(c) {
-				continue
-			}
-			gi := m.GroupOf(c)
-			cand := withAdditionShared(asg, feat, c)
-			candTerms, err := f.groupTerms(ctx, m, busyCores(m.Groups[gi], cand), cand)
-			if err != nil {
-				return nodeScore{}, err
-			}
-			after := 0.0
-			for g := range baseGroups {
-				terms := baseGroups[g]
-				if g == gi {
-					terms = candTerms
-				}
-				for _, t := range terms {
-					after += t
-				}
-			}
-			added := after - baseSPI
-			if !best.OK || added < best.Value {
-				rel := 0.0
-				if solo > 0 {
-					rel = (added - solo) / solo
-				}
-				best = nodeScore{OK: true, Core: c, Value: added, Rel: rel}
-			}
-		}
-		return best, nil
-
-	case LeastEnergy:
-		// Candidates are (core, state) pairs: the unscaled delta machinery
-		// is exactly LeastDegradation's, then each ladder rung scales the
-		// candidate's SPI and watts (identity-gated, so the base rung of an
-		// out-of-order machine reproduces the legacy floats bit for bit)
-		// and the winner minimizes the increase in the node's energy-delay
-		// product, scaledWatts·scaledSPI². States iterate from the base
-		// rung downward with strict less-than, so ties resolve to the
-		// lowest core at the base state — the legacy-shaped decision.
-		m := n.cfg.Machine
-		baseGroups, err := f.nodeTerms(ctx, m, asg)
-		if err != nil {
-			return nodeScore{}, err
-		}
-		baseSPI := replayTerms(baseGroups)
-		baseW, err := n.cm.EstimateAssignmentContext(ctx, asg)
-		if err != nil {
-			return nodeScore{}, err
-		}
-		st := staticWatts(n)
-		cur := m.Freq.State(fix)
-		curSPI := freq.ScaleSPI(baseSPI, betaTotal(asg), freq.SPIFactorAt(m.Core, cur))
-		curW := freq.ScaleWatts(baseW, st, freq.DynScaleAt(m.Core, cur))
-		edpBefore := curW * curSPI * curSPI
-		betaAfter := betaTotal(asg) + betaOf(feat)
-		best := nodeScore{}
-		for c := 0; c < m.NumCores; c++ {
-			if !admissible(c) {
-				continue
-			}
-			gi := m.GroupOf(c)
-			cand := withAdditionShared(asg, feat, c)
-			candTerms, err := f.groupTerms(ctx, m, busyCores(m.Groups[gi], cand), cand)
-			if err != nil {
-				return nodeScore{}, err
-			}
-			after := 0.0
-			for g := range baseGroups {
-				terms := baseGroups[g]
-				if g == gi {
-					terms = candTerms
-				}
-				for _, t := range terms {
-					after += t
-				}
-			}
-			wAfter, err := n.cm.EstimateAdditionContext(ctx, asg, feat, c)
-			if err != nil {
-				return nodeScore{}, err
-			}
-			for ix := m.Freq.BaseIx(); ix >= 0; ix-- {
-				s := m.Freq.State(ix)
-				sSPI := freq.ScaleSPI(after, betaAfter, freq.SPIFactorAt(m.Core, s))
-				sW := freq.ScaleWatts(wAfter, st, freq.DynScaleAt(m.Core, s))
-				added := sW*sSPI*sSPI - edpBefore
-				if !best.OK || added < best.Value {
-					best = nodeScore{OK: true, Core: c, Value: added, Freq: ix + 1}
-				}
-			}
-		}
-		return best, nil
-
-	case CapAware:
-		// LeastDegradation over (core, state) candidates, with the power
-		// cap as an admission filter: a slot is only admissible while the
-		// node's scaled post-placement draw fits the remaining fleet
-		// headroom. Uncapped, the base state always wins the strict SPI
-		// comparison (lower rungs only inflate the compute term), so the
-		// values equal LeastDegradation's exactly; commitLocked's
-		// tryReserve remains the authoritative gate — this filter only
-		// steers the decision toward slots that can still be admitted.
-		m := n.cfg.Machine
-		baseGroups, err := f.nodeTerms(ctx, m, asg)
-		if err != nil {
-			return nodeScore{}, err
-		}
-		baseSPI := replayTerms(baseGroups)
-		solo, err := soloSPI(ctx, m, feat, f.cfg.Solver, f.solver)
-		if err != nil {
-			return nodeScore{}, err
-		}
-		betaBase := betaTotal(asg)
-		cur := m.Freq.State(fix)
-		spiBefore := freq.ScaleSPI(baseSPI, betaBase, freq.SPIFactorAt(m.Core, cur))
-		betaAfter := betaBase + betaOf(feat)
-		st := staticWatts(n)
-		capW, usedEx := 0.0, 0.0
-		if f.capActive() {
-			capW = f.capL.capWatts()
-			usedEx = f.capL.usedExcept(n.cfg.Name)
-		}
-		best := nodeScore{}
-		for c := 0; c < m.NumCores; c++ {
-			if !admissible(c) {
-				continue
-			}
-			gi := m.GroupOf(c)
-			cand := withAdditionShared(asg, feat, c)
-			candTerms, err := f.groupTerms(ctx, m, busyCores(m.Groups[gi], cand), cand)
-			if err != nil {
-				return nodeScore{}, err
-			}
-			after := 0.0
-			for g := range baseGroups {
-				terms := baseGroups[g]
-				if g == gi {
-					terms = candTerms
-				}
-				for _, t := range terms {
-					after += t
-				}
-			}
-			wAfter, err := n.cm.EstimateAdditionContext(ctx, asg, feat, c)
-			if err != nil {
-				return nodeScore{}, err
-			}
-			for ix := m.Freq.BaseIx(); ix >= 0; ix-- {
-				s := m.Freq.State(ix)
-				if capW > 0 {
-					sW := freq.ScaleWatts(wAfter, st, freq.DynScaleAt(m.Core, s))
-					if usedEx+sW > capW {
-						continue
-					}
-				}
-				sSPI := freq.ScaleSPI(after, betaAfter, freq.SPIFactorAt(m.Core, s))
-				added := sSPI - spiBefore
-				if !best.OK || added < best.Value {
-					rel := 0.0
-					if solo > 0 {
-						rel = (added - solo) / solo
-					}
-					best = nodeScore{OK: true, Core: c, Value: added, Rel: rel, Freq: ix + 1}
-				}
-			}
-		}
-		return best, nil
-
-	case Spread:
-		// Spread never consults the model; the spread prioritizer handles
-		// live placement. Report admissibility only.
-		best := nodeScore{}
-		for c := 0; c < n.cfg.Machine.NumCores; c++ {
-			if admissible(c) {
-				best = nodeScore{OK: true, Core: c, Value: math.NaN()}
-				break
-			}
-		}
-		return best, nil
+	first := 0
+	for first < m.NumCores && !admissible(first) {
+		first++
 	}
-	return nodeScore{}, errUnknownPolicy(f.cfg.Policy)
+	if first == m.NumCores {
+		return nodeScore{}, nil
+	}
+	if policy == Spread {
+		return nodeScore{OK: true, Core: first, Value: math.NaN()}, nil
+	}
+	// One candidate assignment covers the shape, every resident and the
+	// newcomer; the per-solve feature validation still runs on top.
+	if err := n.cm.Validate(withAdditionShared(asg, feat, first)); err != nil {
+		return nodeScore{}, err
+	}
+	base := make([]core.GroupEstimate, len(m.Groups))
+	baseSPI, baseW := 0.0, 0.0
+	for gi := range base {
+		var err error
+		if base[gi], err = f.groupEstimate(ctx, n, asg, gi, read); err != nil {
+			return nodeScore{}, err
+		}
+		for _, t := range base[gi].SPI {
+			baseSPI += t
+		}
+		baseW += base[gi].Watts
+	}
+	// solo feeds BinPack's relative-degradation ceiling metric; the two
+	// policies that optimize watts or energy report none.
+	solo := 0.0
+	if policy != LeastWatts && policy != LeastEnergy {
+		var err error
+		if solo, err = soloSPI(ctx, m, feat, n.cm.Solver, f.solver); err != nil {
+			return nodeScore{}, err
+		}
+	}
+	// The frequency-aware policies score (core, state) pairs: each ladder
+	// rung scales the candidate's SPI and watts (identity-gated, so the
+	// base rung of an out-of-order machine reproduces the unscaled floats
+	// bit for bit). States iterate from the base rung downward with strict
+	// less-than, so ties resolve to the lowest core at the base state.
+	var spiBefore, edpBefore, betaAfter, static float64
+	if policy.FreqAware() {
+		betaBase, cur := betaTotal(asg), m.Freq.State(fix)
+		spiBefore = freq.ScaleSPI(baseSPI, betaBase, freq.SPIFactorAt(m.Core, cur))
+		betaAfter, static = betaBase+betaOf(feat), staticWatts(n)
+		if policy == LeastEnergy {
+			curW := freq.ScaleWatts(baseW, static, freq.DynScaleAt(m.Core, cur))
+			edpBefore = curW * spiBefore * spiBefore
+		}
+	}
+	best := nodeScore{}
+	take := func(c, rung int, added float64) {
+		if !best.OK || added < best.Value {
+			best = nodeScore{OK: true, Core: c, Value: added, Freq: rung}
+			if solo > 0 {
+				best.Rel = (added - solo) / solo
+			}
+		}
+	}
+	for c := first; c < m.NumCores; c++ {
+		if !admissible(c) {
+			continue
+		}
+		gi := m.GroupOf(c)
+		cand, err := f.groupEstimate(ctx, n, withAdditionShared(asg, feat, c), gi, read)
+		if err != nil {
+			return nodeScore{}, err
+		}
+		after, wAfter := 0.0, 0.0
+		for g := range base {
+			est := &base[g]
+			if g == gi {
+				est = &cand
+			}
+			for _, t := range est.SPI {
+				after += t
+			}
+			wAfter += est.Watts
+		}
+		switch policy {
+		case LeastWatts:
+			take(c, 0, wAfter-baseW)
+		case LeastEnergy, CapAware:
+			// LeastEnergy minimizes the increase in the node's energy-delay
+			// product, scaledWatts·scaledSPI². CapAware is LeastDegradation
+			// over the slots whose scaled post-placement draw still fits
+			// the remaining fleet headroom: uncapped, the base state always
+			// wins the strict SPI comparison (lower rungs only inflate the
+			// compute term), and commitLocked's tryReserve remains the
+			// authoritative gate — this filter only steers the decision
+			// toward slots that can still be admitted.
+			for ix := m.Freq.BaseIx(); ix >= 0; ix-- {
+				s := m.Freq.State(ix)
+				sSPI := freq.ScaleSPI(after, betaAfter, freq.SPIFactorAt(m.Core, s))
+				sW := 0.0
+				if read&core.ReadWatts != 0 {
+					sW = freq.ScaleWatts(wAfter, static, freq.DynScaleAt(m.Core, s))
+				}
+				switch {
+				case policy == LeastEnergy:
+					take(c, ix+1, sW*sSPI*sSPI-edpBefore)
+				case capW > 0 && usedEx+sW > capW:
+				default:
+					take(c, ix+1, sSPI-spiBefore)
+				}
+			}
+		default:
+			take(c, 0, after-baseSPI)
+		}
+	}
+	return best, nil
 }

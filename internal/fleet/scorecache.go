@@ -13,19 +13,19 @@
 // Byte-identity contract: a cached value must be indistinguishable —
 // bit for bit — from recomputing it cold. Three properties deliver that:
 //
-//  1. Keys are content-addressed. Every input of groupSPITerms appears in
-//     the key: the machine kind name fixes the cache geometry (and which
+//  1. Keys are content-addressed. Every input of a group's SPI terms
+//     (core.GroupEstimate.SPI) appears in the key: the machine kind name fixes the cache geometry (and which
 //     profile a workload name resolves to — profiling is deterministic
 //     per (fleet seed, kind, name), so equal names imply bit-equal
 //     feature vectors within one fleet), the solver method fixes the
 //     algorithm, and the per-core name lists fix the Eq. 10 enumeration.
 //     A key can therefore never resolve to a stale value: any change to
 //     a group's residents changes its key.
-//  2. Values are term *lists*, not subtotals. assignmentSPI accumulates
-//     one running float total across groups in (group, busy core, proc)
-//     order; float addition is not associative, so the memo stores the
-//     flattened per-resident terms and callers replay the accumulation
-//     in the original order (see replayTerms).
+//  2. Values are term *lists*, not subtotals. A node total is one running
+//     float sum across groups in (group, busy core, proc) order; float
+//     addition is not associative, so the memo stores the flattened
+//     per-resident terms and callers replay the accumulation in that
+//     order (see nodeSPI and scoreNodeCold).
 //  3. Hit/miss/shared counters are scheduling-dependent and never appear
 //     in any golden or transcript; only the pure values do.
 //
@@ -259,65 +259,6 @@ func decisionSuffix(asg core.Assignment) string {
 	return string(buf)
 }
 
-// groupSPITerms solves one cache group and returns its flattened
-// per-resident SPI terms in (busy core, proc arrival) order. It is
-// assignmentSPI's inner loop verbatim: the Eq. 10 enumeration of per-core
-// process choices, each combination solved to equilibrium, every
-// resident's prediction averaged over the combinations it appears in.
-// The terms are pure — they depend only on the busy cores' feature
-// vectors, the machine's associativity, and the solver — which is what
-// makes them safe to memoize under a content key.
-func groupSPITerms(ctx context.Context, m *machine.Machine, busy []int, asg core.Assignment, solver core.SolverMethod, st *core.SolverState) ([]float64, error) {
-	perProc := make([][]float64, len(busy))
-	for i, c := range busy {
-		perProc[i] = make([]float64, len(asg[c]))
-	}
-	choice := make([]int, len(busy))
-	combo := make([]*core.FeatureVector, len(busy))
-	combos := 0
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(busy) {
-			preds, err := core.PredictGroupCached(ctx, combo, m.Assoc, solver, st)
-			if err != nil {
-				return err
-			}
-			for j, p := range preds {
-				perProc[j][choice[j]] += p.SPI
-			}
-			combos++
-			return nil
-		}
-		for k, f := range asg[busy[i]] {
-			choice[i], combo[i] = k, f
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	var terms []float64
-	for i, c := range busy {
-		appearances := float64(combos) / float64(len(asg[c]))
-		for j, sum := range perProc[i] {
-			t := sum / appearances
-			// A thread-group bundle resident stands for Members
-			// co-located threads: its solved SPI is the per-member SPI of
-			// the merged stream, so the group total counts it Members
-			// times. Legacy features (Members ≤ 1) skip the multiply so
-			// their terms stay bit-identical to the pre-threads code.
-			if m := asg[c][j].Members; m > 1 {
-				t *= float64(m)
-			}
-			terms = append(terms, t)
-		}
-	}
-	return terms, nil
-}
-
 // busyCores returns the group's cores that host at least one process, in
 // group order.
 func busyCores(group []int, asg core.Assignment) []int {
@@ -330,61 +271,60 @@ func busyCores(group []int, asg core.Assignment) []int {
 	return busy
 }
 
-// groupTerms returns one group's term list through the memo (or cold when
-// caching is disabled). Every actual groupSPITerms execution — a real
-// equilibrium solve of one cache group, the unit of work predicates exist
-// to avoid — bumps the fleet's solver-invocation counter; memo hits do
-// not, so SolverInvocations measures solve work, not demand.
-func (f *Fleet) groupTerms(ctx context.Context, m *machine.Machine, busy []int, asg core.Assignment) ([]float64, error) {
+// groupEstimate runs (or recalls) one Eq. 10 pass of cache group gi of one
+// node's assignment: the per-resident SPI terms through the term memo, the
+// group's watts through the solver state's watts memo, both from one
+// enumeration of the group's combinations when neither memo answers (and
+// always with caching disabled). Every executed pass that reads SPI — real
+// equilibrium solves of one cache group, the unit of work predicates exist
+// to avoid — bumps the fleet's solver-invocation counter; memo hits and
+// idle groups do not, so SolverInvocations measures solve work, not demand.
+func (f *Fleet) groupEstimate(ctx context.Context, n *node, asg core.Assignment, gi int, read core.Readout) (core.GroupEstimate, error) {
+	m := n.cfg.Machine
+	busy := busyCores(m.Groups[gi], asg)
+	if len(busy) == 0 || read&core.ReadSPI == 0 {
+		return n.cm.EstimateGroupContext(ctx, asg, gi, read&core.ReadWatts)
+	}
 	if f.scores == nil {
 		f.solves.Add(1)
-		return groupSPITerms(ctx, m, busy, asg, f.cfg.Solver, f.solver)
+		return n.cm.EstimateGroupContext(ctx, asg, gi, read)
 	}
-	return f.scores.get(scoreKey(m, f.cfg.Solver, busy, asg), func() ([]float64, error) {
+	var est core.GroupEstimate
+	ran := false
+	terms, err := f.scores.get(scoreKey(m, n.cm.Solver, busy, asg), func() ([]float64, error) {
 		f.solves.Add(1)
-		return groupSPITerms(ctx, m, busy, asg, f.cfg.Solver, f.solver)
+		var err error
+		est, err = n.cm.EstimateGroupContext(ctx, asg, gi, read)
+		ran = true
+		return est.SPI, err
 	})
-}
-
-// nodeTerms returns every group's term list for one assignment, nil for
-// idle groups, memoized per group.
-func (f *Fleet) nodeTerms(ctx context.Context, m *machine.Machine, asg core.Assignment) ([][]float64, error) {
-	out := make([][]float64, len(m.Groups))
-	for gi, group := range m.Groups {
-		busy := busyCores(group, asg)
-		if len(busy) == 0 {
-			continue
-		}
-		terms, err := f.groupTerms(ctx, m, busy, asg)
-		if err != nil {
-			return nil, err
-		}
-		out[gi] = terms
+	if err == nil && !ran && read&core.ReadWatts != 0 {
+		est, err = n.cm.EstimateGroupContext(ctx, asg, gi, core.ReadWatts)
 	}
-	return out, nil
+	est.SPI = terms
+	return est, err
 }
 
-// replayTerms accumulates per-group term lists into one total in group
-// order — the exact float-addition sequence assignmentSPI performs, so a
-// replayed total is bit-identical to a cold one.
-func replayTerms(groups [][]float64) float64 {
+// nodeSPI returns the total predicted SPI of one node's assignment, one
+// term per RESIDENT: every group's terms (see core.GroupEstimate.SPI)
+// accumulated into one running total in (group, busy core, arrival)
+// order. Counting per resident — not per core — is what makes the metric
+// comparable across layouts: migrating a process from a time-shared core
+// to an idle machine keeps the number of terms fixed and only changes
+// their contention, so an improvement is a real predicted speed-up, not an
+// artifact of the accounting.
+func (f *Fleet) nodeSPI(ctx context.Context, n *node, asg core.Assignment) (float64, error) {
 	total := 0.0
-	for _, terms := range groups {
-		for _, t := range terms {
+	for gi := range n.cfg.Machine.Groups {
+		est, err := f.groupEstimate(ctx, n, asg, gi, core.ReadSPI)
+		if err != nil {
+			return 0, err
+		}
+		for _, t := range est.SPI {
 			total += t
 		}
 	}
-	return total
-}
-
-// nodeSPI is assignmentSPI through the memo: identical bytes, amortized
-// solves.
-func (f *Fleet) nodeSPI(ctx context.Context, m *machine.Machine, asg core.Assignment) (float64, error) {
-	groups, err := f.nodeTerms(ctx, m, asg)
-	if err != nil {
-		return 0, err
-	}
-	return replayTerms(groups), nil
+	return total, nil
 }
 
 // withAdditionShared returns asg with feat appended to core c, sharing
@@ -416,7 +356,7 @@ func (f *Fleet) invalidateNodeLocked(n *node) {
 		if len(busy) == 0 {
 			continue
 		}
-		f.scores.invalidate(scoreKey(m, f.cfg.Solver, busy, asg))
+		f.scores.invalidate(scoreKey(m, n.cm.Solver, busy, asg))
 	}
 	// Decision keys embed arrival names the node cannot enumerate, so the
 	// node's decisions are found by their unambiguous "<name>\x00" prefix.

@@ -81,7 +81,7 @@ func TestFailNodeInvalidatesExactlyAffectedKeys(t *testing.T) {
 	for _, group := range target.cfg.Machine.Groups {
 		busy := busyCores(group, asg)
 		if len(busy) > 0 {
-			expect[scoreKey(target.cfg.Machine, f.cfg.Solver, busy, asg)] = true
+			expect[scoreKey(target.cfg.Machine, target.cm.Solver, busy, asg)] = true
 		}
 	}
 	if len(expect) == 0 {
@@ -359,10 +359,10 @@ func TestKeyConstruction(t *testing.T) {
 	asg1 := core.Assignment{nil, {fa}}
 	asg2 := core.Assignment{{fa}, {fb}}
 	asg3 := core.Assignment{{fa, fb}, nil}
-	add("core0", scoreKey(m, f.cfg.Solver, busyCores(m.Groups[0], asg0), asg0))
-	add("core1", scoreKey(m, f.cfg.Solver, busyCores(m.Groups[0], asg1), asg1))
-	add("split", scoreKey(m, f.cfg.Solver, busyCores(m.Groups[0], asg2), asg2))
-	add("stacked", scoreKey(m, f.cfg.Solver, busyCores(m.Groups[0], asg3), asg3))
+	add("core0", scoreKey(m, core.SolverAuto, busyCores(m.Groups[0], asg0), asg0))
+	add("core1", scoreKey(m, core.SolverAuto, busyCores(m.Groups[0], asg1), asg1))
+	add("split", scoreKey(m, core.SolverAuto, busyCores(m.Groups[0], asg2), asg2))
+	add("stacked", scoreKey(m, core.SolverAuto, busyCores(m.Groups[0], asg3), asg3))
 	add("solver", scoreKey(m, core.SolverWindow, busyCores(m.Groups[0], asg0), asg0))
 
 	dk := map[string]string{}

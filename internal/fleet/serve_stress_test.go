@@ -7,13 +7,12 @@ import (
 	"testing"
 )
 
-// TestServeStressThroughput drives the sustained-load scenario and pins
-// the serving tier's throughput ceiling. The floor scales with the
-// build: an uninstrumented binary must clear the 10k placements/sec
-// target even on one core (measured ~21k/s at GOMAXPROCS=1); under the
-// race detector — whose instrumentation costs ~10x serially, unpayable
-// without spare cores — the run asserts the concurrency machinery
-// sustains load without collapsing rather than the ceiling itself.
+// TestServeStressThroughput drives the sustained-load scenario and checks
+// that the churn balances its books and keeps an interactive tail. The
+// placements/sec figure is logged, not asserted: it depends on what else
+// the machine is running (tier-1 schedules this beside internal/exp), and
+// throughput regressions are the benchmark's to catch (cpu_us_per_op,
+// loadgen.sat_ops_per_s) over paired runs.
 func TestServeStressThroughput(t *testing.T) {
 	cfg := ServeStressConfig{Machines: 24, Shards: 4, Clients: 8, Ops: 40000, Seed: 1}
 	if testing.Short() {
@@ -25,6 +24,7 @@ func TestServeStressThroughput(t *testing.T) {
 	}
 	b, _ := json.Marshal(rep)
 	t.Logf("serve-stress: %s", b)
+	t.Logf("sustained %.0f placements/sec (race=%v, procs=%d)", rep.PlacementsPerSec, raceEnabled, runtime.GOMAXPROCS(0))
 	if rep.Placed+rep.Rejected != rep.Ops {
 		t.Errorf("ledger: placed %d + rejected %d != ops %d", rep.Placed, rep.Rejected, rep.Ops)
 	}
@@ -32,17 +32,7 @@ func TestServeStressThroughput(t *testing.T) {
 		t.Fatal("no placements committed")
 	}
 	if testing.Short() {
-		return // smoke: correctness of the churn, not the ceiling
-	}
-	floor := 10000.0
-	if raceEnabled {
-		floor = 250
-	} else if runtime.GOMAXPROCS(0) == 1 {
-		floor = 5000 // headroom for slow single-core CI machines
-	}
-	if rep.PlacementsPerSec < floor {
-		t.Errorf("sustained %.0f placements/sec, want >= %.0f (race=%v, procs=%d)",
-			rep.PlacementsPerSec, floor, raceEnabled, runtime.GOMAXPROCS(0))
+		return // smoke: correctness of the churn only
 	}
 	// Bounded tail: p99 placement latency stays in interactive territory.
 	p99Bound := 50_000.0 // µs

@@ -1107,7 +1107,7 @@ func (s *Sharded) Rebalance(ctx context.Context, minImprovement float64) (Move, 
 		if r.n.down {
 			return 0, nil
 		}
-		return r.sh.nodeSPI(ctx, r.n.cfg.Machine, r.sh.assignmentOf(r.n))
+		return r.sh.nodeSPI(ctx, r.n, r.sh.assignmentOf(r.n))
 	})
 	if err != nil {
 		return Move{}, err
@@ -1152,7 +1152,7 @@ func (s *Sharded) Rebalance(ctx context.Context, minImprovement float64) (Move, 
 	totals, err := parallel.Map(ctx, s.cfg.Workers, len(cands), func(k int) (float64, error) {
 		cd := cands[k]
 		srcRow, dstRow := rows[cd.src], rows[cd.dst]
-		srcAfter, err := srcRow.sh.nodeSPI(ctx, srcRow.n.cfg.Machine,
+		srcAfter, err := srcRow.sh.nodeSPI(ctx, srcRow.n,
 			withoutResident(srcRow.sh.assignmentOf(srcRow.n), cd.res))
 		if err != nil {
 			return 0, err
@@ -1161,7 +1161,7 @@ func (s *Sharded) Rebalance(ctx context.Context, minImprovement float64) (Move, 
 		if err != nil {
 			return 0, err
 		}
-		dstAfter, err := dstRow.sh.nodeSPI(ctx, dstRow.n.cfg.Machine,
+		dstAfter, err := dstRow.sh.nodeSPI(ctx, dstRow.n,
 			withAdditionShared(dstRow.sh.assignmentOf(dstRow.n), feat, cd.dstCore))
 		if err != nil {
 			return 0, err

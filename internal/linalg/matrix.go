@@ -166,61 +166,70 @@ var ErrSingular = errors.New("linalg: singular matrix")
 // pivoting. A and b are not modified. Returns ErrSingular when a pivot
 // underflows.
 func SolveLU(a *Matrix, b []float64) ([]float64, error) {
-	n := a.rows
-	if a.cols != n {
+	if a.cols != a.rows {
 		return nil, fmt.Errorf("linalg: SolveLU needs square matrix, got %dx%d", a.rows, a.cols)
 	}
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveLU rhs length %d, want %d", len(b), n)
+	if len(b) != a.rows {
+		return nil, fmt.Errorf("linalg: SolveLU rhs length %d, want %d", len(b), a.rows)
 	}
-	lu := a.Clone()
-	x := make([]float64, n)
+	x := make([]float64, len(b))
 	copy(x, b)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	if err := SolveLUInPlace(a.Clone().data, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveLUInPlace is SolveLU without its copies, for callers that solve in
+// a loop: a holds the n×n matrix row-major and is overwritten by its LU
+// factors, b holds the right-hand side and is overwritten by the solution.
+// The arithmetic is SolveLU's, operation for operation.
+func SolveLUInPlace(a, b []float64) error {
+	n := len(b)
+	if len(a) != n*n {
+		return fmt.Errorf("linalg: SolveLUInPlace has %d matrix elements for a rhs of length %d", len(a), n)
 	}
 	for col := 0; col < n; col++ {
 		// Partial pivoting: pick the largest magnitude in this column.
 		pivot := col
-		maxAbs := math.Abs(lu.data[col*n+col])
+		maxAbs := math.Abs(a[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(lu.data[r*n+col]); v > maxAbs {
+			if v := math.Abs(a[r*n+col]); v > maxAbs {
 				maxAbs = v
 				pivot = r
 			}
 		}
 		if maxAbs < 1e-14 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if pivot != col {
 			for j := 0; j < n; j++ {
-				lu.data[col*n+j], lu.data[pivot*n+j] = lu.data[pivot*n+j], lu.data[col*n+j]
+				a[col*n+j], a[pivot*n+j] = a[pivot*n+j], a[col*n+j]
 			}
-			x[col], x[pivot] = x[pivot], x[col]
+			b[col], b[pivot] = b[pivot], b[col]
 		}
-		inv := 1 / lu.data[col*n+col]
+		inv := 1 / a[col*n+col]
 		for r := col + 1; r < n; r++ {
-			f := lu.data[r*n+col] * inv
+			f := a[r*n+col] * inv
 			if f == 0 {
 				continue
 			}
-			lu.data[r*n+col] = f
+			a[r*n+col] = f
 			for j := col + 1; j < n; j++ {
-				lu.data[r*n+j] -= f * lu.data[col*n+j]
+				a[r*n+j] -= f * a[col*n+j]
 			}
-			x[r] -= f * x[col]
+			b[r] -= f * b[col]
 		}
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
-		s := x[i]
+		s := b[i]
 		for j := i + 1; j < n; j++ {
-			s -= lu.data[i*n+j] * x[j]
+			s -= a[i*n+j] * b[j]
 		}
-		x[i] = s / lu.data[i*n+i]
+		b[i] = s / a[i*n+i]
 	}
-	return x, nil
+	return nil
 }
 
 // LeastSquares solves min_x ||A·x − b||₂ for a full-column-rank A with

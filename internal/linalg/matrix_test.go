@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -167,6 +168,39 @@ func TestSolveLURandomProperty(t *testing.T) {
 				t.Fatalf("trial %d: x[%d]=%v want %v", trial, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+func TestSolveLUInPlace(t *testing.T) {
+	// The in-place entry point overwrites b with the solution SolveLU
+	// returns, bit for bit; SolveLU's own contract (A and b untouched) is
+	// the copying wrapper's.
+	a, b := NewMatrixFromRows([][]float64{
+		{2, 1, -1},
+		{-3, -1, 2},
+		{-2, 1, 2},
+	}), []float64{8, -11, -3}
+	want, err := SolveLU(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.At(1, 0) != -3 || b[0] != 8 {
+		t.Fatalf("SolveLU modified its arguments: a=%v b=%v", a, b)
+	}
+	x := append([]float64(nil), b...)
+	if err := SolveLUInPlace([]float64{2, 1, -1, -3, -1, 2, -2, 1, 2}, x); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if x[i] != want[i] {
+			t.Fatalf("x[%d] = %v, SolveLU gave %v", i, x[i], want[i])
+		}
+	}
+	if err := SolveLUInPlace([]float64{1, 2, 2, 4}, []float64{1, 2}); !errors.Is(err, ErrSingular) {
+		t.Fatalf("singular system: err = %v, want ErrSingular", err)
+	}
+	if err := SolveLUInPlace([]float64{1, 2, 3}, []float64{1, 2}); err == nil {
+		t.Fatal("a 3-element matrix for a 2-element rhs was accepted")
 	}
 }
 
