@@ -1,9 +1,9 @@
-// Policy bundles: the four legacy -policy names expressed as canned
-// sched pipelines. The scoring substance is unchanged — the model
-// prioritizer is scoreNode verbatim, so the decision memo, the peek fast
-// path, and the chaos fault seam all keep their exact legacy semantics —
-// only the reduction moved into sched.Selector implementations and the
-// candidate pruning into sched.Predicate stages.
+// Policy bundles: the legacy -policy names expressed as canned sched
+// pipelines. The scoring substance is unchanged — the model policies score
+// through scoreFeasible, so the decision memo and the chaos fault seam
+// keep their exact legacy semantics — only the reduction moved into
+// sched.Selector implementations and the candidate pruning into
+// sched.Predicate stages.
 //
 // Compatibility contract: a legacy bundle filters with NodeUp ONLY. The
 // legacy scheduler consulted the "fleet.score" seam (and the decision
@@ -34,8 +34,11 @@ type bundle struct {
 	advance bool
 }
 
-// modelPrioritizer adapts scoreNode — the policy's model scoring, memo
-// and fault seam included — into the pipeline.
+// modelPrioritizer is the policy's model scoring — memo and fault seam
+// included — as a pipeline stage: scoreFeasible over the one candidate.
+// Placements call scoreFeasible over the whole feasible set themselves
+// (that is what keeps memo probes off the fan-out); the stage keeps the
+// assembled pipeline a complete policy for callers holding the fleet lock.
 type modelPrioritizer struct {
 	f *Fleet
 }
@@ -43,7 +46,8 @@ type modelPrioritizer struct {
 func (p modelPrioritizer) Name() string { return "model:" + p.f.cfg.Policy.String() }
 
 func (p modelPrioritizer) Score(ctx context.Context, a sched.Arrival, n *sched.CandidateNode) (sched.Score, error) {
-	return p.f.scoreNode(ctx, p.f.nodes[n.Index], a.Payload.(*workload.Spec))
+	s, err := p.f.scoreFeasible(ctx, a.Payload.(*workload.Spec), []int{n.Index}, nil)
+	return s[0], err
 }
 
 // spreadPrioritizer is the round-robin baseline as a scoring stage: the
@@ -118,6 +122,15 @@ func newBundle(f *Fleet) (*bundle, error) {
 // buffers. Callers must hold the fleet lock; the result is valid until
 // the next placement mutates a node.
 func (f *Fleet) candidatesLocked() []*sched.CandidateNode {
+	for i := range f.nodes {
+		f.candidateLocked(i)
+	}
+	return f.candPtrs
+}
+
+// candidateLocked refreshes and returns node i's entry of the candidate
+// buffers. Callers must hold the fleet lock.
+func (f *Fleet) candidateLocked(i int) *sched.CandidateNode {
 	if f.candPtrs == nil {
 		f.cands = make([]sched.CandidateNode, len(f.nodes))
 		f.candPtrs = make([]*sched.CandidateNode, len(f.nodes))
@@ -133,24 +146,22 @@ func (f *Fleet) candidatesLocked() []*sched.CandidateNode {
 			f.candPtrs[i] = &f.cands[i]
 		}
 	}
-	for i, n := range f.nodes {
-		c := &f.cands[i]
-		c.Up = !n.down
-		if n.down {
-			continue
-		}
-		asg := f.assignmentOf(n)
-		residents := 0
-		for ci := range asg {
-			c.PerCore[ci] = len(asg[ci])
-			residents += len(asg[ci])
-		}
-		c.FreeSlots = -1
-		if n.cfg.MaxPerCore > 0 {
-			c.FreeSlots = n.cfg.MaxPerCore*n.cfg.Machine.NumCores - residents
-		}
+	n, c := f.nodes[i], &f.cands[i]
+	c.Up = !n.down
+	if n.down {
+		return c
 	}
-	return f.candPtrs
+	asg := f.assignmentOf(n)
+	residents := 0
+	for ci := range asg {
+		c.PerCore[ci] = len(asg[ci])
+		residents += len(asg[ci])
+	}
+	c.FreeSlots = -1
+	if n.cfg.MaxPerCore > 0 {
+		c.FreeSlots = n.cfg.MaxPerCore*n.cfg.Machine.NumCores - residents
+	}
+	return c
 }
 
 // SolverInvocations reports how many cache-group equilibrium solves the

@@ -534,7 +534,7 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 				if j == i || dst.down {
 					continue
 				}
-				feat, err := f.feats.get(ctx, dst.cfg.Machine, r.Spec)
+				feat, err := f.feats.get(ctx, dst.kind, r.Spec)
 				if err != nil {
 					return capAction{}, false, err
 				}

@@ -22,141 +22,184 @@ import (
 	"mpmc/internal/workload"
 )
 
-// viewNode is one node's scoring inputs, captured under the fleet lock.
-type viewNode struct {
+// scoreIn is what scoring one candidate reads, taken under the fleet lock:
+// nothing in it is ever mutated in place, so a captured scoreIn stays
+// valid after the lock is released (revalidation decides whether its
+// score may still commit).
+type scoreIn struct {
 	n    *node
-	ver  uint64 // the node's version at capture time
-	cand sched.CandidateNode
 	feat *core.FeatureVector
 	asg  core.Assignment
-	dkey string
-	fix  int // the node's DVFS rung at capture time
+	dkey string // decision-memo key ("" when the policy never memoizes)
+	fix  int    // the node's DVFS rung
 }
 
-// placeView is a consistent, version-stamped snapshot of every node's
-// scoring inputs for one arrival.
+// placeView is a consistent, version-stamped snapshot of one arrival's
+// feasible candidates and their scoring inputs.
 type placeView struct {
-	nodes []viewNode
-	ver   uint64 // fleet version, revalidating no-fit outcomes
+	feasible []int     // admitted node indices: index order, MaxFeasible cut applied
+	ins      []scoreIn // ins[k] belongs to node feasible[k]
+	vers     []uint64  // every node's version at capture, by node index
+	ver      uint64    // fleet version, revalidating no-fit outcomes
 }
 
-// captureNodeLocked snapshots one node's scoring inputs for one
-// arrival. Callers must hold the fleet lock.
-func (f *Fleet) captureNodeLocked(ctx context.Context, i int, spec *workload.Spec) (viewNode, error) {
-	n := f.nodes[i]
-	vn := viewNode{n: n, ver: n.version, fix: n.freqIx}
-	vn.cand = sched.CandidateNode{
-		Index:      i,
-		Name:       n.cfg.Name,
-		Up:         !n.down,
-		MaxPerCore: n.cfg.MaxPerCore,
-		Labels:     n.cfg.Labels,
-		Taints:     n.cfg.Taints,
+// useMemo reports whether placements consult the decision memo. CapAware
+// never does: its decisions depend on the live cap headroom, which the
+// decision key cannot encode, so the memo would replay a decision made
+// under different budget pressure.
+func (f *Fleet) useMemo() bool { return f.scores != nil && f.cfg.Policy != CapAware }
+
+// scoreInLocked reads one node's scoring inputs for spec. Callers must
+// hold the fleet lock. The feature resolve keeps its full profiling and
+// error semantics: entries submitted after the caller's resolve sweep (or
+// evicted since) profile here.
+func (f *Fleet) scoreInLocked(ctx context.Context, n *node, spec *workload.Spec) (scoreIn, error) {
+	feat, err := f.feats.get(ctx, n.kind, spec)
+	if err != nil {
+		return scoreIn{}, err
 	}
-	if n.down {
-		return vn, nil
+	in := scoreIn{n: n, feat: feat, asg: f.assignmentOf(n), fix: n.freqIx}
+	if f.useMemo() {
+		in.dkey = f.decisionKeyOf(n, feat)
 	}
-	feat, ok := f.feats.peek(n.cfg.Machine, spec)
-	if !ok {
-		// Entries submitted after Pump's resolve sweep (or evicted
-		// since) profile here, exactly like the in-lock path would.
-		var err error
-		if feat, err = f.feats.get(ctx, n.cfg.Machine, spec); err != nil {
-			return viewNode{}, err
+	return in, nil
+}
+
+// feasibleLocked appends to dst the indices of the nodes the pipeline's
+// predicates admit for arr — canonical predicate order, node order, cut
+// after MaxFeasible survivors: exactly Pipeline.Decide's filter. Callers
+// must hold the fleet lock.
+func (f *Fleet) feasibleLocked(arr sched.Arrival, dst []int) []int {
+	for i, c := range f.candidatesLocked() {
+		if !f.pipe.pipe.Admit(arr, c) {
+			continue
+		}
+		dst = append(dst, i)
+		if f.cfg.MaxFeasible > 0 && len(dst) == f.cfg.MaxFeasible {
+			break
 		}
 	}
-	asg := f.assignmentOf(n)
-	vn.feat, vn.asg = feat, asg
-	if f.scores != nil {
-		vn.dkey = f.decisionKeyOf(n, feat)
-	}
-	vn.cand.PerCore = make([]int, len(asg))
-	residents := 0
-	for ci := range asg {
-		vn.cand.PerCore[ci] = len(asg[ci])
-		residents += len(asg[ci])
-	}
-	vn.cand.FreeSlots = -1
-	if n.cfg.MaxPerCore > 0 {
-		vn.cand.FreeSlots = n.cfg.MaxPerCore*n.cfg.Machine.NumCores - residents
-	}
-	return vn, nil
+	return dst
+}
+
+func arrivalOf(spec *workload.Spec, opts PlaceOptions) sched.Arrival {
+	return sched.Arrival{Key: spec.Name, Priority: opts.Priority, Tolerations: opts.Tolerations, Payload: spec}
 }
 
 // captureViewLocked snapshots the fleet for one arrival. Callers must
-// hold the fleet lock; the returned view is safe to score after release
-// because nothing in it is ever mutated in place.
-func (f *Fleet) captureViewLocked(ctx context.Context, spec *workload.Spec) (*placeView, error) {
-	v := &placeView{nodes: make([]viewNode, len(f.nodes)), ver: f.version}
-	for i := range f.nodes {
-		vn, err := f.captureNodeLocked(ctx, i, spec)
-		if err != nil {
+// hold the fleet lock; the returned view is safe to score after release.
+func (f *Fleet) captureViewLocked(ctx context.Context, spec *workload.Spec, opts PlaceOptions) (*placeView, error) {
+	v := &placeView{vers: make([]uint64, len(f.nodes)), ver: f.version}
+	for i, n := range f.nodes {
+		v.vers[i] = n.version
+	}
+	v.feasible = f.feasibleLocked(arrivalOf(spec, opts), nil)
+	v.ins = make([]scoreIn, len(v.feasible))
+	for k, ni := range v.feasible {
+		var err error
+		if v.ins[k], err = f.scoreInLocked(ctx, f.nodes[ni], spec); err != nil {
 			return nil, err
 		}
-		v.nodes[i] = vn
 	}
 	return v, nil
 }
 
-// scoreViewDetached scores spec against a captured view, reproducing
-// Pipeline.Decide exactly: feasible candidates collected in index order
-// (MaxFeasible cut included), scored into index-addressed slots through
-// the parallel engine, infeasible nodes left !OK. The caller reduces the
-// returned node-indexed vector with the pipeline's selector — selectors
-// skip !OK entries, so the winner is bit-identical to the in-lock
-// decision against the same state, at any worker count.
-func (f *Fleet) scoreViewDetached(ctx context.Context, v *placeView, spec *workload.Spec, opts PlaceOptions) ([]nodeScore, error) {
-	arr := sched.Arrival{Key: spec.Name, Priority: opts.Priority, Tolerations: opts.Tolerations, Payload: spec}
-	feasible := make([]int, 0, len(v.nodes))
-	for i := range v.nodes {
-		vn := &v.nodes[i]
-		if !vn.cand.Up || !f.pipe.pipe.Admit(arr, &vn.cand) {
-			continue
-		}
-		feasible = append(feasible, i)
-		if f.cfg.MaxFeasible > 0 && len(feasible) == f.cfg.MaxFeasible {
+// scoreGrain is the fewest cold scores worth a worker of their own. A cold
+// score is ~8 µs of solves on a serving fleet; a worker costs a goroutine,
+// a futex wake and a park (~35 µs of CPU, more across the CPUs of a VM),
+// and on a lightly loaded box those wakes decide, run by run, whether the
+// kernel keeps the process on one CPU or spreads it over all of them.
+const scoreGrain = 16
+
+// scoreFeasible is the one scoring routine of every model-policy
+// placement: it scores the feasible candidates (node indices in index
+// order) and returns their scores in the same order. With captured inputs
+// it runs detached from the fleet lock; with captured == nil the caller
+// holds the lock and each candidate's inputs are read live, after its
+// seam consult.
+//
+// Phase 1 walks the candidates on the caller's goroutine: context poll,
+// the "fleet.score" injection seam (ahead of any memo probe, so injected
+// errors fire per scored node warm or cold), the inputs, one counted
+// decision-memo probe. Phase 2 hands only the misses to the parallel
+// engine for scoreNodeCold, one worker per scoreGrain misses — a warm
+// placement, whose survivors all hit, starts no goroutine, and fewer than
+// two grains of misses run inline. Results land in index-addressed slots
+// and callers reduce serially, so the decision is identical at any worker
+// count. Errors keep the serial loop's order: phase 1 stops at the first
+// failing candidate, phase 2 still solves the misses below it, and the
+// lowest-index error wins.
+func (f *Fleet) scoreFeasible(ctx context.Context, spec *workload.Spec, feasible []int, captured []scoreIn) ([]nodeScore, error) {
+	type miss struct {
+		k  int
+		in scoreIn
+	}
+	useMemo := f.useMemo()
+	scores := make([]nodeScore, len(feasible))
+	var misses []miss
+	var stop error
+	for k, ni := range feasible {
+		if stop = ctx.Err(); stop != nil {
 			break
 		}
-	}
-	scores := make([]nodeScore, len(v.nodes))
-	err := parallel.ForEach(ctx, f.cfg.Workers, len(feasible), func(i int) error {
-		ni := feasible[i]
-		s, serr := f.scoreNodeDetached(ctx, &v.nodes[ni], spec)
-		if serr != nil {
-			return serr
+		if f.cfg.Intercept != nil {
+			if stop = f.cfg.Intercept("fleet.score", f.nodes[ni].cfg.Name); stop != nil {
+				break
+			}
 		}
-		scores[ni] = s
+		var in scoreIn
+		if captured != nil {
+			in = captured[k]
+		} else if in, stop = f.scoreInLocked(ctx, f.nodes[ni], spec); stop != nil {
+			break
+		}
+		if useMemo {
+			if s, ok := f.scores.getDecision(in.dkey); ok {
+				scores[k] = s
+				continue
+			}
+		}
+		if misses == nil {
+			misses = make([]miss, 0, len(feasible)-k)
+		}
+		misses = append(misses, miss{k, in})
+	}
+	if len(misses) == 0 {
+		return scores, stop
+	}
+	workers := max(1, min(parallel.Workers(f.cfg.Workers), len(misses)/scoreGrain))
+	err := parallel.ForEach(ctx, workers, len(misses), func(i int) error {
+		m := &misses[i]
+		s, err := f.scoreNodeCold(ctx, m.in.n, m.in.feat, m.in.asg, m.in.fix)
+		if err != nil {
+			return err
+		}
+		if useMemo {
+			f.scores.putDecision(m.in.dkey, s)
+		}
+		scores[m.k] = s
 		return nil
 	})
+	if err == nil {
+		err = stop
+	}
+	return scores, err
+}
+
+// scoreViewDetached scores a captured view into a node-indexed vector,
+// infeasible nodes left !OK. The caller reduces it with the pipeline's
+// selector — selectors skip !OK entries, so the winner is bit-identical
+// to the in-lock decision against the same state.
+func (f *Fleet) scoreViewDetached(ctx context.Context, v *placeView, spec *workload.Spec) ([]nodeScore, error) {
+	scored, err := f.scoreFeasible(ctx, spec, v.feasible, v.ins)
 	if err != nil {
 		return nil, err
 	}
+	scores := make([]nodeScore, len(v.vers))
+	for k, ni := range v.feasible {
+		scores[ni] = scored[k]
+	}
 	return scores, nil
-}
-
-// scoreNodeDetached is scoreNode against captured inputs: same fault
-// seam, same decision memo, same cold scoring — but reading only the
-// view (the decision key was built under the lock at capture time, so
-// the per-node key caches are never touched here).
-func (f *Fleet) scoreNodeDetached(ctx context.Context, vn *viewNode, spec *workload.Spec) (nodeScore, error) {
-	if f.cfg.Intercept != nil {
-		if err := f.cfg.Intercept("fleet.score", vn.n.cfg.Name); err != nil {
-			return nodeScore{}, err
-		}
-	}
-	// CapAware never memoizes (see scoreNode): the key cannot encode the
-	// live cap headroom its decisions depend on.
-	useMemo := f.scores != nil && f.cfg.Policy != CapAware
-	if useMemo {
-		if s, ok := f.scores.getDecision(vn.dkey); ok {
-			return s, nil
-		}
-	}
-	s, err := f.scoreNodeCold(ctx, vn.n, vn.feat, vn.asg, vn.fix)
-	if err == nil && useMemo {
-		f.scores.putDecision(vn.dkey, s)
-	}
-	return s, err
 }
 
 // scoreArrivalDetached captures a view under the lock and scores it
@@ -165,20 +208,16 @@ func (f *Fleet) scoreNodeDetached(ctx context.Context, vn *viewNode, spec *workl
 // the winning node's stamp to commitScored).
 func (f *Fleet) scoreArrivalDetached(ctx context.Context, spec *workload.Spec, opts PlaceOptions) ([]nodeScore, []uint64, error) {
 	f.mu.Lock()
-	view, err := f.captureViewLocked(ctx, spec)
+	view, err := f.captureViewLocked(ctx, spec, opts)
 	f.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
-	scores, err := f.scoreViewDetached(ctx, view, spec, opts)
+	scores, err := f.scoreViewDetached(ctx, view, spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	vers := make([]uint64, len(view.nodes))
-	for i := range view.nodes {
-		vers[i] = view.nodes[i].ver
-	}
-	return scores, vers, nil
+	return scores, view.vers, nil
 }
 
 // rescoreNodeDetached refreshes a single node's entry in a detached
@@ -192,21 +231,21 @@ func (f *Fleet) scoreArrivalDetached(ctx context.Context, spec *workload.Spec, o
 // combination for shards > 1 and the sharded fast path re-scores fully
 // when a cut is configured.
 func (f *Fleet) rescoreNodeDetached(ctx context.Context, i int, spec *workload.Spec, opts PlaceOptions) (nodeScore, uint64, error) {
+	n := f.nodes[i]
 	f.mu.Lock()
-	vn, err := f.captureNodeLocked(ctx, i, spec)
+	ver := n.version
+	var in scoreIn
+	var err error
+	admitted := f.pipe.pipe.Admit(arrivalOf(spec, opts), f.candidateLocked(i))
+	if admitted {
+		in, err = f.scoreInLocked(ctx, n, spec)
+	}
 	f.mu.Unlock()
-	if err != nil {
-		return nodeScore{}, 0, err
+	if err != nil || !admitted {
+		return nodeScore{}, ver, err
 	}
-	arr := sched.Arrival{Key: spec.Name, Priority: opts.Priority, Tolerations: opts.Tolerations, Payload: spec}
-	if !vn.cand.Up || !f.pipe.pipe.Admit(arr, &vn.cand) {
-		return nodeScore{}, vn.ver, nil
-	}
-	s, err := f.scoreNodeDetached(ctx, &vn, spec)
-	if err != nil {
-		return nodeScore{}, 0, err
-	}
-	return s, vn.ver, nil
+	scored, err := f.scoreFeasible(ctx, spec, []int{i}, []scoreIn{in})
+	return scored[0], ver, err
 }
 
 // commitScored commits a detached decision: under the lock, the winning

@@ -30,7 +30,6 @@ import (
 	"mpmc/internal/machine"
 	"mpmc/internal/manager"
 	"mpmc/internal/metrics"
-	"mpmc/internal/parallel"
 	"mpmc/internal/sched"
 	"mpmc/internal/wal"
 	"mpmc/internal/workload"
@@ -93,10 +92,7 @@ type Config struct {
 	// (the bundle always starts with sched.NodeUp). Capacity predicates
 	// (sched.FreeSlot, sched.PerCoreCap) prune full nodes before any
 	// model solve — the scale configuration — and sched.Taint /
-	// sched.LabelMatch enforce the node Labels/Taints. Adding predicates
-	// (or a MaxFeasible cut) disables the all-hit peek fast path: the
-	// memoized reduction spans every up node, which is only equivalent to
-	// the pipeline when nothing else filters.
+	// sched.LabelMatch enforce the node Labels/Taints.
 	ExtraPredicates []sched.Predicate
 	// MaxFeasible stops scoring after this many candidates survive the
 	// predicates (0 = score everything). See sched.Pipeline.MaxFeasible.
@@ -164,11 +160,14 @@ type Config struct {
 	sharedCap *capLedger
 }
 
-// node pairs one machine's manager with its combined model and config.
+// node pairs one machine's manager with its combined model, config and
+// machine kind (the feature identity it shares with every node whose
+// machine carries the same name).
 type node struct {
-	cfg NodeConfig
-	mgr *manager.Manager
-	cm  *core.CombinedModel
+	cfg  NodeConfig
+	kind *machineKind
+	mgr  *manager.Manager
+	cm   *core.CombinedModel
 	// down marks a lost machine (guarded by the fleet lock): placement,
 	// rebalancing, and the model totals all skip it until RestoreNode.
 	down bool
@@ -201,14 +200,6 @@ type node struct {
 	// an unchanged node); invalidated whenever asgSuffix is rebuilt.
 	keyFeat *core.FeatureVector
 	keyStr  string
-	// peekSpec/peekFeat are a one-entry (workload → feature) cache for the
-	// all-hit fast path. It needs no invalidation: profiling is
-	// deterministic per (seed, machine kind, workload), so the pointer
-	// held here always names the vector the shared cache would hand back
-	// (a re-profiled vector after eviction is bit-identical; its fresh
-	// pointer only costs downstream memo misses, never wrong bytes).
-	peekSpec *workload.Spec
-	peekFeat *core.FeatureVector
 
 	// meta tracks scheduler-side facts about residents the node manager
 	// does not know: priority class and the submitter's tag (a preempted
@@ -241,7 +232,7 @@ func (f *Fleet) assignmentOf(n *node) core.Assignment {
 	return n.asgSnap
 }
 
-// decisionKeyOf builds scoreNode's memo key from the cached assignment
+// decisionKeyOf builds the decision-memo key from the cached assignment
 // suffix: one small concatenation instead of a full walk per probe.
 func (f *Fleet) decisionKeyOf(n *node, feat *core.FeatureVector) string {
 	asg := f.assignmentOf(n)
@@ -282,23 +273,16 @@ type Fleet struct {
 	// pipe is the policy bundle every placement decides through; built
 	// once in New (immutable afterwards).
 	pipe *bundle
-	// allowPeek gates the all-hit decision-memo fast path: it reduces
-	// over every up node, which matches the pipeline only when nothing
-	// but NodeUp filters (no extra predicates, no feasibility cut, no
-	// fault seam, and a policy that consults the memo at all).
-	allowPeek bool
 	// solves counts executed cache-group equilibrium solves (groupEstimate
 	// passes that read SPI; memo hits excluded). See SolverInvocations.
 	solves atomic.Uint64
 
 	mu sync.Mutex
-	// peekBuf is peekDecisionsLocked's reusable result slice (guarded by
-	// mu; never retained past the placement that filled it).
-	peekBuf []nodeScore
-	// cands/candPtrs are candidatesLocked's reusable buffers (guarded by
-	// mu; refreshed per placement).
+	// cands/candPtrs are candidatesLocked's reusable buffers and feasible
+	// feasibleLocked's (guarded by mu; refreshed per placement).
 	cands    []sched.CandidateNode
 	candPtrs []*sched.CandidateNode
+	feasible []int
 	rrNode   int // Spread's machine rotation cursor
 	queue    []queued
 	seq      int // ticket source
@@ -404,6 +388,10 @@ func New(cfg Config) (*Fleet, error) {
 		if nc.Power == nil {
 			return nil, fmt.Errorf("fleet: node %q has no power model", nc.Name)
 		}
+		kind, err := f.feats.kindOf(nc.Name, nc.Machine)
+		if err != nil {
+			return nil, err
+		}
 		var intercept func(site, key string) error
 		if cfg.Intercept != nil {
 			// Prefix the node identity so an injector can target one
@@ -421,7 +409,7 @@ func New(cfg Config) (*Fleet, error) {
 			// scores slots itself and commits with PlaceAt.
 			Policy:      manager.PowerAware,
 			MaxPerCore:  nc.MaxPerCore,
-			Features:    nodeSource{fc: f.feats, m: nc.Machine},
+			Features:    nodeSource{fc: f.feats, k: kind},
 			Intercept:   intercept,
 			SolverState: f.solver,
 		})
@@ -429,6 +417,7 @@ func New(cfg Config) (*Fleet, error) {
 		cm.State = f.solver
 		f.nodes = append(f.nodes, &node{
 			cfg:    nc,
+			kind:   kind,
 			mgr:    mgr,
 			cm:     cm,
 			freqIx: nc.Machine.Freq.BaseIx(),
@@ -458,9 +447,6 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	f.pipe = pipe
-	f.allowPeek = f.scores != nil && cfg.Intercept == nil &&
-		len(cfg.ExtraPredicates) == 0 && cfg.MaxFeasible == 0 &&
-		cfg.Policy != Spread && cfg.Policy != CapAware
 	f.ledger.MaxAttempts = cfg.PreemptMaxAttempts
 	f.ledger.MaxBackoff = cfg.PreemptMaxBackoff
 	f.placed = f.reg.Counter("fleet_place_total")
@@ -536,48 +522,6 @@ type PreemptedInfo struct {
 	Ticket int `json:"ticket,omitempty"`
 }
 
-// resolveFeatures profiles every (machine kind, spec) pair the placement
-// will need, outside the fleet lock, so the lock is never held across a
-// profiling sweep. The cache singleflight collapses concurrent resolves.
-func (f *Fleet) resolveFeatures(ctx context.Context, specs []*workload.Spec) error {
-	// The fan-out below checked cancellation implicitly; the warm path
-	// must too, so a cancelled Place fails identically warm or cold.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	type pair struct {
-		m    *machine.Machine
-		spec *workload.Spec
-	}
-	// Already-profiled pairs are filtered inline: on the placement hot
-	// path everything is resident, and the fan-out (worker goroutines,
-	// dedup map) would cost more than the whole probe.
-	var pairs []pair
-	var seen map[string]bool
-	for _, s := range specs {
-		for _, n := range f.nodes {
-			k := f.feats.keyOf(n.cfg.Machine, s)
-			if _, ok := f.feats.lru.Get(k); ok {
-				continue
-			}
-			if seen == nil {
-				seen = map[string]bool{}
-			}
-			if !seen[k] {
-				seen[k] = true
-				pairs = append(pairs, pair{n.cfg.Machine, s})
-			}
-		}
-	}
-	if len(pairs) == 0 {
-		return nil
-	}
-	return parallel.ForEach(ctx, f.cfg.Workers, len(pairs), func(i int) error {
-		_, err := f.feats.get(ctx, pairs[i].m, pairs[i].spec)
-		return err
-	})
-}
-
 // PlaceOptions carries the scheduler-side facts of one arrival that are
 // not part of the workload itself.
 type PlaceOptions struct {
@@ -610,7 +554,7 @@ func (f *Fleet) Place(ctx context.Context, spec *workload.Spec) (Placed, error) 
 // PlaceWith is Place with explicit scheduling options (tag, priority
 // class, taint tolerations).
 func (f *Fleet) PlaceWith(ctx context.Context, spec *workload.Spec, opts PlaceOptions) (Placed, error) {
-	if err := f.resolveFeatures(ctx, []*workload.Spec{spec}); err != nil {
+	if err := f.feats.resolve(ctx, []*workload.Spec{spec}); err != nil {
 		return Placed{}, err
 	}
 	f.mu.Lock()
@@ -634,20 +578,26 @@ func (f *Fleet) PlaceWith(ctx context.Context, spec *workload.Spec, opts PlaceOp
 // pre-call state and the error reports why (the cause stays reachable
 // with errors.Is).
 func (f *Fleet) PlaceAll(ctx context.Context, specs []*workload.Spec) ([]Placed, error) {
-	if err := f.resolveFeatures(ctx, specs); err != nil {
+	if err := f.feats.resolve(ctx, specs); err != nil {
 		return nil, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	snaps := make([]*manager.Snapshot, len(f.nodes))
-	rungs := make([]int, len(f.nodes))
-	for i, n := range f.nodes {
-		snaps[i], rungs[i] = n.mgr.Snapshot(), n.freqIx
+	// A one-spec batch commits nothing before its only fallible step (see
+	// Place), so there is nothing a snapshot could restore.
+	var snaps []*manager.Snapshot
+	var rungs []int
+	if len(specs) > 1 {
+		snaps, rungs = make([]*manager.Snapshot, len(f.nodes)), make([]int, len(f.nodes))
+		for i, n := range f.nodes {
+			snaps[i], rungs[i] = n.mgr.Snapshot(), n.freqIx
+		}
 	}
 	snapRR := f.rrNode
 	admitted := 0
 	rollback := func(cause error) error {
-		for i, n := range f.nodes {
+		for i := range snaps {
+			n := f.nodes[i]
 			n.mgr.Restore(snaps[i])
 			if n.freqIx != rungs[i] {
 				n.freqIx = rungs[i]
@@ -655,7 +605,7 @@ func (f *Fleet) PlaceAll(ctx context.Context, specs []*workload.Spec) ([]Placed,
 			}
 		}
 		f.rrNode = snapRR
-		if f.capActive() {
+		if snaps != nil && f.capActive() {
 			// Committed reservations from the rolled-back prefix are undone
 			// by re-syncing every row against the restored managers.
 			for _, n := range f.nodes {
@@ -707,44 +657,35 @@ func (f *Fleet) placeOneLocked(ctx context.Context, spec *workload.Spec, opts Pl
 	return p, err
 }
 
-// decideAndCommitLocked decides one arrival through the policy bundle —
-// the all-hit memo fast path when eligible, the full pipeline otherwise —
-// and commits the winner. Candidate machines are scored concurrently
-// through the parallel engine; results land in index-addressed slots and
-// the selector reduces serially in node order, so ties always resolve to
-// the lowest node index at any worker count.
+// decideAndCommitLocked decides one arrival through the policy bundle and
+// commits the winner: the predicates prune, scoreFeasible scores the
+// survivors (memo probes on this goroutine, only the misses fanned out),
+// and the selector reduces serially in node order, so ties always resolve
+// to the lowest node index at any worker count. Spread scores nothing the
+// memo or the model could answer and runs the plain pipeline.
 func (f *Fleet) decideAndCommitLocked(ctx context.Context, spec *workload.Spec, opts PlaceOptions) (Placed, error) {
-	if f.allowPeek {
-		if scores, ok, err := f.peekDecisionsLocked(ctx, spec); err != nil {
+	arr := arrivalOf(spec, opts)
+	best, score := -1, nodeScore{}
+	if f.cfg.Policy == Spread {
+		dec, err := f.pipe.pipe.Decide(ctx, arr, f.candidatesLocked(), nil)
+		if err != nil {
 			return Placed{}, err
-		} else if ok {
-			// The memoized decisions cover every up node (down nodes'
-			// zero scores are not OK), so reducing them with the bundle's
-			// selector replays exactly the pipeline's reduction.
-			pick := f.pipe.pipe.Selector().Pick(scores)
-			if pick < 0 {
-				return Placed{}, fmt.Errorf("fleet: %w for %s", ErrFleetFull, spec.Name)
-			}
-			return f.commitLocked(ctx, spec, opts, pick, scores[pick])
+		}
+		best, score = dec.Node, dec.Score
+	} else {
+		f.feasible = f.feasibleLocked(arr, f.feasible[:0])
+		scores, err := f.scoreFeasible(ctx, spec, f.feasible, nil)
+		if err != nil {
+			return Placed{}, err
+		}
+		if pick := f.pipe.pipe.Selector().Pick(scores); pick >= 0 {
+			best, score = f.feasible[pick], scores[pick]
 		}
 	}
-	arr := sched.Arrival{Key: spec.Name, Priority: opts.Priority, Tolerations: opts.Tolerations, Payload: spec}
-	dec, err := f.pipe.pipe.Decide(ctx, arr, f.candidatesLocked(), f.runner())
-	if err != nil {
-		return Placed{}, err
-	}
-	if dec.Node < 0 {
+	if best < 0 {
 		return Placed{}, fmt.Errorf("fleet: %w for %s", ErrFleetFull, spec.Name)
 	}
-	return f.commitLocked(ctx, spec, opts, dec.Node, dec.Score)
-}
-
-// runner adapts the parallel engine into the pipeline's fan-out contract:
-// index-addressed work, first error in serial index order.
-func (f *Fleet) runner() sched.Runner {
-	return func(ctx context.Context, n int, fn func(i int) error) error {
-		return parallel.ForEach(ctx, f.cfg.Workers, n, fn)
-	}
+	return f.commitLocked(ctx, spec, opts, best, score)
 }
 
 // commitLocked commits one decided slot through its node manager and
@@ -762,7 +703,7 @@ func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts Plac
 	}
 	capOld, capHeld := 0.0, false
 	if f.capActive() {
-		feat, err := f.feats.get(ctx, n.cfg.Machine, spec)
+		feat, err := f.feats.get(ctx, n.kind, spec)
 		if err != nil {
 			return Placed{}, err
 		}
@@ -821,45 +762,6 @@ func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts Plac
 	// legacy float64.
 	watts = freq.ScaleWatts(watts, staticWatts(n), dynScaleOf(n))
 	return Placed{Node: n.cfg.Name, Name: name, Core: s.Core, Watts: watts, Score: score}, nil
-}
-
-// peekDecisionsLocked is the steady-state fast path: when every live
-// node's decision for this exact (assignment, arrival) pair is already
-// memoized, the whole fan-out — worker goroutines included — collapses to
-// len(nodes) map probes. Any miss abandons the probe (the parallel path
-// recomputes and memoizes); the fault-injection seam disables it entirely
-// so injected errors keep firing per scored node.
-func (f *Fleet) peekDecisionsLocked(ctx context.Context, spec *workload.Spec) ([]nodeScore, bool, error) {
-	if cap(f.peekBuf) < len(f.nodes) {
-		f.peekBuf = make([]nodeScore, len(f.nodes))
-	}
-	scores := f.peekBuf[:len(f.nodes)]
-	clear(scores)
-	probed := 0
-	for i, n := range f.nodes {
-		if n.down {
-			continue
-		}
-		feat := n.peekFeat
-		if spec != n.peekSpec {
-			var ok bool
-			if feat, ok = f.feats.peek(n.cfg.Machine, spec); !ok {
-				// Not profiled yet (or evicted): the scoring path resolves
-				// it with full error/profiling semantics.
-				return nil, false, nil
-			}
-			n.peekSpec, n.peekFeat = spec, feat
-		}
-		s, ok := f.scores.peekDecision(f.decisionKeyOf(n, feat))
-		if !ok {
-			return nil, false, nil
-		}
-		scores[i] = s
-		probed++
-	}
-	// The probes decided a placement: credit them as hits in one shot.
-	f.scores.dhits.Add(uint64(probed))
-	return scores, true, nil
 }
 
 // Submit enqueues an arrival the fleet cannot place right now. tag is an
@@ -973,7 +875,7 @@ func (f *Fleet) Pump(ctx context.Context) ([]Placed, error) {
 		pending[i] = q.spec
 	}
 	f.mu.Unlock()
-	if err := f.resolveFeatures(ctx, pending); err != nil {
+	if err := f.feats.resolve(ctx, pending); err != nil {
 		return nil, err
 	}
 	if f.cfg.Policy == Spread {
@@ -1094,7 +996,7 @@ func (f *Fleet) pumpDetached(ctx context.Context) ([]Placed, error) {
 			return out, nil
 		}
 		q := f.queue[head]
-		view, err := f.captureViewLocked(ctx, q.spec)
+		view, err := f.captureViewLocked(ctx, q.spec, PlaceOptions{Priority: q.priority})
 		if err != nil {
 			f.dropQueuedLocked(head, q)
 			f.flushJournalLocked()
@@ -1104,7 +1006,7 @@ func (f *Fleet) pumpDetached(ctx context.Context) ([]Placed, error) {
 		f.queue[head].pumping = true
 		f.mu.Unlock()
 
-		scores, serr := f.scoreViewDetached(ctx, view, q.spec, PlaceOptions{Priority: q.priority})
+		scores, serr := f.scoreViewDetached(ctx, view, q.spec)
 		pick := -1
 		if serr == nil {
 			pick = f.pipe.pipe.Selector().Pick(scores)
@@ -1125,7 +1027,7 @@ func (f *Fleet) pumpDetached(ctx context.Context) ([]Placed, error) {
 			f.mu.Unlock()
 			continue
 		}
-		if pick >= 0 && f.nodes[pick].version != view.nodes[pick].ver {
+		if pick >= 0 && f.nodes[pick].version != view.vers[pick] {
 			// The winning node changed while scoring; its score is stale.
 			// Re-score — the fresh pass sees exactly what an in-lock pump
 			// would have. Changes on OTHER nodes don't invalidate: the

@@ -31,7 +31,7 @@ import (
 	"fmt"
 
 	"mpmc/internal/manager"
-	"mpmc/internal/parallel"
+	"mpmc/internal/sched"
 	"mpmc/internal/threads"
 	"mpmc/internal/workload"
 )
@@ -83,7 +83,7 @@ func (f *Fleet) PlaceGroup(ctx context.Context, g threads.GroupSpec) ([]Placed, 
 	if err != nil {
 		return nil, err
 	}
-	if err := f.resolveFeatures(ctx, specs); err != nil {
+	if err := f.feats.resolve(ctx, specs); err != nil {
 		return nil, err
 	}
 	members := uint64(g.Threads)
@@ -146,49 +146,39 @@ func (f *Fleet) PlaceGroup(ctx context.Context, g threads.GroupSpec) ([]Placed, 
 }
 
 // placeAntiAffinityLocked decides one spread-sharers member: all up nodes
-// are scored concurrently (index-addressed, serial reduction, strict
-// less-than — ties to the lowest node index at any worker count), nodes
+// are scored through scoreFeasible (index-addressed, serial reduction,
+// strict less-than — ties to the lowest node index at any worker count), nodes
 // already hosting a sibling of this arrival are preferred against, and
 // the winner is committed. When every admissible node already hosts a
 // sibling, members double up rather than reject — anti-affinity is a
 // preference; capacity is the constraint.
 func (f *Fleet) placeAntiAffinityLocked(ctx context.Context, spec *workload.Spec, used map[int]bool) (Placed, error) {
-	scores := make([]nodeScore, len(f.nodes))
-	err := parallel.ForEach(ctx, f.cfg.Workers, len(f.nodes), func(i int) error {
-		n := f.nodes[i]
-		if n.down {
-			return nil // zero score: OK=false
+	up := make([]int, 0, len(f.nodes))
+	for i, n := range f.nodes {
+		if !n.down {
+			up = append(up, i)
 		}
-		s, err := f.scoreNode(ctx, n, spec)
-		if err != nil {
-			return err
-		}
-		scores[i] = s
-		return nil
-	})
+	}
+	scores, err := f.scoreFeasible(ctx, spec, up, nil)
 	if err != nil {
 		return Placed{}, err
 	}
 	best := -1
-	for i, s := range scores {
-		if s.OK && !used[i] && (best < 0 || s.Value < scores[best].Value) {
-			best = i
+	for k, s := range scores {
+		if s.OK && !used[up[k]] && (best < 0 || s.Value < scores[best].Value) {
+			best = k
 		}
 	}
 	if best < 0 {
-		for i, s := range scores {
-			if s.OK && (best < 0 || s.Value < scores[best].Value) {
-				best = i
-			}
-		}
+		best = sched.MinValue{}.Pick(scores)
 	}
 	if best < 0 {
 		return Placed{}, fmt.Errorf("fleet: %w for %s", ErrFleetFull, spec.Name)
 	}
-	p, err := f.commitLocked(ctx, spec, PlaceOptions{}, best, scores[best])
+	p, err := f.commitLocked(ctx, spec, PlaceOptions{}, up[best], scores[best])
 	if err != nil {
 		return Placed{}, err
 	}
-	used[best] = true
+	used[up[best]] = true
 	return p, nil
 }

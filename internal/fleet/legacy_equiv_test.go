@@ -91,7 +91,7 @@ func decideColdAs(ctx context.Context, f *Fleet, spec *workload.Spec, policy Pol
 		if n.down {
 			continue
 		}
-		feat, err := f.feats.get(ctx, n.cfg.Machine, spec)
+		feat, err := f.feats.get(ctx, n.kind, spec)
 		if err != nil {
 			return -1, nodeScore{}, err
 		}
@@ -190,7 +190,7 @@ func runEquivSweep(t *testing.T, seed int64, cacheCap int) {
 		switch op := r.Intn(10); {
 		case op < 6: // arrival
 			spec := suite[r.Intn(len(suite))]
-			if err := f.resolveFeatures(ctx, []*workload.Spec{spec}); err != nil {
+			if err := f.feats.resolve(ctx, []*workload.Spec{spec}); err != nil {
 				t.Fatalf("seed %d ev %d: resolve: %v", seed, ev, err)
 			}
 			f.mu.Lock()

@@ -1,0 +1,25 @@
+package fleet
+
+import (
+	"fmt"
+	"os"
+	"reflect"
+	"testing"
+
+	"mpmc/internal/workload"
+)
+
+// TestMain holds the whole package — the thread-group sim, the sweeps, the
+// stress lanes — to workload.ByName's contract: the process-wide suite it
+// hands out is read-only. Every spec must still equal a freshly built one,
+// field for field (histograms included), after the tests have run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for _, fresh := range workload.Suite() {
+		if !reflect.DeepEqual(workload.ByName(fresh.Name), fresh) {
+			fmt.Fprintf(os.Stderr, "FAIL: a test mutated the shared workload spec %q\n", fresh.Name)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}

@@ -61,7 +61,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		}
 	}
 	f.mu.Unlock()
-	if err := f.resolveFeatures(ctx, specs); err != nil {
+	if err := f.feats.resolve(ctx, specs); err != nil {
 		return Move{}, err
 	}
 
@@ -150,7 +150,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		if err != nil {
 			return 0, err
 		}
-		feat, err := f.feats.get(ctx, dstN.cfg.Machine, cd.res.Spec)
+		feat, err := f.feats.get(ctx, dstN.kind, cd.res.Spec)
 		if err != nil {
 			return 0, err
 		}
@@ -193,7 +193,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		if err != nil {
 			return Move{}, err
 		}
-		feat, err := f.feats.get(ctx, dstN.cfg.Machine, cd.res.Spec)
+		feat, err := f.feats.get(ctx, dstN.kind, cd.res.Spec)
 		if err != nil {
 			return Move{}, err
 		}

@@ -8,7 +8,6 @@ import (
 	"mpmc/internal/freq"
 	"mpmc/internal/machine"
 	"mpmc/internal/sched"
-	"mpmc/internal/workload"
 )
 
 // soloSPI returns a process's predicted SPI running alone on the machine:
@@ -28,45 +27,9 @@ func soloSPI(ctx context.Context, m *machine.Machine, f *core.FeatureVector, sol
 // nodeScore is one node's best candidate slot for an arrival under the
 // active policy — exactly the pipeline's Score shape (OK false when the
 // node has no admissible core, Value the policy metric, Rel BinPack's
-// relative-degradation ceiling metric). The alias lets the decision memo,
-// the peek fast path, and sched's selectors all speak one type.
+// relative-degradation ceiling metric). The alias lets the decision memo
+// and sched's selectors speak one type.
 type nodeScore = sched.Score
-
-// scoreNode finds the best admissible core of one node for spec under the
-// fleet policy. The decision memo short-circuits a node whose exact
-// (assignment, arrival) pair has been scored before; the seam and the
-// feature resolve always run first, so fault injection and profiling
-// semantics are identical warm or cold.
-func (f *Fleet) scoreNode(ctx context.Context, n *node, spec *workload.Spec) (nodeScore, error) {
-	if f.cfg.Intercept != nil {
-		// Injection seam ahead of the equilibrium solves: an injected
-		// error surfaces exactly like a solver failure for this node.
-		if err := f.cfg.Intercept("fleet.score", n.cfg.Name); err != nil {
-			return nodeScore{}, err
-		}
-	}
-	feat, err := f.feats.get(ctx, n.cfg.Machine, spec)
-	if err != nil {
-		return nodeScore{}, err
-	}
-	asg := f.assignmentOf(n)
-	// CapAware decisions depend on the live cap headroom, which the
-	// decision key cannot encode; the memo would replay a decision made
-	// under different budget pressure, so the policy always scores cold.
-	useMemo := f.scores != nil && f.cfg.Policy != CapAware
-	var dkey string
-	if useMemo {
-		dkey = f.decisionKeyOf(n, feat)
-		if s, ok := f.scores.getDecision(dkey); ok {
-			return s, nil
-		}
-	}
-	s, err := f.scoreNodeCold(ctx, n, feat, asg, n.freqIx)
-	if err == nil && useMemo {
-		f.scores.putDecision(dkey, s)
-	}
-	return s, err
-}
 
 // scoreNodeCold computes one node's best candidate slot from scratch (up
 // to the term and watts memos), scanning cores in index order with strict

@@ -60,11 +60,9 @@ type ScoreCacheStats struct {
 	Invalidated uint64
 	Entries     int
 
-	// Decision-memo counters (the second memo level: whole scoreNode
+	// Decision-memo counters (the second memo level: whole scoreNodeCold
 	// results keyed by node identity + assignment content + arrival).
-	// Every decision actually served from or stored into the memo counts
-	// exactly once; placeOneLocked's speculative all-hit probe counts its
-	// hits only when the probed decisions are really used.
+	// Every probe counts exactly once, as a hit or as a miss.
 	DecisionHits    uint64
 	DecisionMisses  uint64
 	DecisionEntries int
@@ -77,7 +75,7 @@ type scoreCache struct {
 	lru    *cache.LRUMap[[]float64]
 	flight cache.Flight[[]float64]
 
-	// decisions memoizes whole scoreNode results — the second memo level.
+	// decisions memoizes whole scoreNodeCold results — the second memo level.
 	// A decision is a pure function of the node identity (which fixes the
 	// machine kind, power model, and MaxPerCore), the fleet's immutable
 	// policy knobs, the assignment content, and the arrival's workload
@@ -117,15 +115,8 @@ func (sc *scoreCache) stats() ScoreCacheStats {
 	}
 }
 
-// peekDecision probes the decision memo without touching any counter —
-// placeOneLocked's all-hit fast path uses it speculatively and credits the
-// hits in bulk only when the probed decisions actually decide a placement.
-func (sc *scoreCache) peekDecision(key string) (nodeScore, bool) {
-	return sc.decisions.Get(key)
-}
-
-// getDecision is the counted probe scoreNode uses: exactly one hit or miss
-// per scoring pass.
+// getDecision is the counted probe scoreFeasible makes: exactly one hit or
+// miss per scored candidate.
 func (sc *scoreCache) getDecision(key string) (nodeScore, bool) {
 	s, ok := sc.decisions.Get(key)
 	if ok {

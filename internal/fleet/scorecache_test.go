@@ -333,16 +333,16 @@ func TestKeyConstruction(t *testing.T) {
 	f := testFleet(t, LeastDegradation, nil)
 	ctx := context.Background()
 	spec := sixteenSpecs()[0]
-	if err := f.resolveFeatures(ctx, []*workload.Spec{spec, sixteenSpecs()[1]}); err != nil {
+	if err := f.feats.resolve(ctx, []*workload.Spec{spec, sixteenSpecs()[1]}); err != nil {
 		t.Fatal(err)
 	}
 	n := f.nodes[0]
 	m := n.cfg.Machine
-	fa, err := f.feats.get(ctx, m, spec)
+	fa, err := f.feats.get(ctx, n.kind, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := f.feats.get(ctx, m, sixteenSpecs()[1])
+	fb, err := f.feats.get(ctx, n.kind, sixteenSpecs()[1])
 	if err != nil {
 		t.Fatal(err)
 	}

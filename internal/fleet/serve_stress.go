@@ -113,7 +113,7 @@ func RunServeStress(ctx context.Context, cfg ServeStressConfig) (*ServeStressRep
 	pool := workload.Suite()
 	// Warm the shared profile cache so the measured loop times placement,
 	// not synthetic profiling.
-	if err := s.resolveFeatures(ctx, pool); err != nil {
+	if err := s.feats.resolve(ctx, pool); err != nil {
 		return nil, err
 	}
 

@@ -63,6 +63,10 @@ type Sharded struct {
 	start  []int
 	byName map[string]int
 	reg    *metrics.Registry
+	// feats is the ONE feature cache every shard shares; its kinds are the
+	// union of the shards' machine kinds in global node order, so a
+	// placement resolves each (kind, workload) pair once, not per shard.
+	feats *featureCache
 	// capL is the ONE watt ledger every shard shares: cross-shard
 	// admission against the power cap serializes on its lock, so two
 	// shards racing the last watts of headroom cannot both win.
@@ -148,7 +152,7 @@ func NewSharded(cfg Config, shards int) (*Sharded, error) {
 	s.capL.setCap(cfg.PowerCap)
 	shared := cfg
 	shared.Registry = s.reg
-	feats := newFeatureCache(shared, s.reg)
+	s.feats = newFeatureCache(shared, s.reg)
 	var scores *scoreCache
 	var solver *core.SolverState
 	if cfg.ScoreCacheCap > 0 {
@@ -178,7 +182,7 @@ func NewSharded(cfg Config, shards int) (*Sharded, error) {
 		sub.Nodes = cfg.Nodes[startIdx : startIdx+size]
 		sub.QueueCap = 0 // the queue lives at the sharded layer
 		sub.Registry = metrics.NewRegistry()
-		sub.sharedFeats = feats
+		sub.sharedFeats = s.feats
 		sub.sharedScores = scores
 		sub.sharedSolver = solver
 		sub.sharedCap = s.capL
@@ -241,17 +245,6 @@ func (s *Sharded) journal(events []wal.Event) {
 // policy, so shard 0's is the fleet's).
 func (s *Sharded) selector() interface{ Pick([]nodeScore) int } {
 	return s.shards[0].pipe.pipe.Selector()
-}
-
-// resolveFeatures warms the shared profile cache for every (machine
-// kind, spec) pair, outside any lock.
-func (s *Sharded) resolveFeatures(ctx context.Context, specs []*workload.Spec) error {
-	for _, sh := range s.shards {
-		if err := sh.resolveFeatures(ctx, specs); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // shardOf locates the shard and shard-local node index of a global pick.
@@ -321,7 +314,7 @@ func (s *Sharded) Place(ctx context.Context, spec *workload.Spec) (Placed, error
 // cluster state before rejecting — the slow path takes every shard lock
 // in index order and decides exactly like the unsharded fleet.
 func (s *Sharded) PlaceWith(ctx context.Context, spec *workload.Spec, opts PlaceOptions) (Placed, error) {
-	if err := s.resolveFeatures(ctx, []*workload.Spec{spec}); err != nil {
+	if err := s.feats.resolve(ctx, []*workload.Spec{spec}); err != nil {
 		return Placed{}, err
 	}
 	var scores []nodeScore
@@ -378,16 +371,29 @@ func (s *Sharded) unlockAll() {
 	}
 }
 
+// snapshotAllLocked snapshots every shard's node managers for a batch
+// rollback. Callers hold every lock.
+func (s *Sharded) snapshotAllLocked() [][]*manager.Snapshot {
+	snaps := make([][]*manager.Snapshot, len(s.shards))
+	for si, sh := range s.shards {
+		snaps[si] = make([]*manager.Snapshot, len(sh.nodes))
+		for i, n := range sh.nodes {
+			snaps[si][i] = n.mgr.Snapshot()
+		}
+	}
+	return snaps
+}
+
 // decideAllLocked scores the arrival over every shard with all locks
 // held and returns the concatenated vector. Callers hold every lock.
 func (s *Sharded) decideAllLocked(ctx context.Context, spec *workload.Spec, opts PlaceOptions) ([]nodeScore, error) {
 	var all []nodeScore
 	for _, sh := range s.shards {
-		view, err := sh.captureViewLocked(ctx, spec)
+		view, err := sh.captureViewLocked(ctx, spec, opts)
 		if err != nil {
 			return nil, err
 		}
-		scores, err := sh.scoreViewDetached(ctx, view, spec, opts)
+		scores, err := sh.scoreViewDetached(ctx, view, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -442,24 +448,24 @@ func (s *Sharded) placeSlow(ctx context.Context, spec *workload.Spec, opts Place
 // PlaceAll admits a batch transactionally across all shards: every
 // instance is admitted or every shard's machines are restored.
 func (s *Sharded) PlaceAll(ctx context.Context, specs []*workload.Spec) ([]Placed, error) {
-	if err := s.resolveFeatures(ctx, specs); err != nil {
+	if err := s.feats.resolve(ctx, specs); err != nil {
 		return nil, err
 	}
 	s.lockAll()
 	defer s.unlockAll()
+	// A one-spec batch commits nothing before its only fallible step (see
+	// Fleet.Place), so there is nothing a snapshot could restore.
 	var snaps [][]*manager.Snapshot
-	for _, sh := range s.shards {
-		ss := make([]*manager.Snapshot, len(sh.nodes))
-		for i, n := range sh.nodes {
-			ss[i] = n.mgr.Snapshot()
-		}
-		snaps = append(snaps, ss)
+	if len(specs) > 1 {
+		snaps = s.snapshotAllLocked()
 	}
 	admitted := 0
 	rollback := func(cause error) error {
 		for si, sh := range s.shards {
-			for i, n := range sh.nodes {
-				n.mgr.Restore(snaps[si][i])
+			if snaps != nil {
+				for i, n := range sh.nodes {
+					n.mgr.Restore(snaps[si][i])
+				}
 			}
 			sh.discardJournalLocked()
 		}
@@ -514,21 +520,14 @@ func (s *Sharded) PlaceGroup(ctx context.Context, g threads.GroupSpec) ([]Placed
 	if err != nil {
 		return nil, err
 	}
-	if err := s.resolveFeatures(ctx, specs); err != nil {
+	if err := s.feats.resolve(ctx, specs); err != nil {
 		return nil, err
 	}
 	members := uint64(g.Threads)
 	s.lockAll()
 	defer s.unlockAll()
 	s.reg.Counter("fleet_group_spawned_members_total").Add(members)
-	var snaps [][]*manager.Snapshot
-	for _, sh := range s.shards {
-		ss := make([]*manager.Snapshot, len(sh.nodes))
-		for i, n := range sh.nodes {
-			ss[i] = n.mgr.Snapshot()
-		}
-		snaps = append(snaps, ss)
-	}
+	snaps := s.snapshotAllLocked()
 	admitted := 0
 	rollback := func(cause error) error {
 		for si, sh := range s.shards {
@@ -779,7 +778,7 @@ func (s *Sharded) Pump(ctx context.Context) ([]Placed, error) {
 		pending = append(pending, e.spec)
 	}
 	q.mu.Unlock()
-	if err := s.resolveFeatures(ctx, pending); err != nil {
+	if err := s.feats.resolve(ctx, pending); err != nil {
 		return nil, err
 	}
 	var out []Placed
@@ -1075,7 +1074,7 @@ func (s *Sharded) Rebalance(ctx context.Context, minImprovement float64) (Move, 
 			}
 		}
 	}
-	if err := s.resolveFeatures(ctx, specs); err != nil {
+	if err := s.feats.resolve(ctx, specs); err != nil {
 		return Move{}, err
 	}
 
@@ -1157,7 +1156,7 @@ func (s *Sharded) Rebalance(ctx context.Context, minImprovement float64) (Move, 
 		if err != nil {
 			return 0, err
 		}
-		feat, err := dstRow.sh.feats.get(ctx, dstRow.n.cfg.Machine, cd.res.Spec)
+		feat, err := dstRow.sh.feats.get(ctx, dstRow.n.kind, cd.res.Spec)
 		if err != nil {
 			return 0, err
 		}
@@ -1194,7 +1193,7 @@ func (s *Sharded) Rebalance(ctx context.Context, minImprovement float64) (Move, 
 		if err != nil {
 			return Move{}, err
 		}
-		feat, err := dstRow.sh.feats.get(ctx, dstRow.n.cfg.Machine, cd.res.Spec)
+		feat, err := dstRow.sh.feats.get(ctx, dstRow.n.kind, cd.res.Spec)
 		if err != nil {
 			return Move{}, err
 		}

@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"mpmc/internal/cli"
 	"mpmc/internal/core"
 	"mpmc/internal/fleet"
 	"mpmc/internal/manager"
+	"mpmc/internal/metrics"
 	"mpmc/internal/workload"
 )
 
@@ -144,6 +146,29 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // instrument wraps a handler with the per-request deadline, error
 // rendering, metrics, and the structured request log line.
 func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
+	// The endpoint's instruments are resolved once, not formatted and
+	// looked up per request — but on first use, never at wrap time: an
+	// instrument the registry has seen is exposed, and /metrics must list
+	// only endpoints that have served a request.
+	var (
+		mu       sync.Mutex
+		seconds  *metrics.Histogram
+		requests = map[int]*metrics.Counter{} // by status code
+	)
+	observe := func(status int, elapsed time.Duration) {
+		mu.Lock()
+		c := requests[status]
+		if c == nil {
+			c = s.reg.Counter(fmt.Sprintf("requests_total{endpoint=%q,code=\"%d\"}", endpoint, status))
+			requests[status] = c
+		}
+		if seconds == nil {
+			seconds = s.reg.Histogram(fmt.Sprintf("request_seconds{endpoint=%q}", endpoint), nil)
+		}
+		mu.Unlock()
+		c.Inc()
+		seconds.Observe(elapsed.Seconds())
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -160,8 +185,7 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 			writeJSON(sw, ae.Status, errorEnvelope{Error: ae})
 		}
 		elapsed := time.Since(start)
-		s.reg.Counter(fmt.Sprintf("requests_total{endpoint=%q,code=\"%d\"}", endpoint, sw.status)).Inc()
-		s.reg.Histogram(fmt.Sprintf("request_seconds{endpoint=%q}", endpoint), nil).Observe(elapsed.Seconds())
+		observe(sw.status, elapsed)
 		attrs := []any{
 			"endpoint", endpoint,
 			"method", r.Method,

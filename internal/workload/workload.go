@@ -18,6 +18,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"mpmc/internal/hist"
 	"mpmc/internal/trace"
@@ -285,9 +286,16 @@ func Suite() []*Spec {
 // construction and for Table 1 / Tables 2–4.
 func ModelSet() []*Spec { return Suite()[:8] }
 
-// ByName returns the named spec from the suite, or nil.
+// shared is the one process-wide suite ByName answers from, built on
+// first use.
+var shared = sync.OnceValue(Suite)
+
+// ByName returns the named spec from the suite, or nil. Every call hands
+// out the same *Spec for a name, so a benchmark keeps one identity for the
+// life of the process; the spec is shared and must be treated as
+// read-only (Suite returns fresh copies for callers that edit one).
 func ByName(name string) *Spec {
-	for _, s := range Suite() {
+	for _, s := range shared() {
 		if s.Name == name {
 			return s
 		}
