@@ -30,6 +30,7 @@ import (
 // *fleet.Sharded both satisfy it.
 type krBackend interface {
 	Place(ctx context.Context, spec *workload.Spec) (fleet.Placed, error)
+	PlaceWith(ctx context.Context, spec *workload.Spec, opts fleet.PlaceOptions) (fleet.Placed, error)
 	SubmitWith(spec *workload.Spec, tag string, priority int) (int, error)
 	CancelQueued(ticket int) bool
 	Pump(ctx context.Context) ([]fleet.Placed, error)
@@ -71,10 +72,13 @@ func buildKRFleet(t *testing.T, shards int, journal func([]wal.Event)) krBackend
 		QueueCap: 8,
 		// The watt budget is an operator knob (config/flag), not a journaled
 		// fact, so pre-crash and recovered instances carry the same cap and
-		// recovery only has to reinstate rungs and ledger rows. 40 W binds
-		// against this 5-machine fleet's loaded draw, so storm enforcement
-		// really down-clocks (journaling EvFreq records recovery must replay).
-		PowerCap: 40,
+		// recovery only has to reinstate rungs and ledger rows. The five
+		// machines idle at 50 W and each resident adds about a milliwatt, so
+		// 50.004 W binds once the fleet is a few residents deep: the storm
+		// fills machines, hits the budget (priority arrivals then preempt on
+		// watts as well as on slots), and enforcement really down-clocks
+		// (journaling EvFreq records recovery must replay).
+		PowerCap: 50.004,
 		Profile: func(_ context.Context, m *machine.Machine, spec *workload.Spec, _ core.ProfileOptions) (*core.FeatureVector, error) {
 			return core.TruthFeature(spec, m), nil
 		},
@@ -99,15 +103,27 @@ func TestKillRestartRecovery(t *testing.T) {
 	if testing.Short() {
 		seeds = 4
 	}
+	// The storm's priority arrivals must leave the sharded lane (even
+	// seeds) recovering requeued preemption victims — tickets minted under
+	// every shard lock, consumed by the optimistic pump — or the sweep
+	// stopped covering them.
+	shardedVictims := 0
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runKillRestart(t, seed)
+			if queued := runKillRestart(t, seed); seed%2 == 0 {
+				shardedVictims += queued
+			}
 		})
+	}
+	if !t.Failed() && shardedVictims == 0 {
+		t.Error("no sharded seed recovered a queue holding a requeued preemption victim")
 	}
 }
 
-func runKillRestart(t *testing.T, seed uint64) {
+// runKillRestart runs one seed and reports how many requeued preemption
+// victims the recovered queue held.
+func runKillRestart(t *testing.T, seed uint64) (victimsQueued int) {
 	ctx := context.Background()
 	rng := xrand.New(seed)
 	dir := t.TempDir()
@@ -153,8 +169,13 @@ func runKillRestart(t *testing.T, seed uint64) {
 	for op := 0; op < ops; op++ {
 		spec := workload.ByName(krPool[rng.Intn(len(krPool))])
 		switch r := rng.Float64(); {
-		case r < 0.40:
+		case r < 0.30:
 			_, _ = f1.Place(ctx, spec)
+		case r < 0.40:
+			// A priority arrival: on a full (or watt-bound) fleet it evicts a
+			// lower class, and the victim re-enters the queue under a ticket
+			// the journal must carry across the kill.
+			_, _ = f1.PlaceWith(ctx, spec, fleet.PlaceOptions{Tag: fmt.Sprintf("p%d", op), Priority: 1 + rng.Intn(2)})
 		case r < 0.55:
 			if tk, err := f1.SubmitWith(spec, fmt.Sprintf("t%d", op), rng.Intn(3)); err == nil {
 				tickets = append(tickets, tk)
@@ -218,6 +239,19 @@ func runKillRestart(t *testing.T, seed uint64) {
 			if err := expected.Apply(e); err != nil {
 				t.Fatalf("shadow apply: %v", err)
 			}
+		}
+	}
+	requeued := map[int]bool{}
+	for _, b := range batches[:survivors] {
+		for _, e := range b {
+			if e.Type == wal.EvPreempted && e.Requeued {
+				requeued[e.Ticket] = true
+			}
+		}
+	}
+	for _, q := range expected.Queue {
+		if requeued[q.Ticket] {
+			victimsQueued++
 		}
 	}
 	gotJSON, _ := json.Marshal(st2)
@@ -307,4 +341,5 @@ func runKillRestart(t *testing.T, seed uint64) {
 	if st3.Seq < st2.Seq {
 		t.Fatalf("compaction regressed ticket seq: %d -> %d", st2.Seq, st3.Seq)
 	}
+	return victimsQueued
 }

@@ -8,7 +8,7 @@
 //
 // The watt budget is a capLedger: one row per node holding the node's
 // scaled Eq. 10 estimate, guarded by its own mutex so a Sharded fleet's
-// shards share one ledger (Config.sharedCap) and two shards racing the
+// shards share their whole fleet's ledger and two shards racing the
 // remaining headroom cannot both win it — tryReserve is the single
 // atomic admission gate, consulted by commitLocked before any manager
 // mutation. Enforcement ordering (DESIGN.md §13):
@@ -193,8 +193,7 @@ func (l *capLedger) tryReserve(name string, w float64) bool {
 	return true
 }
 
-// snapshotRows deep-copies the per-node rows (EnforceCap's transaction
-// window).
+// snapshotRows deep-copies the per-node rows (a transaction's window).
 func (l *capLedger) snapshotRows() map[string]float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -248,12 +247,8 @@ func (f *Fleet) SetPowerCap(ctx context.Context, watts float64) error {
 	if watts < 0 {
 		return fmt.Errorf("fleet: negative power cap %v", watts)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.setPowerCapLocked(ctx, watts)
-}
-
-func (f *Fleet) setPowerCapLocked(ctx context.Context, watts float64) error {
+	f.lock()
+	defer f.unlock()
 	if f.capL == nil {
 		if watts == 0 {
 			return nil
@@ -324,8 +319,8 @@ func (f *Fleet) setFreqLocked(n *node, ix int) {
 // FreqStates reports every node's current DVFS rung index, keyed by node
 // name (the chaos invariants and tests read it).
 func (f *Fleet) FreqStates() map[string]int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	out := make(map[string]int, len(f.nodes))
 	for _, n := range f.nodes {
 		out[n.cfg.Name] = n.freqIx
@@ -356,17 +351,14 @@ type CapReport struct {
 // another machine — sheds watts at the least predicted SPI cost per watt
 // (strict less-than over a deterministic enumeration: down-clocks in
 // node order first, then migrations in source/resident/target/core
-// order). Every manager, rung, and ledger row is snapshotted first; any
-// failure restores all three and discards the staged journal, so a
-// failed enforcement leaves the fleet exactly as it was. With no active
-// cap it reports Satisfied and does nothing.
+// order). The pass is one transaction over every node: any failure rolls
+// managers, rungs and ledger rows back and discards the staged journal,
+// so a failed enforcement leaves the fleet exactly as it was. Migrations
+// may cross shards — a sharded fleet enforces under every shard lock.
+// With no active cap it reports Satisfied and does nothing.
 func (f *Fleet) EnforceCap(ctx context.Context) (CapReport, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.enforceCapLocked(ctx)
-}
-
-func (f *Fleet) enforceCapLocked(ctx context.Context) (CapReport, error) {
+	f.lock()
+	defer f.unlock()
 	if !f.capActive() {
 		return CapReport{Satisfied: true}, nil
 	}
@@ -383,20 +375,9 @@ func (f *Fleet) enforceCapLocked(ctx context.Context) (CapReport, error) {
 		return rep, nil
 	}
 
-	snaps := make([]*manager.Snapshot, len(f.nodes))
-	rungs := make([]int, len(f.nodes))
-	for i, n := range f.nodes {
-		snaps[i], rungs[i] = n.mgr.Snapshot(), n.freqIx
-	}
-	rows := f.capL.snapshotRows()
+	tx := f.beginLocked(f.nodes)
 	fail := func(cause error) (CapReport, error) {
-		for i, n := range f.nodes {
-			n.mgr.Restore(snaps[i])
-			n.freqIx = rungs[i]
-			n.keyFeat, n.keyStr = nil, ""
-		}
-		f.capL.restoreRows(rows)
-		f.discardJournalLocked()
+		tx.rollback()
 		f.rollbacks.Inc()
 		return CapReport{}, fmt.Errorf("fleet: cap enforcement rolled back: %w", cause)
 	}
@@ -582,27 +563,12 @@ func (f *Fleet) applyCapActionLocked(ctx context.Context, act capAction, rep *Ca
 		return nil
 	}
 	dst := f.nodes[act.dst]
-	if err := n.mgr.Remove(act.res.Name); err != nil {
-		return err
-	}
-	newName, _, err := dst.mgr.PlaceAt(ctx, act.res.Spec, act.dstCore)
+	newName, err := f.migrateLocked(ctx, n, dst, act.res, act.dstCore)
 	if err != nil {
 		return err
 	}
-	var meta residentMeta
-	if m, ok := n.meta[act.res.Name]; ok {
-		meta = m
-		delete(n.meta, act.res.Name)
-		if dst.meta == nil {
-			dst.meta = map[string]residentMeta{}
-		}
-		dst.meta[newName] = m
-	}
 	f.capL.setNode(n.cfg.Name, act.afterW)
 	f.capL.setNode(dst.cfg.Name, act.afterDstW)
-	f.version++
-	n.version++
-	dst.version++
 	// Re-anchor both rows on the canonical whole-assignment estimate: the
 	// scan priced the target via the addition path, which can differ from
 	// a fresh resync — recovery, the next enforcement pass — in the last
@@ -613,11 +579,6 @@ func (f *Fleet) applyCapActionLocked(ctx context.Context, act capAction, rep *Ca
 	if err := f.resyncNodeCapLocked(ctx, dst); err != nil {
 		return err
 	}
-	f.journalLocked(wal.Event{Type: wal.EvDeparted, Node: n.cfg.Name, Name: act.res.Name})
-	f.journalLocked(wal.Event{
-		Type: wal.EvAdmitted, Node: dst.cfg.Name, Name: newName, Core: act.dstCore,
-		Bench: act.res.Spec.Name, Tag: meta.tag, Priority: meta.priority,
-	})
 	rep.Migrations++
 	rep.Moves = append(rep.Moves, Move{
 		From: n.cfg.Name, To: dst.cfg.Name, Name: act.res.Name, NewName: newName,

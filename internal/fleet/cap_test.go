@@ -637,9 +637,9 @@ func TestSimCapEvents(t *testing.T) {
 // TestShardedCapLifecycle walks the sharded tier's budget surface the
 // way an operator would: tighten the cap mid-flight, force an
 // enforcement pass, read the rungs back, then clear the budget. The
-// enforcement itself is shard-local (documented divergence), but the
-// aggregate report must still account every down-clock and land the
-// shared ledger under the budget.
+// pass runs under every shard lock as one fleet-wide enforcement; its
+// report must account every down-clock and land the shared ledger under
+// the budget.
 func TestShardedCapLifecycle(t *testing.T) {
 	ctx := context.Background()
 	pm := testPower(t)

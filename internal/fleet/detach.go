@@ -207,9 +207,9 @@ func (f *Fleet) scoreViewDetached(ctx context.Context, v *placeView, spec *workl
 // returned per-node version stamps revalidate the eventual commit (pass
 // the winning node's stamp to commitScored).
 func (f *Fleet) scoreArrivalDetached(ctx context.Context, spec *workload.Spec, opts PlaceOptions) ([]nodeScore, []uint64, error) {
-	f.mu.Lock()
+	f.lock()
 	view, err := f.captureViewLocked(ctx, spec, opts)
-	f.mu.Unlock()
+	f.unlock()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -232,7 +232,7 @@ func (f *Fleet) scoreArrivalDetached(ctx context.Context, spec *workload.Spec, o
 // when a cut is configured.
 func (f *Fleet) rescoreNodeDetached(ctx context.Context, i int, spec *workload.Spec, opts PlaceOptions) (nodeScore, uint64, error) {
 	n := f.nodes[i]
-	f.mu.Lock()
+	f.lock()
 	ver := n.version
 	var in scoreIn
 	var err error
@@ -240,7 +240,7 @@ func (f *Fleet) rescoreNodeDetached(ctx context.Context, i int, spec *workload.S
 	if admitted {
 		in, err = f.scoreInLocked(ctx, n, spec)
 	}
-	f.mu.Unlock()
+	f.unlock()
 	if err != nil || !admitted {
 		return nodeScore{}, ver, err
 	}
@@ -251,10 +251,12 @@ func (f *Fleet) rescoreNodeDetached(ctx context.Context, i int, spec *workload.S
 // commitScored commits a detached decision: under the lock, the winning
 // node's version stamp is revalidated (a mismatch returns ok=false and
 // commits nothing — the caller re-scores) and the winning slot commits
-// through the node manager exactly like an in-lock placement.
+// through the node manager exactly like an in-lock placement. Counting the
+// admission is the caller's: a direct placement and a queue admission
+// move different counters.
 func (f *Fleet) commitScored(ctx context.Context, spec *workload.Spec, opts PlaceOptions, best int, s nodeScore, ver uint64) (Placed, bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	if f.nodes[best].version != ver {
 		return Placed{}, false, nil
 	}
@@ -263,7 +265,6 @@ func (f *Fleet) commitScored(ctx context.Context, spec *workload.Spec, opts Plac
 		f.discardJournalLocked()
 		return Placed{}, false, err
 	}
-	f.placed.Inc()
 	f.flushJournalLocked()
 	return p, true, nil
 }

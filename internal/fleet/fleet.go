@@ -147,17 +147,12 @@ type Config struct {
 	// cheap: the seam is consulted on hot paths.
 	Intercept func(site, key string) error
 
-	// sharedFeats/sharedScores/sharedSolver let a Sharded fleet hand its
-	// shards one feature cache, score memo, and solver state: content-
-	// addressed and concurrency-safe, so sharing them never changes any
-	// value — it only avoids profiling one machine kind once per shard.
-	sharedFeats  *featureCache
-	sharedScores *scoreCache
-	sharedSolver *core.SolverState
-	// sharedCap hands every shard of a Sharded fleet ONE watt ledger, so
-	// the cap is a fleet-wide budget: two shards racing the remaining
-	// headroom serialize on the ledger's own lock.
-	sharedCap *capLedger
+	// whole, set only by NewSharded on the configs of its shards, is the
+	// whole-fleet value the shard is one lock domain of. The shard takes
+	// its feature cache, score memo, solver state, watt ledger and registry
+	// from it — content-addressed or self-locking, so sharing them never
+	// changes a value — and discharges preemption-ledger keys into it.
+	whole *Fleet
 }
 
 // node pairs one machine's manager with its combined model, config and
@@ -253,10 +248,21 @@ func (f *Fleet) decisionKeyOf(n *node, feat *core.FeatureVector) string {
 }
 
 // Fleet is the cluster scheduler. All methods are safe for concurrent
-// use: a single fleet lock serializes placement, queue, and rebalancing
+// use: the fleet lock serializes placement, queue, and rebalancing
 // decisions (scoring included, so every decision sees a consistent
 // cluster state), while profiling sweeps run outside it through the
 // shared singleflight cache.
+//
+// The lock is parameterised by lock domain. A standalone fleet's lock is
+// its mutex. The whole-fleet value NewSharded builds spans the node lists
+// of its shards, and its lock is every shard's mutex in ascending shard
+// order, then its own: holding it, the sharded fleet IS an unsharded
+// fleet over the concatenated node list, and every operation that needs
+// the whole cluster is this type's code run under that lock. The own
+// mutex alone guards the admission queue (queue, seq, ledger, pumpRound,
+// jbuf), so Submit and CancelQueued never wait for a shard. Lock order:
+// shard mutexes ascending, queue mutex last; never a shard mutex while
+// holding the queue mutex.
 type Fleet struct {
 	cfg   Config
 	nodes []*node
@@ -266,7 +272,7 @@ type Fleet struct {
 	scores *scoreCache
 	solver *core.SolverState
 	// capL is the power-cap ledger (nil until a cap is configured or set;
-	// shared across shards in a Sharded fleet). It has its own lock.
+	// one instance across a Sharded fleet). It has its own lock.
 	capL *capLedger
 	reg  *metrics.Registry
 
@@ -276,6 +282,11 @@ type Fleet struct {
 	// solves counts executed cache-group equilibrium solves (groupEstimate
 	// passes that read SPI; memo hits excluded). See SolverInvocations.
 	solves atomic.Uint64
+
+	// domain lists the shards a whole-fleet value spans (nil for a
+	// standalone fleet and for a shard); whole is a shard's way back to it.
+	domain []*Fleet
+	whole  *Fleet
 
 	mu sync.Mutex
 	// cands/candPtrs are candidatesLocked's reusable buffers and feasible
@@ -314,6 +325,22 @@ type Fleet struct {
 	noops      *metrics.Counter
 }
 
+// lock takes the fleet lock: the domain's mutexes in shard order, then
+// the fleet's own (for a standalone fleet, just that).
+func (f *Fleet) lock() {
+	for _, sh := range f.domain {
+		sh.mu.Lock()
+	}
+	f.mu.Lock()
+}
+
+func (f *Fleet) unlock() {
+	f.mu.Unlock()
+	for i := len(f.domain) - 1; i >= 0; i-- {
+		f.domain[i].mu.Unlock()
+	}
+}
+
 // queued is one pending arrival: the workload, the caller's tag (the sim
 // uses it to map admissions back to trace processes), the FIFO ticket
 // CancelQueued takes, the priority class, and the ledger key backoff
@@ -324,23 +351,39 @@ type queued struct {
 	ticket   int
 	priority int
 	key      string
-	// pumping marks an entry whose placement is being scored outside the
-	// lock. CancelQueued may still remove it — cancellation wins, the
-	// pump's commit-time revalidation finds the ticket gone and never
-	// places it — which is what makes CancelQueued's true unambiguous.
-	pumping bool
+	// committing marks an entry whose placement commit is in flight on a
+	// shard, outside the queue mutex: CancelQueued refuses it (the process
+	// will land placed) and concurrent pumps skip it, which keeps
+	// cancel-vs-pump unambiguous across the two locks. An entry a
+	// standalone fleet is scoring outside its lock is NOT committing —
+	// cancellation wins there, the pump revalidates the ticket under the
+	// same lock before it commits.
+	committing bool
 }
 
-// New validates cfg, applies defaults, and assembles the fleet.
-func New(cfg Config) (*Fleet, error) {
+// opts is the entry's placement options; the ticket and ledger key ride
+// along so the commit journals and records them.
+func (q queued) opts() PlaceOptions {
+	return PlaceOptions{Tag: q.tag, Priority: q.priority, ticket: q.ticket, key: q.key}
+}
+
+// setDefaults validates the fleet-wide settings and fills in the zero
+// values; New and NewSharded both start here.
+func (cfg *Config) setDefaults() error {
 	if len(cfg.Nodes) == 0 {
-		return nil, errors.New("fleet: no nodes configured")
+		return errors.New("fleet: no nodes configured")
 	}
 	if cfg.BinPackCeiling == 0 {
 		cfg.BinPackCeiling = 0.25
 	}
 	if cfg.BinPackCeiling < 0 {
-		return nil, fmt.Errorf("fleet: negative BinPackCeiling %v", cfg.BinPackCeiling)
+		return fmt.Errorf("fleet: negative BinPackCeiling %v", cfg.BinPackCeiling)
+	}
+	if cfg.PowerCap < 0 {
+		return fmt.Errorf("fleet: negative PowerCap %v", cfg.PowerCap)
+	}
+	if cfg.MaxFeasible < 0 {
+		return fmt.Errorf("fleet: negative MaxFeasible %d", cfg.MaxFeasible)
 	}
 	if cfg.CacheCap == 0 {
 		cfg.CacheCap = 256
@@ -354,19 +397,37 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.ScoreCacheCap == 0 {
 		cfg.ScoreCacheCap = 4096
 	}
-	seen := map[string]bool{}
-	f := &Fleet{cfg: cfg, reg: cfg.Registry}
-	if cfg.sharedFeats != nil {
-		f.feats = cfg.sharedFeats
-	} else {
-		f.feats = newFeatureCache(cfg, f.reg)
+	return nil
+}
+
+// newShell builds a fleet before any node joins it: the feature cache,
+// score memo, solver state and watt ledger — a shard's are its whole
+// fleet's.
+func newShell(cfg Config) *Fleet {
+	f := &Fleet{cfg: cfg, reg: cfg.Registry, whole: cfg.whole}
+	if w := cfg.whole; w != nil {
+		f.feats, f.scores, f.solver, f.capL = w.feats, w.scores, w.solver, w.capL
+		return f
 	}
-	if cfg.sharedScores != nil {
-		f.scores, f.solver = cfg.sharedScores, cfg.sharedSolver
-	} else if cfg.ScoreCacheCap > 0 {
+	f.feats = newFeatureCache(cfg, f.reg)
+	if cfg.ScoreCacheCap > 0 {
 		f.scores = newScoreCache(cfg.ScoreCacheCap, cfg.Intercept)
 		f.solver = core.NewSolverState(cfg.ScoreCacheCap)
 	}
+	if cfg.PowerCap > 0 {
+		f.capL = newCapLedger()
+		f.capL.setCap(cfg.PowerCap)
+	}
+	return f
+}
+
+// New validates cfg, applies defaults, and assembles the fleet.
+func New(cfg Config) (*Fleet, error) {
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
+	}
+	f := newShell(cfg)
+	seen := map[string]bool{}
 	for i := range cfg.Nodes {
 		nc := cfg.Nodes[i]
 		if nc.Name == "" {
@@ -415,40 +476,34 @@ func New(cfg Config) (*Fleet, error) {
 		})
 		cm := core.NewCombinedModel(nc.Machine, nc.Power)
 		cm.State = f.solver
-		f.nodes = append(f.nodes, &node{
+		n := &node{
 			cfg:    nc,
 			kind:   kind,
 			mgr:    mgr,
 			cm:     cm,
 			freqIx: nc.Machine.Freq.BaseIx(),
-		})
-	}
-	if cfg.PowerCap < 0 {
-		return nil, fmt.Errorf("fleet: negative PowerCap %v", cfg.PowerCap)
-	}
-	if cfg.sharedCap != nil {
-		f.capL = cfg.sharedCap
-	} else if cfg.PowerCap > 0 {
-		f.capL = newCapLedger()
-		f.capL.setCap(cfg.PowerCap)
-	}
-	if f.capL != nil {
-		// An empty node's Eq. 10 estimate is exactly its static floor —
-		// per-core idle intercepts — so seeding the ledger needs no solve.
-		for _, n := range f.nodes {
-			f.capL.setNode(n.cfg.Name, staticWatts(n))
+		}
+		f.nodes = append(f.nodes, n)
+		if f.capL != nil {
+			// An empty node's Eq. 10 estimate is exactly its static floor —
+			// per-core idle intercepts — so seeding the ledger needs no solve.
+			f.capL.setNode(nc.Name, staticWatts(n))
 		}
 	}
-	if cfg.MaxFeasible < 0 {
-		return nil, fmt.Errorf("fleet: negative MaxFeasible %d", cfg.MaxFeasible)
-	}
+	return f, f.wire()
+}
+
+// wire finishes a fleet whose node list is complete: the policy bundle,
+// the preemption ledger's limits, the counters and — except on a shard,
+// whose whole-fleet value reports for it — the gauge collector.
+func (f *Fleet) wire() error {
 	pipe, err := newBundle(f)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f.pipe = pipe
-	f.ledger.MaxAttempts = cfg.PreemptMaxAttempts
-	f.ledger.MaxBackoff = cfg.PreemptMaxBackoff
+	f.ledger.MaxAttempts = f.cfg.PreemptMaxAttempts
+	f.ledger.MaxBackoff = f.cfg.PreemptMaxBackoff
 	f.placed = f.reg.Counter("fleet_place_total")
 	f.rejected = f.reg.Counter("fleet_place_rejected_total")
 	f.rollbacks = f.reg.Counter("fleet_place_rollback_total")
@@ -459,8 +514,10 @@ func New(cfg Config) (*Fleet, error) {
 	f.qDropped = f.reg.Counter("fleet_queue_dropped_total")
 	f.moves = f.reg.Counter("fleet_rebalance_moves_total")
 	f.noops = f.reg.Counter("fleet_rebalance_noop_total")
-	f.reg.OnCollect(f.collectGauges)
-	return f, nil
+	if f.whole == nil {
+		f.reg.OnCollect(f.collectGauges)
+	}
+	return nil
 }
 
 // Registry returns the metrics registry the fleet reports into.
@@ -542,6 +599,11 @@ type PlaceOptions struct {
 	// admitted event, so replay consumes the matching queue entry. Zero
 	// for direct placements.
 	ticket int
+	// key is a requeued preemption victim's ledger identity: the commit
+	// re-attaches it to the new instance, so repeat preemptions of the same
+	// logical process escalate its backoff and only a clean exit
+	// discharges it.
+	key string
 }
 
 // Place admits one arrival at the policy's best slot. A single placement
@@ -557,8 +619,8 @@ func (f *Fleet) PlaceWith(ctx context.Context, spec *workload.Spec, opts PlaceOp
 	if err := f.feats.resolve(ctx, []*workload.Spec{spec}); err != nil {
 		return Placed{}, err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	p, err := f.placeOneLocked(ctx, spec, opts)
 	if err != nil {
 		f.discardJournalLocked()
@@ -572,74 +634,106 @@ func (f *Fleet) PlaceWith(ctx context.Context, spec *workload.Spec, opts PlaceOp
 	return p, nil
 }
 
+// txn is the rollback window of every multi-step mutation — batch, group,
+// preemption, cap enforcement, rebalance. It holds what such an operation
+// can change before its last fallible step: the scoped nodes' manager
+// state (resident sets and instance-name counters) and DVFS rungs, the
+// watt ledger's rows, the rotation cursor, and the journal's staged tail.
+// Queue, preemption ledger and counters are only ever touched after the
+// last fallible step, so they are not in it.
+type txn struct {
+	f      *Fleet
+	scope  []*node
+	snaps  []*manager.Snapshot
+	rungs  []int
+	rows   map[string]float64 // nil while no cap is active
+	rrNode int
+	staged int
+}
+
+// beginLocked opens a transaction over the nodes the operation may
+// mutate (nil: none — an operation with one fallible step, which has
+// nothing to restore but the journal). Callers hold the fleet lock until
+// they either succeed or roll back.
+func (f *Fleet) beginLocked(scope []*node) txn {
+	t := txn{f: f, scope: scope, rrNode: f.rrNode, staged: len(f.jbuf)}
+	if len(scope) == 0 {
+		return t
+	}
+	t.snaps, t.rungs = make([]*manager.Snapshot, len(scope)), make([]int, len(scope))
+	for i, n := range scope {
+		t.snaps[i], t.rungs[i] = n.mgr.Snapshot(), n.freqIx
+	}
+	if f.capActive() {
+		t.rows = f.capL.snapshotRows()
+	}
+	return t
+}
+
+// rollback restores everything the transaction covers, bit for bit: a
+// rolled-back operation is indistinguishable from one never attempted,
+// and leaves no trace in the journal. (Version stamps stay bumped — a
+// spurious conflict is harmless, a missed one is not.)
+func (t *txn) rollback() {
+	for i, n := range t.scope {
+		n.mgr.Restore(t.snaps[i])
+		if n.freqIx != t.rungs[i] {
+			n.freqIx = t.rungs[i]
+			n.keyFeat, n.keyStr = nil, ""
+		}
+	}
+	if t.rows != nil {
+		t.f.capL.restoreRows(t.rows)
+	}
+	t.f.rrNode = t.rrNode
+	t.f.jbuf = t.f.jbuf[:t.staged]
+}
+
 // PlaceAll admits a batch of arrivals transactionally: either every
 // instance is admitted, or every machine's resident set, instance-name
-// counter, and the fleet's round-robin cursor are restored to their
-// pre-call state and the error reports why (the cause stays reachable
-// with errors.Is).
+// counter, rung and ledger row, and the fleet's round-robin cursor are
+// restored to their pre-call state and the error reports why (the cause
+// stays reachable with errors.Is).
 func (f *Fleet) PlaceAll(ctx context.Context, specs []*workload.Spec) ([]Placed, error) {
 	if err := f.feats.resolve(ctx, specs); err != nil {
 		return nil, err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	// A one-spec batch commits nothing before its only fallible step (see
 	// Place), so there is nothing a snapshot could restore.
-	var snaps []*manager.Snapshot
-	var rungs []int
+	var scope []*node
 	if len(specs) > 1 {
-		snaps, rungs = make([]*manager.Snapshot, len(f.nodes)), make([]int, len(f.nodes))
-		for i, n := range f.nodes {
-			snaps[i], rungs[i] = n.mgr.Snapshot(), n.freqIx
-		}
+		scope = f.nodes
 	}
-	snapRR := f.rrNode
-	admitted := 0
-	rollback := func(cause error) error {
-		for i := range snaps {
-			n := f.nodes[i]
-			n.mgr.Restore(snaps[i])
-			if n.freqIx != rungs[i] {
-				n.freqIx = rungs[i]
-				n.keyFeat, n.keyStr = nil, ""
-			}
-		}
-		f.rrNode = snapRR
-		if snaps != nil && f.capActive() {
-			// Committed reservations from the rolled-back prefix are undone
-			// by re-syncing every row against the restored managers.
-			for _, n := range f.nodes {
-				_ = f.resyncNodeCapLocked(ctx, n)
-			}
-		}
-		// Rolled-back placements must leave no trace in the journal (the
-		// version stamp stays bumped — a spurious conflict is harmless,
-		// a missed one is not).
-		f.discardJournalLocked()
-		if errors.Is(cause, ErrFleetFull) {
-			f.rejected.Inc()
-		}
-		if admitted > 0 {
-			f.rollbacks.Inc()
-			return fmt.Errorf("fleet: batch rolled back after %d placement(s): %w", admitted, cause)
-		}
-		return cause
-	}
+	tx := f.beginLocked(scope)
 	out := make([]Placed, len(specs))
 	for i, s := range specs {
-		if err := ctx.Err(); err != nil {
-			return nil, rollback(err)
+		err := ctx.Err()
+		if err == nil {
+			out[i], err = f.placeOneLocked(ctx, s, PlaceOptions{})
 		}
-		p, err := f.placeOneLocked(ctx, s, PlaceOptions{})
 		if err != nil {
-			return nil, rollback(err)
+			tx.rollback()
+			return nil, f.rolledBack("batch", "placement", i, err)
 		}
-		admitted++
-		out[i] = p
 	}
 	f.placed.Add(uint64(len(out)))
 	f.flushJournalLocked()
 	return out, nil
+}
+
+// rolledBack counts a rolled-back batch or group and wraps its cause with
+// how far the operation got.
+func (f *Fleet) rolledBack(what, unit string, admitted int, cause error) error {
+	if errors.Is(cause, ErrFleetFull) {
+		f.rejected.Inc()
+	}
+	if admitted == 0 {
+		return cause
+	}
+	f.rollbacks.Inc()
+	return fmt.Errorf("fleet: %s rolled back after %d %s(s): %w", what, admitted, unit, cause)
 }
 
 // placeOneLocked runs the policy pipeline for one arrival and commits the
@@ -739,11 +833,11 @@ func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts Plac
 		// the reservation's value, equal up to the last ulp.
 		_ = f.resyncNodeCapLocked(ctx, n)
 	}
-	if opts.Tag != "" || opts.Priority != 0 {
+	if opts.Tag != "" || opts.Priority != 0 || opts.key != "" {
 		if n.meta == nil {
 			n.meta = map[string]residentMeta{}
 		}
-		n.meta[name] = residentMeta{spec: spec, tag: opts.Tag, priority: opts.Priority}
+		n.meta[name] = residentMeta{spec: spec, tag: opts.Tag, priority: opts.Priority, key: opts.key}
 	}
 	score := s.Value
 	if f.pipe.zeroScore {
@@ -777,6 +871,10 @@ func (f *Fleet) Submit(spec *workload.Spec, tag string) (int, error) {
 // SubmitWith is Submit with a priority class: the entry is pumped ahead
 // of every lower class (FIFO within its own), and pumping it may preempt
 // lower-priority residents when the fleet is full.
+//
+// The queue accessors — SubmitWith, CancelQueued, QueueDepth, QueuedInfo —
+// take the queue mutex alone, never the lock domain: on a sharded fleet
+// they do not wait for any shard.
 func (f *Fleet) SubmitWith(spec *workload.Spec, tag string, priority int) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -794,26 +892,26 @@ func (f *Fleet) SubmitWith(spec *workload.Spec, tag string, priority int) (int, 
 
 // CancelQueued withdraws a pending submission (the simulator's "process
 // departed before it was ever placed"). It reports whether the ticket was
-// still queued — and true is unambiguous: an entry the pump is scoring
-// outside the lock is still cancellable, because the pump revalidates the
-// ticket under this same lock before committing and a cancelled entry is
-// never placed.
+// still queued — and true is unambiguous: an entry a pump is scoring is
+// still cancellable, because the pump revalidates the ticket under the
+// queue mutex before committing and a cancelled entry is never placed. A
+// committing entry — its commit already in flight on a shard — reports
+// false: that process will land placed.
 func (f *Fleet) CancelQueued(ticket int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i, q := range f.queue {
-		if q.ticket == ticket {
-			f.queue = append(f.queue[:i], f.queue[i+1:]...)
-			if q.key != "" {
-				f.ledger.Forget(q.key)
-			}
-			f.qAbandoned.Inc()
-			f.journalLocked(wal.Event{Type: wal.EvCancelled, Ticket: ticket})
-			f.flushJournalLocked()
-			return true
-		}
+	i := f.ticketIndexLocked(ticket)
+	if i < 0 || f.queue[i].committing {
+		return false
 	}
-	return false
+	if key := f.queue[i].key; key != "" {
+		f.ledger.Forget(key)
+	}
+	f.queue = append(f.queue[:i], f.queue[i+1:]...)
+	f.qAbandoned.Inc()
+	f.journalLocked(wal.Event{Type: wal.EvCancelled, Ticket: ticket})
+	f.flushJournalLocked()
+	return true
 }
 
 // QueueDepth returns the number of pending arrivals.
@@ -853,6 +951,18 @@ func (f *Fleet) QueuedInfo() []QueuedEntry {
 	return out
 }
 
+// pendingSpecs lists the queued workloads, for resolving their features
+// outside every lock before a pump.
+func (f *Fleet) pendingSpecs() []*workload.Spec {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	pending := make([]*workload.Spec, len(f.queue))
+	for i, q := range f.queue {
+		pending[i] = q.spec
+	}
+	return pending
+}
+
 // Pump tries to admit queued arrivals in admission order (highest
 // priority class first, FIFO within a class), stopping at the first head
 // that still does not fit anywhere. A head failing for any reason other
@@ -869,21 +979,15 @@ func (f *Fleet) QueuedInfo() []QueuedEntry {
 // and commit, so shutdown loses no submissions.
 func (f *Fleet) Pump(ctx context.Context) ([]Placed, error) {
 	// Resolve features for the current queue outside the lock first.
-	f.mu.Lock()
-	pending := make([]*workload.Spec, len(f.queue))
-	for i, q := range f.queue {
-		pending[i] = q.spec
-	}
-	f.mu.Unlock()
-	if err := f.feats.resolve(ctx, pending); err != nil {
+	if err := f.feats.resolve(ctx, f.pendingSpecs()); err != nil {
 		return nil, err
 	}
 	if f.cfg.Policy == Spread {
 		// Spread scores nothing (its rotation cursor is read during the
 		// decision, so there is no coherent detached view) — the in-lock
 		// pump holds the lock only for map probes.
-		f.mu.Lock()
-		defer f.mu.Unlock()
+		f.lock()
+		defer f.unlock()
 		out, err := f.pumpLocked(ctx)
 		f.flushJournalLocked()
 		return out, err
@@ -891,44 +995,82 @@ func (f *Fleet) Pump(ctx context.Context) ([]Placed, error) {
 	return f.pumpDetached(ctx)
 }
 
+// pumpOutcome is what one admission attempt on a queue entry came to.
+type pumpOutcome int
+
+const (
+	pumpPlaced pumpOutcome = iota // committed; the Placed is valid
+	pumpGone                      // entry dropped, cancelled or claimed elsewhere: next head
+	pumpFull                      // confirmed to fit nowhere: the head blocks the queue
+)
+
 // pumpLocked is the in-lock pump loop (queue cascades under Remove and
 // RestoreNode, and the Spread policy). Callers flush the journal.
 func (f *Fleet) pumpLocked(ctx context.Context) ([]Placed, error) {
 	f.pumpRound++
 	var out []Placed
-	for len(f.queue) > 0 {
+	for {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
 		head := f.headLocked()
 		if head < 0 {
-			break
+			return out, nil
 		}
-		q := f.queue[head]
-		p, err := f.placeOneLocked(ctx, q.spec, PlaceOptions{Tag: q.tag, Priority: q.priority, ticket: q.ticket})
-		if errors.Is(err, ErrFleetFull) {
-			break
+		switch p, outcome := f.admitLocked(ctx, head); outcome {
+		case pumpPlaced:
+			out = append(out, p)
+		case pumpFull:
+			return out, nil
 		}
-		if err != nil {
-			f.dropQueuedLocked(head, q)
-			continue
-		}
-		f.queue = append(f.queue[:head], f.queue[head+1:]...)
-		f.admitQueuedLocked(&p, q)
-		out = append(out, p)
 	}
-	return out, nil
+}
+
+// admitLocked is one in-lock admission attempt on queue entry i: decide
+// against the live cluster, preempt when the fleet is full and the entry
+// outranks a resident, commit. A full fleet leaves the entry queued; any
+// other failure drops it. Callers hold the fleet lock and flush the
+// journal.
+func (f *Fleet) admitLocked(ctx context.Context, i int) (Placed, pumpOutcome) {
+	q := f.queue[i]
+	p, err := f.placeOneLocked(ctx, q.spec, q.opts())
+	switch {
+	case errors.Is(err, ErrFleetFull):
+		return Placed{}, pumpFull
+	case err != nil:
+		f.dropQueuedLocked(i)
+		return Placed{}, pumpGone
+	}
+	f.admitQueuedLocked(&p, i)
+	return p, pumpPlaced
+}
+
+// admitTicket is admitLocked for a ticket picked outside the fleet lock —
+// how a sharded pump confirms, under every lock, a head its optimistic
+// pass could not place. The entry may have been cancelled or claimed by
+// another pump since.
+func (f *Fleet) admitTicket(ctx context.Context, ticket int) (Placed, pumpOutcome) {
+	f.lock()
+	defer f.unlock()
+	i := f.ticketIndexLocked(ticket)
+	if i < 0 || f.queue[i].committing {
+		return Placed{}, pumpGone
+	}
+	p, outcome := f.admitLocked(ctx, i)
+	f.flushJournalLocked()
+	return p, outcome
 }
 
 // headLocked picks the next pumpable entry: highest priority class first,
 // FIFO (ticket order) within a class — for the all-class-0 legacy queue
 // that is exactly oldest-first. Entries still serving a preemption
-// backoff are skipped, not blocking; everything else keeps the strict
-// head-of-line contract. Returns -1 when nothing is eligible.
+// backoff, or committing under another pump, are skipped, not blocking;
+// everything else keeps the strict head-of-line contract. Returns -1 when
+// nothing is eligible.
 func (f *Fleet) headLocked() int {
 	head := -1
 	for i, q := range f.queue {
-		if q.key != "" && !f.ledger.Eligible(q.key, f.pumpRound) {
+		if q.committing || (q.key != "" && !f.ledger.Eligible(q.key, f.pumpRound)) {
 			continue
 		}
 		if head < 0 || q.priority > f.queue[head].priority {
@@ -936,6 +1078,22 @@ func (f *Fleet) headLocked() int {
 		}
 	}
 	return head
+}
+
+// nextHead ticks the round clock on a pump's first pass and returns a
+// copy of the head entry, under the queue mutex alone: a pump that finds
+// the queue empty never touches a shard.
+func (f *Fleet) nextHead(first bool) (queued, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if first {
+		f.pumpRound++
+	}
+	head := f.headLocked()
+	if head < 0 {
+		return queued{}, false
+	}
+	return f.queue[head], true
 }
 
 // ticketIndexLocked finds a queue entry by ticket (-1 when gone).
@@ -950,21 +1108,30 @@ func (f *Fleet) ticketIndexLocked(ticket int) int {
 
 // dropQueuedLocked discards queue entry i after a non-capacity placement
 // failure and journals the drop.
-func (f *Fleet) dropQueuedLocked(i int, q queued) {
+func (f *Fleet) dropQueuedLocked(i int) {
+	ticket := f.queue[i].ticket
 	f.queue = append(f.queue[:i], f.queue[i+1:]...)
 	f.qDropped.Inc()
-	f.journalLocked(wal.Event{Type: wal.EvDropped, Ticket: q.ticket})
+	f.journalLocked(wal.Event{Type: wal.EvDropped, Ticket: ticket})
 }
 
-// admitQueuedLocked records a queue entry's successful admission: the
-// preemption-ledger key re-attaches to the new instance (attempts
-// escalate across repeat preemptions of the same logical process; only a
-// clean exit discharges them), the tag is echoed, and the counters move.
-func (f *Fleet) admitQueuedLocked(p *Placed, q queued) {
-	if q.key != "" {
-		f.attachKeyLocked(*p, q)
+// dropTicket is dropQueuedLocked for a ticket whose scoring failed outside
+// the fleet lock. A committing entry is left alone: its in-flight commit
+// owns the disposition.
+func (f *Fleet) dropTicket(ticket int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if i := f.ticketIndexLocked(ticket); i >= 0 && !f.queue[i].committing {
+		f.dropQueuedLocked(i)
+		f.flushJournalLocked()
 	}
-	p.Tag = q.tag
+}
+
+// admitQueuedLocked records queue entry i's successful admission: the
+// entry leaves the queue, its tag is echoed, and the counters move.
+func (f *Fleet) admitQueuedLocked(p *Placed, i int) {
+	p.Tag = f.queue[i].tag
+	f.queue = append(f.queue[:i], f.queue[i+1:]...)
 	f.placed.Inc()
 	f.qAdmitted.Inc()
 }
@@ -975,36 +1142,36 @@ func (f *Fleet) admitQueuedLocked(p *Placed, q queued) {
 // before committing under the lock again.
 func (f *Fleet) pumpDetached(ctx context.Context) ([]Placed, error) {
 	var out []Placed
-	first := true
-	for {
-		f.mu.Lock()
+	// Every pass ends by handing its staged events to the journal as one
+	// batch and releasing the lock.
+	release := func() {
+		f.flushJournalLocked()
+		f.unlock()
+	}
+	for first := true; ; first = false {
+		f.lock()
 		if err := ctx.Err(); err != nil {
 			// Shutdown contract: an entry is only removed after its commit
 			// succeeded, so everything not yet admitted is still queued.
-			f.flushJournalLocked()
-			f.mu.Unlock()
+			release()
 			return out, err
 		}
 		if first {
 			f.pumpRound++
-			first = false
 		}
 		head := f.headLocked()
 		if head < 0 {
-			f.flushJournalLocked()
-			f.mu.Unlock()
+			release()
 			return out, nil
 		}
 		q := f.queue[head]
 		view, err := f.captureViewLocked(ctx, q.spec, PlaceOptions{Priority: q.priority})
 		if err != nil {
-			f.dropQueuedLocked(head, q)
-			f.flushJournalLocked()
-			f.mu.Unlock()
+			f.dropQueuedLocked(head)
+			release()
 			continue
 		}
-		f.queue[head].pumping = true
-		f.mu.Unlock()
+		f.unlock()
 
 		scores, serr := f.scoreViewDetached(ctx, view, q.spec)
 		pick := -1
@@ -1012,75 +1179,64 @@ func (f *Fleet) pumpDetached(ctx context.Context) ([]Placed, error) {
 			pick = f.pipe.pipe.Selector().Pick(scores)
 		}
 
-		f.mu.Lock()
+		f.lock()
 		idx := f.ticketIndexLocked(q.ticket)
-		if idx < 0 {
-			// Cancelled (or failed over) while scoring: nothing committed,
-			// nothing to do — CancelQueued's true stays truthful.
-			f.mu.Unlock()
-			continue
-		}
-		f.queue[idx].pumping = false
-		if serr != nil {
-			f.dropQueuedLocked(idx, q)
-			f.flushJournalLocked()
-			f.mu.Unlock()
-			continue
-		}
-		if pick >= 0 && f.nodes[pick].version != view.vers[pick] {
+		switch {
+		case idx < 0:
+			// Cancelled while scoring: nothing committed, nothing to do —
+			// CancelQueued's true stays truthful.
+		case serr != nil:
+			f.dropQueuedLocked(idx)
+		case pick >= 0 && f.nodes[pick].version != view.vers[pick]:
 			// The winning node changed while scoring; its score is stale.
 			// Re-score — the fresh pass sees exactly what an in-lock pump
 			// would have. Changes on OTHER nodes don't invalidate: the
 			// winner's score is still exact, and the selection races the
 			// same way concurrent arrivals always have.
-			f.mu.Unlock()
-			continue
-		}
-		if pick < 0 && f.version != view.ver {
+		case pick < 0 && f.version != view.ver:
 			// "Nowhere fits" is a fleet-wide claim: any mutation anywhere
 			// (a departure may have freed capacity) invalidates it.
-			f.mu.Unlock()
-			continue
-		}
-		opts := PlaceOptions{Tag: q.tag, Priority: q.priority, ticket: q.ticket}
-		if pick < 0 {
-			if q.priority > 0 {
-				pp, ok, perr := f.preemptLocked(ctx, q.spec, opts)
-				if perr != nil {
-					f.discardJournalLocked()
-					f.dropQueuedLocked(idx, q)
-					f.flushJournalLocked()
-					f.mu.Unlock()
-					continue
-				}
-				if ok {
-					f.queue = append(f.queue[:idx], f.queue[idx+1:]...)
-					f.admitQueuedLocked(&pp, q)
-					f.flushJournalLocked()
-					f.mu.Unlock()
-					out = append(out, pp)
-					continue
-				}
+		default:
+			p, outcome := f.commitPickLocked(ctx, idx, pick, scores)
+			if outcome == pumpFull {
+				// Nowhere fits: the head blocks the queue (strict head-of-line).
+				release()
+				return out, nil
 			}
-			// Nowhere fits: the head blocks the queue (strict head-of-line).
-			f.flushJournalLocked()
-			f.mu.Unlock()
-			return out, nil
+			if outcome == pumpPlaced {
+				out = append(out, p)
+			}
 		}
-		p, err := f.commitLocked(ctx, q.spec, opts, pick, scores[pick])
-		if err != nil {
-			f.discardJournalLocked()
-			f.dropQueuedLocked(idx, q)
-			f.flushJournalLocked()
-			f.mu.Unlock()
-			continue
-		}
-		f.queue = append(f.queue[:idx], f.queue[idx+1:]...)
-		f.admitQueuedLocked(&p, q)
-		f.flushJournalLocked()
-		f.mu.Unlock()
-		out = append(out, p)
+		release()
 	}
+}
+
+// commitPickLocked finishes a detached decision for queue entry i: commit
+// the picked slot, or — nothing was feasible — preempt when the entry
+// outranks a resident. A fleet with no feasible slot and no victim leaves
+// the entry queued; a failed commit or preemption drops it.
+func (f *Fleet) commitPickLocked(ctx context.Context, i, pick int, scores []nodeScore) (Placed, pumpOutcome) {
+	q := f.queue[i]
+	var p Placed
+	var err error
+	switch {
+	case pick >= 0:
+		p, err = f.commitLocked(ctx, q.spec, q.opts(), pick, scores[pick])
+	case q.priority > 0:
+		var ok bool
+		if p, ok, err = f.preemptLocked(ctx, q.spec, q.opts()); err == nil && !ok {
+			return Placed{}, pumpFull
+		}
+	default:
+		return Placed{}, pumpFull
+	}
+	if err != nil {
+		f.discardJournalLocked()
+		f.dropQueuedLocked(i)
+		return Placed{}, pumpGone
+	}
+	f.admitQueuedLocked(&p, i)
+	return p, pumpPlaced
 }
 
 // journalLocked stages one event onto the current operation's batch
@@ -1108,28 +1264,29 @@ func (f *Fleet) discardJournalLocked() {
 	f.jbuf = f.jbuf[:0]
 }
 
-// attachKeyLocked re-binds a requeued victim's ledger key (and original
-// tag/priority, for entries commitLocked had no reason to record) to the
-// freshly admitted instance.
-func (f *Fleet) attachKeyLocked(p Placed, q queued) {
-	n := f.nodeByNameLocked(p.Node)
-	if n == nil {
+// forgetLocked discharges a preemption-ledger identity. The ledger lives
+// with the admission queue: a shard, holding only its own mutex, reaches
+// its whole fleet's under that fleet's queue mutex (shard mutex first,
+// queue mutex last — the documented order).
+func (f *Fleet) forgetLocked(key string) {
+	if key == "" {
 		return
 	}
-	if n.meta == nil {
-		n.meta = map[string]residentMeta{}
+	owner := f
+	if f.whole != nil {
+		owner = f.whole
+		owner.mu.Lock()
+		defer owner.mu.Unlock()
 	}
-	m := n.meta[p.Name]
-	m.spec, m.tag, m.priority, m.key = q.spec, q.tag, q.priority, q.key
-	n.meta[p.Name] = m
+	owner.ledger.Forget(key)
 }
 
 // Remove evicts the named instance from the named node (process exit) and
 // then pumps the admission queue into the freed capacity, returning any
 // admissions that resulted.
 func (f *Fleet) Remove(ctx context.Context, nodeName, instance string) ([]Placed, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	n := f.nodeByNameLocked(nodeName)
 	if n == nil {
 		return nil, fmt.Errorf("fleet: %w %q", ErrUnknownNode, nodeName)
@@ -1143,9 +1300,7 @@ func (f *Fleet) Remove(ctx context.Context, nodeName, instance string) ([]Placed
 	if m, ok := n.meta[instance]; ok {
 		// A clean exit discharges the preemption ledger: the next life of
 		// this workload starts with a fresh backoff budget.
-		if m.key != "" {
-			f.ledger.Forget(m.key)
-		}
+		f.forgetLocked(m.key)
 		delete(n.meta, instance)
 	}
 	if f.capActive() {
@@ -1167,8 +1322,8 @@ func (f *Fleet) Remove(ctx context.Context, nodeName, instance string) ([]Placed
 // deterministic core/arrival order so the caller can resubmit or account
 // for them. Queued arrivals are untouched: they were never bound to a node.
 func (f *Fleet) FailNode(name string) ([]manager.Resident, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	n := f.nodeByNameLocked(name)
 	if n == nil {
 		return nil, fmt.Errorf("fleet: %w %q", ErrUnknownNode, name)
@@ -1190,9 +1345,7 @@ func (f *Fleet) FailNode(name string) ([]manager.Resident, error) {
 		}
 	}
 	for _, m := range n.meta {
-		if m.key != "" {
-			f.ledger.Forget(m.key)
-		}
+		f.forgetLocked(m.key)
 	}
 	n.meta = nil
 	// A dead machine draws nothing, and it reboots at its base rung —
@@ -1223,14 +1376,14 @@ func (f *Fleet) FailNode(name string) ([]manager.Resident, error) {
 // pumps the admission queue into the recovered capacity, returning any
 // admissions that resulted.
 func (f *Fleet) RestoreNode(ctx context.Context, name string) ([]Placed, error) {
-	f.mu.Lock()
+	f.lock()
 	n := f.nodeByNameLocked(name)
 	if n == nil {
-		f.mu.Unlock()
+		f.unlock()
 		return nil, fmt.Errorf("fleet: %w %q", ErrUnknownNode, name)
 	}
 	if !n.down {
-		f.mu.Unlock()
+		f.unlock()
 		return nil, fmt.Errorf("fleet: node %q is not down", name)
 	}
 	n.down = false
@@ -1248,7 +1401,7 @@ func (f *Fleet) RestoreNode(ctx context.Context, name string) ([]Placed, error) 
 	f.journalLocked(wal.Event{Type: wal.EvNodeUp, Node: name})
 	f.flushJournalLocked()
 	f.reg.Counter("fleet_node_up_total").Inc()
-	f.mu.Unlock()
+	f.unlock()
 	// Pump (not pumpLocked): queued features may need profiling against
 	// this node's machine kind, which must happen outside the fleet lock.
 	return f.Pump(ctx)
@@ -1287,8 +1440,8 @@ func (ni NodeInspection) Assignment() core.Assignment {
 // Inspect captures every node's state under one lock acquisition, so the
 // snapshot is consistent: no placement can commit between two nodes' rows.
 func (f *Fleet) Inspect() []NodeInspection {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	out := make([]NodeInspection, len(f.nodes))
 	for i, n := range f.nodes {
 		residents := n.mgr.Residents()
@@ -1363,8 +1516,8 @@ type State struct {
 // State reports the current fleet state, computing each machine's power
 // and SPI estimates from the combined model.
 func (f *Fleet) State(ctx context.Context) (*State, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	st := &State{Policy: f.cfg.Policy.String()}
 	for _, n := range f.nodes {
 		ns, err := f.nodeStateLocked(ctx, n)
@@ -1436,8 +1589,8 @@ func (f *Fleet) nodeStateLocked(ctx context.Context, n *node) (NodeState, error)
 // Totals returns the fleet-wide predicted SPI and watts sums (the sim's
 // per-event integrand) without building the full state.
 func (f *Fleet) Totals(ctx context.Context) (spi, watts float64, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	for _, n := range f.nodes {
 		if n.down {
 			continue
@@ -1462,8 +1615,8 @@ func (f *Fleet) Totals(ctx context.Context) (spi, watts float64, err error) {
 // registry's gauges are integral); a machine whose estimate fails scrapes
 // as -1 rather than failing the exposition.
 func (f *Fleet) collectGauges(r *metrics.Registry) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	total := 0
 	for _, n := range f.nodes {
 		if n.down {
@@ -1504,12 +1657,4 @@ func (f *Fleet) collectGauges(r *metrics.Registry) {
 		r.Gauge("fleet_power_cap_milliwatts").Set(int64(f.capL.capWatts() * 1000))
 		r.Gauge("fleet_cap_usage_milliwatts").Set(int64(f.capL.usage() * 1000))
 	}
-}
-
-// SyntheticPowerModel is core.SyntheticPowerModel, re-exported where the
-// fleet's callers historically found it. The implementation lives in core
-// so packages that must not import fleet (manager's fast test variants,
-// the chaos harness's fixtures) can share the same model.
-func SyntheticPowerModel() (*core.PowerModel, error) {
-	return core.SyntheticPowerModel()
 }

@@ -36,7 +36,7 @@ func oracle(runs *atomic.Int64, delay time.Duration) ProfileFunc {
 
 func testPower(t testing.TB) *core.PowerModel {
 	t.Helper()
-	pm, err := SyntheticPowerModel()
+	pm, err := core.SyntheticPowerModel()
 	if err != nil {
 		t.Fatalf("SyntheticPowerModel: %v", err)
 	}

@@ -27,18 +27,15 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"mpmc/internal/manager"
 	"mpmc/internal/sched"
 	"mpmc/internal/threads"
 	"mpmc/internal/workload"
 )
 
 // shapeGroup shapes one group arrival into the member specs the policy
-// wants to place, and whether they carry sibling anti-affinity. Both the
-// single-lock fleet and the sharded serving tier place through it.
+// wants to place, and whether they carry sibling anti-affinity.
 func shapeGroup(policy Policy, g threads.GroupSpec) (specs []*workload.Spec, antiAffinity bool, err error) {
 	if g.Threads == 1 {
 		return []*workload.Spec{g.Base}, false, nil
@@ -70,8 +67,8 @@ func shapeGroup(policy Policy, g threads.GroupSpec) (specs []*workload.Spec, ant
 }
 
 // PlaceGroup admits one thread-group arrival transactionally: either
-// every member instance is admitted, or every machine's resident set and
-// the round-robin cursor are restored and the error reports why (the
+// every member instance is admitted, or the transaction rolls every
+// machine and the round-robin cursor back and the error reports why (the
 // cause stays reachable with errors.Is — a full fleet surfaces
 // ErrFleetFull). The returned placements are in member order; under
 // ColocateSharers a single placement stands for all T members.
@@ -88,55 +85,31 @@ func (f *Fleet) PlaceGroup(ctx context.Context, g threads.GroupSpec) ([]Placed, 
 	}
 	members := uint64(g.Threads)
 
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	// The group ledger is registered lazily (like fleet_node_down_total)
 	// so fleets that never see a thread group keep their /metrics
 	// exposition and sim reports byte-identical.
 	f.reg.Counter("fleet_group_spawned_members_total").Add(members)
 
-	snaps := make([]*manager.Snapshot, len(f.nodes))
-	for i, n := range f.nodes {
-		snaps[i] = n.mgr.Snapshot()
-	}
-	snapRR := f.rrNode
-	admitted := 0
-	rollback := func(cause error) error {
-		for i, n := range f.nodes {
-			n.mgr.Restore(snaps[i])
-		}
-		f.rrNode = snapRR
-		f.discardJournalLocked()
-		f.reg.Counter("fleet_group_faulted_members_total").Add(members)
-		f.reg.Counter("fleet_groups_rejected_total").Inc()
-		if errors.Is(cause, ErrFleetFull) {
-			f.rejected.Inc()
-		}
-		if admitted > 0 {
-			f.rollbacks.Inc()
-			return fmt.Errorf("fleet: group rolled back after %d member placement(s): %w", admitted, cause)
-		}
-		return cause
-	}
-
+	tx := f.beginLocked(f.nodes)
 	out := make([]Placed, len(specs))
 	used := map[int]bool{}
 	for i, s := range specs {
-		if err := ctx.Err(); err != nil {
-			return nil, rollback(err)
-		}
-		var p Placed
-		var err error
-		if antiAffinity {
-			p, err = f.placeAntiAffinityLocked(ctx, s, used)
-		} else {
-			p, err = f.placeOneLocked(ctx, s, PlaceOptions{})
+		err := ctx.Err()
+		switch {
+		case err != nil:
+		case antiAffinity:
+			out[i], err = f.placeAntiAffinityLocked(ctx, s, used)
+		default:
+			out[i], err = f.placeOneLocked(ctx, s, PlaceOptions{})
 		}
 		if err != nil {
-			return nil, rollback(err)
+			tx.rollback()
+			f.reg.Counter("fleet_group_faulted_members_total").Add(members)
+			f.reg.Counter("fleet_groups_rejected_total").Inc()
+			return nil, f.rolledBack("group", "member placement", i, err)
 		}
-		admitted++
-		out[i] = p
 	}
 	f.placed.Add(uint64(len(out)))
 	f.reg.Counter("fleet_group_placed_members_total").Add(members)

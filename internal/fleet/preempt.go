@@ -4,9 +4,12 @@
 // priority class first, least fleet-wide predicted-SPI loss within the
 // class — places the arrival into the freed capacity, and requeues the
 // victim through the admission queue with exponential backoff (the
-// sched.Ledger). The whole exchange is transactional: every node manager
-// is snapshotted first, and any failure after the eviction restores the
-// cluster bit-for-bit before the error surfaces.
+// sched.Ledger). The whole exchange is one transaction (Fleet.beginLocked
+// over every node, since the arrival may land anywhere): any failure
+// after the eviction rolls managers, rungs, ledger rows and the cursor
+// back bit for bit before the error surfaces. On a sharded fleet this
+// runs under every shard lock, so the victim is the fleet-wide cheapest
+// and re-enters the one admission queue.
 
 package fleet
 
@@ -20,7 +23,7 @@ import (
 	"mpmc/internal/workload"
 )
 
-// preemptTargets is preemptLocked's victim scan, split out for testing:
+// victimLocked is preemptLocked's victim scan, split out for testing:
 // it returns the index of the node hosting the chosen victim and the
 // victim itself, or ok false when no resident is outranked. Deterministic
 // at any worker count: nodes in index order, residents in the manager's
@@ -79,28 +82,16 @@ func (f *Fleet) preemptLocked(ctx context.Context, spec *workload.Spec, opts Pla
 	vnode := f.nodes[vi]
 	vmeta := vnode.meta[victim.Name]
 
-	// Transaction window: snapshot every manager (placement may choose
-	// any node) and the cursor. The queue, ledger, and counters are only
-	// touched after the placement commits, so they never need restoring.
-	snaps := make([]*manager.Snapshot, len(f.nodes))
-	for i, n := range f.nodes {
-		snaps[i] = n.mgr.Snapshot()
-	}
-	snapRR := f.rrNode
-	restore := func() {
-		for i, n := range f.nodes {
-			n.mgr.Restore(snaps[i])
-		}
-		f.rrNode = snapRR
-	}
-
+	// The queue, ledger, and counters are only touched after the placement
+	// commits, so the transaction never needs to restore them.
+	tx := f.beginLocked(f.nodes)
 	if err := vnode.mgr.Remove(victim.Name); err != nil {
 		return Placed{}, false, fmt.Errorf("fleet: evicting preemption victim %s from %s: %w",
 			victim.Name, vnode.cfg.Name, err)
 	}
 	p, err := f.decideAndCommitLocked(ctx, spec, opts)
 	if err != nil {
-		restore()
+		tx.rollback()
 		f.reg.Counter("fleet_preempt_aborted_total").Inc()
 		if errors.Is(err, ErrFleetFull) {
 			// Even the freed slot did not admit the arrival (it can only

@@ -42,15 +42,16 @@ type candidate struct {
 // machines.
 //
 // When no move clears the bar the error wraps manager.ErrNoImprovement.
-// Execution is transactional: the source and target managers are
-// snapshotted, and a failure during remove/re-place restores both before
-// the error is returned, so a failed rebalance leaves every machine
-// exactly as it was.
+// Execution is one transaction over the source and target: a failure
+// during remove/re-place rolls both back before the error is returned, so
+// a failed rebalance leaves every machine exactly as it was. On a sharded
+// fleet the pass runs under every shard lock, so source and target may
+// live on different shards.
 func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, error) {
 	// Warm the feature cache for every (machine kind, resident workload)
 	// pair outside the lock: in a heterogeneous fleet a resident has only
 	// been profiled against its own machine kind so far.
-	f.mu.Lock()
+	f.lock()
 	var specs []*workload.Spec
 	for _, n := range f.nodes {
 		if n.down {
@@ -60,13 +61,13 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 			specs = append(specs, r.Spec)
 		}
 	}
-	f.mu.Unlock()
+	f.unlock()
 	if err := f.feats.resolve(ctx, specs); err != nil {
 		return Move{}, err
 	}
 
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 
 	if f.cfg.Intercept != nil {
 		// Injection seam ahead of any scoring or mutation: an injected
@@ -177,8 +178,6 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 			manager.ErrNoImprovement, improvement, minImprovement)
 	}
 
-	// Execute transactionally: snapshot both managers, remove from the
-	// source, re-place on the target; restore both on any failure.
 	cd := cands[best]
 	srcN, dstN := f.nodes[cd.src], f.nodes[cd.dst]
 	capMove := f.capActive()
@@ -210,35 +209,14 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 				manager.ErrNoImprovement, next, cap)
 		}
 	}
-	srcSnap, dstSnap := srcN.mgr.Snapshot(), dstN.mgr.Snapshot()
-	rollback := func(cause error) error {
-		srcN.mgr.Restore(srcSnap)
-		dstN.mgr.Restore(dstSnap)
-		f.rollbacks.Inc()
-		return fmt.Errorf("fleet: rebalance rolled back: %w", cause)
-	}
-	if err := srcN.mgr.Remove(cd.res.Name); err != nil {
-		return Move{}, rollback(err)
-	}
-	newName, _, err := dstN.mgr.PlaceAt(ctx, cd.res.Spec, cd.dstCore)
+	tx := f.beginLocked([]*node{srcN, dstN})
+	newName, err := f.migrateLocked(ctx, srcN, dstN, cd.res, cd.dstCore)
 	if err != nil {
-		return Move{}, rollback(err)
-	}
-	// A migrated resident keeps its scheduler metadata (priority class,
-	// tag, preemption-ledger identity) under its new instance name.
-	var meta residentMeta
-	if m, ok := srcN.meta[cd.res.Name]; ok {
-		meta = m
-		delete(srcN.meta, cd.res.Name)
-		if dstN.meta == nil {
-			dstN.meta = map[string]residentMeta{}
-		}
-		dstN.meta[newName] = m
+		tx.rollback()
+		f.rollbacks.Inc()
+		return Move{}, fmt.Errorf("fleet: rebalance rolled back: %w", err)
 	}
 	f.moves.Inc()
-	f.version++
-	srcN.version++
-	dstN.version++
 	if capMove {
 		f.capL.setNode(srcN.cfg.Name, srcW)
 		f.capL.setNode(dstN.cfg.Name, dstW)
@@ -248,14 +226,6 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		_ = f.resyncNodeCapLocked(ctx, srcN)
 		_ = f.resyncNodeCapLocked(ctx, dstN)
 	}
-	// Both halves of the migration land in one journal batch, so replay
-	// sees the move atomically (departed first: the new instance appends
-	// at the end of the resident order, exactly like PlaceAt did).
-	f.journalLocked(wal.Event{Type: wal.EvDeparted, Node: srcN.cfg.Name, Name: cd.res.Name})
-	f.journalLocked(wal.Event{
-		Type: wal.EvAdmitted, Node: dstN.cfg.Name, Name: newName, Core: cd.dstCore,
-		Bench: cd.res.Spec.Name, Tag: meta.tag, Priority: meta.priority,
-	})
 	f.flushJournalLocked()
 	return Move{
 		From:        srcN.cfg.Name,
@@ -268,6 +238,40 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		SPIAfter:    totals[best],
 		Improvement: improvement,
 	}, nil
+}
+
+// migrateLocked moves resident r of src to core dstCore of dst inside the
+// caller's transaction: remove, re-place, carry the scheduler metadata
+// (priority class, tag, preemption-ledger identity) over to the new
+// instance name, stamp both nodes, and stage both halves in one journal
+// batch so replay sees the move atomically (departed first: the new
+// instance appends at the end of the resident order, exactly like PlaceAt
+// did). Ledger rows and the rollback on error are the caller's.
+func (f *Fleet) migrateLocked(ctx context.Context, src, dst *node, r manager.Resident, dstCore int) (string, error) {
+	if err := src.mgr.Remove(r.Name); err != nil {
+		return "", err
+	}
+	newName, _, err := dst.mgr.PlaceAt(ctx, r.Spec, dstCore)
+	if err != nil {
+		return "", err
+	}
+	meta, tagged := src.meta[r.Name]
+	if tagged {
+		delete(src.meta, r.Name)
+		if dst.meta == nil {
+			dst.meta = map[string]residentMeta{}
+		}
+		dst.meta[newName] = meta
+	}
+	f.version++
+	src.version++
+	dst.version++
+	f.journalLocked(wal.Event{Type: wal.EvDeparted, Node: src.cfg.Name, Name: r.Name})
+	f.journalLocked(wal.Event{
+		Type: wal.EvAdmitted, Node: dst.cfg.Name, Name: newName, Core: dstCore,
+		Bench: r.Spec.Name, Tag: meta.tag, Priority: meta.priority,
+	})
+	return newName, nil
 }
 
 // withoutResident returns a copy of asg with the resident's feature vector

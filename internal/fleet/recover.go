@@ -27,8 +27,8 @@ import (
 // Nothing is journaled here: the caller's log already materializes st,
 // and post-recovery mutations append after it.
 func (f *Fleet) Recover(ctx context.Context, st *wal.State) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	for _, n := range f.nodes {
 		if len(n.mgr.Residents()) > 0 {
 			return errors.New("fleet: recover into a non-empty fleet")

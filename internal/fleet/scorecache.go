@@ -384,8 +384,8 @@ func (f *Fleet) SolverStateStats() core.SolverStateStats {
 // fleet are rebuilt in place (a power-model retrain) or to release
 // memory.
 func (f *Fleet) FlushScoreCache() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock()
+	defer f.unlock()
 	if f.scores != nil {
 		f.scores.flush()
 	}

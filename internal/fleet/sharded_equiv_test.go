@@ -2,30 +2,63 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mpmc/internal/machine"
+	"mpmc/internal/manager"
 	"mpmc/internal/metrics"
+	"mpmc/internal/threads"
+	"mpmc/internal/wal"
 	"mpmc/internal/workload"
 )
 
 // This file is the sharding equivalence sweep: an unsharded Fleet and a
 // Sharded fleet built from the same node list, seed, and policy are
-// driven through identical randomized traces, and every placement
-// decision — node, core, and bit-identical score — must match, along
-// with a running FNV-64a digest of the full decision sequence. The sweep
-// covers all shardable policies (Spread is serial and rejected by
-// NewSharded), cold and cached scoring, worker counts 1..3, and machine
-// failures mid-trace.
+// driven through identical randomized traces in lockstep. Nothing is
+// allowed to differ: every operation's placements (node, core, instance
+// name, bit-identical score and watts, tag, preemption victim and its
+// disposition), error presence, the admission queue after every
+// operation, the flattened journal event stream, and at the end the state
+// bytes and the DVFS rungs. The op mix covers the whole serving surface —
+// single placements, batches, thread groups, prioritized submissions,
+// pumps, cancellations, departures, machine failures, rebalancing and the
+// power cap — over every shardable policy (Spread is serial and rejected
+// by NewSharded), cold and cached scoring, and worker counts 1..3.
+
+// engine is the surface the sharded front and the unsharded fleet share.
+type engine interface {
+	PlaceWith(ctx context.Context, spec *workload.Spec, opts PlaceOptions) (Placed, error)
+	PlaceAll(ctx context.Context, specs []*workload.Spec) ([]Placed, error)
+	PlaceGroup(ctx context.Context, g threads.GroupSpec) ([]Placed, error)
+	SubmitWith(spec *workload.Spec, tag string, priority int) (int, error)
+	CancelQueued(ticket int) bool
+	QueuedInfo() []QueuedEntry
+	Pump(ctx context.Context) ([]Placed, error)
+	Remove(ctx context.Context, node, instance string) ([]Placed, error)
+	FailNode(name string) ([]manager.Resident, error)
+	RestoreNode(ctx context.Context, name string) ([]Placed, error)
+	Rebalance(ctx context.Context, minImprovement float64) (Move, error)
+	SetPowerCap(ctx context.Context, watts float64) error
+	EnforceCap(ctx context.Context) (CapReport, error)
+	PowerCap() float64
+	CapUsage() float64
+	Totals(ctx context.Context) (spi, watts float64, err error)
+	FreqStates() map[string]int
+	State(ctx context.Context) (*State, error)
+	Inspect() []NodeInspection
+	NodeNames() []string
+	Registry() *metrics.Registry
+}
 
 // shardablePolicies are the policies NewSharded accepts with shards > 1.
 func shardablePolicies() []Policy {
 	var out []Policy
-	for _, p := range Policies() {
+	for _, p := range append(Policies(), ColocateSharers, SpreadSharers, LeastEnergy, CapAware) {
 		if p != Spread {
 			out = append(out, p)
 		}
@@ -53,9 +86,33 @@ func equivNodePair(t *testing.T, r *rand.Rand, nNodes int) (a, b []NodeConfig) {
 	return a, b
 }
 
+// journalTap collects a fleet's journal as one flat event stream (batch
+// boundaries legitimately differ: a sharded departure and the queue
+// cascade it triggers are two operations).
+type journalTap struct{ events []wal.Event }
+
+func (j *journalTap) record(batch []wal.Event) { j.events = append(j.events, batch...) }
+
+// samePlaced compares two placement lists field by field, floats by bit
+// pattern, victims included.
+func samePlaced(a, b []Placed) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Node != y.Node || x.Name != y.Name || x.Core != y.Core || x.Tag != y.Tag ||
+			math.Float64bits(x.Score) != math.Float64bits(y.Score) ||
+			math.Float64bits(x.Watts) != math.Float64bits(y.Watts) ||
+			!reflect.DeepEqual(x.Preempted, y.Preempted) {
+			return false
+		}
+	}
+	return true
+}
+
 // runShardedEquivSweep drives one randomized trace through an unsharded
-// and a sharded fleet in lockstep, failing at the first divergence and
-// comparing decision digests at the end.
+// and a sharded fleet in lockstep, failing at the first divergence.
 func runShardedEquivSweep(t *testing.T, seed int64, cacheCap int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -69,121 +126,173 @@ func runShardedEquivSweep(t *testing.T, seed int64, cacheCap int) {
 	flatNodes, shardNodes := equivNodePair(t, r, nNodes)
 	fseed := uint64(r.Int63())
 	workers := 1 + r.Intn(3)
-	flat, err := New(Config{
-		Nodes: flatNodes, Policy: policy, QueueCap: 4, Seed: fseed,
-		Workers: workers, ScoreCacheCap: cacheCap, Profile: oracle(nil, 0),
-		Registry: metrics.NewRegistry(),
-	})
+	var flatLog, shardLog journalTap
+	config := func(nodes []NodeConfig, tap *journalTap) Config {
+		return Config{
+			Nodes: nodes, Policy: policy, QueueCap: 4, Seed: fseed,
+			Workers: workers, ScoreCacheCap: cacheCap, Profile: oracle(nil, 0),
+			Registry: metrics.NewRegistry(), Journal: tap.record,
+		}
+	}
+	flatFleet, err := New(config(flatNodes, &flatLog))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
-	sharded, err := NewSharded(Config{
-		Nodes: shardNodes, Policy: policy, QueueCap: 4, Seed: fseed,
-		Workers: workers, ScoreCacheCap: cacheCap, Profile: oracle(nil, 0),
-		Registry: metrics.NewRegistry(),
-	}, shards)
+	shardedFleet, err := NewSharded(config(shardNodes, &shardLog), shards)
 	if err != nil {
 		t.Fatalf("fleet.NewSharded: %v", err)
 	}
+	var flat, sharded engine = flatFleet, shardedFleet
 
 	ctx := context.Background()
 	suite := workload.Suite()
-	flatDigest, shardDigest := fnv.New64a(), fnv.New64a()
-	type placedRef struct{ node, name string }
-	var residents []placedRef
-
-	events := 25 + r.Intn(15)
+	pick := func() *workload.Spec { return suite[r.Intn(len(suite))] }
+	events := 40 + r.Intn(25)
 	for ev := 0; ev < events; ev++ {
-		switch op := r.Intn(10); {
-		case op < 6: // arrival
-			spec := suite[r.Intn(len(suite))]
-			fp, ferr := flat.Place(ctx, spec)
-			sp, serr := sharded.Place(ctx, spec)
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d ev %d (%s, %d shards): %s", seed, ev, policy, shards, fmt.Sprintf(format, args...))
+		}
+		// both runs one operation on each engine and compares the
+		// placements it returned and whether it failed.
+		both := func(what string, op func(e engine) ([]Placed, error)) bool {
+			t.Helper()
+			fp, ferr := op(flat)
+			sp, serr := op(sharded)
 			if (ferr == nil) != (serr == nil) {
-				t.Fatalf("seed %d ev %d (%s, %s): flat err=%v, sharded err=%v",
-					seed, ev, policy, spec.Name, ferr, serr)
+				fail("%s: flat err=%v, sharded err=%v", what, ferr, serr)
 			}
-			if ferr != nil {
-				continue
+			if !samePlaced(fp, sp) {
+				fail("%s: flat placed %+v, sharded %+v", what, fp, sp)
 			}
-			if fp.Node != sp.Node || fp.Core != sp.Core || fp.Name != sp.Name {
-				t.Fatalf("seed %d ev %d (%s, %s): flat %s/core%d/%s, sharded %s/core%d/%s",
-					seed, ev, policy, spec.Name, fp.Node, fp.Core, fp.Name, sp.Node, sp.Core, sp.Name)
+			return ferr == nil
+		}
+		switch op := r.Intn(100); {
+		case op < 22: // direct arrival
+			spec := pick()
+			both("place "+spec.Name, func(e engine) ([]Placed, error) {
+				p, err := e.PlaceWith(ctx, spec, PlaceOptions{})
+				return []Placed{p}, err
+			})
+		case op < 32: // batch of 1–4, overfull once the fleet fills up
+			specs := make([]*workload.Spec, 1+r.Intn(4))
+			for i := range specs {
+				specs[i] = pick()
 			}
-			if fp.Score != sp.Score && !(math.IsNaN(fp.Score) && math.IsNaN(sp.Score)) {
-				t.Fatalf("seed %d ev %d: score %v != %v (must be bit-identical)", seed, ev, fp.Score, sp.Score)
+			both(fmt.Sprintf("place-all x%d", len(specs)), func(e engine) ([]Placed, error) {
+				return e.PlaceAll(ctx, specs)
+			})
+		case op < 40: // thread group
+			g := threads.GroupSpec{Base: pick(), Threads: 1 + r.Intn(3), SharedFrac: 0.25 * float64(r.Intn(4)), WriteFrac: 0.5}
+			both(fmt.Sprintf("place-group %s x%d", g.Base.Name, g.Threads), func(e engine) ([]Placed, error) {
+				return e.PlaceGroup(ctx, g)
+			})
+		case op < 54: // prioritized submission
+			spec, prio := pick(), r.Intn(3)
+			tag := fmt.Sprintf("job%d", ev)
+			ft, ferr := flat.SubmitWith(spec, tag, prio)
+			st, serr := sharded.SubmitWith(spec, tag, prio)
+			if (ferr == nil) != (serr == nil) || ft != st {
+				fail("submit %s class %d: flat (%d, %v), sharded (%d, %v)", spec.Name, prio, ft, ferr, st, serr)
 			}
-			fmt.Fprintf(flatDigest, "%s/%d/%s/%x;", fp.Node, fp.Core, fp.Name, math.Float64bits(fp.Score))
-			fmt.Fprintf(shardDigest, "%s/%d/%s/%x;", sp.Node, sp.Core, sp.Name, math.Float64bits(sp.Score))
-			residents = append(residents, placedRef{fp.Node, fp.Name})
-		case op < 9: // departure
-			if len(residents) == 0 {
-				continue
+		case op < 62:
+			both("pump", func(e engine) ([]Placed, error) { return e.Pump(ctx) })
+		case op < 66: // cancel one queued ticket (requeued victims included)
+			if qi := flat.QueuedInfo(); len(qi) > 0 {
+				ticket := qi[r.Intn(len(qi))].Ticket
+				if fc, sc := flat.CancelQueued(ticket), sharded.CancelQueued(ticket); fc != sc {
+					fail("cancel %d: flat %t, sharded %t", ticket, fc, sc)
+				}
 			}
-			i := r.Intn(len(residents))
-			ref := residents[i]
-			residents = append(residents[:i], residents[i+1:]...)
-			if _, err := flat.Remove(ctx, ref.node, ref.name); err != nil {
-				t.Fatalf("seed %d ev %d: flat remove %s/%s: %v", seed, ev, ref.node, ref.name, err)
+		case op < 84: // departure, cascading into the queue
+			var live []NodeInspection
+			for _, ni := range flat.Inspect() {
+				if len(ni.Residents) > 0 {
+					live = append(live, ni)
+				}
 			}
-			if _, err := sharded.Remove(ctx, ref.node, ref.name); err != nil {
-				t.Fatalf("seed %d ev %d: sharded remove %s/%s: %v", seed, ev, ref.node, ref.name, err)
+			if len(live) > 0 {
+				ni := live[r.Intn(len(live))]
+				res := ni.Residents[r.Intn(len(ni.Residents))]
+				if !both("remove "+ni.Name+"/"+res.Name, func(e engine) ([]Placed, error) {
+					return e.Remove(ctx, ni.Name, res.Name)
+				}) {
+					fail("remove %s/%s failed on both engines", ni.Name, res.Name)
+				}
 			}
-		default: // fail + restore one machine (evicts its residents)
+		case op < 89: // fail + restore one machine (evicts its residents)
 			name := flat.NodeNames()[r.Intn(nNodes)]
 			fev, ferr := flat.FailNode(name)
 			sev, serr := sharded.FailNode(name)
-			if (ferr == nil) != (serr == nil) {
-				t.Fatalf("seed %d ev %d: fail %s: flat err=%v, sharded err=%v", seed, ev, name, ferr, serr)
+			if (ferr == nil) != (serr == nil) || len(fev) != len(sev) {
+				fail("fail %s: flat (%d evicted, %v), sharded (%d evicted, %v)", name, len(fev), ferr, len(sev), serr)
 			}
-			if ferr != nil {
-				continue
+			if ferr == nil {
+				both("restore "+name, func(e engine) ([]Placed, error) { return e.RestoreNode(ctx, name) })
 			}
-			if len(fev) != len(sev) {
-				t.Fatalf("seed %d ev %d: fail %s evicted %d vs %d residents", seed, ev, name, len(fev), len(sev))
+		case op < 94:
+			fm, ferr := flat.Rebalance(ctx, 0)
+			sm, serr := sharded.Rebalance(ctx, 0)
+			if (ferr == nil) != (serr == nil) || fm != sm {
+				fail("rebalance: flat (%+v, %v), sharded (%+v, %v)", fm, ferr, sm, serr)
 			}
-			kept := residents[:0]
-			for _, ref := range residents {
-				if ref.node != name {
-					kept = append(kept, ref)
+		default: // set (or clear) the watt budget around the current draw, then enforce it
+			_, watts, err := flat.Totals(ctx)
+			if err != nil {
+				fail("totals: %v", err)
+			}
+			budget := watts * []float64{0, 0.85, 0.97, 1.1, 1.5}[r.Intn(5)]
+			if ferr, serr := flat.SetPowerCap(ctx, budget), sharded.SetPowerCap(ctx, budget); ferr != nil || serr != nil {
+				fail("set cap %v: flat %v, sharded %v", budget, ferr, serr)
+			}
+			fr, ferr := flat.EnforceCap(ctx)
+			sr, serr := sharded.EnforceCap(ctx)
+			if (ferr == nil) != (serr == nil) || !reflect.DeepEqual(fr, sr) {
+				fail("enforce cap %v: flat (%+v, %v), sharded (%+v, %v)", budget, fr, ferr, sr, serr)
+			}
+		}
+		if fq, sq := flat.QueuedInfo(), sharded.QueuedInfo(); !reflect.DeepEqual(fq, sq) {
+			fail("queue diverged: flat %+v, sharded %+v", fq, sq)
+		}
+		// The ledger is only maintained (and only reported) under a budget.
+		if f, s := flat.CapUsage(), sharded.CapUsage(); flat.PowerCap() > 0 && math.Float64bits(f) != math.Float64bits(s) {
+			fail("watt ledger diverged: flat %v, sharded %v", f, s)
+		}
+		if !reflect.DeepEqual(flatLog.events, shardLog.events) {
+			n := min(len(flatLog.events), len(shardLog.events))
+			for i := 0; i < n; i++ {
+				if flatLog.events[i] != shardLog.events[i] {
+					fail("journal event %d: flat %+v, sharded %+v", i, flatLog.events[i], shardLog.events[i])
 				}
 			}
-			residents = kept
-			if _, err := flat.RestoreNode(ctx, name); err != nil {
-				t.Fatalf("seed %d ev %d: flat restore %s: %v", seed, ev, name, err)
-			}
-			if _, err := sharded.RestoreNode(ctx, name); err != nil {
-				t.Fatalf("seed %d ev %d: sharded restore %s: %v", seed, ev, name, err)
-			}
+			fail("journal length: flat %d events, sharded %d", len(flatLog.events), len(shardLog.events))
 		}
-	}
-	if f, s := flatDigest.Sum64(), shardDigest.Sum64(); f != s {
-		t.Fatalf("seed %d: decision digest %016x != sharded %016x", seed, f, s)
 	}
 
-	// Terminal cross-check: identical cluster layout, byte for byte.
-	fi, si := flat.Inspect(), sharded.Inspect()
-	if len(fi) != len(si) {
-		t.Fatalf("seed %d: inspect length %d != %d", seed, len(fi), len(si))
+	// Terminal cross-check: identical state, byte for byte, and rungs.
+	stateBytes := func(e engine) []byte {
+		st, err := e.State(ctx)
+		if err != nil {
+			t.Fatalf("seed %d: state: %v", seed, err)
+		}
+		b, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	for i := range fi {
-		if fi[i].Name != si[i].Name || len(fi[i].Residents) != len(si[i].Residents) {
-			t.Fatalf("seed %d: node %d layout diverged: %+v vs %+v", seed, i, fi[i], si[i])
-		}
-		for j := range fi[i].Residents {
-			fr, sr := fi[i].Residents[j], si[i].Residents[j]
-			if fr.Name != sr.Name || fr.Core != sr.Core || fr.Spec.Name != sr.Spec.Name {
-				t.Fatalf("seed %d: node %s resident %d: %s/core%d/%s vs %s/core%d/%s",
-					seed, fi[i].Name, j, fr.Name, fr.Core, fr.Spec.Name, sr.Name, sr.Core, sr.Spec.Name)
-			}
-		}
+	if f, s := stateBytes(flat), stateBytes(sharded); string(f) != string(s) {
+		t.Fatalf("seed %d (%s): state bytes diverged:\n flat    %s\n sharded %s", seed, policy, f, s)
+	}
+	if f, s := flat.FreqStates(), sharded.FreqStates(); !reflect.DeepEqual(f, s) {
+		t.Fatalf("seed %d (%s): rungs diverged: flat %v, sharded %v", seed, policy, f, s)
 	}
 }
 
-// TestShardedEquivalence is the 150-seed sweep: a sharded fleet must
-// decide identically to the unsharded scheduler — same node, core,
-// instance name, and bit-identical score, same decision digest — across
-// randomized heterogeneous fleets, shard counts, traces, and failures.
+// TestShardedEquivalence is the 150-seed sweep (24 in -short, so the fast
+// CI lane runs it under -race on every push): a sharded fleet must behave
+// identically to the unsharded scheduler across randomized heterogeneous
+// fleets, shard counts, traces, failures and budgets.
 func TestShardedEquivalence(t *testing.T) {
 	seeds := 150
 	if testing.Short() {

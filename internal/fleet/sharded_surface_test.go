@@ -121,7 +121,7 @@ func TestShardedServingSurface(t *testing.T) {
 
 	// Fill the remaining 3 slots, then confirm the full-fleet paths:
 	// a direct Place is rejected (slow-path confirmation) and a queued
-	// zero-priority head blocks (pumpSlow confirms no fit).
+	// zero-priority head blocks (the all-locked pass confirms no fit).
 	for _, name := range []string{"ammp", "applu", "twolf"} {
 		if _, err := s.Place(ctx, workload.ByName(name)); err != nil {
 			t.Fatal(err)
@@ -142,7 +142,8 @@ func TestShardedServingSurface(t *testing.T) {
 	}
 
 	// Priority preemption through the pump: the class-2 arrival jumps
-	// the zero-priority head and evicts a victim somewhere.
+	// the zero-priority head and evicts a victim, which re-enters the
+	// queue under a ticket of its own.
 	if _, err := s.SubmitWith(workload.ByName("equake"), "vip", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +154,17 @@ func TestShardedServingSurface(t *testing.T) {
 	if len(pumped) != 1 || pumped[0].Tag != "vip" {
 		t.Fatalf("priority pump admitted %v, want the vip entry", pumped)
 	}
+	victim := pumped[0].Preempted
+	if victim == nil || !victim.Requeued || victim.Ticket == 0 {
+		t.Fatalf("victim disposition %+v, want requeued under a ticket", victim)
+	}
+	if d := s.QueueDepth(); d != 2 {
+		t.Fatalf("queue depth %d after the preemption, want the blocked head and the victim", d)
+	}
 
-	// Cancel whatever is still queued (the blocked head, plus any
-	// requeued victim), then exercise the node lifecycle.
-	s.CancelQueued(tk)
-	for _, qe := range s.QueuedInfo() {
-		s.CancelQueued(qe.Ticket)
+	// Both cancel by ticket; then exercise the node lifecycle.
+	if !s.CancelQueued(tk) || !s.CancelQueued(victim.Ticket) || s.QueueDepth() != 0 {
+		t.Fatalf("cancelling the blocked head and the requeued victim left depth %d", s.QueueDepth())
 	}
 	evicted, err := s.FailNode("m0")
 	if err != nil {

@@ -384,7 +384,7 @@ func (s *Sim) buildFleet(pname string) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	pm, err := SyntheticPowerModel()
+	pm, err := core.SyntheticPowerModel()
 	if err != nil {
 		return nil, err
 	}

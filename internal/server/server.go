@@ -93,9 +93,10 @@ type Config struct {
 }
 
 // FleetBackend is the cluster-scheduler surface the HTTP tier serves.
-// *fleet.Fleet implements it directly; *fleet.Sharded implements it with
-// per-group locking so placements on disjoint machines commit
-// concurrently.
+// *fleet.Fleet implements it directly. *fleet.Sharded adds per-shard
+// locking under PlaceWith, Pump and Remove, so single placements on
+// disjoint machines commit concurrently; every other method is the same
+// Fleet code run over the whole node list under every shard lock.
 type FleetBackend interface {
 	PlaceWith(ctx context.Context, spec *workload.Spec, opts fleet.PlaceOptions) (fleet.Placed, error)
 	PlaceAll(ctx context.Context, specs []*workload.Spec) ([]fleet.Placed, error)

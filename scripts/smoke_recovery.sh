@@ -43,12 +43,24 @@ start() {
 }
 
 start
-# Residents on several nodes, then enough synchronous placements to
-# leave queued work behind too (queue mode waits for capacity, so the
-# queue is exercised via an async ticket that stays pending).
+# Fill all 24 slots (2 workstations x 2 cores + 2 servers x 4 cores, two
+# per core) across both shards, then one priority arrival in queue mode:
+# it preempts a resident, and the victim re-enters the admission queue
+# under a ticket the WAL must carry across the kill.
 curl -sf -XPOST "http://$addr/v1/fleet/place" -d '{"benches":["mcf","gzip","vpr","art","swim","ammp","applu","twolf","equake","bzip2"]}' >/dev/null
-curl -sf -XPOST "http://$addr/v1/fleet/place" -d '{"benches":["mcf","gzip","vpr","art","swim","ammp"]}' >/dev/null
+curl -sf -XPOST "http://$addr/v1/fleet/place" -d '{"benches":["mcf","gzip","vpr","art","swim","ammp","applu","twolf","equake","bzip2"]}' >/dev/null
+curl -sf -XPOST "http://$addr/v1/fleet/place" -d '{"benches":["mcf","gzip","vpr","art"]}' >/dev/null
+vip=$(curl -sf -XPOST "http://$addr/v1/fleet/place" -d '{"benches":["mcf"],"queue":true,"priority":1}')
+case "$vip" in
+  *'"requeued":true'*) ;;
+  *) echo "smoke_recovery: FAIL — the priority arrival did not requeue a victim: $vip" >&2; exit 1 ;;
+esac
 before=$(curl -sf "http://$addr/v1/fleet/state")
+
+case "$before" in
+  *'"queue_depth":1'*) ;;
+  *) echo "smoke_recovery: FAIL — no queued victim to recover: $before" >&2; exit 1 ;;
+esac
 
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
