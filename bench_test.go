@@ -12,10 +12,12 @@ package mpmc
 // methodology amortizes them across experiments.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"mpmc/internal/exp"
+	"mpmc/internal/machine"
 )
 
 var (
@@ -207,23 +209,46 @@ func BenchmarkBaselineComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkEquilibriumSolve measures one equilibrium solve (the inner
-// loop of assignment search).
+// benchProcs returns the truth features of the first k of six fixed suite
+// benchmarks on m: a contended co-run group from k = 2 up.
+func benchProcs(m *Machine, k int) []*FeatureVector {
+	names := []string{"mcf", "art", "gzip", "vpr", "twolf", "equake"}
+	fs := make([]*FeatureVector, k)
+	for i := range fs {
+		fs[i] = TruthFeature(WorkloadByName(names[i]), m)
+	}
+	return fs
+}
+
+// BenchmarkEquilibriumSolve measures one cold equilibrium solve of k
+// processes sharing the server's cache. newton is what SolverAuto — the
+// assignment search and the placement service — runs when it converges;
+// window is the bisection it falls back to.
 func BenchmarkEquilibriumSolve(b *testing.B) {
 	m := FourCoreServer()
-	fs := []*FeatureVector{
-		TruthFeature(WorkloadByName("mcf"), m),
-		TruthFeature(WorkloadByName("art"), m),
-	}
-	// Warm the G tables.
-	if _, err := PredictGroup(fs, m.Assoc, SolverWindow); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PredictGroup(fs, m.Assoc, SolverWindow); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name   string
+		method SolverMethod
+		k      int
+	}{
+		{"newton/k2", SolverNewton, 2}, {"newton/k3", SolverNewton, 3},
+		{"newton/k4", SolverNewton, 4}, {"newton/k6", SolverNewton, 6},
+		{"window/k2", SolverWindow, 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			fs := benchProcs(m, bc.k)
+			// Warm the G tables.
+			if _, err := PredictGroup(fs, m.Assoc, bc.method); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := PredictGroup(fs, m.Assoc, bc.method); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -276,31 +301,37 @@ func BenchmarkProfileOne(b *testing.B) {
 	}
 }
 
-// BenchmarkAssignmentSearch measures the exhaustive 4-process search on
-// the 4-core server: 72 canonical placements, made of 41 distinct group
-// layouts and 13 co-run combinations, each solved once per search.
+// BenchmarkAssignmentSearch measures the exhaustive search of k processes
+// on the two four-core presets. server-k4 is 72 canonical placements, made
+// of 41 distinct group layouts and 13 co-run combinations, each solved once
+// per search; k = 6 is 1056 placements over at most 31 combinations.
 func BenchmarkAssignmentSearch(b *testing.B) {
-	m := FourCoreServer()
-	pm, err := TrainPowerModel(m, ModelSet(), PowerTrainOptions{
-		Warmup: 0.5, Duration: 1, Seed: 1, MicrobenchWindows: 2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cm := NewCombinedModel(m, pm)
-	procs := []*FeatureVector{
-		TruthFeature(WorkloadByName("mcf"), m),
-		TruthFeature(WorkloadByName("art"), m),
-		TruthFeature(WorkloadByName("gzip"), m),
-		TruthFeature(WorkloadByName("vpr"), m),
-	}
-	if _, err := cm.BestAssignment(procs, 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cm.BestAssignment(procs, 1); err != nil {
+	for _, preset := range []struct {
+		name    string
+		machine *Machine
+	}{{"server", FourCoreServer()}, {"little", machine.FourCoreLittle()}} {
+		m := preset.machine
+		pm, err := TrainPowerModel(m, ModelSet(), PowerTrainOptions{
+			Warmup: 0.5, Duration: 1, Seed: 1, MicrobenchWindows: 2,
+		})
+		if err != nil {
 			b.Fatal(err)
+		}
+		cm := NewCombinedModel(m, pm)
+		for k := 4; k <= 6; k++ {
+			b.Run(fmt.Sprintf("%s-k%d", preset.name, k), func(b *testing.B) {
+				procs := benchProcs(m, k)
+				if _, err := cm.BestAssignment(procs, 1); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := cm.BestAssignment(procs, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -155,14 +155,22 @@ func TestBestAssignmentMatchesReference(t *testing.T) {
 	}
 }
 
-// countingContext counts how often a search polls it.
+// countingContext counts how often a search polls it and, given a trip
+// count, reports cancellation from the poll after its trip-th onwards.
 type countingContext struct {
 	context.Context
-	polls atomic.Int64
+	polls   atomic.Int64
+	trip    int64  // polls answered nil before context.Canceled; 0 = never trips
+	tripped func() // called as the first poll is refused, if set
 }
 
 func (c *countingContext) Err() error {
-	c.polls.Add(1)
+	if n := c.polls.Add(1); c.trip > 0 && n > c.trip {
+		if n == c.trip+1 && c.tripped != nil {
+			c.tripped()
+		}
+		return context.Canceled
+	}
 	return c.Context.Err()
 }
 
@@ -203,9 +211,10 @@ func TestBestAssignmentSolvesEachCombinationOnce(t *testing.T) {
 	if st.WattsMisses >= uint64(len(results)) {
 		t.Fatalf("%d group estimates for %d assignments: layouts are not shared", st.WattsMisses, len(results))
 	}
-	// The context is still polled once per candidate mapping.
-	if polls := ctx.polls.Load(); polls < 4096 {
-		t.Fatalf("context polled %d times over 4096 mappings", polls)
+	// The context is still polled once per candidate: the canonical
+	// assignments, the only mappings the search visits.
+	if polls := ctx.polls.Load(); polls < int64(len(results)) {
+		t.Fatalf("context polled %d times over %d candidates", polls, len(results))
 	}
 }
 

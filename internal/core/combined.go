@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"mpmc/internal/hpc"
@@ -209,17 +208,28 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 	if read&ReadSPI != 0 {
 		est.SPI = make([]float64, residents)
 	}
+	// A combination too wide for the search table's packed key is solved
+	// unshared. (Under SearchSpace's bound none is: a combination has at
+	// most min(cores, k) members.)
+	if tab != nil && len(busy)*tab.width > 64 {
+		tab = nil
+	}
 	var sum float64
 	for n := 0; n < count; n++ {
 		v, end := n, residents
+		var key uint64
 		for i := len(busy) - 1; i >= 0; i-- {
 			procs := asg[busy[i]]
 			end -= len(procs)
-			combo[i], slot[i] = procs[v%len(procs)], end+v%len(procs)
+			d := v % len(procs)
+			combo[i], slot[i] = procs[d], end+d
+			if tab != nil {
+				key |= tab.ids[busy[i]][d] << (i * tab.width)
+			}
 			v /= len(procs)
 		}
 		if tab != nil {
-			powers, err := cm.tablePowers(ctx, combo, tab)
+			powers, err := cm.tablePowers(ctx, combo, key, tab)
 			if err != nil {
 				return GroupEstimate{}, err
 			}
@@ -271,13 +281,9 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 
 // tablePowers returns ProcessCorePower of every process of one co-run
 // combination of an assignment search, in prediction order: solved on first
-// sight, shared afterwards.
-func (cm *CombinedModel) tablePowers(ctx context.Context, combo []*FeatureVector, tab *searchTable) ([]float64, error) {
-	tab.key = tab.key[:0]
-	for _, f := range combo {
-		tab.key = binary.AppendUvarint(tab.key, tab.ids[f])
-	}
-	powers, ok := tab.powers[string(tab.key)]
+// sight of its key, shared afterwards.
+func (cm *CombinedModel) tablePowers(ctx context.Context, combo []*FeatureVector, key uint64, tab *searchTable) ([]float64, error) {
+	powers, ok := tab.powers[key]
 	if !ok {
 		preds, err := PredictGroupCached(ctx, combo, cm.Machine.Assoc, cm.Solver, cm.State)
 		if err != nil {
@@ -287,7 +293,7 @@ func (cm *CombinedModel) tablePowers(ctx context.Context, combo []*FeatureVector
 		for i, p := range preds {
 			powers[i] = cm.ProcessCorePower(p)
 		}
-		tab.powers[string(tab.key)] = powers
+		tab.powers[key] = powers
 	}
 	return powers, nil
 }

@@ -256,11 +256,21 @@ func solveWindow(ctx context.Context, features []*FeatureVector, assoc float64) 
 // constraints keeping every S_i in (0, min(A, GMax_i)]. ctx is checked at
 // the top of every Newton iteration. Everything but the returned sizes
 // lives in one scratch block, reused across iterations.
+//
+// The system is an arrow: f_1 is a sum, and f_i reads only S₁ and S_i. So
+// G⁻¹ and SPI of every process are kept at the base point, a Jacobian
+// column re-evaluates only the process it perturbs, and an accepted
+// line-search trial hands its residual and evaluations to the next
+// iteration: 2k process evaluations per iteration where differencing the
+// whole residual per column took k²+2k. Every entry is the float
+// operations of the full difference on the same operands.
 func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) ([]float64, error) {
 	k := len(features)
-	scratch := make([]float64, 5*k+k*k)
+	scratch := make([]float64, 9*k+k*k)
 	upper, r, rp, trial, step := scratch[:k], scratch[k:2*k], scratch[2*k:3*k], scratch[3*k:4*k], scratch[4*k:5*k]
-	jac := scratch[5*k:]
+	// G_i⁻¹(S_i) and SPI_i(S_i) at the base point s and at a trial point.
+	inv, spi, invT, spiT := scratch[5*k:6*k], scratch[6*k:7*k], scratch[7*k:8*k], scratch[8*k:9*k]
+	jac := scratch[9*k:]
 	for i, f := range features {
 		upper[i] = math.Min(assoc, f.GMax())
 	}
@@ -279,23 +289,28 @@ func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) 
 			s[i] = 0.05
 		}
 	}
+	f1 := features[0]
+	eval := func(i int, size float64) (float64, float64) {
+		f := features[i]
+		return f.GInverse(size), f.SPI(f.MPA(size))
+	}
 	// The Eq. 7 residuals are ratios whose scales differ by orders of
 	// magnitude across heterogeneous processes; taking logarithms turns
 	// them into well-conditioned differences with the same roots.
-	resid := func(r, s []float64) {
+	row := func(i int, inv1, spi1, invi, spii float64) float64 {
+		return math.Log(inv1/invi) - math.Log((f1.API*spii)/(features[i].API*spi1))
+	}
+	resid := func(r, inv, spi, s []float64) {
 		sum := 0.0
 		for _, v := range s {
 			sum += v
 		}
 		r[0] = sum - assoc
-		f1 := features[0]
-		inv1 := f1.GInverse(s[0])
-		spi1 := f1.SPI(f1.MPA(s[0]))
+		for i := range s {
+			inv[i], spi[i] = eval(i, s[i])
+		}
 		for i := 1; i < k; i++ {
-			fi := features[i]
-			invi := fi.GInverse(s[i])
-			spii := fi.SPI(fi.MPA(s[i]))
-			r[i] = math.Log(inv1/invi) - math.Log((f1.API*spii)/(fi.API*spi1))
+			r[i] = row(i, inv[0], spi[0], inv[i], spi[i])
 		}
 	}
 	const tol = 1e-9
@@ -303,23 +318,41 @@ func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		resid(r, s)
+		if iter == 0 {
+			resid(r, inv, spi, s)
+		}
 		base := linalg.NormInf(r)
 		if base < tol {
 			return s, nil
 		}
-		// Forward-difference Jacobian, row-major; trial doubles as the
-		// perturbed point.
+		// Forward-difference Jacobian, row-major. Column j moves S_j alone:
+		// row 0 re-sums the perturbed point in order, column 0 moves the
+		// reference process under every ratio, column j ≥ 1 moves row j, and
+		// an untouched row differences its own residual, so NaN and the sign
+		// of zero come out as the full difference gave them.
 		for j := 0; j < k; j++ {
 			h := 1e-6 * math.Max(1, s[j])
 			if s[j]+h > upper[j] {
 				h = -h
 			}
-			copy(trial, s)
-			trial[j] += h
-			resid(rp, trial)
-			for i := 0; i < k; i++ {
-				jac[i*k+j] = (rp[i] - r[i]) / h
+			sum := 0.0
+			for i, v := range s {
+				if i == j {
+					v += h
+				}
+				sum += v
+			}
+			jac[j] = ((sum - assoc) - r[0]) / h
+			invj, spij := eval(j, s[j]+h)
+			for i := 1; i < k; i++ {
+				d := r[i] - r[i]
+				switch {
+				case j == 0:
+					d = row(i, invj, spij, inv[i], spi[i]) - r[i]
+				case i == j:
+					d = row(i, inv[0], spi[0], invj, spij) - r[i]
+				}
+				jac[i*k+j] = d / h
 			}
 		}
 		copy(step, r)
@@ -354,9 +387,12 @@ func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) 
 			if !ok {
 				continue
 			}
-			resid(rp, trial)
+			resid(rp, invT, spiT, trial)
 			if linalg.NormInf(rp) < base {
+				// The accepted trial is the next base point, residual and
+				// evaluations included.
 				copy(s, trial)
+				r, rp, inv, invT, spi, spiT = rp, r, invT, inv, spiT, spi
 				improved = true
 				break
 			}

@@ -121,3 +121,69 @@ func TestSolveWindowCapacityExact(t *testing.T) {
 		}
 	}
 }
+
+// TestBestAssignmentStopsAtCancel trips the context after its N-th poll,
+// early, mid-search and on the search's very last poll: the search reports
+// context.Canceled and starts at most one more layout estimate and no
+// further solve.
+func TestBestAssignmentStopsAtCancel(t *testing.T) {
+	m := machine.FourCoreServer()
+	procs := suiteFeatures(m)[:5]
+	pm := testPowerModelFor(t, m)
+	whole := &countingContext{Context: context.Background()}
+	if _, err := NewCombinedModel(m, pm).BestAssignmentContext(whole, procs, 0); err != nil {
+		t.Fatal(err)
+	}
+	last := whole.polls.Load() - 1
+	for _, trip := range []int64{1, 7, last} {
+		cm := NewCombinedModel(m, pm)
+		cm.State = NewSolverState(0)
+		var before SolverStateStats
+		ctx := &countingContext{Context: context.Background(), trip: trip}
+		ctx.tripped = func() { before = cm.State.Stats() }
+		res, err := cm.BestAssignmentContext(ctx, procs, 0)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("trip %d: %d results, err = %v, want context.Canceled", trip, len(res), err)
+		}
+		after := cm.State.Stats()
+		if d := after.WattsMisses - before.WattsMisses; d > 1 {
+			t.Errorf("trip %d: %d layout estimates started after the cancel", trip, d)
+		}
+		if d := (after.Misses + after.Rejected + after.Hits) - (before.Misses + before.Rejected + before.Hits); d != 0 {
+			t.Errorf("trip %d: %d solves finished after the cancel", trip, d)
+		}
+		if extra := ctx.polls.Load() - trip; extra > 2 {
+			t.Errorf("trip %d: polled %d more times after the cancel", trip, extra-1)
+		}
+	}
+}
+
+// TestSolveStopsWithinOneIteration trips the context between Newton
+// iterations: solveNewton returns at its next poll, and SolverAuto spends
+// one more poll seeing the cancel and does not start the window solver.
+func TestSolveStopsWithinOneIteration(t *testing.T) {
+	m := machine.FourCoreServer()
+	feats := contendedGroup(t, m, "mcf", "art")
+	whole := &countingContext{Context: context.Background()}
+	if _, err := PredictGroupContext(whole, feats, m.Assoc, SolverNewton); err != nil {
+		t.Fatal(err)
+	}
+	iters := whole.polls.Load()
+	if iters < 3 {
+		t.Fatalf("mcf+art converge in %d Newton polls; the test needs a cancel mid-solve", iters)
+	}
+	for _, tc := range []struct {
+		method SolverMethod
+		extra  int64 // polls from the refused one on
+	}{{SolverNewton, 1}, {SolverAuto, 2}} {
+		for _, trip := range []int64{1, iters - 1} {
+			ctx := &countingContext{Context: context.Background(), trip: trip}
+			if _, err := PredictGroupContext(ctx, feats, m.Assoc, tc.method); !errors.Is(err, context.Canceled) {
+				t.Fatalf("method %d trip %d: err = %v, want context.Canceled", tc.method, trip, err)
+			}
+			if polls := ctx.polls.Load(); polls != trip+tc.extra {
+				t.Errorf("method %d trip %d: %d polls, want %d", tc.method, trip, polls, trip+tc.extra)
+			}
+		}
+	}
+}

@@ -266,7 +266,10 @@ func (f *Fleet) decisionKeyOf(n *node, feat *core.FeatureVector) string {
 type Fleet struct {
 	cfg   Config
 	nodes []*node
-	feats *featureCache
+	// byName indexes nodes by name; names are unique and fixed once the
+	// fleet is wired, so it is read without further ceremony.
+	byName map[string]*node
+	feats  *featureCache
 	// scores memoizes per-group SPI terms and solver the underlying
 	// equilibrium solutions; both nil when ScoreCacheCap < 0 (cold mode).
 	scores *scoreCache
@@ -493,15 +496,19 @@ func New(cfg Config) (*Fleet, error) {
 	return f, f.wire()
 }
 
-// wire finishes a fleet whose node list is complete: the policy bundle,
-// the preemption ledger's limits, the counters and — except on a shard,
-// whose whole-fleet value reports for it — the gauge collector.
+// wire finishes a fleet whose node list is complete: the name index, the
+// policy bundle, the preemption ledger's limits, the counters and — except
+// on a shard, whose whole-fleet value reports for it — the gauge collector.
 func (f *Fleet) wire() error {
 	pipe, err := newBundle(f)
 	if err != nil {
 		return err
 	}
 	f.pipe = pipe
+	f.byName = make(map[string]*node, len(f.nodes))
+	for _, n := range f.nodes {
+		f.byName[n.cfg.Name] = n
+	}
 	f.ledger.MaxAttempts = f.cfg.PreemptMaxAttempts
 	f.ledger.MaxBackoff = f.cfg.PreemptMaxBackoff
 	f.placed = f.reg.Counter("fleet_place_total")
@@ -1462,14 +1469,7 @@ func (f *Fleet) Inspect() []NodeInspection {
 	return out
 }
 
-func (f *Fleet) nodeByNameLocked(name string) *node {
-	for _, n := range f.nodes {
-		if n.cfg.Name == name {
-			return n
-		}
-	}
-	return nil
-}
+func (f *Fleet) nodeByNameLocked(name string) *node { return f.byName[name] }
 
 // CoreState is one core's resident instances.
 type CoreState struct {

@@ -462,3 +462,38 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 		t.Fatalf("unknown policy String() = %q", s)
 	}
 }
+
+// TestNodeIndexCoversEveryNode: the name index built when a fleet is wired
+// resolves every node of a standalone fleet and, on the whole-fleet value
+// of a sharded one, every node of the concatenated list; an unknown name is
+// no node, and a second node of one name never gets as far as the index.
+func TestNodeIndexCoversEveryNode(t *testing.T) {
+	f := testFleet(t, LeastDegradation, func(cfg *Config) { cfg.Nodes[2].Name = "spare" })
+	pm := testPower(t)
+	var nodes []NodeConfig
+	for i := 0; i < 5; i++ {
+		nodes = append(nodes, NodeConfig{Machine: machine.TwoCoreWorkstation(), Power: pm, MaxPerCore: 2})
+	}
+	nodes[4].Name = "spare"
+	sharded, err := NewSharded(Config{Nodes: nodes, Policy: LeastDegradation, Profile: oracle(nil, 0)}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fl := range []*Fleet{f, sharded.all} {
+		for i, name := range fl.NodeNames() {
+			if n := fl.nodeByNameLocked(name); n != fl.nodes[i] {
+				t.Errorf("%q resolves to %v, want node %d", name, n, i)
+			}
+		}
+		if n := fl.nodeByNameLocked("nowhere"); n != nil {
+			t.Errorf("an unknown name resolves to node %q", n.cfg.Name)
+		}
+	}
+	if _, err := f.FailNode("nowhere"); err == nil {
+		t.Error("FailNode accepted an unknown node")
+	}
+	nodes[1].Name = "spare" // shard 0 and shard 1 each hold one "spare"
+	if _, err := NewSharded(Config{Nodes: nodes, Policy: LeastDegradation, Profile: oracle(nil, 0)}, 2); err == nil {
+		t.Error("NewSharded accepted two nodes of one name in different shards")
+	}
+}
