@@ -302,7 +302,7 @@ func (f *Fleet) resyncNodeCapLocked(ctx context.Context, n *node) error {
 
 // setFreqLocked re-clocks a node: the rung moves, the one-entry decision
 // key cache is busted (keys embed the rung when off base), the version
-// stamps detached scoring revalidates are bumped, and the change is
+// stamp detached scoring revalidates is bumped, and the change is
 // journaled so recovery restores the rung. The group-term memo needs no
 // invalidation — its terms are unscaled and frequency-independent.
 func (f *Fleet) setFreqLocked(n *node, ix int) {
@@ -311,7 +311,6 @@ func (f *Fleet) setFreqLocked(n *node, ix int) {
 	}
 	n.freqIx = ix
 	n.keyFeat, n.keyStr = nil, ""
-	f.version++
 	n.version++
 	f.journalLocked(wal.Event{Type: wal.EvFreq, Node: n.cfg.Name, Freq: ix + 1})
 }
@@ -406,7 +405,6 @@ func (f *Fleet) EnforceCap(ctx context.Context) (CapReport, error) {
 	}
 	rep.WattsAfter = f.capL.usage()
 	rep.Satisfied = rep.WattsAfter <= budget
-	f.version++
 	f.flushJournalLocked()
 	// Lazily registered so uncapped fleets keep their exposition (and the
 	// server e2e golden) unchanged.

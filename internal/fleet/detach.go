@@ -1,20 +1,30 @@
-// Detached scoring: the queue pump's equilibrium solves run outside the
-// fleet lock against a version-stamped view, so Submit/Cancel/State are
-// never blocked behind a scoring pass. Correctness rests on three facts:
-// captured assignment snapshots are immutable (assignmentOf replaces, and
-// every scoring path copies on write), the score/feature caches and the
-// solver state are concurrency-safe and content-addressed, and a commit
-// only lands when the WINNING node's version still equals the view's
-// per-node stamp — a mutation on the chosen node forces a re-score
-// (which then decides exactly what a fresh in-lock pass would), while
-// mutations on other nodes never invalidate, so disjoint placements
-// commit concurrently. A no-fit outcome is the one fleet-wide claim and
-// revalidates against the fleet version instead.
+// Detached scoring and the optimistic path: the one loop that every queue
+// pump of a model-scoring policy and every Sharded.PlaceWith runs. A fleet
+// scores and commits on its shard list — the shards of a whole-fleet
+// value, or a standalone fleet as its own single shard — so the unsharded
+// and sharded engines share this code, not a copy of it.
+//
+// The equilibrium solves run outside every lock against a version-stamped
+// view, so Submit/Cancel/State are never blocked behind a scoring pass.
+// Correctness rests on three facts: captured assignment snapshots are
+// immutable (assignmentOf replaces, and every scoring path copies on
+// write), the score/feature caches and the solver state are
+// concurrency-safe and content-addressed, and a commit only lands when the
+// WINNING node's version still equals the view's per-node stamp — a
+// mutation on the chosen node forces a re-score (which then decides
+// exactly what a fresh in-lock pass would), while mutations on other nodes
+// never invalidate, so disjoint placements commit concurrently. Anything a
+// detached pass cannot settle — no feasible slot, a watt refusal at
+// commit, a run of conflicts — is decided again under the whole lock,
+// where a no-fit is confirmed against a consistent cluster and acted on
+// (preempt, reject or block). The Spread policy never takes this path.
 
 package fleet
 
 import (
 	"context"
+	"errors"
+	"runtime"
 
 	"mpmc/internal/core"
 	"mpmc/internal/parallel"
@@ -32,15 +42,6 @@ type scoreIn struct {
 	asg  core.Assignment
 	dkey string // decision-memo key ("" when the policy never memoizes)
 	fix  int    // the node's DVFS rung
-}
-
-// placeView is a consistent, version-stamped snapshot of one arrival's
-// feasible candidates and their scoring inputs.
-type placeView struct {
-	feasible []int     // admitted node indices: index order, MaxFeasible cut applied
-	ins      []scoreIn // ins[k] belongs to node feasible[k]
-	vers     []uint64  // every node's version at capture, by node index
-	ver      uint64    // fleet version, revalidating no-fit outcomes
 }
 
 // useMemo reports whether placements consult the decision memo. CapAware
@@ -84,24 +85,6 @@ func (f *Fleet) feasibleLocked(arr sched.Arrival, dst []int) []int {
 
 func arrivalOf(spec *workload.Spec, opts PlaceOptions) sched.Arrival {
 	return sched.Arrival{Key: spec.Name, Priority: opts.Priority, Tolerations: opts.Tolerations, Payload: spec}
-}
-
-// captureViewLocked snapshots the fleet for one arrival. Callers must
-// hold the fleet lock; the returned view is safe to score after release.
-func (f *Fleet) captureViewLocked(ctx context.Context, spec *workload.Spec, opts PlaceOptions) (*placeView, error) {
-	v := &placeView{vers: make([]uint64, len(f.nodes)), ver: f.version}
-	for i, n := range f.nodes {
-		v.vers[i] = n.version
-	}
-	v.feasible = f.feasibleLocked(arrivalOf(spec, opts), nil)
-	v.ins = make([]scoreIn, len(v.feasible))
-	for k, ni := range v.feasible {
-		var err error
-		if v.ins[k], err = f.scoreInLocked(ctx, f.nodes[ni], spec); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
 }
 
 // scoreGrain is the fewest cold scores worth a worker of their own. A cold
@@ -186,38 +169,39 @@ func (f *Fleet) scoreFeasible(ctx context.Context, spec *workload.Spec, feasible
 	return scores, err
 }
 
-// scoreViewDetached scores a captured view into a node-indexed vector,
-// infeasible nodes left !OK. The caller reduces it with the pipeline's
-// selector — selectors skip !OK entries, so the winner is bit-identical
-// to the in-lock decision against the same state.
-func (f *Fleet) scoreViewDetached(ctx context.Context, v *placeView, spec *workload.Spec) ([]nodeScore, error) {
-	scored, err := f.scoreFeasible(ctx, spec, v.feasible, v.ins)
-	if err != nil {
-		return nil, err
-	}
-	scores := make([]nodeScore, len(v.vers))
-	for k, ni := range v.feasible {
-		scores[ni] = scored[k]
-	}
-	return scores, nil
-}
-
-// scoreArrivalDetached captures a view under the lock and scores it
-// detached — the sharded fleet's per-shard scoring primitive. The
-// returned per-node version stamps revalidate the eventual commit (pass
-// the winning node's stamp to commitScored).
+// scoreArrivalDetached scores the arrival against f's nodes: the feasible
+// set and each candidate's inputs are captured under the lock, and the
+// solves run after it is released. It returns a node-indexed vector,
+// infeasible nodes left !OK (selectors skip them, so the winner is
+// bit-identical to the in-lock decision against the same state), and every
+// node's version stamp at capture (pass the winner's to commitScored).
 func (f *Fleet) scoreArrivalDetached(ctx context.Context, spec *workload.Spec, opts PlaceOptions) ([]nodeScore, []uint64, error) {
 	f.lock()
-	view, err := f.captureViewLocked(ctx, spec, opts)
+	vers := make([]uint64, len(f.nodes))
+	for i, n := range f.nodes {
+		vers[i] = n.version
+	}
+	feasible := f.feasibleLocked(arrivalOf(spec, opts), nil)
+	ins := make([]scoreIn, len(feasible))
+	var err error
+	for k, ni := range feasible {
+		if ins[k], err = f.scoreInLocked(ctx, f.nodes[ni], spec); err != nil {
+			break
+		}
+	}
 	f.unlock()
 	if err != nil {
 		return nil, nil, err
 	}
-	scores, err := f.scoreViewDetached(ctx, view, spec)
+	scored, err := f.scoreFeasible(ctx, spec, feasible, ins)
 	if err != nil {
 		return nil, nil, err
 	}
-	return scores, view.vers, nil
+	scores := make([]nodeScore, len(f.nodes))
+	for k, ni := range feasible {
+		scores[ni] = scored[k]
+	}
+	return scores, vers, nil
 }
 
 // rescoreNodeDetached refreshes a single node's entry in a detached
@@ -227,9 +211,8 @@ func (f *Fleet) scoreArrivalDetached(ctx context.Context, spec *workload.Spec, o
 // captured — safe, because an unchanged stamp certifies an unchanged
 // assignment, and commitScored revalidates whichever node eventually
 // wins. Callers with a MaxFeasible cut must not use this (the cut is a
-// property of the whole feasible set); NewSharded rejects that
-// combination for shards > 1 and the sharded fast path re-scores fully
-// when a cut is configured.
+// property of the whole feasible set); commitDetached hands a conflict
+// under a cut to the in-lock path instead.
 func (f *Fleet) rescoreNodeDetached(ctx context.Context, i int, spec *workload.Spec, opts PlaceOptions) (nodeScore, uint64, error) {
 	n := f.nodes[i]
 	f.lock()
@@ -267,4 +250,155 @@ func (f *Fleet) commitScored(ctx context.Context, spec *workload.Spec, opts Plac
 	}
 	f.flushJournalLocked()
 	return p, true, nil
+}
+
+// detached reports whether f's queue pumps and optimistic placements take
+// the detached path — the one place that choice is made. Spread never
+// does: its rotation cursor is read by the decision and advanced by the
+// commit, so a view captured without it is stale on arrival.
+func (f *Fleet) detached() bool { return f.cfg.Policy != Spread }
+
+// shardOf locates the shard and shard-local node index of a global pick.
+func (f *Fleet) shardOf(global int) (*Fleet, int) {
+	for _, sh := range f.shards[:len(f.shards)-1] {
+		if global < len(sh.nodes) {
+			return sh, global
+		}
+		global -= len(sh.nodes)
+	}
+	return f.shards[len(f.shards)-1], global
+}
+
+// scoreAll scores the arrival on every shard (each against its own
+// version-stamped view) and concatenates the vectors in shard order: the
+// concatenation is exactly the unsharded fleet's node-indexed score vector
+// for the same state, and vers[i] is node i's stamp at capture.
+func (f *Fleet) scoreAll(ctx context.Context, spec *workload.Spec, opts PlaceOptions) ([]nodeScore, []uint64, error) {
+	if len(f.shards) == 1 {
+		return f.shards[0].scoreArrivalDetached(ctx, spec, opts)
+	}
+	type res struct {
+		scores []nodeScore
+		vers   []uint64
+	}
+	results := make([]res, len(f.shards))
+	// One worker per shard, capped at GOMAXPROCS: results land in
+	// per-shard slots, so the worker count never changes a decision, and
+	// on a small box the serial path skips the goroutine fan-out.
+	w := min(len(f.shards), runtime.GOMAXPROCS(0))
+	err := parallel.ForEach(ctx, w, len(f.shards), func(i int) error {
+		scores, vers, serr := f.shards[i].scoreArrivalDetached(ctx, spec, opts)
+		results[i] = res{scores, vers}
+		return serr
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	scores := make([]nodeScore, 0, len(f.nodes))
+	vers := make([]uint64, 0, len(f.nodes))
+	for _, r := range results {
+		scores = append(scores, r.scores...)
+		vers = append(vers, r.vers...)
+	}
+	return scores, vers, nil
+}
+
+// placeAttempts bounds the optimistic commit attempts of one arrival
+// before it falls back to the in-lock path (which always terminates).
+const placeAttempts = 8
+
+// commitDetached runs the optimistic commit attempts of one arrival
+// against its scored vector: pick globally, commit on the winner's shard
+// against its stamp; a conflict refreshes only the conflicted node's entry
+// and re-picks. A queue entry (opts.ticket != 0) is claimed around each
+// commit, so a concurrent cancel either wins first (pumpGone) or sees the
+// claim. pumpFull means the arrival needs the in-lock path, not yet that
+// it fits nowhere: nothing was feasible, the watt budget refused the pick
+// (a capacity verdict, which only the in-lock path may act on), a conflict
+// hit a MaxFeasible cut, or the attempts ran out. An error is a
+// non-capacity failure.
+func (f *Fleet) commitDetached(ctx context.Context, spec *workload.Spec, opts PlaceOptions, scores []nodeScore, vers []uint64) (Placed, pumpOutcome, error) {
+	for attempt := 0; attempt < placeAttempts; attempt++ {
+		pick := f.pipe.pipe.Selector().Pick(scores)
+		if pick < 0 {
+			return Placed{}, pumpFull, nil
+		}
+		if opts.ticket != 0 && !f.claim(opts.ticket) {
+			return Placed{}, pumpGone, nil
+		}
+		sh, local := f.shardOf(pick)
+		p, ok, err := sh.commitScored(ctx, spec, opts, local, scores[pick], vers[pick])
+		if opts.ticket != 0 {
+			f.settle(opts.ticket, &p, ok)
+		} else if ok {
+			f.placed.Inc()
+		}
+		switch {
+		case ok:
+			return p, pumpPlaced, nil
+		case errors.Is(err, ErrFleetFull):
+			return Placed{}, pumpFull, nil
+		case err != nil:
+			return Placed{}, pumpGone, err
+		}
+		// Registered lazily: a standalone fleet's exposition gains the
+		// counter only once it has something to say.
+		f.reg.Counter("fleet_shard_conflict_total").Inc()
+		if f.cfg.MaxFeasible > 0 {
+			return Placed{}, pumpFull, nil
+		}
+		ns, nv, err := sh.rescoreNodeDetached(ctx, local, spec, opts)
+		if err != nil {
+			return Placed{}, pumpGone, err
+		}
+		scores[pick], vers[pick] = ns, nv
+	}
+	return Placed{}, pumpFull, nil
+}
+
+// claim marks a queue entry committing before its commit touches a shard;
+// false when it was cancelled or another pump holds it.
+func (f *Fleet) claim(ticket int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	i := f.ticketIndexLocked(ticket)
+	if i < 0 || f.queue[i].committing {
+		return false
+	}
+	f.queue[i].committing = true
+	return true
+}
+
+// settle releases a claim after the commit; an admitted entry leaves the
+// queue. The claim kept the entry queued: nothing else removes a
+// committing entry.
+func (f *Fleet) settle(ticket int, p *Placed, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	i := f.ticketIndexLocked(ticket)
+	f.queue[i].committing = false
+	if ok {
+		f.admitQueuedLocked(p, i)
+	}
+}
+
+// pumpHead is one optimistic admission attempt on a queue head. A
+// non-capacity failure drops the entry; a head the detached pass could not
+// place is confirmed under the whole lock (admitTicket), where a positive
+// class may preempt and a full fleet leaves it queued.
+func (f *Fleet) pumpHead(ctx context.Context, q queued) (Placed, pumpOutcome) {
+	opts := q.opts()
+	p, outcome := Placed{}, pumpGone
+	scores, vers, err := f.scoreAll(ctx, q.spec, opts)
+	if err == nil {
+		p, outcome, err = f.commitDetached(ctx, q.spec, opts, scores, vers)
+	}
+	switch {
+	case err != nil:
+		f.dropTicket(q.ticket)
+		return Placed{}, pumpGone
+	case outcome == pumpFull:
+		return f.admitTicket(ctx, q.ticket)
+	}
+	return p, outcome
 }

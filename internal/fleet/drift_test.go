@@ -355,3 +355,89 @@ func TestRegistryCountsAllLockOperations(t *testing.T) {
 		})
 	}
 }
+
+// TestCapRefusalKeepsQueuedEntry: a watt refusal at commit is a capacity
+// verdict, never a failure. A capped least-watts fleet's ledger refuses
+// the queued head's scored pick at commit; the head is confirmed under the
+// whole lock, where a class-0 head stays queued and a class-2 head
+// preempts — through every path that pumps, on both engines.
+func TestCapRefusalKeepsQueuedEntry(t *testing.T) {
+	ctx := context.Background()
+	triggers := map[string]func(e engine) ([]Placed, error){
+		"pump":    func(e engine) ([]Placed, error) { return e.Pump(ctx) },
+		"restore": func(e engine) ([]Placed, error) { return e.RestoreNode(ctx, "m2") },
+		"remove": func(e engine) ([]Placed, error) {
+			ni := e.Inspect()[1]
+			return e.Remove(ctx, ni.Name, ni.Residents[0].Name)
+		},
+	}
+	// setup leaves m0 one class-0 resident and a free core, m1 two class-1
+	// residents, and m2 down for the restore trigger.
+	setup := func(t *testing.T, e engine, via string) {
+		t.Helper()
+		for i, s := range []*workload.Spec{workload.ByName("mcf"), workload.ByName("gzip"), workload.ByName("art")} {
+			opts := PlaceOptions{Priority: 1}
+			if i == 0 {
+				opts = PlaceOptions{Tag: "victim"}
+			}
+			if _, err := e.PlaceWith(ctx, s, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if via == "restore" {
+			if _, err := e.FailNode("m2"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, via := range []string{"pump", "restore", "remove"} {
+		for _, prio := range []int{0, 2} {
+			twins := driftEngines(t, LeastWatts, 3, 1, nil)
+			for name, e := range driftEngines(t, LeastWatts, 3, 1, nil) {
+				t.Run(fmt.Sprintf("%s/class%d/%s", via, prio, name), func(t *testing.T) {
+					// The twin takes the trigger with an empty queue: its draw
+					// afterwards is the budget, so no addition fits once the
+					// trigger has run, but a same-sized swap does.
+					twin := twins[name]
+					setup(t, twin, via)
+					if _, err := triggers[via](twin); err != nil {
+						t.Fatal(err)
+					}
+					setup(t, e, via)
+					if err := e.SetPowerCap(ctx, twin.CapUsage()); err != nil {
+						t.Fatal(err)
+					}
+					ticket, err := e.SubmitWith(workload.ByName("mcf"), "head", prio)
+					if err != nil {
+						t.Fatal(err)
+					}
+					placed, err := triggers[via](e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					free := false
+					for _, ni := range e.Inspect() {
+						free = free || (!ni.Down && len(ni.Residents) < ni.Machine.NumCores)
+					}
+					if !free {
+						t.Fatal("no free slot: the head was never scored onto a pick the ledger could refuse")
+					}
+					if n := e.Registry().CounterValue("fleet_queue_dropped_total"); n != 0 {
+						t.Fatalf("a watt refusal dropped %d queued entr(ies)", n)
+					}
+					queued := false
+					for _, q := range e.QueuedInfo() {
+						queued = queued || q.Ticket == ticket
+					}
+					switch {
+					case prio == 0 && (queued && len(placed) == 0):
+					case prio > 0 && !queued && len(placed) == 1 && placed[0].Tag == "head" &&
+						placed[0].Preempted != nil && placed[0].Preempted.Tag == "victim":
+					default:
+						t.Fatalf("class-%d head: placed %+v, still queued %t", prio, placed, queued)
+					}
+				})
+			}
+		}
+	}
+}

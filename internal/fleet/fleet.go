@@ -283,13 +283,18 @@ type Fleet struct {
 	// once in New (immutable afterwards).
 	pipe *bundle
 	// solves counts executed cache-group equilibrium solves (groupEstimate
-	// passes that read SPI; memo hits excluded). See SolverInvocations.
-	solves atomic.Uint64
+	// passes that read SPI; memo hits excluded), one counter per whole
+	// fleet: a shard counts into its whole fleet's. See SolverInvocations.
+	solves *atomic.Uint64
 
 	// domain lists the shards a whole-fleet value spans (nil for a
 	// standalone fleet and for a shard); whole is a shard's way back to it.
+	// shards is what the optimistic path scores and commits on: domain for
+	// a whole-fleet value, the fleet itself for a standalone one (its own
+	// single shard). Both are fixed once the fleet is wired.
 	domain []*Fleet
 	whole  *Fleet
+	shards []*Fleet
 
 	mu sync.Mutex
 	// cands/candPtrs are candidatesLocked's reusable buffers and feasible
@@ -305,12 +310,6 @@ type Fleet struct {
 	// backoff is measured on (one tick per queue pump).
 	ledger    sched.Ledger
 	pumpRound int
-	// version stamps the fleet's placement state: bumped (under mu) by
-	// every mutation that can change a scoring outcome — commits,
-	// removals, node fail/restore, rebalance moves, recovery. Detached
-	// scoring captures it with the view and re-validates at commit time:
-	// an unchanged version proves the scored snapshot is still current.
-	version uint64
 	// jbuf accumulates the current operation's journal events (guarded by
 	// mu); flushJournalLocked hands the batch to cfg.Journal, rollbacks
 	// discard it.
@@ -357,10 +356,9 @@ type queued struct {
 	// committing marks an entry whose placement commit is in flight on a
 	// shard, outside the queue mutex: CancelQueued refuses it (the process
 	// will land placed) and concurrent pumps skip it, which keeps
-	// cancel-vs-pump unambiguous across the two locks. An entry a
-	// standalone fleet is scoring outside its lock is NOT committing —
-	// cancellation wins there, the pump revalidates the ticket under the
-	// same lock before it commits.
+	// cancel-vs-pump unambiguous across the two locks. An entry a pump is
+	// only scoring is NOT committing — cancellation wins there, and the
+	// pump's claim before the commit finds the ticket gone.
 	committing bool
 }
 
@@ -404,14 +402,15 @@ func (cfg *Config) setDefaults() error {
 }
 
 // newShell builds a fleet before any node joins it: the feature cache,
-// score memo, solver state and watt ledger — a shard's are its whole
-// fleet's.
+// score memo, solver state, watt ledger and solve counter — a shard's are
+// its whole fleet's.
 func newShell(cfg Config) *Fleet {
 	f := &Fleet{cfg: cfg, reg: cfg.Registry, whole: cfg.whole}
 	if w := cfg.whole; w != nil {
-		f.feats, f.scores, f.solver, f.capL = w.feats, w.scores, w.solver, w.capL
+		f.feats, f.scores, f.solver, f.capL, f.solves = w.feats, w.scores, w.solver, w.capL, w.solves
 		return f
 	}
+	f.solves = new(atomic.Uint64)
 	f.feats = newFeatureCache(cfg, f.reg)
 	if cfg.ScoreCacheCap > 0 {
 		f.scores = newScoreCache(cfg.ScoreCacheCap, cfg.Intercept)
@@ -430,16 +429,11 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	f := newShell(cfg)
-	seen := map[string]bool{}
 	for i := range cfg.Nodes {
 		nc := cfg.Nodes[i]
 		if nc.Name == "" {
 			nc.Name = fmt.Sprintf("m%d", i)
 		}
-		if seen[nc.Name] {
-			return nil, fmt.Errorf("fleet: duplicate node name %q", nc.Name)
-		}
-		seen[nc.Name] = true
 		if nc.Machine == nil {
 			return nil, fmt.Errorf("fleet: node %q has no machine", nc.Name)
 		}
@@ -497,18 +491,25 @@ func New(cfg Config) (*Fleet, error) {
 }
 
 // wire finishes a fleet whose node list is complete: the name index, the
-// policy bundle, the preemption ledger's limits, the counters and — except
-// on a shard, whose whole-fleet value reports for it — the gauge collector.
+// shard list, the policy bundle, the preemption ledger's limits, the
+// counters and — except on a shard, whose whole-fleet value reports for
+// it — the gauge collector.
 func (f *Fleet) wire() error {
+	f.byName = make(map[string]*node, len(f.nodes))
+	for _, n := range f.nodes {
+		if f.byName[n.cfg.Name] != nil {
+			return fmt.Errorf("fleet: duplicate node name %q", n.cfg.Name)
+		}
+		f.byName[n.cfg.Name] = n
+	}
+	if f.shards = f.domain; f.shards == nil {
+		f.shards = []*Fleet{f}
+	}
 	pipe, err := newBundle(f)
 	if err != nil {
 		return err
 	}
 	f.pipe = pipe
-	f.byName = make(map[string]*node, len(f.nodes))
-	for _, n := range f.nodes {
-		f.byName[n.cfg.Name] = n
-	}
 	f.ledger.MaxAttempts = f.cfg.PreemptMaxAttempts
 	f.ledger.MaxBackoff = f.cfg.PreemptMaxBackoff
 	f.placed = f.reg.Counter("fleet_place_total")
@@ -621,7 +622,10 @@ func (f *Fleet) Place(ctx context.Context, spec *workload.Spec) (Placed, error) 
 }
 
 // PlaceWith is Place with explicit scheduling options (tag, priority
-// class, taint tolerations).
+// class, taint tolerations). It decides under the whole lock; on a
+// standalone fleet that is also its only path: a detached capture would
+// allocate a per-node version slice per placement, which on a 1 000-node
+// fleet costs more than the concurrency it buys.
 func (f *Fleet) PlaceWith(ctx context.Context, spec *workload.Spec, opts PlaceOptions) (Placed, error) {
 	if err := f.feats.resolve(ctx, []*workload.Spec{spec}); err != nil {
 		return Placed{}, err
@@ -853,7 +857,6 @@ func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts Plac
 	if f.pipe.advance {
 		f.rrNode = (best + 1) % len(f.nodes)
 	}
-	f.version++
 	n.version++
 	f.journalLocked(wal.Event{
 		Type: wal.EvAdmitted, Node: n.cfg.Name, Name: name, Core: s.Core,
@@ -976,30 +979,45 @@ func (f *Fleet) pendingSpecs() []*workload.Spec {
 // than a full fleet is dropped (and counted) rather than wedging the
 // queue. Returns the admissions, tags attached.
 //
-// For model-scoring policies the equilibrium solves run *outside* the
-// fleet lock against a version-stamped view: Submit, CancelQueued,
-// QueueDepth, and State are never blocked behind a scoring pass, and a
-// commit only lands when the fleet state is provably unchanged since the
-// view was captured (otherwise the head is re-scored — same decision a
-// fresh in-lock pass would make). A cancelled context returns with every
-// unplaced entry still queued: nothing is ever dropped between dequeue
-// and commit, so shutdown loses no submissions.
+// For model-scoring policies each head takes the optimistic path
+// (detach.go): heads come from the queue under the queue mutex alone, the
+// equilibrium solves run with no lock held, and a commit lands only while
+// the winning node's version stamp is unchanged — so Submit, CancelQueued,
+// QueueDepth and State are never blocked behind a scoring pass. A head the
+// optimistic pass cannot place is confirmed under the whole lock, where a
+// positive class may preempt and anything else blocks; capacity never
+// drops an entry. A cancelled context returns with every unplaced entry
+// still queued: nothing is ever dropped between dequeue and commit, so
+// shutdown loses no submissions.
 func (f *Fleet) Pump(ctx context.Context) ([]Placed, error) {
 	// Resolve features for the current queue outside the lock first.
 	if err := f.feats.resolve(ctx, f.pendingSpecs()); err != nil {
 		return nil, err
 	}
-	if f.cfg.Policy == Spread {
-		// Spread scores nothing (its rotation cursor is read during the
-		// decision, so there is no coherent detached view) — the in-lock
-		// pump holds the lock only for map probes.
+	if !f.detached() {
 		f.lock()
 		defer f.unlock()
 		out, err := f.pumpLocked(ctx)
 		f.flushJournalLocked()
 		return out, err
 	}
-	return f.pumpDetached(ctx)
+	var out []Placed
+	for first := true; ; first = false {
+		if err := ctx.Err(); err != nil {
+			return out, err
+		}
+		q, ok := f.nextHead(first)
+		if !ok {
+			return out, nil
+		}
+		switch p, outcome := f.pumpHead(ctx, q); outcome {
+		case pumpPlaced:
+			out = append(out, p)
+		case pumpFull:
+			// Confirmed full for this head: strict head-of-line.
+			return out, nil
+		}
+	}
 }
 
 // pumpOutcome is what one admission attempt on a queue entry came to.
@@ -1011,8 +1029,8 @@ const (
 	pumpFull                      // confirmed to fit nowhere: the head blocks the queue
 )
 
-// pumpLocked is the in-lock pump loop (queue cascades under Remove and
-// RestoreNode, and the Spread policy). Callers flush the journal.
+// pumpLocked is the in-lock pump loop (the queue cascade under Remove, and
+// the Spread policy). Callers flush the journal.
 func (f *Fleet) pumpLocked(ctx context.Context) ([]Placed, error) {
 	f.pumpRound++
 	var out []Placed
@@ -1053,9 +1071,9 @@ func (f *Fleet) admitLocked(ctx context.Context, i int) (Placed, pumpOutcome) {
 }
 
 // admitTicket is admitLocked for a ticket picked outside the fleet lock —
-// how a sharded pump confirms, under every lock, a head its optimistic
-// pass could not place. The entry may have been cancelled or claimed by
-// another pump since.
+// how the optimistic pump confirms, under the whole lock, a head its
+// detached pass could not place. The entry may have been cancelled or
+// claimed by another pump since.
 func (f *Fleet) admitTicket(ctx context.Context, ticket int) (Placed, pumpOutcome) {
 	f.lock()
 	defer f.unlock()
@@ -1143,109 +1161,6 @@ func (f *Fleet) admitQueuedLocked(p *Placed, i int) {
 	f.qAdmitted.Inc()
 }
 
-// pumpDetached is the scoring-policy pump loop: capture a consistent view
-// of the fleet under the lock, score it detached, then revalidate the
-// version stamp (and the entry's continued existence — cancellation wins)
-// before committing under the lock again.
-func (f *Fleet) pumpDetached(ctx context.Context) ([]Placed, error) {
-	var out []Placed
-	// Every pass ends by handing its staged events to the journal as one
-	// batch and releasing the lock.
-	release := func() {
-		f.flushJournalLocked()
-		f.unlock()
-	}
-	for first := true; ; first = false {
-		f.lock()
-		if err := ctx.Err(); err != nil {
-			// Shutdown contract: an entry is only removed after its commit
-			// succeeded, so everything not yet admitted is still queued.
-			release()
-			return out, err
-		}
-		if first {
-			f.pumpRound++
-		}
-		head := f.headLocked()
-		if head < 0 {
-			release()
-			return out, nil
-		}
-		q := f.queue[head]
-		view, err := f.captureViewLocked(ctx, q.spec, PlaceOptions{Priority: q.priority})
-		if err != nil {
-			f.dropQueuedLocked(head)
-			release()
-			continue
-		}
-		f.unlock()
-
-		scores, serr := f.scoreViewDetached(ctx, view, q.spec)
-		pick := -1
-		if serr == nil {
-			pick = f.pipe.pipe.Selector().Pick(scores)
-		}
-
-		f.lock()
-		idx := f.ticketIndexLocked(q.ticket)
-		switch {
-		case idx < 0:
-			// Cancelled while scoring: nothing committed, nothing to do —
-			// CancelQueued's true stays truthful.
-		case serr != nil:
-			f.dropQueuedLocked(idx)
-		case pick >= 0 && f.nodes[pick].version != view.vers[pick]:
-			// The winning node changed while scoring; its score is stale.
-			// Re-score — the fresh pass sees exactly what an in-lock pump
-			// would have. Changes on OTHER nodes don't invalidate: the
-			// winner's score is still exact, and the selection races the
-			// same way concurrent arrivals always have.
-		case pick < 0 && f.version != view.ver:
-			// "Nowhere fits" is a fleet-wide claim: any mutation anywhere
-			// (a departure may have freed capacity) invalidates it.
-		default:
-			p, outcome := f.commitPickLocked(ctx, idx, pick, scores)
-			if outcome == pumpFull {
-				// Nowhere fits: the head blocks the queue (strict head-of-line).
-				release()
-				return out, nil
-			}
-			if outcome == pumpPlaced {
-				out = append(out, p)
-			}
-		}
-		release()
-	}
-}
-
-// commitPickLocked finishes a detached decision for queue entry i: commit
-// the picked slot, or — nothing was feasible — preempt when the entry
-// outranks a resident. A fleet with no feasible slot and no victim leaves
-// the entry queued; a failed commit or preemption drops it.
-func (f *Fleet) commitPickLocked(ctx context.Context, i, pick int, scores []nodeScore) (Placed, pumpOutcome) {
-	q := f.queue[i]
-	var p Placed
-	var err error
-	switch {
-	case pick >= 0:
-		p, err = f.commitLocked(ctx, q.spec, q.opts(), pick, scores[pick])
-	case q.priority > 0:
-		var ok bool
-		if p, ok, err = f.preemptLocked(ctx, q.spec, q.opts()); err == nil && !ok {
-			return Placed{}, pumpFull
-		}
-	default:
-		return Placed{}, pumpFull
-	}
-	if err != nil {
-		f.discardJournalLocked()
-		f.dropQueuedLocked(i)
-		return Placed{}, pumpGone
-	}
-	f.admitQueuedLocked(&p, i)
-	return p, pumpPlaced
-}
-
 // journalLocked stages one event onto the current operation's batch
 // (free when no journal is configured).
 func (f *Fleet) journalLocked(e wal.Event) {
@@ -1301,7 +1216,6 @@ func (f *Fleet) Remove(ctx context.Context, nodeName, instance string) ([]Placed
 	if err := n.mgr.Remove(instance); err != nil {
 		return nil, err
 	}
-	f.version++
 	n.version++
 	f.journalLocked(wal.Event{Type: wal.EvDeparted, Node: nodeName, Name: instance})
 	if m, ok := n.meta[instance]; ok {
@@ -1364,7 +1278,6 @@ func (f *Fleet) FailNode(name string) ([]manager.Resident, error) {
 	if f.capL != nil {
 		f.capL.setNode(name, 0)
 	}
-	f.version++
 	n.version++
 	// One event covers the eviction cascade: replay evicts the node's
 	// residents implicitly, so a per-resident departed would double-remove.
@@ -1403,7 +1316,6 @@ func (f *Fleet) RestoreNode(ctx context.Context, name string) ([]Placed, error) 
 	// re-placed workloads elsewhere between fail and restore) are hygiene
 	// to drop, never a correctness requirement — keys are content-addressed.
 	f.invalidateNodeLocked(n)
-	f.version++
 	n.version++
 	f.journalLocked(wal.Event{Type: wal.EvNodeUp, Node: name})
 	f.flushJournalLocked()

@@ -479,7 +479,7 @@ func TestNodeIndexCoversEveryNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fl := range []*Fleet{f, sharded.all} {
+	for _, fl := range []*Fleet{f, sharded.Fleet} {
 		for i, name := range fl.NodeNames() {
 			if n := fl.nodeByNameLocked(name); n != fl.nodes[i] {
 				t.Errorf("%q resolves to %v, want node %d", name, n, i)

@@ -26,7 +26,7 @@ import (
 // test-only reference, and sweeps the two-phase routine against it. The
 // in-lock reference is Pipeline.Decide over a prioritizer that calls
 // scoreNode; the detached reference is the per-node view capture and the
-// hand copy of Decide that scoreViewDetached used to be.
+// hand copy of Decide that the detached scorer used to be.
 
 // scoreNode is the reference single-candidate scorer: seam, feature
 // resolve, counted memo probe, cold scoring, in that order.
@@ -237,12 +237,12 @@ func (r refSharded) Place(ctx context.Context, spec *workload.Spec) (Placed, err
 			vers = append(vers, view[i].ver)
 		}
 	}
-	pick := s.selector().Pick(scores)
+	pick := s.pipe.pipe.Selector().Pick(scores)
 	if pick < 0 {
 		return Placed{}, fmt.Errorf("fleet: %w for %s", ErrFleetFull, spec.Name)
 	}
-	shard, local := s.shardOf(pick)
-	p, ok, err := s.shards[shard].commitScored(ctx, spec, PlaceOptions{}, local, scores[pick], vers[pick])
+	sh, local := s.shardOf(pick)
+	p, ok, err := sh.commitScored(ctx, spec, PlaceOptions{}, local, scores[pick], vers[pick])
 	if err == nil && !ok {
 		err = fmt.Errorf("reference commit on %s hit a version conflict", p.Node)
 	}
@@ -288,9 +288,6 @@ type placer interface {
 	FreqStates() map[string]int
 	ScoreCacheStats() ScoreCacheStats
 }
-
-// ScoreCacheStats reads the shared memo's counters through shard 0.
-func (s *Sharded) ScoreCacheStats() ScoreCacheStats { return s.shards[0].ScoreCacheStats() }
 
 // refConfig is one cell of the sweep's configuration grid.
 type refConfig struct {
@@ -376,7 +373,7 @@ func refPair(t *testing.T, r *rand.Rand, c refConfig, faults [2]*eventFaults) (g
 			if err := s.feats.resolve(ctx, []*workload.Spec{spec}); err != nil {
 				t.Fatal(err)
 			}
-			s.shards[0].FlushScoreCache()
+			s.FlushScoreCache()
 		}
 	}
 }

@@ -263,7 +263,6 @@ func (f *Fleet) migrateLocked(ctx context.Context, src, dst *node, r manager.Res
 		}
 		dst.meta[newName] = meta
 	}
-	f.version++
 	src.version++
 	dst.version++
 	f.journalLocked(wal.Event{Type: wal.EvDeparted, Node: src.cfg.Name, Name: r.Name})

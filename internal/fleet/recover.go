@@ -92,7 +92,6 @@ func (f *Fleet) Recover(ctx context.Context, st *wal.State) error {
 	if st.Seq > f.seq {
 		f.seq = st.Seq
 	}
-	f.version++
 	for _, n := range f.nodes {
 		n.version++
 	}

@@ -193,7 +193,7 @@ func RunServeStress(ctx context.Context, cfg ServeStressConfig) (*ServeStressRep
 		rep.Rejected += stats[c].rejected
 		all = append(all, stats[c].lat...)
 	}
-	rep.Conflicts = s.conflicts.Value()
+	rep.Conflicts = s.reg.CounterValue("fleet_shard_conflict_total")
 	if elapsed > 0 {
 		rep.PlacementsPerSec = float64(rep.Placed) / elapsed.Seconds()
 	}

@@ -310,3 +310,158 @@ func TestShardedEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestOneShardSpreadMatchesFlat: a one-shard Sharded fleet under Spread —
+// the one policy NewSharded accepts only unsplit — decides exactly like
+// the unsharded fleet. Spread's rotation cursor is read by the decision
+// and advanced by the commit, so its placements and pumps stay in-lock on
+// the whole fleet: a detached pass would read the whole fleet's cursor and
+// advance the shard's, and the second placement would already differ.
+func TestOneShardSpreadMatchesFlat(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	flatNodes, shardNodes := equivNodePair(t, r, 4)
+	var flatLog, shardLog journalTap
+	config := func(nodes []NodeConfig, tap *journalTap) Config {
+		return Config{
+			Nodes: nodes, Policy: Spread, QueueCap: 4, Profile: oracle(nil, 0),
+			Registry: metrics.NewRegistry(), Journal: tap.record,
+		}
+	}
+	flat, err := New(config(flatNodes, &flatLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewSharded(config(shardNodes, &shardLog), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := [2]engine{flat, sharded}
+	ctx := context.Background()
+	suite := workload.Suite()
+	both := func(what string, op func(e engine) ([]Placed, error)) {
+		t.Helper()
+		fp, ferr := op(engines[0])
+		sp, serr := op(engines[1])
+		if (ferr == nil) != (serr == nil) || !samePlaced(fp, sp) {
+			t.Fatalf("%s: flat %+v (%v), sharded %+v (%v)", what, fp, ferr, sp, serr)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		spec := suite[i%len(suite)]
+		both(fmt.Sprintf("place %d (%s)", i, spec.Name), func(e engine) ([]Placed, error) {
+			p, err := e.PlaceWith(ctx, spec, PlaceOptions{})
+			return []Placed{p}, err
+		})
+	}
+	for i := 0; i < 3; i++ {
+		spec := suite[(12+i)%len(suite)]
+		for _, e := range engines {
+			if _, err := e.SubmitWith(spec, fmt.Sprintf("job%d", i), i%2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	both("pump", func(e engine) ([]Placed, error) { return e.Pump(ctx) })
+	for i := 0; i < 4; i++ {
+		var ni NodeInspection
+		for _, n := range flat.Inspect() {
+			if len(n.Residents) > 0 {
+				ni = n
+				break
+			}
+		}
+		if ni.Name == "" {
+			break
+		}
+		both("remove "+ni.Name, func(e engine) ([]Placed, error) { return e.Remove(ctx, ni.Name, ni.Residents[0].Name) })
+		both("place after remove", func(e engine) ([]Placed, error) {
+			p, err := e.PlaceWith(ctx, suite[i], PlaceOptions{})
+			return []Placed{p}, err
+		})
+	}
+	both("pump", func(e engine) ([]Placed, error) { return e.Pump(ctx) })
+	if fq, sq := flat.QueuedInfo(), sharded.QueuedInfo(); !reflect.DeepEqual(fq, sq) {
+		t.Fatalf("queue: flat %+v, sharded %+v", fq, sq)
+	}
+	if !reflect.DeepEqual(flatLog.events, shardLog.events) {
+		t.Fatalf("journals diverged:\n flat    %+v\n sharded %+v", flatLog.events, shardLog.events)
+	}
+	fs, _ := flat.State(ctx)
+	ss, _ := sharded.State(ctx)
+	if !reflect.DeepEqual(fs, ss) {
+		t.Fatalf("state: flat %+v, sharded %+v", fs, ss)
+	}
+}
+
+// TestShardedCountersReportWholeFleet: a sharded fleet's shards count
+// their solves into the whole fleet's counter, as they already share its
+// score memo and solver state, so the promoted SolverInvocations,
+// ScoreCacheStats and SolverStateStats report every solve — the optimistic
+// path's, which all run on shards, included. Fed the same stream at one
+// worker, the unsharded fleet does the same work, so the counts are equal.
+func TestShardedCountersReportWholeFleet(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	flatNodes, shardNodes := equivNodePair(t, r, 6)
+	config := func(nodes []NodeConfig) Config {
+		return Config{
+			Nodes: nodes, Policy: LeastDegradation, QueueCap: 4, Workers: 1,
+			Profile: oracle(nil, 0), Registry: metrics.NewRegistry(),
+		}
+	}
+	flat, err := New(config(flatNodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewSharded(config(shardNodes), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	suite := workload.Suite()
+	for _, e := range []engine{flat, sharded} {
+		var fifo []Placed
+		for i := 0; i < 40; i++ {
+			if len(fifo) == 8 {
+				if _, err := e.Remove(ctx, fifo[0].Node, fifo[0].Name); err != nil {
+					t.Fatal(err)
+				}
+				fifo = fifo[1:]
+			}
+			if i%5 == 4 {
+				if _, err := e.SubmitWith(suite[i%len(suite)], "", 0); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.Pump(ctx); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			p, err := e.PlaceWith(ctx, suite[(3*i)%len(suite)], PlaceOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fifo = append(fifo, p)
+		}
+	}
+	if sharded.SolverInvocations() == 0 || sharded.ScoreCacheStats().Lookups == 0 || sharded.SolverStateStats().Misses == 0 {
+		t.Fatalf("sharded counters are empty: %d solves, %+v, %+v",
+			sharded.SolverInvocations(), sharded.ScoreCacheStats(), sharded.SolverStateStats())
+	}
+	if f, s := flat.SolverInvocations(), sharded.SolverInvocations(); f != s {
+		t.Errorf("SolverInvocations: flat %d, sharded %d", f, s)
+	}
+	// Shards score concurrently, so a lookup that one shard's solve answers
+	// for another is a singleflight share rather than a hit: only the sum is
+	// the stream's.
+	f, s := flat.ScoreCacheStats(), sharded.ScoreCacheStats()
+	if f.Hits+f.Shared != s.Hits+s.Shared {
+		t.Errorf("ScoreCacheStats answered lookups: flat %+v, sharded %+v", f, s)
+	}
+	f.Hits, f.Shared, s.Hits, s.Shared = 0, 0, 0, 0
+	if f != s {
+		t.Errorf("ScoreCacheStats: flat %+v, sharded %+v", f, s)
+	}
+	if f, s := flat.SolverStateStats(), sharded.SolverStateStats(); f != s {
+		t.Errorf("SolverStateStats: flat %+v, sharded %+v", f, s)
+	}
+}

@@ -93,10 +93,13 @@ type Config struct {
 }
 
 // FleetBackend is the cluster-scheduler surface the HTTP tier serves.
-// *fleet.Fleet implements it directly. *fleet.Sharded adds per-shard
-// locking under PlaceWith, Pump and Remove, so single placements on
-// disjoint machines commit concurrently; every other method is the same
-// Fleet code run over the whole node list under every shard lock.
+// *fleet.Fleet implements it directly, and *fleet.Sharded through the
+// whole-fleet Fleet it embeds. Both pump the queue through one optimistic
+// loop (a standalone fleet is its own single shard); Sharded overrides
+// only PlaceWith (optimistic instead of all-locked) and Remove (one shard
+// lock), so single placements on disjoint machines commit concurrently.
+// Every other method is the same Fleet code run over the whole node list
+// under every shard lock.
 type FleetBackend interface {
 	PlaceWith(ctx context.Context, spec *workload.Spec, opts fleet.PlaceOptions) (fleet.Placed, error)
 	PlaceAll(ctx context.Context, specs []*workload.Spec) ([]fleet.Placed, error)
