@@ -251,6 +251,9 @@ func (cm *CombinedModel) BestAssignmentContext(ctx context.Context, procs []*Fea
 		idx   int
 	}
 	cands := make([]candidate, 0, len(mappings))
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	env := solveEnv{search: tab, ws: ws}
 	choice := make([]int, k)
 	layout := make([]uint64, len(groups)) // each group's packed layout
 	var wide []byte
@@ -278,7 +281,7 @@ func (cm *CombinedModel) BestAssignmentContext(ctx context.Context, procs []*Fea
 						scratch[c], tab.ids[c] = append(scratch[c], procs[i]), append(tab.ids[c], procID[i])
 					}
 				}
-				est, err := cm.estimateGroup(ctx, scratch, group, tab, ReadWatts)
+				est, err := cm.estimateGroup(ctx, scratch, group, env, ReadWatts, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -245,11 +245,12 @@ func TestSearchTableTooWide(t *testing.T) {
 	asg := Assignment{{feats[0], feats[1]}, {feats[2]}, nil, nil}
 	tab := &searchTable{ids: [][]uint64{{1, 2}, {3}, nil, nil}, width: 33, powers: map[uint64][]float64{}}
 	ctx := context.Background()
-	got, err := cm.estimateGroup(ctx, asg, m.Groups[0], tab, ReadWatts)
+	ws := new(workspace)
+	got, err := cm.estimateGroup(ctx, asg, m.Groups[0], solveEnv{search: tab, ws: ws}, ReadWatts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cm.estimateGroup(ctx, asg, m.Groups[0], nil, ReadWatts)
+	want, err := cm.estimateGroup(ctx, asg, m.Groups[0], solveEnv{ws: ws}, ReadWatts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestSearchTableTooWide(t *testing.T) {
 		t.Fatalf("%v W with %d table entries, want %v W and none", got.Watts, len(tab.powers), want.Watts)
 	}
 	tab.width = 2
-	if got, err = cm.estimateGroup(ctx, asg, m.Groups[0], tab, ReadWatts); err != nil {
+	if got, err = cm.estimateGroup(ctx, asg, m.Groups[0], solveEnv{search: tab, ws: ws}, ReadWatts, nil); err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(got.Watts) != math.Float64bits(want.Watts) || len(tab.powers) != 2 {

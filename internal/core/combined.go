@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mpmc/internal/hpc"
 	"mpmc/internal/machine"
@@ -109,12 +110,15 @@ func (cm *CombinedModel) EstimateAssignment(asg Assignment) (float64, error) {
 // solve, so an abandoned request stops between (or inside) solves rather
 // than estimating the whole assignment.
 func (cm *CombinedModel) EstimateAssignmentContext(ctx context.Context, asg Assignment) (float64, error) {
-	if err := cm.Validate(asg); err != nil {
-		return 0, err
-	}
+	return (*ComboTable)(nil).EstimateAssignment(ctx, cm, asg)
+}
+
+// estimateGroups sums the Eq. 10 watts of every cache group of a validated
+// assignment, in group order.
+func (cm *CombinedModel) estimateGroups(ctx context.Context, asg Assignment, env solveEnv) (float64, error) {
 	total := 0.0
 	for _, group := range cm.Machine.Groups {
-		est, err := cm.estimateGroup(ctx, asg, group, nil, ReadWatts)
+		est, err := cm.estimateGroup(ctx, asg, group, env, ReadWatts, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -154,16 +158,19 @@ type GroupEstimate struct {
 // and summing the groups' Watts in index order is EstimateAssignmentContext
 // bit for bit. The caller has checked asg with Validate.
 func (cm *CombinedModel) EstimateGroupContext(ctx context.Context, asg Assignment, gi int, read Readout) (GroupEstimate, error) {
-	return cm.estimateGroup(ctx, asg, cm.Machine.Groups[gi], nil, read)
+	return (*ComboTable)(nil).EstimateGroup(ctx, cm, asg, gi, read, nil)
 }
 
 // estimateGroup is the one enumeration of a cache group's co-run
 // combinations (Eq. 10): every combination is solved to equilibrium once
 // and read out for power, for SPI, or for both. Idle cores contribute
-// P_idle. tab, nil outside an assignment search (which reads watts only),
-// answers repeated combinations without a solve (see searchTable).
-func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, group []int, tab *searchTable, read Readout) (GroupEstimate, error) {
-	busy := make([]int, 0, 8) // on the stack for groups of up to 8 cores
+// P_idle. env.search, nil outside an assignment search (which reads watts
+// only), answers repeated combinations without a solve (see searchTable);
+// env.table does the same for the contended combinations of one operation.
+// The SPI terms are written into spi's backing array.
+func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, group []int, env solveEnv, read Readout, spi []float64) (GroupEstimate, error) {
+	ws := env.ws
+	busy := ws.busy[:0]
 	residents := 0
 	for _, c := range group {
 		if len(asg[c]) > 0 {
@@ -171,6 +178,7 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 			residents += len(asg[c])
 		}
 	}
+	ws.busy = busy
 	var est GroupEstimate
 	if read&ReadWatts != 0 {
 		est.Watts = float64(len(group)-len(busy)) * cm.Power.PIdle()
@@ -201,16 +209,19 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 	for _, c := range busy {
 		count *= len(asg[c])
 	}
-	combo := make([]*FeatureVector, len(busy))
+	combo := slices.Grow(ws.combo[:0], len(busy))[:len(busy)]
 	// slot[i] is where the SPI of busy core i's chosen process accumulates:
 	// est.SPI is laid out (busy core, arrival) from the start.
-	slot := make([]int, len(busy), 8)
+	slot := slices.Grow(ws.slot[:0], len(busy))[:len(busy)]
+	ws.combo, ws.slot = combo, slot
 	if read&ReadSPI != 0 {
-		est.SPI = make([]float64, residents)
+		est.SPI = slices.Grow(spi[:0], residents)[:residents]
+		clear(est.SPI)
 	}
 	// A combination too wide for the search table's packed key is solved
 	// unshared. (Under SearchSpace's bound none is: a combination has at
 	// most min(cores, k) members.)
+	tab := env.search
 	if tab != nil && len(busy)*tab.width > 64 {
 		tab = nil
 	}
@@ -229,7 +240,7 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 			v /= len(procs)
 		}
 		if tab != nil {
-			powers, err := cm.tablePowers(ctx, combo, key, tab)
+			powers, err := cm.tablePowers(ctx, combo, key, tab, ws)
 			if err != nil {
 				return GroupEstimate{}, err
 			}
@@ -238,10 +249,11 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 			}
 			continue
 		}
-		preds, err := PredictGroupCached(ctx, combo, cm.Machine.Assoc, cm.Solver, cm.State)
+		preds, err := predictInto(ctx, ws.preds, combo, cm.Machine.Assoc, cm.Solver, cm.State, env.table, ws)
 		if err != nil {
 			return GroupEstimate{}, err
 		}
+		ws.preds = preds
 		for i, p := range preds {
 			if read&ReadWatts != 0 {
 				sum += cm.ProcessCorePower(p)
@@ -282,13 +294,14 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 // tablePowers returns ProcessCorePower of every process of one co-run
 // combination of an assignment search, in prediction order: solved on first
 // sight of its key, shared afterwards.
-func (cm *CombinedModel) tablePowers(ctx context.Context, combo []*FeatureVector, key uint64, tab *searchTable) ([]float64, error) {
+func (cm *CombinedModel) tablePowers(ctx context.Context, combo []*FeatureVector, key uint64, tab *searchTable, ws *workspace) ([]float64, error) {
 	powers, ok := tab.powers[key]
 	if !ok {
-		preds, err := PredictGroupCached(ctx, combo, cm.Machine.Assoc, cm.Solver, cm.State)
+		preds, err := predictInto(ctx, ws.preds, combo, cm.Machine.Assoc, cm.Solver, cm.State, nil, ws)
 		if err != nil {
 			return nil, err
 		}
+		ws.preds = preds
 		powers = make([]float64, len(preds))
 		for i, p := range preds {
 			powers[i] = cm.ProcessCorePower(p)
@@ -309,16 +322,9 @@ func (cm *CombinedModel) EstimateAddition(asg Assignment, k *FeatureVector, c in
 
 // EstimateAdditionContext is EstimateAddition under a caller-supplied
 // context. It never mutates asg: the tentative assignment shares the
-// unchanged per-core slices and rebuilds only core c with a full-slice
-// append, which lets callers evaluate a placement before committing
-// state (estimation only reads the lists).
+// unchanged per-core slices and spells out only core c, in scratch memory,
+// which lets callers evaluate a placement before committing state
+// (estimation only reads the lists).
 func (cm *CombinedModel) EstimateAdditionContext(ctx context.Context, asg Assignment, k *FeatureVector, c int) (float64, error) {
-	if c < 0 || c >= cm.Machine.NumCores {
-		return 0, fmt.Errorf("core: core %d out of range", c)
-	}
-	next := make(Assignment, len(asg))
-	copy(next, asg)
-	cur := asg[c]
-	next[c] = append(cur[:len(cur):len(cur)], k)
-	return cm.EstimateAssignmentContext(ctx, next)
+	return (*ComboTable)(nil).EstimateAddition(ctx, cm, asg, k, c)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"mpmc/internal/linalg"
 )
@@ -66,6 +67,27 @@ func PredictGroupContext(ctx context.Context, features []*FeatureVector, assoc i
 // PredictGroupContext. Only contended groups consult st; the solo and
 // uncontended paths are already O(k).
 func PredictGroupCached(ctx context.Context, features []*FeatureVector, assoc int, method SolverMethod, st *SolverState) ([]Prediction, error) {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	return predictInto(ctx, nil, features, assoc, method, st, nil, ws)
+}
+
+// predictInto is PredictGroupCached written into dst's backing array, with
+// the solver's scratch drawn from ws and the combination table t (nil: none)
+// asked ahead of st. Only contended combinations reach t — the solo and
+// uncontended paths are already O(k) — and only a successful solve is
+// recorded there. A combination t holds has passed every check below, so it
+// is answered before them.
+func predictInto(ctx context.Context, dst []Prediction, features []*FeatureVector, assoc int, method SolverMethod, st *SolverState, t *ComboTable, ws *workspace) ([]Prediction, error) {
+	var key comboKey
+	keyed := false
+	if t != nil && len(features) > 1 {
+		if key, keyed = keyOf(features, assoc, method); keyed {
+			if out, ok := t.get(dst, &key); ok {
+				return out, nil
+			}
+		}
+	}
 	if len(features) == 0 {
 		return nil, fmt.Errorf("core: empty co-run group")
 	}
@@ -80,11 +102,12 @@ func PredictGroupCached(ctx context.Context, features []*FeatureVector, assoc in
 			return nil, err
 		}
 	}
+	out := slices.Grow(dst[:0], len(features))
 	a := float64(assoc)
 	if len(features) == 1 {
 		f := features[0]
 		s := math.Min(f.GMax(), a)
-		return []Prediction{predAt(f, s)}, nil
+		return append(out, predAt(f, s)), nil
 	}
 	// If the combined appetites cannot fill the cache there is no
 	// contention: everyone gets their asymptotic size.
@@ -93,54 +116,54 @@ func PredictGroupCached(ctx context.Context, features []*FeatureVector, assoc in
 		total += f.GMax()
 	}
 	if total <= a {
-		out := make([]Prediction, len(features))
-		for i, f := range features {
-			out[i] = predAt(f, f.GMax())
+		for _, f := range features {
+			out = append(out, predAt(f, f.GMax()))
 		}
 		return out, nil
 	}
+	if keyed {
+		t.solves.Add(1)
+	}
 
 	var stateKey string
+	sizes, seeded := []float64(nil), false
 	if st != nil {
 		stateKey = st.key(features, assoc, method)
-		if sizes, ok := st.seed(stateKey, features, a); ok {
-			out := make([]Prediction, len(features))
-			for i, f := range features {
-				out[i] = predAt(f, sizes[i])
-			}
-			return out, nil
-		}
+		sizes, seeded = st.seed(stateKey, features, a)
 	}
-
-	var sizes []float64
-	var err error
-	switch method {
-	case SolverWindow:
-		sizes, err = solveWindow(ctx, features, a)
-	case SolverNewton:
-		sizes, err = solveNewton(ctx, features, a)
-	case SolverAuto:
-		sizes, err = solveNewton(ctx, features, a)
-		if err != nil {
-			// Only fall back when Newton itself failed; a cancelled
-			// request must not start a second solve.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
+	if !seeded {
+		var err error
+		switch method {
+		case SolverWindow:
 			sizes, err = solveWindow(ctx, features, a)
+		case SolverNewton:
+			sizes, err = solveNewton(ctx, features, a, ws)
+		case SolverAuto:
+			sizes, err = solveNewton(ctx, features, a, ws)
+			if err != nil {
+				// Only fall back when Newton itself failed; a cancelled
+				// request must not start a second solve.
+				if cerr := ctx.Err(); cerr != nil {
+					return nil, cerr
+				}
+				sizes, err = solveWindow(ctx, features, a)
+			}
+		default:
+			return nil, fmt.Errorf("core: unknown solver method %d", method)
 		}
-	default:
-		return nil, fmt.Errorf("core: unknown solver method %d", method)
+		if err != nil {
+			return nil, err
+		}
+		if st != nil {
+			// The sizes may be the workspace's: the state keeps a copy.
+			st.record(stateKey, slices.Clone(sizes))
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	if st != nil {
-		st.record(stateKey, sizes)
-	}
-	out := make([]Prediction, len(features))
 	for i, f := range features {
-		out[i] = predAt(f, sizes[i])
+		out = append(out, predAt(f, sizes[i]))
+	}
+	if keyed {
+		t.put(&key, out)
 	}
 	return out, nil
 }
@@ -254,8 +277,9 @@ func solveWindow(ctx context.Context, features []*FeatureVector, assoc float64) 
 //
 // with a numerically differenced Jacobian, damped steps, and box
 // constraints keeping every S_i in (0, min(A, GMax_i)]. ctx is checked at
-// the top of every Newton iteration. Everything but the returned sizes
-// lives in one scratch block, reused across iterations.
+// the top of every Newton iteration. Everything, the returned sizes
+// included, lives in one scratch block drawn from ws (fresh when ws is
+// nil) and reused across iterations.
 //
 // The system is an arrow: f_1 is a sum, and f_i reads only S₁ and S_i. So
 // G⁻¹ and SPI of every process are kept at the base point, a Jacobian
@@ -264,18 +288,17 @@ func solveWindow(ctx context.Context, features []*FeatureVector, assoc float64) 
 // iteration: 2k process evaluations per iteration where differencing the
 // whole residual per column took k²+2k. Every entry is the float
 // operations of the full difference on the same operands.
-func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) ([]float64, error) {
+func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64, ws *workspace) ([]float64, error) {
 	k := len(features)
-	scratch := make([]float64, 9*k+k*k)
+	scratch := ws.floats(10*k + k*k)
 	upper, r, rp, trial, step := scratch[:k], scratch[k:2*k], scratch[2*k:3*k], scratch[3*k:4*k], scratch[4*k:5*k]
 	// G_i⁻¹(S_i) and SPI_i(S_i) at the base point s and at a trial point.
 	inv, spi, invT, spiT := scratch[5*k:6*k], scratch[6*k:7*k], scratch[7*k:8*k], scratch[8*k:9*k]
-	jac := scratch[9*k:]
+	jac, s := scratch[9*k:9*k+k*k], scratch[9*k+k*k:]
 	for i, f := range features {
 		upper[i] = math.Min(assoc, f.GMax())
 	}
 	// Start from a proportional-appetite split.
-	s := make([]float64, k)
 	total := 0.0
 	for i := range features {
 		total += upper[i]

@@ -130,6 +130,10 @@ func referenceSolveNewton(ctx context.Context, features []*FeatureVector, assoc 
 	return nil, fmt.Errorf("core: Newton–Raphson did not converge")
 }
 
+// sameSolveWS is the workspace every sameSolve reuses, so each solve runs
+// on the scratch its predecessor left behind.
+var sameSolveWS = new(workspace)
+
 // sameSolve fails unless solveNewton answers features at capacity assoc as
 // referenceSolveNewton does: the same size bits, or the same error text.
 // It reports whether the solve failed.
@@ -137,7 +141,7 @@ func sameSolve(t *testing.T, label string, features []*FeatureVector, assoc floa
 	t.Helper()
 	ctx := context.Background()
 	want, wantErr := referenceSolveNewton(ctx, features, assoc)
-	got, gotErr := solveNewton(ctx, features, assoc)
+	got, gotErr := solveNewton(ctx, features, assoc, sameSolveWS)
 	if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("%s: err = %v, reference %v", label, gotErr, wantErr)
 	}

@@ -147,6 +147,84 @@ type gTable struct {
 	// gMax is the asymptotic effective size (≤ assoc): the size at which
 	// growth stopped.
 	gMax float64
+	// nIdx and gIdx seed G's and GInverse's searches of ns and gs.
+	nIdx, gIdx bracketIndex
+}
+
+// bracketShift keeps the sign, the exponent and the top 6 mantissa bits of
+// a float64: 64 buckets per binade, a few keys to a bucket where the table
+// is densest.
+const bracketShift = 52 - 6
+
+// maxBracketBuckets bounds one index; a column spanning more buckets keeps
+// the plain search.
+const maxBracketBuckets = 1 << 14
+
+// bracketIndex seeds the binary search over one non-decreasing column of a
+// gTable whose first key is 0. Keys are bucketed by their leading float64
+// bits, which for non-negative floats order like the floats themselves, so
+// a key in a lower bucket than the query is below it and a key in a higher
+// bucket above it. first[i] is the position of the first key in bucket
+// lo+i or higher. A query in bucket b is therefore bracketed by the last
+// key below bucket b and the first key above it: a lower bound the search
+// predicate holds at and an upper bound it fails at, and on a monotone
+// predicate any such bracket ends the search at the same pair of positions
+// as the whole column does. The zero value seeds nothing.
+type bracketIndex struct {
+	lo    uint64
+	first []int32
+}
+
+// newBracketIndex indexes keys, or returns the zero index when the column
+// is not a non-decreasing run from +0 or spans too many buckets.
+func newBracketIndex(keys []float64) bracketIndex {
+	if len(keys) < 2 || keys[0] != 0 || math.Signbit(keys[0]) {
+		return bracketIndex{}
+	}
+	for i := 1; i < len(keys); i++ {
+		if !(keys[i] >= keys[i-1]) {
+			return bracketIndex{}
+		}
+	}
+	p := 1 // the first positive key
+	for p < len(keys) && keys[p] == 0 {
+		p++
+	}
+	if p == len(keys) || math.IsInf(keys[len(keys)-1], 1) {
+		return bracketIndex{}
+	}
+	bucket := func(v float64) uint64 { return math.Float64bits(v) >> bracketShift }
+	lo, hi := bucket(keys[p]), bucket(keys[len(keys)-1])
+	if lo == 0 || hi-lo >= maxBracketBuckets {
+		return bracketIndex{}
+	}
+	first := make([]int32, hi-lo+2)
+	i := 0
+	for b := range first {
+		for i < len(keys) && bucket(keys[i]) < lo+uint64(b) {
+			i++
+		}
+		first[b] = int32(i)
+	}
+	return bracketIndex{lo: lo, first: first}
+}
+
+// bracket returns the positions a search for a positive v starts from: lo
+// holds a key below v, and hi a key above it or is last. A v beyond the
+// indexed buckets (NaN included) gets the whole column.
+func (x bracketIndex) bracket(v float64, last int) (lo, hi int) {
+	if x.first == nil {
+		return 0, last
+	}
+	b := math.Float64bits(v) >> bracketShift
+	if b < x.lo {
+		return 0, min(int(x.first[0]), last)
+	}
+	i := b - x.lo
+	if i >= uint64(len(x.first)-1) {
+		return 0, last
+	}
+	return int(x.first[i]) - 1, min(int(x.first[i+1]), last)
 }
 
 // maxGrowthSteps bounds the G(n) recursion; processes whose miss rate is
@@ -211,6 +289,7 @@ func (f *FeatureVector) buildGTable() *gTable {
 		}
 	}
 	t.gMax = g
+	t.nIdx, t.gIdx = newBracketIndex(t.ns), newBracketIndex(t.gs)
 	return t
 }
 
@@ -226,8 +305,9 @@ func (f *FeatureVector) G(n float64) float64 {
 	if n >= t.ns[last] {
 		return t.gs[last]
 	}
-	// Binary search for the bracketing stored points.
-	lo, hi := 0, last
+	// Binary search for the bracketing stored points, from the index's
+	// seed.
+	lo, hi := t.nIdx.bracket(n, last)
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if t.ns[mid] <= n {
@@ -254,7 +334,7 @@ func (f *FeatureVector) GInverse(s float64) float64 {
 	if s > t.gMax {
 		return math.Inf(1)
 	}
-	lo, hi := 0, len(t.ns)-1
+	lo, hi := t.gIdx.bracket(s, len(t.gs)-1)
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if t.gs[mid] < s {

@@ -292,7 +292,7 @@ func (f *Fleet) resyncNodeCapLocked(ctx context.Context, n *node) error {
 		f.capL.setNode(n.cfg.Name, staticWatts(n))
 		return nil
 	}
-	w, err := n.cm.EstimateAssignmentContext(ctx, asg)
+	w, err := f.ctab.EstimateAssignment(ctx, n.cm, asg)
 	if err != nil {
 		return err
 	}
@@ -461,7 +461,7 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 		if err != nil {
 			return capAction{}, false, err
 		}
-		wU, err := n.cm.EstimateAssignmentContext(ctx, asg)
+		wU, err := f.ctab.EstimateAssignment(ctx, n.cm, asg)
 		if err != nil {
 			return capAction{}, false, err
 		}
@@ -489,6 +489,8 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 
 	// Migrations: each resident to each other live machine's admissible
 	// cores, both ends priced at their own current rungs.
+	sc := getScratch()
+	defer putScratch(sc)
 	for i, n := range f.nodes {
 		if n.down {
 			continue
@@ -503,7 +505,7 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 			if err != nil {
 				return capAction{}, false, err
 			}
-			srcWU2, err := n.cm.EstimateAssignmentContext(ctx, srcAsg2)
+			srcWU2, err := f.ctab.EstimateAssignment(ctx, n.cm, srcAsg2)
 			if err != nil {
 				return capAction{}, false, err
 			}
@@ -526,11 +528,11 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 					if dst.cfg.MaxPerCore != 0 && len(dstAsg[c]) >= dst.cfg.MaxPerCore {
 						continue
 					}
-					dstSPIU2, err := f.nodeSPI(ctx, dst, withAdditionShared(dstAsg, feat, c))
+					dstSPIU2, err := f.nodeSPI(ctx, dst, sc.withAddition(dstAsg, feat, c))
 					if err != nil {
 						return capAction{}, false, err
 					}
-					dstWU2, err := dst.cm.EstimateAdditionContext(ctx, dstAsg, feat, c)
+					dstWU2, err := f.ctab.EstimateAddition(ctx, dst.cm, dstAsg, feat, c)
 					if err != nil {
 						return capAction{}, false, err
 					}

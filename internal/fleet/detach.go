@@ -26,6 +26,7 @@ import (
 	"errors"
 	"runtime"
 
+	"mpmc/internal/cache"
 	"mpmc/internal/core"
 	"mpmc/internal/parallel"
 	"mpmc/internal/sched"
@@ -150,10 +151,17 @@ func (f *Fleet) scoreFeasible(ctx context.Context, spec *workload.Spec, feasible
 	if len(misses) == 0 {
 		return scores, stop
 	}
+	// In-lock scoring solves through the lock holder's table, a detached
+	// call through one of its own; phase-2 workers share it.
+	tab := f.ctab
+	if captured != nil && tab != nil {
+		tab = comboTables.Get()
+		defer putComboTable(tab)
+	}
 	workers := max(1, min(parallel.Workers(f.cfg.Workers), len(misses)/scoreGrain))
 	err := parallel.ForEach(ctx, workers, len(misses), func(i int) error {
 		m := &misses[i]
-		s, err := f.scoreNodeCold(ctx, m.in.n, m.in.feat, m.in.asg, m.in.fix)
+		s, err := f.scoreNodeCold(ctx, tab, m.in.n, m.in.feat, m.in.asg, m.in.fix)
 		if err != nil {
 			return err
 		}
@@ -167,6 +175,16 @@ func (f *Fleet) scoreFeasible(ctx context.Context, spec *workload.Spec, feasible
 		err = stop
 	}
 	return scores, err
+}
+
+// comboTables holds the combination tables of detached scoring calls.
+var comboTables = cache.FreeList[core.ComboTable]{New: core.NewComboTable}
+
+// putComboTable empties a detached call's table and releases it: nothing
+// one operation solved reaches another.
+func putComboTable(t *core.ComboTable) {
+	t.Reset()
+	comboTables.Put(t)
 }
 
 // scoreArrivalDetached scores the arrival against f's nodes: the feasible

@@ -184,7 +184,7 @@ type node struct {
 	// manager's mutation version moves — Assignment() rebuilds per-core
 	// slices on every call, which dominated the warm placement path.
 	// The snapshot is read-only by contract: every scoring path copies
-	// on write (withAdditionShared, withoutResident). Writes happen under
+	// on write (withAddition, withoutResident). Writes happen under
 	// the fleet lock, or in fan-out workers that each own one node index
 	// with the fleet lock held by their caller.
 	asgVersion uint64
@@ -274,6 +274,10 @@ type Fleet struct {
 	// equilibrium solutions; both nil when ScoreCacheCap < 0 (cold mode).
 	scores *scoreCache
 	solver *core.SolverState
+	// ctab is the combination table of whichever goroutine holds this
+	// fleet's lock: every Eq. 10 pass of one hold solves through it, and
+	// unlock empties it (nil only when tables are off).
+	ctab *core.ComboTable
 	// capL is the power-cap ledger (nil until a cap is configured or set;
 	// one instance across a Sharded fleet). It has its own lock.
 	capL *capLedger
@@ -337,6 +341,7 @@ func (f *Fleet) lock() {
 }
 
 func (f *Fleet) unlock() {
+	f.ctab.Reset()
 	f.mu.Unlock()
 	for i := len(f.domain) - 1; i >= 0; i-- {
 		f.domain[i].mu.Unlock()
@@ -401,11 +406,19 @@ func (cfg *Config) setDefaults() error {
 	return nil
 }
 
+// comboTablesOff builds fleets without combination tables, so every Eq. 10
+// pass solves each combination it meets. Tests set it to show the tables
+// change no result.
+var comboTablesOff bool
+
 // newShell builds a fleet before any node joins it: the feature cache,
 // score memo, solver state, watt ledger and solve counter — a shard's are
 // its whole fleet's.
 func newShell(cfg Config) *Fleet {
 	f := &Fleet{cfg: cfg, reg: cfg.Registry, whole: cfg.whole}
+	if !comboTablesOff {
+		f.ctab = core.NewComboTable()
+	}
 	if w := cfg.whole; w != nil {
 		f.feats, f.scores, f.solver, f.capL, f.solves = w.feats, w.scores, w.solver, w.capL, w.solves
 		return f
@@ -812,7 +825,7 @@ func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts Plac
 		if err != nil {
 			return Placed{}, err
 		}
-		w, err := n.cm.EstimateAdditionContext(ctx, f.assignmentOf(n), feat, s.Core)
+		w, err := f.ctab.EstimateAddition(ctx, n.cm, f.assignmentOf(n), feat, s.Core)
 		if err != nil {
 			return Placed{}, err
 		}
@@ -1479,7 +1492,7 @@ func (f *Fleet) nodeStateLocked(ctx context.Context, n *node) (NodeState, error)
 	if n.cfg.MaxPerCore > 0 {
 		ns.FreeSlots = n.cfg.MaxPerCore*n.cfg.Machine.NumCores - ns.Residents
 	}
-	watts, err := n.cm.EstimateAssignmentContext(ctx, asg)
+	watts, err := f.ctab.EstimateAssignment(ctx, n.cm, asg)
 	if err != nil {
 		return NodeState{}, fmt.Errorf("fleet: estimating %s power: %w", n.cfg.Name, err)
 	}
@@ -1508,7 +1521,7 @@ func (f *Fleet) Totals(ctx context.Context) (spi, watts float64, err error) {
 			continue
 		}
 		asg := f.assignmentOf(n)
-		w, err := n.cm.EstimateAssignmentContext(ctx, asg)
+		w, err := f.ctab.EstimateAssignment(ctx, n.cm, asg)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -1552,7 +1565,7 @@ func (f *Fleet) collectGauges(r *metrics.Registry) {
 		}
 		r.Gauge(fmt.Sprintf("fleet_machine_free_slots{node=%q}", n.cfg.Name)).Set(free)
 		mw := int64(-1)
-		if w, err := n.cm.EstimateAssignment(n.mgr.Assignment()); err == nil {
+		if w, err := f.ctab.EstimateAssignment(context.Background(), n.cm, n.mgr.Assignment()); err == nil {
 			mw = int64(freq.ScaleWatts(w, staticWatts(n), dynScaleOf(n)) * 1000)
 		}
 		r.Gauge(fmt.Sprintf("fleet_machine_milliwatts{node=%q}", n.cfg.Name)).Set(mw)

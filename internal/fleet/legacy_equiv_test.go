@@ -95,7 +95,7 @@ func decideColdAs(ctx context.Context, f *Fleet, spec *workload.Spec, policy Pol
 		if err != nil {
 			return -1, nodeScore{}, err
 		}
-		sc, err := f.scoreNodeCold(ctx, n, feat, f.assignmentOf(n), n.freqIx)
+		sc, err := f.scoreNodeCold(ctx, nil, n, feat, f.assignmentOf(n), n.freqIx)
 		if err != nil {
 			return -1, nodeScore{}, err
 		}

@@ -49,7 +49,7 @@ func (f *Fleet) scoreNode(ctx context.Context, n *node, spec *workload.Spec) (no
 			return s, nil
 		}
 	}
-	s, err := f.scoreNodeCold(ctx, n, feat, asg, n.freqIx)
+	s, err := f.scoreNodeCold(ctx, nil, n, feat, asg, n.freqIx)
 	if err == nil && useMemo {
 		f.scores.putDecision(dkey, s)
 	}
@@ -191,7 +191,7 @@ func refScoreViewDetached(ctx context.Context, f *Fleet, view []refViewNode, spe
 				return nil
 			}
 		}
-		s, err := f.scoreNodeCold(ctx, vn.n, vn.feat, vn.asg, vn.fix)
+		s, err := f.scoreNodeCold(ctx, nil, vn.n, vn.feat, vn.asg, vn.fix)
 		if err != nil {
 			return err
 		}

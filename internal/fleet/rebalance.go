@@ -155,8 +155,9 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		if err != nil {
 			return 0, err
 		}
-		dstAfter, err := f.nodeSPI(ctx, dstN,
-			withAdditionShared(f.assignmentOf(dstN), feat, cd.dstCore))
+		sc := getScratch()
+		dstAfter, err := f.nodeSPI(ctx, dstN, sc.withAddition(f.assignmentOf(dstN), feat, cd.dstCore))
+		putScratch(sc)
 		if err != nil {
 			return 0, err
 		}
@@ -188,7 +189,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		// when the fleet total would exceed the cap. The priced draws also
 		// become the ledger rows after execution, so admission check and
 		// accounting can never disagree.
-		srcWU, err := srcN.cm.EstimateAssignmentContext(ctx, withoutResident(f.assignmentOf(srcN), cd.res))
+		srcWU, err := f.ctab.EstimateAssignment(ctx, srcN.cm, withoutResident(f.assignmentOf(srcN), cd.res))
 		if err != nil {
 			return Move{}, err
 		}
@@ -196,7 +197,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		if err != nil {
 			return Move{}, err
 		}
-		dstWU, err := dstN.cm.EstimateAdditionContext(ctx, f.assignmentOf(dstN), feat, cd.dstCore)
+		dstWU, err := f.ctab.EstimateAddition(ctx, dstN.cm, f.assignmentOf(dstN), feat, cd.dstCore)
 		if err != nil {
 			return Move{}, err
 		}

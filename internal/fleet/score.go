@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"math"
+	"slices"
 
 	"mpmc/internal/core"
 	"mpmc/internal/freq"
@@ -17,7 +18,8 @@ import (
 // solution is a pure function of the feature vector and associativity, so
 // warm and cold calls are bit-identical (st == nil solves cold).
 func soloSPI(ctx context.Context, m *machine.Machine, f *core.FeatureVector, solver core.SolverMethod, st *core.SolverState) (float64, error) {
-	preds, err := core.PredictGroupCached(ctx, []*core.FeatureVector{f}, m.Assoc, solver, st)
+	one, pred := [1]*core.FeatureVector{f}, [1]core.Prediction{}
+	preds, err := (*core.ComboTable)(nil).PredictGroup(ctx, pred[:0], one[:], m.Assoc, solver, st)
 	if err != nil {
 		return 0, err
 	}
@@ -51,7 +53,11 @@ type nodeScore = sched.Score
 // scores are bit-identical to it — only the unchanged groups' solves are
 // skipped. A pass reads out SPI terms, watts, or both, as the policy's
 // objective needs. A node with no admissible core is never solved at all.
-func (f *Fleet) scoreNodeCold(ctx context.Context, n *node, feat *core.FeatureVector, asg core.Assignment, fix int) (nodeScore, error) {
+// The passes solve through tab, the calling operation's combination table,
+// so a candidate group's combinations that the base groups (or an earlier
+// candidate, or another node of the same kind) already solved are not
+// solved again; the working memory is a scratch from a free list.
+func (f *Fleet) scoreNodeCold(ctx context.Context, tab *core.ComboTable, n *node, feat *core.FeatureVector, asg core.Assignment, fix int) (nodeScore, error) {
 	m, policy := n.cfg.Machine, f.cfg.Policy
 	var read core.Readout
 	capW, usedEx := 0.0, 0.0
@@ -90,16 +96,23 @@ func (f *Fleet) scoreNodeCold(ctx context.Context, n *node, feat *core.FeatureVe
 	if policy == Spread {
 		return nodeScore{OK: true, Core: first, Value: math.NaN()}, nil
 	}
+	sc := getScratch()
+	defer putScratch(sc)
 	// One candidate assignment covers the shape, every resident and the
 	// newcomer; the per-solve feature validation still runs on top.
-	if err := n.cm.Validate(withAdditionShared(asg, feat, first)); err != nil {
+	if err := n.cm.Validate(sc.withAddition(asg, feat, first)); err != nil {
 		return nodeScore{}, err
 	}
-	base := make([]core.GroupEstimate, len(m.Groups))
+	groups := len(m.Groups)
+	sc.base = slices.Grow(sc.base[:0], groups)[:groups]
+	if len(sc.spi) < groups {
+		sc.spi = append(sc.spi, make([][]float64, groups-len(sc.spi))...)
+	}
+	base := sc.base
 	baseSPI, baseW := 0.0, 0.0
 	for gi := range base {
 		var err error
-		if base[gi], err = f.groupEstimate(ctx, n, asg, gi, read); err != nil {
+		if base[gi], err = f.groupEstimate(ctx, tab, n, asg, gi, read, &sc.spi[gi]); err != nil {
 			return nodeScore{}, err
 		}
 		for _, t := range base[gi].SPI {
@@ -145,7 +158,7 @@ func (f *Fleet) scoreNodeCold(ctx context.Context, n *node, feat *core.FeatureVe
 			continue
 		}
 		gi := m.GroupOf(c)
-		cand, err := f.groupEstimate(ctx, n, withAdditionShared(asg, feat, c), gi, read)
+		cand, err := f.groupEstimate(ctx, tab, n, sc.withAddition(asg, feat, c), gi, read, &sc.cand)
 		if err != nil {
 			return nodeScore{}, err
 		}

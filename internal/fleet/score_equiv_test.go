@@ -122,7 +122,7 @@ func TestScoreNodeColdMatchesReference(t *testing.T) {
 						}
 						got.capL.setCap(budget)
 						ref.capL.setCap(budget)
-						a, err := got.scoreNodeCold(ctx, got.nodes[0], feat, asg, fix)
+						a, err := got.scoreNodeCold(ctx, got.ctab, got.nodes[0], feat, asg, fix)
 						if err != nil {
 							t.Fatalf("%s seed %d: %v", name, seed, err)
 						}
@@ -156,10 +156,11 @@ func TestScoreNodeColdMatchesReference(t *testing.T) {
 
 // TestScoreNodeColdWork pins how much solving one cap-aware score costs on
 // a four-core server with one resident on every core (both cache groups
-// busy, every core admissible): 2 base + 4 candidate group passes, each
-// solving its combinations once — the six passes the SPI terms always
-// took, and none of the four whole-machine watts estimates (8 more group
-// passes) that used to follow them. A full node costs nothing at all.
+// busy, every core admissible): 2 base + 4 candidate group passes, and
+// through the operation's combination table each distinct contended
+// combination solved once — the 2 base pairs and the 4 pairs the newcomer
+// forms, where the passes meet 2·1 + 4·2 = 10. A full node costs nothing
+// at all.
 func TestScoreNodeColdWork(t *testing.T) {
 	ctx := context.Background()
 	m := machine.FourCoreServer()
@@ -170,26 +171,30 @@ func TestScoreNodeColdWork(t *testing.T) {
 		f := scoreFleet(t, m, CapAware, scoreCap)
 		f.capL.setCap(1e6)
 		n := f.nodes[0]
-		s, err := f.scoreNodeCold(ctx, n, feat, asg, n.freqIx)
+		s, err := f.scoreNodeCold(ctx, f.ctab, n, feat, asg, n.freqIx)
 		if err != nil || !s.OK {
 			t.Fatalf("cache %d: score = %+v, %v", scoreCap, s, err)
 		}
 		if got := f.SolverInvocations(); got != 6 {
 			t.Errorf("cache %d: %d group passes, want 2 base + 4 candidate", scoreCap, got)
 		}
+		// Every combination of the six passes is contended here (each pair's
+		// appetites exceed the 16 ways).
+		if got := f.ctab.Solves(); got != 6 {
+			t.Errorf("cache %d: the table sent %d combinations to the solver, want 2 base + 4 new", scoreCap, got)
+		}
 		if scoreCap == 0 {
-			// Every combination of the six passes is contended here (each
-			// pair's appetites exceed the 16 ways), so the solver state is
-			// asked once per combination — 2·1 + 4·2 — and the watts memo
-			// once per pass.
+			// The solver state sees only what the table could not answer;
+			// the watts memo is asked once per pass.
 			st := f.SolverStateStats()
-			if got := st.Hits + st.Misses + st.Rejected; got != 10 {
-				t.Errorf("%d contended solves reached the solver state, want 10", got)
+			if got := st.Hits + st.Misses + st.Rejected; got != 6 {
+				t.Errorf("%d contended solves reached the solver state, want 6", got)
 			}
 			if got := st.WattsHits + st.WattsMisses; got != 6 {
 				t.Errorf("%d watts-memo lookups, want one per group pass (6)", got)
 			}
 		}
+		f.ctab.Reset()
 
 		// MaxPerCore is 2: doubling every core fills the node.
 		fullAsg := make(core.Assignment, len(asg))
@@ -197,7 +202,7 @@ func TestScoreNodeColdWork(t *testing.T) {
 			fullAsg[c] = []*core.FeatureVector{asg[c][0], feat}
 		}
 		before, stBefore := f.SolverInvocations(), f.SolverStateStats()
-		s, err = f.scoreNodeCold(ctx, n, feat, fullAsg, n.freqIx)
+		s, err = f.scoreNodeCold(ctx, f.ctab, n, feat, fullAsg, n.freqIx)
 		if err != nil || s != (nodeScore{}) {
 			t.Fatalf("cache %d: full node scored %+v, %v", scoreCap, s, err)
 		}
@@ -207,5 +212,50 @@ func TestScoreNodeColdWork(t *testing.T) {
 		if st := f.SolverStateStats(); st != stBefore {
 			t.Errorf("cache %d: a full node touched the solver state: %+v -> %+v", scoreCap, stBefore, st)
 		}
+		if got := f.ctab.Len(); got != 0 {
+			t.Errorf("cache %d: a full node left %d combinations in the table", scoreCap, got)
+		}
+	}
+}
+
+// TestCappedCommitSolvesNothing pins the commit side of one lock hold: after
+// a cap-aware score of a four-core server, the commit's cap estimate of the
+// winning slot and the ledger re-sync that follows it price combinations
+// the score already solved, so the table sends nothing new to the solver;
+// releasing the lock empties the table.
+func TestCappedCommitSolvesNothing(t *testing.T) {
+	ctx := context.Background()
+	m := machine.FourCoreServer()
+	f := scoreFleet(t, m, CapAware, -1)
+	f.capL.setCap(1e6)
+	n := f.nodes[0]
+	for c, name := range []string{"mcf", "art", "swim", "applu"} {
+		if _, _, err := n.mgr.PlaceAt(ctx, workload.ByName(name), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := workload.ByName("equake")
+	feat, err := f.feats.get(ctx, n.kind, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.lock()
+	s, err := f.scoreNodeCold(ctx, f.ctab, n, feat, f.assignmentOf(n), n.freqIx)
+	if err != nil || !s.OK {
+		f.unlock()
+		t.Fatalf("score = %+v, %v", s, err)
+	}
+	scored := f.ctab.Solves()
+	_, err = f.commitLocked(ctx, spec, PlaceOptions{}, 0, s)
+	solved := f.ctab.Solves() - scored
+	f.unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scored != 6 || solved != 0 {
+		t.Errorf("the score solved %d combinations and the commit %d more, want 6 and 0", scored, solved)
+	}
+	if got := f.ctab.Len(); got != 0 {
+		t.Errorf("%d combinations outlived the lock", got)
 	}
 }

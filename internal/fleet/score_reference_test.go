@@ -15,6 +15,18 @@ import (
 // candidate — as the reference TestScoreNodeColdMatchesReference compares
 // scoreNodeCold against, field by field and bit by bit.
 
+// withAdditionShared returns asg with feat appended to core c, sharing
+// every untouched core's slice with asg. The full-capacity slice expression
+// forces the append to copy, so asg's own backing arrays are never written
+// through.
+func withAdditionShared(asg core.Assignment, feat *core.FeatureVector, c int) core.Assignment {
+	next := make(core.Assignment, len(asg))
+	copy(next, asg)
+	cur := asg[c]
+	next[c] = append(cur[:len(cur):len(cur)], feat)
+	return next
+}
+
 // groupSPITerms solves one cache group and returns its flattened
 // per-resident SPI terms in (busy core, proc arrival) order. It is
 // assignmentSPI's inner loop verbatim: the Eq. 10 enumeration of per-core

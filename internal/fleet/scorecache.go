@@ -262,35 +262,51 @@ func busyCores(group []int, asg core.Assignment) []int {
 	return busy
 }
 
+// groupIdle reports whether no core of the group hosts a process.
+func groupIdle(group []int, asg core.Assignment) bool {
+	for _, c := range group {
+		if len(asg[c]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // groupEstimate runs (or recalls) one Eq. 10 pass of cache group gi of one
 // node's assignment: the per-resident SPI terms through the term memo, the
 // group's watts through the solver state's watts memo, both from one
 // enumeration of the group's combinations when neither memo answers (and
-// always with caching disabled). Every executed pass that reads SPI — real
+// always with caching disabled). The combinations are solved through tab,
+// the calling operation's table. Every executed pass that reads SPI — real
 // equilibrium solves of one cache group, the unit of work predicates exist
 // to avoid — bumps the fleet's solver-invocation counter; memo hits and
 // idle groups do not, so SolverInvocations measures solve work, not demand.
-func (f *Fleet) groupEstimate(ctx context.Context, n *node, asg core.Assignment, gi int, read core.Readout) (core.GroupEstimate, error) {
+// With caching disabled the SPI terms are written into *buf, which the
+// caller owns and which keeps any growth; a memo's terms are its own.
+func (f *Fleet) groupEstimate(ctx context.Context, tab *core.ComboTable, n *node, asg core.Assignment, gi int, read core.Readout, buf *[]float64) (core.GroupEstimate, error) {
 	m := n.cfg.Machine
-	busy := busyCores(m.Groups[gi], asg)
-	if len(busy) == 0 || read&core.ReadSPI == 0 {
-		return n.cm.EstimateGroupContext(ctx, asg, gi, read&core.ReadWatts)
+	if read&core.ReadSPI == 0 || groupIdle(m.Groups[gi], asg) {
+		return tab.EstimateGroup(ctx, n.cm, asg, gi, read&core.ReadWatts, nil)
 	}
 	if f.scores == nil {
 		f.solves.Add(1)
-		return n.cm.EstimateGroupContext(ctx, asg, gi, read)
+		est, err := tab.EstimateGroup(ctx, n.cm, asg, gi, read, *buf)
+		if err == nil {
+			*buf = est.SPI
+		}
+		return est, err
 	}
 	var est core.GroupEstimate
 	ran := false
-	terms, err := f.scores.get(scoreKey(m, n.cm.Solver, busy, asg), func() ([]float64, error) {
+	terms, err := f.scores.get(scoreKey(m, n.cm.Solver, busyCores(m.Groups[gi], asg), asg), func() ([]float64, error) {
 		f.solves.Add(1)
 		var err error
-		est, err = n.cm.EstimateGroupContext(ctx, asg, gi, read)
+		est, err = tab.EstimateGroup(ctx, n.cm, asg, gi, read, nil)
 		ran = true
 		return est.SPI, err
 	})
 	if err == nil && !ran && read&core.ReadWatts != 0 {
-		est, err = n.cm.EstimateGroupContext(ctx, asg, gi, core.ReadWatts)
+		est, err = tab.EstimateGroup(ctx, n.cm, asg, gi, core.ReadWatts, nil)
 	}
 	est.SPI = terms
 	return est, err
@@ -303,11 +319,14 @@ func (f *Fleet) groupEstimate(ctx context.Context, n *node, asg core.Assignment,
 // comparable across layouts: migrating a process from a time-shared core
 // to an idle machine keeps the number of terms fixed and only changes
 // their contention, so an improvement is a real predicted speed-up, not an
-// artifact of the accounting.
+// artifact of the accounting. Callers hold the fleet lock: the solves go
+// through its table.
 func (f *Fleet) nodeSPI(ctx context.Context, n *node, asg core.Assignment) (float64, error) {
+	sc := getScratch()
+	defer putScratch(sc)
 	total := 0.0
 	for gi := range n.cfg.Machine.Groups {
-		est, err := f.groupEstimate(ctx, n, asg, gi, core.ReadSPI)
+		est, err := f.groupEstimate(ctx, f.ctab, n, asg, gi, core.ReadSPI, &sc.cand)
 		if err != nil {
 			return 0, err
 		}
@@ -318,18 +337,39 @@ func (f *Fleet) nodeSPI(ctx context.Context, n *node, asg core.Assignment) (floa
 	return total, nil
 }
 
-// withAdditionShared returns asg with feat appended to core c, sharing
-// every untouched core's slice with asg (copy-on-write: only the per-core
-// slice headers and core c's extended slice are allocated). Callers must
-// treat the result as read-only. The full-capacity slice expression
-// forces the append to copy, so asg's own backing arrays are never
-// written through.
-func withAdditionShared(asg core.Assignment, feat *core.FeatureVector, c int) core.Assignment {
-	next := make(core.Assignment, len(asg))
-	copy(next, asg)
-	cur := asg[c]
-	next[c] = append(cur[:len(cur):len(cur)], feat)
-	return next
+// scoreScratch is the reusable memory of one scoring call, taken from a
+// free list per call so fanned-out scorers never share one.
+type scoreScratch struct {
+	base []core.GroupEstimate
+	// spi[g] holds base group g's SPI terms, cand a candidate group's.
+	spi  [][]float64
+	cand []float64
+	// next and ext spell out withAddition's tentative assignment.
+	next core.Assignment
+	ext  []*core.FeatureVector
+}
+
+var scratches = cache.FreeList[scoreScratch]{New: func() *scoreScratch { return new(scoreScratch) }}
+
+func getScratch() *scoreScratch { return scratches.Get() }
+
+// putScratch releases sc without the assignment it last spelt out, so a
+// free scratch keeps no feature vector alive.
+func putScratch(sc *scoreScratch) {
+	clear(sc.next[:cap(sc.next)])
+	clear(sc.ext[:cap(sc.ext)])
+	scratches.Put(sc)
+}
+
+// withAddition returns asg with feat appended to core c, spelt out in the
+// scratch: every untouched core's slice is asg's own, core c's is the
+// scratch's copy, so asg is never written through. The result is read-only
+// and valid until the next call.
+func (sc *scoreScratch) withAddition(asg core.Assignment, feat *core.FeatureVector, c int) core.Assignment {
+	sc.next = append(sc.next[:0], asg...)
+	sc.ext = append(append(sc.ext[:0], asg[c]...), feat)
+	sc.next[c] = sc.ext
+	return sc.next
 }
 
 // invalidateNodeLocked drops the memo entries for the node's current
