@@ -56,6 +56,21 @@ func (l *LRUMap[V]) Get(key string) (V, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e, ok := l.items[key]
+	return l.lookedUp(e, ok)
+}
+
+// GetBytes is Get for a key held in a byte slice. The lookup converts the
+// key in place, so a probe allocates nothing and the caller may reuse the
+// slice at once; only an insert (Put) needs the key as a string.
+func (l *LRUMap[V]) GetBytes(key []byte) (V, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	e, ok := l.items[string(key)]
+	return l.lookedUp(e, ok)
+}
+
+// lookedUp counts a lookup and promotes a hit. Called with the lock held.
+func (l *LRUMap[V]) lookedUp(e *lruEntry[V], ok bool) (V, bool) {
 	if !ok {
 		l.misses++
 		var zero V

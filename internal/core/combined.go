@@ -192,10 +192,11 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 	// term is recomputed outside it, and watts + avg runs the same float
 	// operations on the same values either way — bit-identical results. A
 	// pass that still owes SPI terms enumerates for those alone.
-	var wkey string
+	// The key lives in the workspace until the record below (the solves in
+	// between key into ws.skey, not here).
 	if cm.State != nil && read&ReadWatts != 0 {
-		wkey = cm.State.wattsKey(cm.Power, cm.Solver, cm.Machine.Assoc, asg, busy)
-		if avg, ok := cm.State.wattsSeed(wkey); ok {
+		ws.wkey = cm.State.appendWattsKey(ws.wkey[:0], cm.Power, cm.Solver, cm.Machine.Assoc, asg, busy)
+		if avg, ok := cm.State.wattsSeed(ws.wkey); ok {
 			est.Watts += avg
 			if read &^= ReadWatts; read == 0 {
 				return est, nil
@@ -266,7 +267,7 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 	if read&ReadWatts != 0 {
 		avg := sum / float64(count)
 		if cm.State != nil {
-			cm.State.wattsRecord(wkey, avg)
+			cm.State.wattsRecord(ws.wkey, avg)
 		}
 		est.Watts += avg
 	}

@@ -198,6 +198,10 @@ type workspace struct {
 	// next and ext spell out EstimateAddition's tentative assignment.
 	next Assignment
 	ext  []*FeatureVector
+	// skey and wkey hold the solver-state and watts-memo keys being
+	// probed: a probe builds its key here, and only a recorded value makes
+	// one a string.
+	skey, wkey []byte
 }
 
 var workspaces = cache.FreeList[workspace]{New: func() *workspace { return new(workspace) }}

@@ -125,11 +125,10 @@ func predictInto(ctx context.Context, dst []Prediction, features []*FeatureVecto
 		t.solves.Add(1)
 	}
 
-	var stateKey string
 	sizes, seeded := []float64(nil), false
 	if st != nil {
-		stateKey = st.key(features, assoc, method)
-		sizes, seeded = st.seed(stateKey, features, a)
+		ws.skey = st.appendKey(ws.skey[:0], features, assoc, method)
+		sizes, seeded = st.seed(ws.skey, features, a)
 	}
 	if !seeded {
 		var err error
@@ -156,7 +155,7 @@ func predictInto(ctx context.Context, dst []Prediction, features []*FeatureVecto
 		}
 		if st != nil {
 			// The sizes may be the workspace's: the state keeps a copy.
-			st.record(stateKey, slices.Clone(sizes))
+			st.record(ws.skey, slices.Clone(sizes))
 		}
 	}
 	for i, f := range features {

@@ -37,7 +37,7 @@ type SolverStateStats struct {
 	Entries  int    // solved groups currently resident
 
 	// Watts-memo counters: averaged per-group power estimates reused by
-	// CombinedModel.estimateGroup (see wattsKey).
+	// CombinedModel.estimateGroup (see appendWattsKey).
 	WattsHits    uint64
 	WattsMisses  uint64
 	WattsEntries int
@@ -68,10 +68,6 @@ type SolverState struct {
 	pmids          map[*PowerModel]uint64
 	wlru           *cache.LRUMap[float64]
 	whits, wmisses uint64
-
-	// buf is the shared key-building scratch (guarded by mu): key and
-	// wattsKey run on hot paths, and only the final string needs to live.
-	buf []byte
 }
 
 // DefaultSolverStateCap bounds a SolverState built with capacity 0.
@@ -116,38 +112,44 @@ func (st *SolverState) Flush() {
 	st.wlru = cache.NewLRUMap[float64](st.wlru.Stats().Cap)
 }
 
-// key builds the identity string of a contended solve. Feature identity is
-// the pointer: vectors are immutable after construction, so the pointer
-// names exactly one (machine kind, workload) profile for its lifetime; a
-// re-profiled vector gets a fresh id and simply misses (deterministic
-// profiling makes the recomputed entry bit-identical anyway).
-func (st *SolverState) key(features []*FeatureVector, assoc int, method SolverMethod) string {
+// appendKey appends the identity of a contended solve to dst, the
+// caller's scratch: probing with it allocates nothing, and only a recorded
+// solution makes it a string. Feature identity is the pointer: vectors are
+// immutable after construction, so the pointer names exactly one (machine
+// kind, workload) profile for its lifetime; a re-profiled vector gets a
+// fresh id and simply misses (deterministic profiling makes the recomputed
+// entry bit-identical anyway).
+func (st *SolverState) appendKey(dst []byte, features []*FeatureVector, assoc int, method SolverMethod) []byte {
+	dst = strconv.AppendInt(dst, int64(method), 10)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(assoc), 10)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	buf := st.buf[:0]
-	buf = strconv.AppendInt(buf, int64(method), 10)
-	buf = append(buf, '/')
-	buf = strconv.AppendInt(buf, int64(assoc), 10)
 	for _, f := range features {
-		id, ok := st.ids[f]
-		if !ok {
-			st.next++
-			id = st.next
-			st.ids[f] = id
-		}
-		buf = append(buf, ':')
-		buf = strconv.AppendUint(buf, id, 36)
+		dst = append(dst, ':')
+		dst = strconv.AppendUint(dst, st.idLocked(f), 36)
 	}
-	st.buf = buf
-	return string(buf)
+	return dst
 }
 
-// wattsKey builds the identity of one cache group's averaged busy-power
-// estimate: the power model and every candidate feature vector by
-// identity id, the solver method, the associativity, and the per-core
-// list structure (the '|' markers), which fixes the Eq. 10 enumeration
-// order.
-func (st *SolverState) wattsKey(pm *PowerModel, method SolverMethod, assoc int, asg Assignment, busy []int) string {
+// idLocked returns f's identity id, assigning the next one on first sight
+// (caller holds mu).
+func (st *SolverState) idLocked(f *FeatureVector) uint64 {
+	id, ok := st.ids[f]
+	if !ok {
+		st.next++
+		id = st.next
+		st.ids[f] = id
+	}
+	return id
+}
+
+// appendWattsKey appends the identity of one cache group's averaged
+// busy-power estimate to dst: the power model and every candidate feature
+// vector by identity id, the solver method, the associativity, and the
+// per-core list structure (the '|' markers), which fixes the Eq. 10
+// enumeration order.
+func (st *SolverState) appendWattsKey(dst []byte, pm *PowerModel, method SolverMethod, assoc int, asg Assignment, busy []int) []byte {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	pid, ok := st.pmids[pm]
@@ -156,35 +158,27 @@ func (st *SolverState) wattsKey(pm *PowerModel, method SolverMethod, assoc int, 
 		pid = st.next
 		st.pmids[pm] = pid
 	}
-	buf := st.buf[:0]
-	buf = strconv.AppendUint(buf, pid, 36)
-	buf = append(buf, '/')
-	buf = strconv.AppendInt(buf, int64(method), 10)
-	buf = append(buf, '/')
-	buf = strconv.AppendInt(buf, int64(assoc), 10)
+	dst = strconv.AppendUint(dst, pid, 36)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(method), 10)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(assoc), 10)
 	for _, c := range busy {
-		buf = append(buf, '|')
+		dst = append(dst, '|')
 		for _, f := range asg[c] {
-			id, ok := st.ids[f]
-			if !ok {
-				st.next++
-				id = st.next
-				st.ids[f] = id
-			}
-			buf = append(buf, ':')
-			buf = strconv.AppendUint(buf, id, 36)
+			dst = append(dst, ':')
+			dst = strconv.AppendUint(dst, st.idLocked(f), 36)
 		}
 	}
-	st.buf = buf
-	return string(buf)
+	return dst
 }
 
 // wattsSeed returns the recorded busy-power average for key. No
 // validation pass exists here — the value is a finished scalar, not an
 // iterative seed, so there is nothing to re-verify cheaper than
 // recomputing it.
-func (st *SolverState) wattsSeed(key string) (float64, bool) {
-	v, ok := st.wlru.Get(key)
+func (st *SolverState) wattsSeed(key []byte) (float64, bool) {
+	v, ok := st.wlru.GetBytes(key)
 	st.mu.Lock()
 	if ok {
 		st.whits++
@@ -196,16 +190,16 @@ func (st *SolverState) wattsSeed(key string) (float64, bool) {
 }
 
 // wattsRecord stores a computed busy-power average under key.
-func (st *SolverState) wattsRecord(key string, v float64) {
-	st.wlru.Put(key, v)
+func (st *SolverState) wattsRecord(key []byte, v float64) {
+	st.wlru.Put(string(key), v)
 }
 
 // seed returns the recorded solution for key when one exists and passes
 // validation: the right arity, every size inside its (0, min(A, GMax)]
 // box, and Eq. 1 (ΣS = A) within tolerance. A failing seed is dropped and
 // reported as a divergence so the caller falls back to the cold start.
-func (st *SolverState) seed(key string, features []*FeatureVector, a float64) ([]float64, bool) {
-	sizes, ok := st.lru.Get(key)
+func (st *SolverState) seed(key []byte, features []*FeatureVector, a float64) ([]float64, bool) {
+	sizes, ok := st.lru.GetBytes(key)
 	if !ok {
 		st.mu.Lock()
 		st.misses++
@@ -218,7 +212,7 @@ func (st *SolverState) seed(key string, features []*FeatureVector, a float64) ([
 		st.mu.Unlock()
 		return sizes, true
 	}
-	st.lru.Delete(key)
+	st.lru.Delete(string(key))
 	st.mu.Lock()
 	st.rejected++
 	st.mu.Unlock()
@@ -226,8 +220,8 @@ func (st *SolverState) seed(key string, features []*FeatureVector, a float64) ([
 }
 
 // record stores a converged solution under key.
-func (st *SolverState) record(key string, sizes []float64) {
-	st.lru.Put(key, sizes)
+func (st *SolverState) record(key []byte, sizes []float64) {
+	st.lru.Put(string(key), sizes)
 }
 
 // validSizes checks the Eq. 1 invariants a converged contended solve must

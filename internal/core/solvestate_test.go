@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mpmc/internal/machine"
+	"mpmc/internal/workload"
 )
 
 // bitsEqual reports exact bit equality of two floats (NaN-safe, unlike ==).
@@ -119,8 +120,7 @@ func TestSolverStateRejectsDivergedSeed(t *testing.T) {
 	}
 	for label, bad := range poisons {
 		st := NewSolverState(0)
-		key := st.key(features, 10, SolverWindow)
-		st.record(key, bad)
+		st.record(st.appendKey(nil, features, 10, SolverWindow), bad)
 		got, err := PredictGroupCached(ctx, features, 10, SolverWindow, st)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -294,5 +294,58 @@ func TestSolverStateDistinguishesIdentity(t *testing.T) {
 	_, _ = PredictGroupCached(ctx, a, 8, SolverNewton, st)
 	if s := st.Stats(); s.Hits != 0 {
 		t.Fatalf("method/assoc variation hit a foreign entry: %+v", s)
+	}
+}
+
+// TestSolverStateHitAllocs: a solver-state seed hit and a watts-memo hit
+// build their keys in the caller's workspace and probe without a string,
+// so neither allocates.
+func TestSolverStateHitAllocs(t *testing.T) {
+	pm, err := SyntheticPowerModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.FourCoreServer()
+	feats := suiteFeatures(m)
+	ctx := context.Background()
+	st := NewSolverState(0)
+	cm := NewCombinedModel(m, pm)
+	cm.State = st
+
+	pair := []*FeatureVector{TruthFeature(workload.ByName("mcf"), m), TruthFeature(workload.ByName("art"), m)}
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	dst, err := predictInto(ctx, nil, pair, m.Assoc, SolverAuto, st, nil, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats()
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := predictInto(ctx, dst, pair, m.Assoc, SolverAuto, st, nil, ws); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if s := st.Stats(); s.Hits == before.Hits || s.Misses != before.Misses {
+		t.Fatalf("solver state %+v → %+v: the pin needs seed hits only", before, s)
+	}
+	if n != 0 {
+		t.Errorf("a solver-state seed hit allocates %v objects, want 0", n)
+	}
+
+	asg := Assignment{{feats[0], feats[3]}, {feats[1]}, {feats[2]}, {feats[5]}}
+	if _, err := cm.EstimateGroupContext(ctx, asg, 0, ReadWatts); err != nil {
+		t.Fatal(err)
+	}
+	before = st.Stats()
+	n = testing.AllocsPerRun(100, func() {
+		if _, err := cm.EstimateGroupContext(ctx, asg, 0, ReadWatts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if s := st.Stats(); s.WattsHits == before.WattsHits || s.WattsMisses != before.WattsMisses {
+		t.Fatalf("watts memo %+v → %+v: the pin needs watts hits only", before, s)
+	}
+	if n != 0 {
+		t.Errorf("a watts-memo hit allocates %v objects, want 0", n)
 	}
 }

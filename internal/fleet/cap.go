@@ -193,24 +193,21 @@ func (l *capLedger) tryReserve(name string, w float64) bool {
 	return true
 }
 
-// snapshotRows deep-copies the per-node rows (a transaction's window).
-func (l *capLedger) snapshotRows() map[string]float64 {
+// copyRows appends the ledger's names and rows to the given slices (a
+// transaction's window).
+func (l *capLedger) copyRows(names []string, rows []float64) ([]string, []float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make(map[string]float64, len(l.names))
-	for i, k := range l.names {
-		out[k] = l.rows[i]
-	}
-	return out
+	return append(names, l.names...), append(rows, l.rows...)
 }
 
-func (l *capLedger) restoreRows(rows map[string]float64) {
+// restoreRows puts back rows copied earlier. Rows are never deleted, so
+// the copy already holds every name in sorted order.
+func (l *capLedger) restoreRows(names []string, rows []float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.names, l.rows = l.names[:0], l.rows[:0]
-	for k, v := range rows {
-		l.setLocked(k, v)
-	}
+	l.names = append(l.names[:0], names...)
+	l.rows = append(l.rows[:0], rows...)
 }
 
 // capActive reports whether admissions and enforcement are constrained
@@ -300,17 +297,17 @@ func (f *Fleet) resyncNodeCapLocked(ctx context.Context, n *node) error {
 	return nil
 }
 
-// setFreqLocked re-clocks a node: the rung moves, the one-entry decision
-// key cache is busted (keys embed the rung when off base), the version
-// stamp detached scoring revalidates is bumped, and the change is
-// journaled so recovery restores the rung. The group-term memo needs no
-// invalidation — its terms are unscaled and frequency-independent.
+// setFreqLocked re-clocks a node: the rung moves, the version stamp
+// detached scoring revalidates is bumped, and the change is journaled so
+// recovery restores the rung. Decision keys embed the rung when off base,
+// so no memo needs invalidation; the group-term memo's terms are unscaled
+// and frequency-independent.
 func (f *Fleet) setFreqLocked(n *node, ix int) {
 	if ix == n.freqIx {
 		return
 	}
+	f.touchLocked(n)
 	n.freqIx = ix
-	n.keyFeat, n.keyStr = nil, ""
 	n.version++
 	f.journalLocked(wal.Event{Type: wal.EvFreq, Node: n.cfg.Name, Freq: ix + 1})
 }
@@ -350,11 +347,11 @@ type CapReport struct {
 // another machine — sheds watts at the least predicted SPI cost per watt
 // (strict less-than over a deterministic enumeration: down-clocks in
 // node order first, then migrations in source/resident/target/core
-// order). The pass is one transaction over every node: any failure rolls
-// managers, rungs and ledger rows back and discards the staged journal,
-// so a failed enforcement leaves the fleet exactly as it was. Migrations
-// may cross shards — a sharded fleet enforces under every shard lock.
-// With no active cap it reports Satisfied and does nothing.
+// order). The pass is one transaction: any failure rolls the managers and
+// rungs it changed and the ledger rows back and discards the staged
+// journal, so a failed enforcement leaves the fleet exactly as it was.
+// Migrations may cross shards — a sharded fleet enforces under every shard
+// lock. With no active cap it reports Satisfied and does nothing.
 func (f *Fleet) EnforceCap(ctx context.Context) (CapReport, error) {
 	f.lock()
 	defer f.unlock()
@@ -374,7 +371,7 @@ func (f *Fleet) EnforceCap(ctx context.Context) (CapReport, error) {
 		return rep, nil
 	}
 
-	tx := f.beginLocked(f.nodes)
+	tx := f.beginLocked()
 	fail := func(cause error) (CapReport, error) {
 		tx.rollback()
 		f.rollbacks.Inc()
@@ -403,6 +400,7 @@ func (f *Fleet) EnforceCap(ctx context.Context) (CapReport, error) {
 			return fail(err)
 		}
 	}
+	tx.close()
 	rep.WattsAfter = f.capL.usage()
 	rep.Satisfied = rep.WattsAfter <= budget
 	f.flushJournalLocked()

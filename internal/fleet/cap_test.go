@@ -18,6 +18,16 @@ import (
 	"mpmc/internal/workload"
 )
 
+// snapshotRows returns the ledger's rows by node name.
+func (l *capLedger) snapshotRows() map[string]float64 {
+	names, rows := l.copyRows(nil, nil)
+	out := make(map[string]float64, len(names))
+	for i, k := range names {
+		out[k] = rows[i]
+	}
+	return out
+}
+
 // TestCapLedgerAtomicity pins the ledger's unit contract: usage is the
 // sorted-row sum (a pure function of the rows), tryReserve is
 // check-and-write under one lock, and a failed reservation leaves the
@@ -58,7 +68,7 @@ func TestCapLedgerAtomicity(t *testing.T) {
 	}
 
 	// restoreRows is a full overwrite.
-	l.restoreRows(map[string]float64{"x": 1})
+	l.restoreRows([]string{"x"}, []float64{1})
 	if got := l.usage(); got != 1 {
 		t.Fatalf("restoreRows usage = %v, want 1", got)
 	}
@@ -106,9 +116,9 @@ func TestCapLedgerSumOrder(t *testing.T) {
 			rows[name] = w
 			check("write")
 		}
-		snap := l.snapshotRows()
-		l.restoreRows(map[string]float64{"x": 1})
-		l.restoreRows(snap) // map iteration order: a fresh insertion order each run
+		names, ws := l.copyRows(nil, nil)
+		l.restoreRows([]string{"x"}, []float64{1})
+		l.restoreRows(names, ws)
 		check("restore")
 	}
 

@@ -446,7 +446,7 @@ func TestPlaceAllAllocs(t *testing.T) {
 		}
 	}
 	t.Logf("PlaceAll of 3 on 24 nodes: %d allocations", mallocs/runs)
-	if got := mallocs / runs; got > 200 {
-		t.Errorf("a cold batch of three allocates %d objects, want at most 200", got)
+	if got := mallocs / runs; got > 80 {
+		t.Errorf("a cold batch of three allocates %d objects, want at most 80", got)
 	}
 }

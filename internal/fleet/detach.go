@@ -41,8 +41,11 @@ type scoreIn struct {
 	n    *node
 	feat *core.FeatureVector
 	asg  core.Assignment
-	dkey string // decision-memo key ("" when the policy never memoizes)
-	fix  int    // the node's DVFS rung
+	// suffix is the assignment's decision-key bytes ("" when the policy
+	// never memoizes); with the node, the arrival and the rung it makes
+	// the decision-memo key, built at the probe.
+	suffix string
+	fix    int // the node's DVFS rung
 }
 
 // useMemo reports whether placements consult the decision memo. CapAware
@@ -62,7 +65,7 @@ func (f *Fleet) scoreInLocked(ctx context.Context, n *node, spec *workload.Spec)
 	}
 	in := scoreIn{n: n, feat: feat, asg: f.assignmentOf(n), fix: n.freqIx}
 	if f.useMemo() {
-		in.dkey = f.decisionKeyOf(n, feat)
+		in.suffix = f.suffixOf(n)
 	}
 	return in, nil
 }
@@ -105,20 +108,23 @@ const scoreGrain = 16
 // Phase 1 walks the candidates on the caller's goroutine: context poll,
 // the "fleet.score" injection seam (ahead of any memo probe, so injected
 // errors fire per scored node warm or cold), the inputs, one counted
-// decision-memo probe. Phase 2 hands only the misses to the parallel
-// engine for scoreNodeCold, one worker per scoreGrain misses — a warm
-// placement, whose survivors all hit, starts no goroutine, and fewer than
-// two grains of misses run inline. Results land in index-addressed slots
+// decision-memo probe with the key built on the stack (a hit allocates
+// nothing; a miss keeps its key for the insert). Phase 2 hands only the
+// misses to the parallel engine for scoreNodeCold, one worker per
+// scoreGrain misses — a warm placement, whose survivors all hit, starts
+// no goroutine, and fewer than two grains of misses run inline. Results land in index-addressed slots
 // and callers reduce serially, so the decision is identical at any worker
 // count. Errors keep the serial loop's order: phase 1 stops at the first
 // failing candidate, phase 2 still solves the misses below it, and the
 // lowest-index error wins.
 func (f *Fleet) scoreFeasible(ctx context.Context, spec *workload.Spec, feasible []int, captured []scoreIn) ([]nodeScore, error) {
 	type miss struct {
-		k  int
-		in scoreIn
+		k   int
+		in  scoreIn
+		key string
 	}
 	useMemo := f.useMemo()
+	var kb [256]byte
 	scores := make([]nodeScore, len(feasible))
 	var misses []miss
 	var stop error
@@ -137,16 +143,19 @@ func (f *Fleet) scoreFeasible(ctx context.Context, spec *workload.Spec, feasible
 		} else if in, stop = f.scoreInLocked(ctx, f.nodes[ni], spec); stop != nil {
 			break
 		}
+		var key string
 		if useMemo {
-			if s, ok := f.scores.getDecision(in.dkey); ok {
+			b := appendDecisionKey(kb[:0], in.n, in.feat, in.suffix, in.fix)
+			if s, ok := f.scores.getDecision(b); ok {
 				scores[k] = s
 				continue
 			}
+			key = string(b)
 		}
 		if misses == nil {
 			misses = make([]miss, 0, len(feasible)-k)
 		}
-		misses = append(misses, miss{k, in})
+		misses = append(misses, miss{k, in, key})
 	}
 	if len(misses) == 0 {
 		return scores, stop
@@ -166,7 +175,7 @@ func (f *Fleet) scoreFeasible(ctx context.Context, spec *workload.Spec, feasible
 			return err
 		}
 		if useMemo {
-			f.scores.putDecision(m.in.dkey, s)
+			f.scores.putDecision(m.key, s)
 		}
 		scores[m.k] = s
 		return nil

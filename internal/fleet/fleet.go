@@ -21,7 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -180,21 +180,17 @@ type node struct {
 	freqIx int
 
 	// asgSnap caches the manager's deep-copied assignment (and asgSuffix
-	// the decision-key bytes derived from it), re-read only when the
-	// manager's mutation version moves — Assignment() rebuilds per-core
-	// slices on every call, which dominated the warm placement path.
-	// The snapshot is read-only by contract: every scoring path copies
-	// on write (withAddition, withoutResident). Writes happen under
+	// the decision-key bytes derived from it, built on first use), re-read
+	// only when the manager's mutation version moves — Assignment()
+	// rebuilds per-core slices on every call, which dominated the warm
+	// placement path. Both are read-only by contract: every scoring path
+	// copies on write (withAddition, withoutResident), and a captured
+	// suffix stays valid after the lock is released. Writes happen under
 	// the fleet lock, or in fan-out workers that each own one node index
 	// with the fleet lock held by their caller.
 	asgVersion uint64
 	asgSnap    core.Assignment
 	asgSuffix  string
-	// keyFeat/keyStr are a one-entry cache of the last decision key built
-	// for this node (an arrival stream repeats the same workload against
-	// an unchanged node); invalidated whenever asgSuffix is rebuilt.
-	keyFeat *core.FeatureVector
-	keyStr  string
 
 	// meta tracks scheduler-side facts about residents the node manager
 	// does not know: priority class and the submitter's tag (a preempted
@@ -227,24 +223,15 @@ func (f *Fleet) assignmentOf(n *node) core.Assignment {
 	return n.asgSnap
 }
 
-// decisionKeyOf builds the decision-memo key from the cached assignment
-// suffix: one small concatenation instead of a full walk per probe.
-func (f *Fleet) decisionKeyOf(n *node, feat *core.FeatureVector) string {
+// suffixOf returns the decision-key bytes of n's current assignment
+// (decisionSuffix), built once per assignment. Callers must hold the fleet
+// lock.
+func (f *Fleet) suffixOf(n *node) string {
 	asg := f.assignmentOf(n)
 	if n.asgSuffix == "" {
 		n.asgSuffix = decisionSuffix(asg)
-		n.keyFeat = nil
 	}
-	if feat != n.keyFeat {
-		n.keyFeat, n.keyStr = feat, n.cfg.Name+"\x00"+feat.Name+n.asgSuffix
-		if ix := n.freqIx; ix != n.cfg.Machine.Freq.BaseIx() {
-			// Off-base decisions depend on the rung (the frequency-aware
-			// policies price SPI/watts at it); base-state keys carry zero
-			// extra bytes so legacy memo keys are unchanged.
-			n.keyStr += "\x03" + strconv.Itoa(ix)
-		}
-	}
-	return n.keyStr
+	return n.asgSuffix
 }
 
 // Fleet is the cluster scheduler. All methods are safe for concurrent
@@ -278,6 +265,16 @@ type Fleet struct {
 	// fleet's lock: every Eq. 10 pass of one hold solves through it, and
 	// unlock empties it (nil only when tables are off).
 	ctab *core.ComboTable
+	// tx is the lock holder's open transaction, nil when none is open;
+	// txBuf is its reused memory. Transactions never nest: every operation
+	// that opens one takes the fleet lock itself and ends it before
+	// unlocking. Whole-fleet code never calls into a shard, so a
+	// whole-fleet transaction lives on the whole fleet.
+	tx    *txn
+	txBuf txn
+	// onTxnClose, when set, sees every transaction as it ends
+	// (tests check the touched set against the version stamps with it).
+	onTxnClose func(*txn)
 	// capL is the power-cap ledger (nil until a cap is configured or set;
 	// one instance across a Sharded fleet). It has its own lock.
 	capL *capLedger
@@ -659,58 +656,99 @@ func (f *Fleet) PlaceWith(ctx context.Context, spec *workload.Spec, opts PlaceOp
 }
 
 // txn is the rollback window of every multi-step mutation — batch, group,
-// preemption, cap enforcement, rebalance. It holds what such an operation
-// can change before its last fallible step: the scoped nodes' manager
-// state (resident sets and instance-name counters) and DVFS rungs, the
-// watt ledger's rows, the rotation cursor, and the journal's staged tail.
-// Queue, preemption ledger and counters are only ever touched after the
-// last fallible step, so they are not in it.
+// preemption, cap enforcement, rebalance. When it opens it records what
+// such an operation can change fleet-wide: the watt ledger's rows, the
+// rotation cursor, and the journal's staged tail. A node is recorded the
+// first time the operation writes it (touchLocked): its manager state
+// (resident sets and instance-name counters), DVFS rung and resident
+// metadata. So an operation pays for the nodes it changes, not for the
+// fleet. Queue, preemption ledger and counters are only ever touched
+// after the last fallible step, so they are not in it.
 type txn struct {
-	f      *Fleet
-	scope  []*node
-	snaps  []*manager.Snapshot
-	rungs  []int
-	rows   map[string]float64 // nil while no cap is active
+	f       *Fleet
+	touched []touchedNode
+	// capped records whether names/rows hold the ledger (a cap was active
+	// at the start).
+	capped bool
+	names  []string
+	rows   []float64
 	rrNode int
 	staged int
 }
 
-// beginLocked opens a transaction over the nodes the operation may
-// mutate (nil: none — an operation with one fallible step, which has
-// nothing to restore but the journal). Callers hold the fleet lock until
-// they either succeed or roll back.
-func (f *Fleet) beginLocked(scope []*node) txn {
-	t := txn{f: f, scope: scope, rrNode: f.rrNode, staged: len(f.jbuf)}
-	if len(scope) == 0 {
-		return t
+// touchedNode is one node's state as of the first write to it inside a
+// transaction.
+type touchedNode struct {
+	n    *node
+	snap *manager.Snapshot
+	rung int
+	meta map[string]residentMeta
+}
+
+// beginLocked opens the fleet's transaction. Callers hold the fleet lock
+// and end it with rollback or close on every path.
+func (f *Fleet) beginLocked() *txn {
+	if f.tx != nil {
+		panic("fleet: nested transaction")
 	}
-	t.snaps, t.rungs = make([]*manager.Snapshot, len(scope)), make([]int, len(scope))
-	for i, n := range scope {
-		t.snaps[i], t.rungs[i] = n.mgr.Snapshot(), n.freqIx
+	t := &f.txBuf
+	t.f = f
+	t.rrNode, t.staged = f.rrNode, len(f.jbuf)
+	t.capped = f.capActive()
+	if t.capped {
+		t.names, t.rows = f.capL.copyRows(t.names[:0], t.rows[:0])
 	}
-	if f.capActive() {
-		t.rows = f.capL.snapshotRows()
-	}
+	f.tx = t
 	return t
+}
+
+// touchLocked records n into the open transaction, if any, the first time
+// it is written there; it goes ahead of every write to a node that can
+// happen inside a transaction.
+func (f *Fleet) touchLocked(n *node) {
+	if t := f.tx; t != nil && !t.has(n) {
+		t.touched = append(t.touched, touchedNode{n: n, snap: n.mgr.Snapshot(), rung: n.freqIx, meta: maps.Clone(n.meta)})
+	}
+}
+
+func (t *txn) has(n *node) bool {
+	for i := range t.touched {
+		if t.touched[i].n == n {
+			return true
+		}
+	}
+	return false
 }
 
 // rollback restores everything the transaction covers, bit for bit: a
 // rolled-back operation is indistinguishable from one never attempted,
-// and leaves no trace in the journal. (Version stamps stay bumped — a
-// spurious conflict is harmless, a missed one is not.)
+// and leaves no trace in the journal. Only touched nodes are restored;
+// their version stamps stay bumped (a spurious conflict is harmless, a
+// missed one is not), and every other node's stamp never moved.
 func (t *txn) rollback() {
-	for i, n := range t.scope {
-		n.mgr.Restore(t.snaps[i])
-		if n.freqIx != t.rungs[i] {
-			n.freqIx = t.rungs[i]
-			n.keyFeat, n.keyStr = nil, ""
-		}
+	f := t.f
+	for _, tn := range t.touched {
+		tn.n.mgr.Restore(tn.snap)
+		tn.n.freqIx = tn.rung
+		tn.n.meta = tn.meta
 	}
-	if t.rows != nil {
-		t.f.capL.restoreRows(t.rows)
+	if t.capped {
+		f.capL.restoreRows(t.names, t.rows)
 	}
-	t.f.rrNode = t.rrNode
-	t.f.jbuf = t.f.jbuf[:t.staged]
+	f.rrNode = t.rrNode
+	f.jbuf = f.jbuf[:t.staged]
+	t.close()
+}
+
+// close ends the transaction, keeping its memory for the next.
+func (t *txn) close() {
+	f := t.f
+	if f.onTxnClose != nil {
+		f.onTxnClose(t)
+	}
+	clear(t.touched)
+	t.touched = t.touched[:0]
+	f.tx = nil
 }
 
 // PlaceAll admits a batch of arrivals transactionally: either every
@@ -724,13 +762,7 @@ func (f *Fleet) PlaceAll(ctx context.Context, specs []*workload.Spec) ([]Placed,
 	}
 	f.lock()
 	defer f.unlock()
-	// A one-spec batch commits nothing before its only fallible step (see
-	// Place), so there is nothing a snapshot could restore.
-	var scope []*node
-	if len(specs) > 1 {
-		scope = f.nodes
-	}
-	tx := f.beginLocked(scope)
+	tx := f.beginLocked()
 	out := make([]Placed, len(specs))
 	for i, s := range specs {
 		err := ctx.Err()
@@ -742,6 +774,7 @@ func (f *Fleet) PlaceAll(ctx context.Context, specs []*workload.Spec) ([]Placed,
 			return nil, f.rolledBack("batch", "placement", i, err)
 		}
 	}
+	tx.close()
 	f.placed.Add(uint64(len(out)))
 	f.flushJournalLocked()
 	return out, nil
@@ -839,6 +872,7 @@ func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts Plac
 		}
 		capHeld = true
 	}
+	f.touchLocked(n)
 	name, watts, err := n.mgr.PlaceAt(ctx, spec, s.Core)
 	if err != nil {
 		if capHeld {
@@ -1284,10 +1318,7 @@ func (f *Fleet) FailNode(name string) ([]manager.Resident, error) {
 	n.meta = nil
 	// A dead machine draws nothing, and it reboots at its base rung —
 	// replay of EvNodeDown resets both, so no extra event is needed.
-	if ix := n.cfg.Machine.Freq.BaseIx(); n.freqIx != ix {
-		n.freqIx = ix
-		n.keyFeat, n.keyStr = nil, ""
-	}
+	n.freqIx = n.cfg.Machine.Freq.BaseIx()
 	if f.capL != nil {
 		f.capL.setNode(name, 0)
 	}

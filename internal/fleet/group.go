@@ -92,7 +92,7 @@ func (f *Fleet) PlaceGroup(ctx context.Context, g threads.GroupSpec) ([]Placed, 
 	// exposition and sim reports byte-identical.
 	f.reg.Counter("fleet_group_spawned_members_total").Add(members)
 
-	tx := f.beginLocked(f.nodes)
+	tx := f.beginLocked()
 	out := make([]Placed, len(specs))
 	used := map[int]bool{}
 	for i, s := range specs {
@@ -111,6 +111,7 @@ func (f *Fleet) PlaceGroup(ctx context.Context, g threads.GroupSpec) ([]Placed, 
 			return nil, f.rolledBack("group", "member placement", i, err)
 		}
 	}
+	tx.close()
 	f.placed.Add(uint64(len(out)))
 	f.reg.Counter("fleet_group_placed_members_total").Add(members)
 	f.reg.Counter("fleet_groups_placed_total").Inc()

@@ -112,6 +112,41 @@ func TestPlaceWorkFollowsCandidates(t *testing.T) {
 	}
 }
 
+// TestWarmPlaceRemoveAllocs pins what a memo-hit placement and its
+// departure allocate on the 1 000-node predicated fleet: three arrivals in
+// rotation, each placed and removed, every survivor's decision memoized.
+// The decision keys are built on the stack and probed without a string,
+// so what is left is the placement's own bookkeeping, whatever the fleet
+// size.
+func TestWarmPlaceRemoveAllocs(t *testing.T) {
+	ctx := context.Background()
+	f, _, _ := scaleFleet(t)
+	specs := []*workload.Spec{workload.ByName("mcf"), workload.ByName("art"), workload.ByName("gzip")}
+	i := 0
+	cycle := func() {
+		p, err := f.Place(ctx, specs[i%len(specs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Remove(ctx, p.Node, p.Name); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range 2 * len(specs) {
+		cycle()
+	}
+	misses := f.ScoreCacheStats().DecisionMisses
+	allocs := testing.AllocsPerRun(60, cycle)
+	if f.ScoreCacheStats().DecisionMisses != misses {
+		t.Fatal("the rotation missed the decision memo; the pin needs an all-hit cycle")
+	}
+	t.Logf("warm place+remove on 1 000 nodes: %.1f allocations", allocs)
+	if allocs > 7 {
+		t.Errorf("a warm place+remove allocates %.1f objects, want at most 7", allocs)
+	}
+}
+
 // TestFeatureIdentityBounded is the engine-level leak pin: 5 000
 // placements, each handed a freshly built *workload.Spec of the same ten
 // names, on a 24-node 4-shard fleet whose nodes each hold their own

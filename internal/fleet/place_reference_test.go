@@ -42,7 +42,7 @@ func (f *Fleet) scoreNode(ctx context.Context, n *node, spec *workload.Spec) (no
 	}
 	asg := f.assignmentOf(n)
 	useMemo := f.scores != nil && f.cfg.Policy != CapAware
-	var dkey string
+	var dkey []byte
 	if useMemo {
 		dkey = f.decisionKeyOf(n, feat)
 		if s, ok := f.scores.getDecision(dkey); ok {
@@ -51,9 +51,15 @@ func (f *Fleet) scoreNode(ctx context.Context, n *node, spec *workload.Spec) (no
 	}
 	s, err := f.scoreNodeCold(ctx, nil, n, feat, asg, n.freqIx)
 	if err == nil && useMemo {
-		f.scores.putDecision(dkey, s)
+		f.scores.putDecision(string(dkey), s)
 	}
 	return s, err
+}
+
+// decisionKeyOf is the decision-memo key of n at its live rung, as
+// scoreFeasible builds it at the probe.
+func (f *Fleet) decisionKeyOf(n *node, feat *core.FeatureVector) []byte {
+	return appendDecisionKey(nil, n, feat, f.suffixOf(n), n.freqIx)
 }
 
 // refPrioritizer is the reference model prioritizer (scoreNode verbatim).
@@ -123,7 +129,7 @@ type refViewNode struct {
 	cand sched.CandidateNode
 	feat *core.FeatureVector
 	asg  core.Assignment
-	dkey string
+	dkey []byte
 	fix  int
 }
 
@@ -196,7 +202,7 @@ func refScoreViewDetached(ctx context.Context, f *Fleet, view []refViewNode, spe
 			return err
 		}
 		if useMemo {
-			f.scores.putDecision(vn.dkey, s)
+			f.scores.putDecision(string(vn.dkey), s)
 		}
 		scores[feasible[i]] = s
 		return nil

@@ -4,12 +4,12 @@
 // priority class first, least fleet-wide predicted-SPI loss within the
 // class — places the arrival into the freed capacity, and requeues the
 // victim through the admission queue with exponential backoff (the
-// sched.Ledger). The whole exchange is one transaction (Fleet.beginLocked
-// over every node, since the arrival may land anywhere): any failure
-// after the eviction rolls managers, rungs, ledger rows and the cursor
-// back bit for bit before the error surfaces. On a sharded fleet this
-// runs under every shard lock, so the victim is the fleet-wide cheapest
-// and re-enters the one admission queue.
+// sched.Ledger). The whole exchange is one transaction (Fleet.beginLocked;
+// the arrival may land anywhere, and the nodes it writes are recorded as
+// it writes them): any failure after the eviction rolls managers, rungs,
+// ledger rows and the cursor back bit for bit before the error surfaces.
+// On a sharded fleet this runs under every shard lock, so the victim is
+// the fleet-wide cheapest and re-enters the one admission queue.
 
 package fleet
 
@@ -84,8 +84,10 @@ func (f *Fleet) preemptLocked(ctx context.Context, spec *workload.Spec, opts Pla
 
 	// The queue, ledger, and counters are only touched after the placement
 	// commits, so the transaction never needs to restore them.
-	tx := f.beginLocked(f.nodes)
+	tx := f.beginLocked()
+	f.touchLocked(vnode)
 	if err := vnode.mgr.Remove(victim.Name); err != nil {
+		tx.rollback()
 		return Placed{}, false, fmt.Errorf("fleet: evicting preemption victim %s from %s: %w",
 			victim.Name, vnode.cfg.Name, err)
 	}
@@ -103,7 +105,8 @@ func (f *Fleet) preemptLocked(ctx context.Context, spec *workload.Spec, opts Pla
 	}
 
 	// The arrival is committed (commitLocked stamped its node); the
-	// victim's node changed too.
+	// victim's node changed too. Nothing below can fail.
+	tx.close()
 	vnode.version++
 	if f.capActive() {
 		// The eviction lowered the victim node's draw (commitLocked already

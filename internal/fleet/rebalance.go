@@ -210,13 +210,14 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 				manager.ErrNoImprovement, next, cap)
 		}
 	}
-	tx := f.beginLocked([]*node{srcN, dstN})
+	tx := f.beginLocked()
 	newName, err := f.migrateLocked(ctx, srcN, dstN, cd.res, cd.dstCore)
 	if err != nil {
 		tx.rollback()
 		f.rollbacks.Inc()
 		return Move{}, fmt.Errorf("fleet: rebalance rolled back: %w", err)
 	}
+	tx.close()
 	f.moves.Inc()
 	if capMove {
 		f.capL.setNode(srcN.cfg.Name, srcW)
@@ -249,6 +250,8 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 // instance appends at the end of the resident order, exactly like PlaceAt
 // did). Ledger rows and the rollback on error are the caller's.
 func (f *Fleet) migrateLocked(ctx context.Context, src, dst *node, r manager.Resident, dstCore int) (string, error) {
+	f.touchLocked(src)
+	f.touchLocked(dst)
 	if err := src.mgr.Remove(r.Name); err != nil {
 		return "", err
 	}

@@ -76,7 +76,6 @@ func (f *Fleet) Recover(ctx context.Context, st *wal.State) error {
 				rung, name, n.cfg.Machine.Freq.NumStates())
 		}
 		n.freqIx = ix
-		n.keyFeat, n.keyStr = nil, ""
 	}
 	for _, qe := range st.Queue {
 		spec := threads.ResolveSpec(qe.Bench)

@@ -112,7 +112,7 @@ func (f *Fleet) scoreNodeCold(ctx context.Context, tab *core.ComboTable, n *node
 	baseSPI, baseW := 0.0, 0.0
 	for gi := range base {
 		var err error
-		if base[gi], err = f.groupEstimate(ctx, tab, n, asg, gi, read, &sc.spi[gi]); err != nil {
+		if base[gi], err = f.groupEstimate(ctx, tab, sc, n, asg, gi, read, &sc.spi[gi]); err != nil {
 			return nodeScore{}, err
 		}
 		for _, t := range base[gi].SPI {
@@ -158,7 +158,7 @@ func (f *Fleet) scoreNodeCold(ctx context.Context, tab *core.ComboTable, n *node
 			continue
 		}
 		gi := m.GroupOf(c)
-		cand, err := f.groupEstimate(ctx, tab, n, sc.withAddition(asg, feat, c), gi, read, &sc.cand)
+		cand, err := f.groupEstimate(ctx, tab, sc, n, sc.withAddition(asg, feat, c), gi, read, &sc.cand)
 		if err != nil {
 			return nodeScore{}, err
 		}

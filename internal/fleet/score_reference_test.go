@@ -86,13 +86,31 @@ func groupSPITerms(ctx context.Context, m *machine.Machine, busy []int, asg core
 	return terms, nil
 }
 
+// busyCores returns the group's cores that host at least one process, in
+// group order.
+func busyCores(group []int, asg core.Assignment) []int {
+	var busy []int
+	for _, c := range group {
+		if len(asg[c]) > 0 {
+			busy = append(busy, c)
+		}
+	}
+	return busy
+}
+
+// scoreKey is the term-memo key of the given cores' residents (idle ones
+// add no bytes, so a group and its busy cores give the same key).
+func scoreKey(m *machine.Machine, solver core.SolverMethod, cores []int, asg core.Assignment) string {
+	return string(appendScoreKey(nil, m, solver, cores, asg))
+}
+
 // refGroupTerms is the old groupTerms: one group's term list through the
 // term memo, or cold when caching is disabled.
 func (f *Fleet) refGroupTerms(ctx context.Context, m *machine.Machine, busy []int, asg core.Assignment) ([]float64, error) {
 	if f.scores == nil {
 		return groupSPITerms(ctx, m, busy, asg, core.SolverAuto, f.solver)
 	}
-	return f.scores.get(scoreKey(m, core.SolverAuto, busy, asg), func() ([]float64, error) {
+	return f.scores.get([]byte(scoreKey(m, core.SolverAuto, busy, asg)), func() ([]float64, error) {
 		return groupSPITerms(ctx, m, busy, asg, core.SolverAuto, f.solver)
 	})
 }

@@ -116,9 +116,10 @@ func (sc *scoreCache) stats() ScoreCacheStats {
 }
 
 // getDecision is the counted probe scoreFeasible makes: exactly one hit or
-// miss per scored candidate.
-func (sc *scoreCache) getDecision(key string) (nodeScore, bool) {
-	s, ok := sc.decisions.Get(key)
+// miss per scored candidate. The key is the caller's scratch; probing
+// allocates nothing.
+func (sc *scoreCache) getDecision(key []byte) (nodeScore, bool) {
+	s, ok := sc.decisions.GetBytes(key)
 	if ok {
 		sc.dhits.Add(1)
 	} else {
@@ -132,14 +133,16 @@ func (sc *scoreCache) putDecision(key string, s nodeScore) {
 }
 
 // get returns the memoized term list for key, solving via compute on a
-// miss. Errors are never cached (an injected or solver failure must not
-// poison later lookups).
-func (sc *scoreCache) get(key string, compute func() ([]float64, error)) ([]float64, error) {
+// miss. The key is the caller's scratch: a hit allocates nothing, and only
+// a miss makes it a string. Errors are never cached (an injected or
+// solver failure must not poison later lookups).
+func (sc *scoreCache) get(kb []byte, compute func() ([]float64, error)) ([]float64, error) {
 	sc.lookups.Add(1)
-	if v, ok := sc.lru.Get(key); ok {
+	if v, ok := sc.lru.GetBytes(kb); ok {
 		sc.hits.Add(1)
 		return v, nil
 	}
+	key := string(kb)
 	var innerHit bool
 	v, err, shared := sc.flight.Do(key, func() ([]float64, error) {
 		if v, ok := sc.lru.Get(key); ok {
@@ -188,49 +191,58 @@ func (sc *scoreCache) flush() {
 	}
 }
 
-// scoreKey builds the content identity of one cache group's term list.
-// The busy core IDs are included alongside the per-core workload names:
-// today two symmetric groups with equal residents would solve to equal
-// terms, but per-core factors (machine.CoreSpeed) may one day enter the
-// SPI terms, and the key must already name every input that could. The
-// separators cannot occur in machine or workload names.
-func scoreKey(m *machine.Machine, solver core.SolverMethod, busy []int, asg core.Assignment) string {
-	n := len(m.Name) + 8
-	for _, c := range busy {
-		n += 4
+// appendScoreKey appends the content identity of one cache group's term
+// list to dst: the machine kind, the solver, and every busy core of the
+// group (in group order) with its resident workload names in order. The
+// busy core IDs are included alongside the names: today two symmetric
+// groups with equal residents would solve to equal terms, but per-core
+// factors (machine.CoreSpeed) may one day enter the SPI terms, and the key
+// must already name every input that could. The separators cannot occur
+// in machine or workload names.
+func appendScoreKey(dst []byte, m *machine.Machine, solver core.SolverMethod, group []int, asg core.Assignment) []byte {
+	dst = append(dst, m.Name...)
+	dst = append(dst, '\x00')
+	dst = strconv.AppendInt(dst, int64(solver), 10)
+	for _, c := range group {
+		if len(asg[c]) == 0 {
+			continue
+		}
+		dst = append(dst, '\x01')
+		dst = strconv.AppendInt(dst, int64(c), 10)
 		for _, f := range asg[c] {
-			n += len(f.Name) + 1
+			dst = append(dst, '\x02')
+			dst = append(dst, f.Name...)
 		}
 	}
-	buf := make([]byte, 0, n)
-	buf = append(buf, m.Name...)
-	buf = append(buf, '\x00')
-	buf = strconv.AppendInt(buf, int64(solver), 10)
-	for _, c := range busy {
-		buf = append(buf, '\x01')
-		buf = strconv.AppendInt(buf, int64(c), 10)
-		for _, f := range asg[c] {
-			buf = append(buf, '\x02')
-			buf = append(buf, f.Name...)
-		}
+	return dst
+}
+
+// appendDecisionKey appends the content identity of one node's placement
+// decision for an arrival to dst: the node name (which pins the machine
+// kind, power model, and MaxPerCore — all immutable per fleet), the
+// arrival's workload name, the node's assignment suffix (decisionSuffix),
+// and the rung when it is off base. The fleet-wide policy, ceiling, and
+// solver are constants of the fleet the memo lives in, so they need no key
+// bytes.
+func appendDecisionKey(dst []byte, n *node, feat *core.FeatureVector, suffix string, fix int) []byte {
+	dst = append(dst, n.cfg.Name...)
+	dst = append(dst, '\x00')
+	dst = append(dst, feat.Name...)
+	dst = append(dst, suffix...)
+	if fix != n.cfg.Machine.Freq.BaseIx() {
+		// Off-base decisions depend on the rung (the frequency-aware
+		// policies price SPI/watts at it); base-state keys carry zero
+		// extra bytes so legacy memo keys are unchanged.
+		dst = append(dst, '\x03')
+		dst = strconv.AppendInt(dst, int64(fix), 10)
 	}
-	return string(buf)
+	return dst
 }
 
-// decisionKey builds the content identity of one node's placement decision
-// for an arrival: the node name (which pins the machine kind, power model,
-// and MaxPerCore — all immutable per fleet), the arrival's workload name,
-// and every core's resident workload names in order (empty cores included:
-// admissibility depends on per-core occupancy). The fleet-wide policy,
-// ceiling, and solver are constants of the fleet the memo lives in, so they
-// need no key bytes.
-func decisionKey(n *node, feat *core.FeatureVector, asg core.Assignment) string {
-	return n.cfg.Name + "\x00" + feat.Name + decisionSuffix(asg)
-}
-
-// decisionSuffix serializes the assignment-content half of a decision key.
-// The fleet caches it per node alongside the assignment snapshot, so a
-// warm probe pays one concatenation, not a full walk.
+// decisionSuffix serializes the assignment-content half of a decision key:
+// every core's resident workload names in order (empty cores included:
+// admissibility depends on per-core occupancy). The fleet caches it per
+// node alongside the assignment snapshot, so a probe walks no assignment.
 func decisionSuffix(asg core.Assignment) string {
 	size := 0
 	for _, procs := range asg {
@@ -248,18 +260,6 @@ func decisionSuffix(asg core.Assignment) string {
 		}
 	}
 	return string(buf)
-}
-
-// busyCores returns the group's cores that host at least one process, in
-// group order.
-func busyCores(group []int, asg core.Assignment) []int {
-	var busy []int
-	for _, c := range group {
-		if len(asg[c]) > 0 {
-			busy = append(busy, c)
-		}
-	}
-	return busy
 }
 
 // groupIdle reports whether no core of the group hosts a process.
@@ -282,8 +282,9 @@ func groupIdle(group []int, asg core.Assignment) bool {
 // to avoid — bumps the fleet's solver-invocation counter; memo hits and
 // idle groups do not, so SolverInvocations measures solve work, not demand.
 // With caching disabled the SPI terms are written into *buf, which the
-// caller owns and which keeps any growth; a memo's terms are its own.
-func (f *Fleet) groupEstimate(ctx context.Context, tab *core.ComboTable, n *node, asg core.Assignment, gi int, read core.Readout, buf *[]float64) (core.GroupEstimate, error) {
+// caller owns and which keeps any growth; a memo's terms are its own. The
+// term-memo key is built in sc.
+func (f *Fleet) groupEstimate(ctx context.Context, tab *core.ComboTable, sc *scoreScratch, n *node, asg core.Assignment, gi int, read core.Readout, buf *[]float64) (core.GroupEstimate, error) {
 	m := n.cfg.Machine
 	if read&core.ReadSPI == 0 || groupIdle(m.Groups[gi], asg) {
 		return tab.EstimateGroup(ctx, n.cm, asg, gi, read&core.ReadWatts, nil)
@@ -298,7 +299,8 @@ func (f *Fleet) groupEstimate(ctx context.Context, tab *core.ComboTable, n *node
 	}
 	var est core.GroupEstimate
 	ran := false
-	terms, err := f.scores.get(scoreKey(m, n.cm.Solver, busyCores(m.Groups[gi], asg), asg), func() ([]float64, error) {
+	sc.key = appendScoreKey(sc.key[:0], m, n.cm.Solver, m.Groups[gi], asg)
+	terms, err := f.scores.get(sc.key, func() ([]float64, error) {
 		f.solves.Add(1)
 		var err error
 		est, err = tab.EstimateGroup(ctx, n.cm, asg, gi, read, nil)
@@ -326,7 +328,7 @@ func (f *Fleet) nodeSPI(ctx context.Context, n *node, asg core.Assignment) (floa
 	defer putScratch(sc)
 	total := 0.0
 	for gi := range n.cfg.Machine.Groups {
-		est, err := f.groupEstimate(ctx, f.ctab, n, asg, gi, core.ReadSPI, &sc.cand)
+		est, err := f.groupEstimate(ctx, f.ctab, sc, n, asg, gi, core.ReadSPI, &sc.cand)
 		if err != nil {
 			return 0, err
 		}
@@ -347,6 +349,8 @@ type scoreScratch struct {
 	// next and ext spell out withAddition's tentative assignment.
 	next core.Assignment
 	ext  []*core.FeatureVector
+	// key holds the term-memo key being probed.
+	key []byte
 }
 
 var scratches = cache.FreeList[scoreScratch]{New: func() *scoreScratch { return new(scoreScratch) }}
@@ -383,11 +387,9 @@ func (f *Fleet) invalidateNodeLocked(n *node) {
 	m := n.cfg.Machine
 	asg := f.assignmentOf(n)
 	for _, group := range m.Groups {
-		busy := busyCores(group, asg)
-		if len(busy) == 0 {
-			continue
+		if !groupIdle(group, asg) {
+			f.scores.invalidate(string(appendScoreKey(nil, m, n.cm.Solver, group, asg)))
 		}
-		f.scores.invalidate(scoreKey(m, n.cm.Solver, busy, asg))
 	}
 	// Decision keys embed arrival names the node cannot enumerate, so the
 	// node's decisions are found by their unambiguous "<name>\x00" prefix.

@@ -379,3 +379,66 @@ func TestKeyConstruction(t *testing.T) {
 	addD("occ1", decisionKey(n, fa, asg1))
 	addD("other-node", decisionKey(f.nodes[1], fa, core.Assignment{nil, nil}))
 }
+
+// TestMemoHitAllocs: a decision-memo probe and a term-memo hit build
+// their keys in the caller's scratch and look them up without a string,
+// so a hit allocates nothing.
+func TestMemoHitAllocs(t *testing.T) {
+	ctx := context.Background()
+	f := testFleet(t, LeastDegradation, nil)
+	if _, err := f.PlaceAll(ctx, sixteenSpecs()[:6]); err != nil {
+		t.Fatal(err)
+	}
+	spec := sixteenSpecs()[6]
+	// A placement and its departure leave every node's decision for spec
+	// memoized against the content it has again.
+	p, err := f.Place(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Remove(ctx, p.Node, p.Name); err != nil {
+		t.Fatal(err)
+	}
+	f.lock()
+	defer f.unlock()
+	n := f.nodes[0]
+	in, err := f.scoreInLocked(ctx, n, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := f.ScoreCacheStats()
+	allocs := testing.AllocsPerRun(100, func() {
+		var kb [128]byte
+		if _, ok := f.scores.getDecision(appendDecisionKey(kb[:0], in.n, in.feat, in.suffix, in.fix)); !ok {
+			t.Fatal("decision memo missed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a decision-memo hit allocates %v objects, want 0", allocs)
+	}
+
+	sc := getScratch()
+	defer putScratch(sc)
+	asg := f.assignmentOf(n)
+	if groupIdle(n.cfg.Machine.Groups[0], asg) {
+		t.Fatal("node 0's group is idle; the pin would probe nothing")
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := f.groupEstimate(ctx, f.ctab, sc, n, asg, 0, core.ReadSPI, &sc.cand); err != nil {
+			t.Fatal(err)
+		}
+	})
+	after := f.ScoreCacheStats()
+	if after.Hits == before.Hits || after.Misses != before.Misses || after.DecisionMisses != before.DecisionMisses {
+		t.Fatalf("memo stats %+v → %+v: the pins need hits only", before, after)
+	}
+	if allocs != 0 {
+		t.Errorf("a term-memo hit allocates %v objects, want 0", allocs)
+	}
+}
+
+// decisionKey is the decision-memo key of n for feat against asg at the
+// node's base rung.
+func decisionKey(n *node, feat *core.FeatureVector, asg core.Assignment) string {
+	return string(appendDecisionKey(nil, n, feat, decisionSuffix(asg), n.cfg.Machine.Freq.BaseIx()))
+}

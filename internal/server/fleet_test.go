@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -47,6 +49,55 @@ func newFleetServer(t *testing.T, policy fleet.Policy, queueCap int) (*Server, *
 		c.Registry = reg
 	})
 	return s, ts
+}
+
+// TestRequestLogLine pins the per-request log line: a fleet_place line
+// and an error line must match, byte for byte, the line slog writes for
+// the same values given as loose key/value pairs (keys, order, types).
+func TestRequestLogLine(t *testing.T) {
+	s, _ := newFleetServer(t, fleet.LeastDegradation, 4)
+	noTime := &slog.HandlerOptions{ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+		if a.Key == slog.TimeKey && len(groups) == 0 {
+			return slog.Attr{}
+		}
+		return a
+	}}
+	var got bytes.Buffer
+	s.log = slog.New(slog.NewJSONHandler(&got, noTime))
+	for _, tc := range []struct {
+		body   string
+		status int
+		code   string
+	}{
+		{`{"benches":["mcf"]}`, http.StatusOK, ""},
+		{`{"benches":[`, http.StatusBadRequest, "bad_json"},
+	} {
+		got.Reset()
+		req := httptest.NewRequest("POST", "/v1/fleet/place", strings.NewReader(tc.body))
+		s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+		var line struct {
+			Status int     `json:"status"`
+			DurMS  float64 `json:"dur_ms"`
+		}
+		if err := json.Unmarshal(got.Bytes(), &line); err != nil {
+			t.Fatalf("log line %q: %v", got.String(), err)
+		}
+		if line.Status != tc.status {
+			t.Fatalf("logged status %d, want %d", line.Status, tc.status)
+		}
+		var want bytes.Buffer
+		loose := slog.New(slog.NewJSONHandler(&want, noTime))
+		args := []any{"endpoint", "fleet_place", "method", "POST", "path", "/v1/fleet/place",
+			"status", line.Status, "dur_ms", line.DurMS}
+		if tc.code != "" {
+			loose.Warn("request", append(args, "error", tc.code)...)
+		} else {
+			loose.Info("request", args...)
+		}
+		if got.String() != want.String() {
+			t.Errorf("request line\n got %s\nwant %s", got.String(), want.String())
+		}
+	}
 }
 
 // TestFleetRoutesAbsentWithoutFleet: a server with no fleet must 404 the

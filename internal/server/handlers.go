@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -186,19 +187,21 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 		}
 		elapsed := time.Since(start)
 		observe(sw.status, elapsed)
-		attrs := []any{
-			"endpoint", endpoint,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.status,
-			"dur_ms", float64(elapsed.Microseconds()) / 1000,
+		// Typed attributes box nothing: the line costs the handler's own
+		// allocations only.
+		level, attrs := slog.LevelInfo, [6]slog.Attr{
+			slog.String("endpoint", endpoint),
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", sw.status),
+			slog.Float64("dur_ms", float64(elapsed.Microseconds())/1000),
 		}
+		n := 5
 		if errCode != "" {
-			attrs = append(attrs, "error", errCode)
-			s.log.Warn("request", attrs...)
-			return
+			level, attrs[n] = slog.LevelWarn, slog.String("error", errCode)
+			n++
 		}
-		s.log.Info("request", attrs...)
+		s.log.LogAttrs(ctx, level, "request", attrs[:n]...)
 	}
 }
 
