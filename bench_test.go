@@ -12,7 +12,6 @@ package mpmc
 // methodology amortizes them across experiments.
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -302,14 +301,26 @@ func BenchmarkProfileOne(b *testing.B) {
 }
 
 // BenchmarkAssignmentSearch measures the exhaustive search of k processes
-// on the two four-core presets. server-k4 is 72 canonical placements, made
-// of 41 distinct group layouts and 13 co-run combinations, each solved once
-// per search; k = 6 is 1056 placements over at most 31 combinations.
+// on the two four-core presets, asking for the winner alone. server-k4 is
+// 72 canonical placements, made of 41 distinct group layouts and 13 co-run
+// combinations (4 solo, 9 contended), each solved once per search; k = 6
+// is 1056 placements over 365 layouts and 31 combinations. server-k6-all
+// asks for the whole ranking, as cmd/assign and Manager.Rebalance do, and
+// so also builds all 1056 assignments.
 func BenchmarkAssignmentSearch(b *testing.B) {
+	type run struct {
+		name       string
+		k          int
+		maxResults int
+	}
 	for _, preset := range []struct {
 		name    string
 		machine *Machine
-	}{{"server", FourCoreServer()}, {"little", machine.FourCoreLittle()}} {
+		runs    []run
+	}{
+		{"server", FourCoreServer(), []run{{"k4", 4, 1}, {"k5", 5, 1}, {"k6", 6, 1}, {"k6-all", 6, 0}}},
+		{"little", machine.FourCoreLittle(), []run{{"k4", 4, 1}, {"k5", 5, 1}, {"k6", 6, 1}}},
+	} {
 		m := preset.machine
 		pm, err := TrainPowerModel(m, ModelSet(), PowerTrainOptions{
 			Warmup: 0.5, Duration: 1, Seed: 1, MicrobenchWindows: 2,
@@ -318,16 +329,16 @@ func BenchmarkAssignmentSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 		cm := NewCombinedModel(m, pm)
-		for k := 4; k <= 6; k++ {
-			b.Run(fmt.Sprintf("%s-k%d", preset.name, k), func(b *testing.B) {
-				procs := benchProcs(m, k)
-				if _, err := cm.BestAssignment(procs, 1); err != nil {
+		for _, r := range preset.runs {
+			b.Run(preset.name+"-"+r.name, func(b *testing.B) {
+				procs := benchProcs(m, r.k)
+				if _, err := cm.BestAssignment(procs, r.maxResults); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := cm.BestAssignment(procs, 1); err != nil {
+					if _, err := cm.BestAssignment(procs, r.maxResults); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
+
+	"mpmc/internal/cache"
 )
 
 // AssignmentResult pairs a candidate assignment with its estimated power.
@@ -35,8 +39,8 @@ func SearchSpace(cores, procs int) (int, error) {
 
 // searchTable is the level-1 scratch of one assignment search: the
 // per-process core powers of every ordered co-run combination of distinct
-// feature vectors the search has solved. It lives and dies inside
-// BestAssignmentContext, so nothing ever needs invalidating.
+// feature vectors the search has solved. It is reset at the start of every
+// search that uses it, so nothing ever needs invalidating.
 type searchTable struct {
 	// ids runs parallel to the search's scratch assignment: per core, the
 	// number (from 1) of each listed process's distinct feature vector.
@@ -44,20 +48,22 @@ type searchTable struct {
 	// width is the bit width of one id. A combination's key is its ids
 	// packed in prediction order; no id is 0, so tuples of different lengths
 	// cannot collide.
-	width  int
-	powers map[uint64][]float64
+	width int
+	// powers maps a combination's key to the offset of its powers in arena,
+	// one per process of the combination.
+	powers map[uint64]int
+	arena  []float64
 }
 
-// layoutTable is the level-2 scratch of one assignment search: the Eq. 10
-// watts of every layout of a cache group seen so far. A layout is which
-// processes sit on each of the group's cores, one k-bit process mask per
-// core: packed into one integer when cores × k bits fit in it, spelt out
-// as bytes when they do not. Groups share one associativity, so groups of
-// equal size share a table.
+// layoutTable numbers the layouts of a cache group while a search plan is
+// built. A layout is which processes sit on each of the group's cores, one
+// k-bit process mask per core: packed into one integer when cores × k bits
+// fit in it, spelt out as bytes when they do not. Groups share one
+// associativity, so groups of equal size share a table.
 type layoutTable struct {
 	cores  int
-	packed map[uint64]float64 // nil when a layout does not fit 64 bits
-	wide   map[string]float64
+	packed map[uint64]int32 // nil when a layout does not fit 64 bits
+	wide   map[string]int32
 }
 
 // newLayoutTables returns each group's table for a search of k processes.
@@ -74,31 +80,31 @@ func newLayoutTables(groups [][]int, k int) []*layoutTable {
 		}
 		t := &layoutTable{cores: len(g)}
 		if len(g)*k <= 64 {
-			t.packed = make(map[uint64]float64)
+			t.packed = make(map[uint64]int32)
 		} else {
-			t.wide = make(map[string]float64)
+			t.wide = make(map[string]int32)
 		}
 		tables[gi] = t
 	}
 	return tables
 }
 
-// get returns the watts recorded for a layout, given in both forms.
-func (t *layoutTable) get(packed uint64, wide []byte) (float64, bool) {
+// get returns the slot recorded for a layout, given in both forms.
+func (t *layoutTable) get(packed uint64, wide []byte) (int32, bool) {
 	if t.packed != nil {
-		w, ok := t.packed[packed]
-		return w, ok
+		slot, ok := t.packed[packed]
+		return slot, ok
 	}
-	w, ok := t.wide[string(wide)]
-	return w, ok
+	slot, ok := t.wide[string(wide)]
+	return slot, ok
 }
 
-// put records the watts of a layout.
-func (t *layoutTable) put(packed uint64, wide []byte, w float64) {
+// put records the slot of a layout.
+func (t *layoutTable) put(packed uint64, wide []byte, slot int32) {
 	if t.packed != nil {
-		t.packed[packed] = w
+		t.packed[packed] = slot
 	} else {
-		t.wide[string(wide)] = w
+		t.wide[string(wide)] = slot
 	}
 }
 
@@ -185,20 +191,213 @@ func wideLayoutKey(key []byte, choice, groupOf, posOf []int, gi int) []byte {
 	return key
 }
 
+// searchPlan is everything an assignment search needs that depends only on
+// the machine's cache-group shape and the process count k, never on the
+// processes: level 0's canonical mappings and level 2's layout numbering.
+// It is structure, not a prediction, so it is immutable once built and a
+// plan for one shape serves every search of that shape.
+type searchPlan struct {
+	// mappings are the canonical mapping indices, ascending.
+	mappings []int
+	// slots[m·groups + gi] is the layout slot of group gi under mapping m.
+	// Two (mapping, group) pairs share a slot exactly when their groups are
+	// of one size and lay the processes out alike, and slots are numbered
+	// in the order the search first meets them.
+	slots  []int32
+	nslots int
+	// groupOf places a core in its group.
+	groupOf []int
+}
+
+// newSearchPlan walks the canonical mappings of k processes on the groups
+// and numbers every group's layouts by their packed or wide key.
+func newSearchPlan(groups [][]int, n, k, total int) *searchPlan {
+	ng := len(groups)
+	p := &searchPlan{mappings: canonicalMappings(groups, n, k, total), groupOf: make([]int, n)}
+	p.slots = make([]int32, len(p.mappings)*ng)
+	posOf := make([]int, n)
+	for gi, g := range groups {
+		for j, c := range g {
+			p.groupOf[c], posOf[c] = gi, j
+		}
+	}
+	tables := newLayoutTables(groups, k)
+	choice, layout := make([]int, k), make([]uint64, ng)
+	var wide []byte
+	for m, idx := range p.mappings {
+		decodeChoice(choice, idx, n)
+		packLayouts(layout, choice, p.groupOf, posOf)
+		for gi, t := range tables {
+			if t.packed == nil {
+				wide = wideLayoutKey(wide[:0], choice, p.groupOf, posOf, gi)
+			}
+			slot, ok := t.get(layout[gi], wide)
+			if !ok {
+				slot = int32(p.nslots)
+				p.nslots++
+				t.put(layout[gi], wide, slot)
+			}
+			p.slots[m*ng+gi] = slot
+		}
+	}
+	return p
+}
+
+// maxPlanMappings bounds the plans the plan table keeps: a search over more
+// canonical mappings builds its plan for that call alone.
+const maxPlanMappings = 1 << 16
+
+// plans holds one searchPlan per (group shape, k), keyed by planKey. It
+// grows with the distinct shapes searched, never with the searches.
+var plans = struct {
+	mu sync.RWMutex
+	m  map[string]*searchPlan
+}{m: make(map[string]*searchPlan)}
+
+// planKey appends the key of a search plan: k, the core count and the
+// content of every group's core list, each a uvarint, so that no two shapes
+// share one.
+func planKey(key []byte, groups [][]int, n, k int) []byte {
+	key = binary.AppendUvarint(key, uint64(k))
+	key = binary.AppendUvarint(key, uint64(n))
+	key = binary.AppendUvarint(key, uint64(len(groups)))
+	for _, g := range groups {
+		key = binary.AppendUvarint(key, uint64(len(g)))
+		for _, c := range g {
+			key = binary.AppendUvarint(key, uint64(c))
+		}
+	}
+	return key
+}
+
+// planFor returns the search plan of k processes on the groups of an
+// n-core machine with total mappings: the table's when it has one, else a
+// new one, which the table keeps unless it is over maxPlanMappings.
+func planFor(groups [][]int, n, k, total int) *searchPlan {
+	var buf [64]byte
+	key := planKey(buf[:0], groups, n, k)
+	plans.mu.RLock()
+	p := plans.m[string(key)]
+	plans.mu.RUnlock()
+	if p != nil {
+		return p
+	}
+	p = newSearchPlan(groups, n, k, total)
+	if len(p.mappings) > maxPlanMappings {
+		return p
+	}
+	plans.mu.Lock()
+	defer plans.mu.Unlock()
+	if q := plans.m[string(key)]; q != nil {
+		return q
+	}
+	plans.m[string(key)] = p
+	return p
+}
+
+// candidate is one ranked mapping: its estimated watts and its index.
+type candidate struct {
+	watts float64
+	idx   int
+}
+
+// searchScratch is the reusable memory of one assignment search. Everything
+// in it is dead once the search returns.
+type searchScratch struct {
+	// asg holds one cache group's per-core lists while it is estimated.
+	asg    Assignment
+	procID []uint64 // per process, its distinct feature vector's number
+	choice []int
+	tab    searchTable
+	// lw holds the Eq. 10 watts of every layout slot seen so far.
+	lw    []float64
+	seen  []bool
+	cands []candidate
+}
+
+var searchScratches = cache.FreeList[searchScratch]{New: func() *searchScratch {
+	return &searchScratch{tab: searchTable{powers: make(map[uint64]int)}}
+}}
+
+// getSearchScratch returns scratch reset for a search of procs under plan
+// on an n-core machine.
+func getSearchScratch(plan *searchPlan, procs []*FeatureVector, n int) *searchScratch {
+	s := searchScratches.Get()
+	k := len(procs)
+	s.asg = slices.Grow(s.asg[:0], n)[:n]
+	s.tab.ids = slices.Grow(s.tab.ids[:0], n)[:n]
+	s.choice = slices.Grow(s.choice[:0], k)[:k]
+	// Distinct feature vectors are numbered from 1 in order of appearance.
+	s.procID = slices.Grow(s.procID[:0], k)[:k]
+	distinct := uint64(0)
+	for i, f := range procs {
+		id := uint64(0)
+		for j, g := range procs[:i] {
+			if g == f {
+				id = s.procID[j]
+				break
+			}
+		}
+		if id == 0 {
+			distinct++
+			id = distinct
+		}
+		s.procID[i] = id
+	}
+	s.tab.width = bits.Len64(distinct)
+	clear(s.tab.powers)
+	s.tab.arena = s.tab.arena[:0]
+	s.lw = slices.Grow(s.lw[:0], plan.nslots)[:plan.nslots]
+	s.seen = slices.Grow(s.seen[:0], plan.nslots)[:plan.nslots]
+	clear(s.seen)
+	s.cands = slices.Grow(s.cands[:0], len(plan.mappings))
+	return s
+}
+
+// putSearchScratch releases s without the feature vectors it picked up, so
+// a free scratch keeps no process alive, and without the per-candidate
+// memory of a search over more than maxPlanMappings mappings.
+func putSearchScratch(s *searchScratch) {
+	lists := s.asg[:cap(s.asg)]
+	for c, list := range lists {
+		clear(list[:cap(list)])
+		lists[c] = list[:0]
+	}
+	if cap(s.cands) > maxPlanMappings {
+		s.lw, s.seen, s.cands = nil, nil, nil
+	}
+	searchScratches.Put(s)
+}
+
 // BestAssignment exhaustively searches process-to-core mappings of the
 // given processes and returns them sorted by estimated average processor
 // power — the power-aware assignment application of Section 5. The search
 // space is coreCount^k, but the estimation cost is not: only the mappings
 // that differ under the model are enumerated, every distinct co-run
 // combination is solved once and every distinct layout of a cache group
-// averaged (Eq. 10) once, after which a candidate costs one integer lookup
-// and one add per cache group — the paper's headline complexity win, the
+// averaged (Eq. 10) once, after which a candidate costs one slot load and
+// one add per cache group — the paper's headline complexity win, the
 // profiling data and not the assignment count being what estimation costs.
 //
 // maxResults bounds the returned slice (0 = all). It is
 // BestAssignmentContext without a caller deadline.
 func (cm *CombinedModel) BestAssignment(procs []*FeatureVector, maxResults int) ([]AssignmentResult, error) {
 	return cm.BestAssignmentContext(context.Background(), procs, maxResults)
+}
+
+// SearchCandidates returns how many assignments of k processes
+// BestAssignment ranks on cm's machine: the length of its ranking when
+// maxResults is 0. More than 2^20 mappings is ErrSearchSpace.
+func (cm *CombinedModel) SearchCandidates(k int) (int, error) {
+	if k < 1 {
+		return 0, fmt.Errorf("core: no processes to assign")
+	}
+	n := cm.Machine.NumCores
+	total, err := SearchSpace(n, k)
+	if err != nil {
+		return 0, err
+	}
+	return len(planFor(cm.Machine.Groups, n, k, total).mappings), nil
 }
 
 // BestAssignmentContext is BestAssignment under a caller-supplied context,
@@ -214,87 +413,56 @@ func (cm *CombinedModel) BestAssignmentContext(ctx context.Context, procs []*Fea
 	if err != nil {
 		return nil, err
 	}
-	// scratch holds one cache group's per-core lists while it is estimated;
-	// stacking everything on core 0 first validates every process once.
-	scratch := make(Assignment, n)
-	scratch[0] = procs
-	if err := cm.Validate(scratch); err != nil {
+	// Level 0 and the level-2 numbering: the canonical mappings, in
+	// ascending index order, and each (mapping, group)'s layout slot.
+	plan := planFor(groups, n, k, total)
+	s := getSearchScratch(plan, procs, n)
+	defer putSearchScratch(s)
+	// Stacking everything on core 0 first validates every process once.
+	core0 := s.asg[0]
+	s.asg[0] = procs
+	err = cm.Validate(s.asg)
+	s.asg[0] = core0
+	if err != nil {
 		return nil, err
 	}
-	scratch[0] = nil
-	// Level 1: distinct feature vectors are numbered from 1; a combination
-	// is its processes' numbers, packed.
-	vectors := make(map[*FeatureVector]uint64, k)
-	procID := make([]uint64, k)
-	for i, f := range procs {
-		id, ok := vectors[f]
-		if !ok {
-			id = uint64(len(vectors)) + 1
-			vectors[f] = id
-		}
-		procID[i] = id
-	}
-	tab := &searchTable{ids: make([][]uint64, n), width: bits.Len(uint(len(vectors))), powers: make(map[uint64][]float64)}
-	// Level 2: one layout table per group size; groupOf and posOf place a
-	// core in its group.
-	tables := newLayoutTables(groups, k)
-	groupOf, posOf := make([]int, n), make([]int, n)
-	for gi, g := range groups {
-		for j, c := range g {
-			groupOf[c], posOf[c] = gi, j
-		}
-	}
-	// Level 0: the canonical mappings, in ascending index order.
-	mappings := canonicalMappings(groups, n, k, total)
-	type candidate struct {
-		watts float64
-		idx   int
-	}
-	cands := make([]candidate, 0, len(mappings))
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	env := solveEnv{search: tab, ws: ws}
-	choice := make([]int, k)
-	layout := make([]uint64, len(groups)) // each group's packed layout
-	var wide []byte
-	for _, idx := range mappings {
+	env := solveEnv{search: &s.tab, ws: ws}
+	ng := len(groups)
+	for m, idx := range plan.mappings {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		decodeChoice(choice, idx, n)
-		packLayouts(layout, choice, groupOf, posOf)
 		watts := 0.0
-		for gi, group := range groups {
-			t := tables[gi]
-			if t.packed == nil {
-				wide = wideLayoutKey(wide[:0], choice, groupOf, posOf, gi)
-			}
-			w, ok := t.get(layout[gi], wide)
-			if !ok {
+		for gi, slot := range plan.slots[m*ng : m*ng+ng] {
+			if !s.seen[slot] {
 				// A layout's first sight: only now are its per-core lists
 				// spelt out.
+				group := groups[gi]
 				for _, c := range group {
-					scratch[c], tab.ids[c] = scratch[c][:0], tab.ids[c][:0]
+					s.asg[c], s.tab.ids[c] = s.asg[c][:0], s.tab.ids[c][:0]
 				}
-				for i, c := range choice {
-					if groupOf[c] == gi {
-						scratch[c], tab.ids[c] = append(scratch[c], procs[i]), append(tab.ids[c], procID[i])
+				decodeChoice(s.choice, idx, n)
+				for i, c := range s.choice {
+					if plan.groupOf[c] == gi {
+						s.asg[c], s.tab.ids[c] = append(s.asg[c], procs[i]), append(s.tab.ids[c], s.procID[i])
 					}
 				}
-				est, err := cm.estimateGroup(ctx, scratch, group, env, ReadWatts, nil)
+				est, err := cm.estimateGroup(ctx, s.asg, group, env, ReadWatts, nil)
 				if err != nil {
 					return nil, err
 				}
-				w = est.Watts
-				t.put(layout[gi], wide, w)
+				s.lw[slot], s.seen[slot] = est.Watts, true
 			}
-			watts += w
+			watts += s.lw[slot]
 		}
-		cands = append(cands, candidate{watts, idx})
+		s.cands = append(s.cands, candidate{watts, idx})
 	}
 	// The ranking is this sort of this sequence: on a machine of equal
 	// groups every assignment has a mirror image of exactly its watts, so
 	// the order of ties — the winner's included — is the sort's doing.
+	cands := s.cands
 	slices.SortFunc(cands, func(a, b candidate) int {
 		switch {
 		case a.watts < b.watts:
@@ -307,13 +475,27 @@ func (cm *CombinedModel) BestAssignmentContext(ctx context.Context, procs []*Fea
 	if maxResults > 0 && len(cands) > maxResults {
 		cands = cands[:maxResults]
 	}
-	// Only the assignments returned are ever built.
+	// Only the assignments returned are ever built, in three allocations:
+	// every result's per-core lists are capacity-bounded windows of one
+	// array, so appending to one cannot write into another.
 	results := make([]AssignmentResult, len(cands))
+	lists := make([][]*FeatureVector, len(cands)*n)
+	members := make([]*FeatureVector, len(cands)*k)
+	next := 0
 	for r, cand := range cands {
-		decodeChoice(choice, cand.idx, n)
-		asg := make(Assignment, n)
-		for i, c := range choice {
-			asg[c] = append(asg[c], procs[i])
+		decodeChoice(s.choice, cand.idx, n)
+		asg := Assignment(lists[r*n : (r+1)*n : (r+1)*n])
+		for c := range asg {
+			start := next
+			for i, pc := range s.choice {
+				if pc == c {
+					members[next] = procs[i]
+					next++
+				}
+			}
+			if next > start {
+				asg[c] = members[start:next:next]
+			}
 		}
 		results[r] = AssignmentResult{Assignment: asg, Watts: cand.watts}
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -263,5 +264,141 @@ func TestBestAssignmentRejectsBadProcess(t *testing.T) {
 	bad.API = -1
 	if _, err := cm.BestAssignment([]*FeatureVector{good, &bad}, 0); err == nil {
 		t.Fatal("accepted an invalid feature")
+	}
+}
+
+// TestBestAssignmentAllocs pins what a warm search allocates: its returned
+// result and nothing else, whatever the number of candidates it ranks.
+func TestBestAssignmentAllocs(t *testing.T) {
+	pm, err := SyntheticPowerModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*machine.Machine{machine.FourCoreServer(), machine.TwoCoreLaptop()} {
+		cm := NewCombinedModel(m, pm)
+		procs := suiteFeatures(m)[:6]
+		if _, err := cm.BestAssignment(procs, 1); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := cm.BestAssignment(procs, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 7 {
+			t.Errorf("%s: a warm six-process search allocates %v objects, want at most 7", m.Name, allocs)
+		}
+	}
+}
+
+// TestBestAssignmentConcurrent runs searches of mixed shapes from eight
+// goroutines at once, some cancelled part-way: every search that completes
+// returns exactly what it returns alone, and the released scratch holds no
+// feature vector.
+func TestBestAssignmentConcurrent(t *testing.T) {
+	pm, err := SyntheticPowerModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type job struct {
+		cm         *CombinedModel
+		procs      []*FeatureVector
+		maxResults int
+		trip       int64 // polls before the context cancels; 0 = never
+	}
+	var jobs []job
+	for p, preset := range searchPresets {
+		m := preset()
+		cm := NewCombinedModel(m, pm)
+		if p%2 == 1 {
+			cm.State = NewSolverState(0)
+		}
+		feats := suiteFeatures(m)
+		for k := 1; k <= 6; k++ {
+			for r, maxResults := range []int{0, 1, 3} {
+				rng := rand.New(rand.NewSource(int64(100*p + 10*k + r)))
+				procs := make([]*FeatureVector, k)
+				for i := range procs {
+					procs[i] = feats[rng.Intn(len(feats))]
+				}
+				j := job{cm: cm, procs: procs, maxResults: maxResults}
+				if k >= 3 && r == 1 {
+					j.trip = int64(1 + rng.Intn(8))
+				}
+				jobs = append(jobs, j)
+			}
+		}
+	}
+	want := make([][]AssignmentResult, len(jobs))
+	for i, j := range jobs {
+		if j.trip > 0 {
+			continue
+		}
+		if want[i], err = j.cm.BestAssignment(j.procs, j.maxResults); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rounds := 4
+	if testing.Short() {
+		rounds = 2
+	}
+	const workers = 8
+	got := make([][][]AssignmentResult, workers)
+	errs := make([][]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w], errs[w] = make([][]AssignmentResult, len(jobs)*rounds), make([]error, len(jobs)*rounds)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := range got[w] {
+				i := (n*7 + w*13) % len(jobs)
+				j := jobs[i]
+				ctx := &countingContext{Context: context.Background(), trip: j.trip}
+				got[w][n], errs[w][n] = j.cm.BestAssignmentContext(ctx, j.procs, j.maxResults)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for n, res := range got[w] {
+			i := (n*7 + w*13) % len(jobs)
+			label := fmt.Sprintf("worker %d search %d (job %d)", w, n, i)
+			if jobs[i].trip > 0 {
+				if !errors.Is(errs[w][n], context.Canceled) || res != nil {
+					t.Fatalf("%s: %d results, err = %v, want context.Canceled", label, len(res), errs[w][n])
+				}
+				continue
+			}
+			if errs[w][n] != nil {
+				t.Fatalf("%s: %v", label, errs[w][n])
+			}
+			sameResults(t, label, res, want[i])
+		}
+	}
+	// Take every released scratch off the free list (a fresh one has no
+	// lists), look for feature vectors, and put them back.
+	var held []*searchScratch
+	defer func() {
+		for _, s := range held {
+			searchScratches.Put(s)
+		}
+	}()
+	for {
+		s := searchScratches.Get()
+		if cap(s.asg) == 0 {
+			break
+		}
+		held = append(held, s)
+		for c, list := range s.asg[:cap(s.asg)] {
+			for _, f := range list[:cap(list)] {
+				if f != nil {
+					t.Fatalf("a released search scratch still holds %s on core %d", f.Name, c)
+				}
+			}
+		}
+	}
+	if len(held) == 0 {
+		t.Fatal("no search scratch was released")
 	}
 }

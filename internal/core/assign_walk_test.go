@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mpmc/internal/machine"
@@ -101,6 +102,144 @@ func walkedAsFiltered(t *testing.T, m *machine.Machine, k int) {
 	}
 }
 
+// plannedAsKeyed fails unless the search plan of k processes on m holds
+// canonicalMappings(k processes on m) and gives two (mapping, group) pairs
+// one slot exactly when the layout keys the search table used to go by —
+// one table per group size, packed or wide — are equal, numbering slots in
+// the order the search first meets them.
+func plannedAsKeyed(t *testing.T, m *machine.Machine, k int) {
+	t.Helper()
+	n := m.NumCores
+	total, err := SearchSpace(n, k)
+	if err != nil {
+		t.Fatalf("%s k=%d: %v", m.Name, k, err)
+	}
+	p := newSearchPlan(m.Groups, n, k, total)
+	if want := canonicalMappings(m.Groups, n, k, total); !slices.Equal(p.mappings, want) {
+		t.Fatalf("%s k=%d: the plan holds %d mappings, the walk emits %d", m.Name, k, len(p.mappings), len(want))
+	}
+	ng := len(m.Groups)
+	if len(p.slots) != len(p.mappings)*ng {
+		t.Fatalf("%s k=%d: %d slots for %d mappings × %d groups", m.Name, k, len(p.slots), len(p.mappings), ng)
+	}
+	groupOf, posOf := make([]int, n), make([]int, n)
+	for gi, g := range m.Groups {
+		for j, c := range g {
+			groupOf[c], posOf[c] = gi, j
+		}
+	}
+	choice, layout := make([]int, k), make([]uint64, ng)
+	slotOf, keyOf := map[string]int32{}, map[int32]string{}
+	for mi, idx := range p.mappings {
+		decodeChoice(choice, idx, n)
+		packLayouts(layout, choice, groupOf, posOf)
+		for gi, g := range m.Groups {
+			key := fmt.Sprintf("%d packed %#x", len(g), layout[gi])
+			if len(g)*k > 64 {
+				key = fmt.Sprintf("%d wide %x", len(g), wideLayoutKey(nil, choice, groupOf, posOf, gi))
+			}
+			slot := p.slots[mi*ng+gi]
+			if s, ok := slotOf[key]; ok && s != slot {
+				t.Fatalf("%s k=%d mapping %d group %d: layout %s has slots %d and %d", m.Name, k, idx, gi, key, s, slot)
+			}
+			if kk, ok := keyOf[slot]; ok && kk != key {
+				t.Fatalf("%s k=%d mapping %d group %d: slot %d stands for %s and %s", m.Name, k, idx, gi, slot, kk, key)
+			}
+			if _, ok := keyOf[slot]; !ok && int(slot) != len(keyOf) {
+				t.Fatalf("%s k=%d mapping %d group %d: new slot %d, want %d", m.Name, k, idx, gi, slot, len(keyOf))
+			}
+			slotOf[key], keyOf[slot] = slot, key
+		}
+	}
+	if p.nslots != len(keyOf) {
+		t.Fatalf("%s k=%d: the plan counts %d slots, the keys %d", m.Name, k, p.nslots, len(keyOf))
+	}
+}
+
+// TestSearchPlanMatchesWalk: a search plan is the walk's mappings and the
+// layout tables' keys, numbered, on every group shape — the 13-core group
+// whose layouts do not pack among them.
+func TestSearchPlanMatchesWalk(t *testing.T) {
+	machines := []*machine.Machine{
+		shapedMachine(2, 2), shapedMachine(4), shapedMachine(1, 3), shapedMachine(2, 1, 1),
+		shapedMachine(3, 2, 1), shapedMachine(1), interleavedMachine(), shapedMachine(13),
+	}
+	for _, preset := range searchPresets {
+		machines = append(machines, preset())
+	}
+	for _, m := range machines {
+		for k := 1; k <= 6; k++ {
+			if _, err := SearchSpace(m.NumCores, k); err != nil {
+				continue
+			}
+			plannedAsKeyed(t, m, k)
+		}
+	}
+}
+
+// TestSearchPlanTableBound: the plan table keeps one plan per shape, and
+// none of a search over more than maxPlanMappings canonical mappings.
+func TestSearchPlanTableBound(t *testing.T) {
+	pm, err := SyntheticPowerModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := func() int {
+		plans.mu.RLock()
+		defer plans.mu.RUnlock()
+		return len(plans.m)
+	}
+	// Four single-core groups: all 4^9 mappings are canonical.
+	m := shapedMachine(1, 1, 1, 1)
+	if got := len(canonicalMappings(m.Groups, 4, 9, 1<<18)); got <= maxPlanMappings {
+		t.Fatalf("%d canonical mappings, want more than %d", got, maxPlanMappings)
+	}
+	feats := suiteFeatures(m)
+	procs := make([]*FeatureVector, 9)
+	for i := range procs {
+		procs[i] = feats[i%4]
+	}
+	before := kept()
+	if _, err := NewCombinedModel(m, pm).BestAssignment(procs, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := kept(); got != before {
+		t.Fatalf("a search over 2^18 mappings left %d plans in the table, want %d", got, before)
+	}
+	// The machine is the caller's to change: the key is the shape's
+	// content, so a regrouped machine gets a plan of its own and an equal
+	// one on another Machine value shares it.
+	small := shapedMachine(3, 1)
+	cm := NewCombinedModel(small, pm)
+	if _, err := cm.BestAssignment(procs[:5], 1); err != nil {
+		t.Fatal(err)
+	}
+	grown := kept()
+	for _, m := range []*machine.Machine{small, shapedMachine(3, 1), shapedMachine(3, 1)} {
+		for i := 0; i < 3; i++ {
+			if _, err := NewCombinedModel(m, pm).BestAssignment(procs[:5], 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := kept(); got != grown {
+		t.Fatalf("repeated searches of one shape grew the plan table from %d to %d", grown, got)
+	}
+	planOf := func(groups [][]int) *searchPlan {
+		plans.mu.RLock()
+		defer plans.mu.RUnlock()
+		return plans.m[string(planKey(nil, groups, 4, 5))]
+	}
+	before3x1 := planOf(small.Groups)
+	small.Groups = [][]int{{0}, {1, 2, 3}}
+	if _, err := cm.BestAssignment(procs[:5], 1); err != nil {
+		t.Fatal(err)
+	}
+	if p := planOf(small.Groups); p == nil || p == before3x1 || slices.Equal(p.mappings, before3x1.mappings) {
+		t.Fatal("the regrouped machine's search did not plan its own shape")
+	}
+}
+
 // TestCanonicalWalkMatchesFilter: the direct enumeration yields the set the
 // cores^k loop kept, in the order it kept it, on every group shape.
 func TestCanonicalWalkMatchesFilter(t *testing.T) {
@@ -128,7 +267,8 @@ func TestCanonicalWalkMatchesFilter(t *testing.T) {
 
 // FuzzCanonicalWalkMatchesFilter draws the group shape from the fuzzer:
 // each byte of shape is one group's size (1–4), and the core numbers are
-// rotated so groups are not contiguous runs from 0.
+// rotated so groups are not contiguous runs from 0. The search plan of the
+// shape must agree with the walk and with the layout keys.
 func FuzzCanonicalWalkMatchesFilter(f *testing.F) {
 	f.Add([]byte{1, 1}, 4, 0)
 	f.Add([]byte{0}, 9, 0)
@@ -154,6 +294,7 @@ func FuzzCanonicalWalkMatchesFilter(f *testing.F) {
 			t.Skip()
 		}
 		walkedAsFiltered(t, m, k)
+		plannedAsKeyed(t, m, k)
 	})
 }
 
@@ -243,7 +384,7 @@ func TestSearchTableTooWide(t *testing.T) {
 	cm := NewCombinedModel(m, pm)
 	feats := suiteFeatures(m)
 	asg := Assignment{{feats[0], feats[1]}, {feats[2]}, nil, nil}
-	tab := &searchTable{ids: [][]uint64{{1, 2}, {3}, nil, nil}, width: 33, powers: map[uint64][]float64{}}
+	tab := &searchTable{ids: [][]uint64{{1, 2}, {3}, nil, nil}, width: 33, powers: map[uint64]int{}}
 	ctx := context.Background()
 	ws := new(workspace)
 	got, err := cm.estimateGroup(ctx, asg, m.Groups[0], solveEnv{search: tab, ws: ws}, ReadWatts, nil)

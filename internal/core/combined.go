@@ -294,22 +294,23 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 
 // tablePowers returns ProcessCorePower of every process of one co-run
 // combination of an assignment search, in prediction order: solved on first
-// sight of its key, shared afterwards.
+// sight of its key, shared afterwards. The slice is the table's, valid until
+// the next call.
 func (cm *CombinedModel) tablePowers(ctx context.Context, combo []*FeatureVector, key uint64, tab *searchTable, ws *workspace) ([]float64, error) {
-	powers, ok := tab.powers[key]
+	off, ok := tab.powers[key]
 	if !ok {
 		preds, err := predictInto(ctx, ws.preds, combo, cm.Machine.Assoc, cm.Solver, cm.State, nil, ws)
 		if err != nil {
 			return nil, err
 		}
 		ws.preds = preds
-		powers = make([]float64, len(preds))
-		for i, p := range preds {
-			powers[i] = cm.ProcessCorePower(p)
+		off = len(tab.arena)
+		for _, p := range preds {
+			tab.arena = append(tab.arena, cm.ProcessCorePower(p))
 		}
-		tab.powers[key] = powers
+		tab.powers[key] = off
 	}
-	return powers, nil
+	return tab.arena[off : off+len(combo)], nil
 }
 
 // EstimateAddition implements the Figure 1 algorithm: the estimated

@@ -390,19 +390,21 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) error {
 	for i, fi := range feats {
 		raw[i] = fi.Feature
 	}
-	results, err := s.cm.BestAssignmentContext(r.Context(), raw, 0)
-	if err != nil {
-		return fmt.Errorf("ranking assignments: %w", err)
-	}
 	top := req.Top
 	if top == 0 {
 		top = 5
 	}
-	if top > len(results) {
-		top = len(results)
+	// The search ranks every candidate but builds only the top ones.
+	results, err := s.cm.BestAssignmentContext(r.Context(), raw, top)
+	if err != nil {
+		return fmt.Errorf("ranking assignments: %w", err)
 	}
-	resp := AssignResponse{Machine: s.mach.Name, Evaluated: len(results)}
-	for _, res := range results[:top] {
+	evaluated, err := s.cm.SearchCandidates(len(raw))
+	if err != nil {
+		return err
+	}
+	resp := AssignResponse{Machine: s.mach.Name, Evaluated: evaluated}
+	for _, res := range results {
 		layout := make([][]string, len(res.Assignment))
 		for c, fs := range res.Assignment {
 			layout[c] = make([]string, 0, len(fs))

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -331,5 +333,43 @@ func TestHealthz(t *testing.T) {
 	}
 	if body["status"] != "ok" || body["machine"] != testMachine().Name {
 		t.Fatalf("/healthz body %s", raw)
+	}
+}
+
+// TestAssignTopOfRanking: /v1/assign returns the head of the full ranking
+// and counts every assignment it ranked, whatever top it is asked for.
+func TestAssignTopOfRanking(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.Machine = machine.FourCoreServer() })
+	assign := func(top int) AssignResponse {
+		t.Helper()
+		body := `{"benches":["mcf","art","gzip","vpr"],"top":` + strconv.Itoa(top) + `}`
+		status, raw := do(t, ts, "POST", "/v1/assign", body)
+		if status != http.StatusOK {
+			t.Fatalf("top %d: status %d, body %s", top, status, raw)
+		}
+		var resp AssignResponse
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	all := assign(1000)
+	if all.Evaluated != 72 || len(all.Results) != all.Evaluated {
+		t.Fatalf("top 1000: %d results of %d evaluated, want all 72", len(all.Results), all.Evaluated)
+	}
+	for _, top := range []int{0, 1, 3} {
+		resp := assign(top)
+		want := top
+		if top == 0 {
+			want = 5
+		}
+		if resp.Evaluated != all.Evaluated || len(resp.Results) != want {
+			t.Fatalf("top %d: %d results of %d evaluated, want %d of %d", top, len(resp.Results), resp.Evaluated, want, all.Evaluated)
+		}
+		for i, res := range resp.Results {
+			if res.Watts != all.Results[i].Watts || fmt.Sprint(res.Layout) != fmt.Sprint(all.Results[i].Layout) {
+				t.Fatalf("top %d: result %d is %v W %v, full ranking has %v W %v", top, i, res.Watts, res.Layout, all.Results[i].Watts, all.Results[i].Layout)
+			}
+		}
 	}
 }
