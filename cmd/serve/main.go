@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -48,52 +49,67 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	machineName := flag.String("machine", "server", "server | workstation | laptop")
-	policyName := flag.String("policy", "power-aware", "power-aware | round-robin | least-loaded")
-	maxPerCore := flag.Int("max-per-core", 0, "time-sharing depth cap per core (0 = unbounded)")
-	seed := flag.Uint64("seed", 1, "base seed for profiling and training")
-	quick := flag.Bool("quick", true, "short profiling/training runs")
-	workers := flag.Int("workers", 0, "profiling/training concurrency (0 = GOMAXPROCS)")
-	cacheCap := flag.Int("cache", 128, "feature-vector cache capacity (entries)")
-	timeout := flag.Duration("timeout", 2*time.Minute, "per-request deadline")
-	maxBody := flag.Int64("max-body", 1<<20, "request body size limit (bytes)")
-	grace := flag.Duration("grace", 30*time.Second, "graceful-shutdown drain window")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this extra listener (off by default; keep it private)")
-	fleetSpec := flag.String("fleet", "", "comma-separated machine presets for a fleet (e.g. \"workstation,workstation,server\"); empty = no fleet surface")
-	fleetPolicy := flag.String("fleet-policy", "least-degradation", "least-degradation | least-watts | binpack | spread | colocate-sharers | spread-sharers | least-energy | cap-aware")
-	fleetCap := flag.Float64("fleet-cap", 0, "fleet-wide power budget in watts (0 = uncapped; adjustable at runtime via PUT /v1/fleet/cap)")
-	fleetMaxPerCore := flag.Int("fleet-max-per-core", 2, "per-core time-sharing cap on fleet machines (0 = unbounded)")
-	fleetQueueCap := flag.Int("fleet-queue-cap", 16, "fleet admission-queue capacity (0 = no queue)")
-	scoreCache := flag.Int("score-cache", 0, "fleet score-memo capacity (0 = default, negative = solve cold; same answers either way)")
-	shards := flag.Int("shards", 1, "fleet shard count: independently locked node groups (>1 enables concurrent commits; decisions are shard-count-invariant)")
-	stateDir := flag.String("state-dir", "", "persist fleet placements to a snapshot+WAL directory and recover them on restart (requires -fleet)")
-	synthetic := flag.Bool("synthetic", false, "use the closed-form synthetic power model and truth-table features instead of training (instant startup; smoke/recovery drills)")
-	flag.Parse()
-
-	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-
-	m, err := cli.MachineByName(*machineName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	policy, err := cli.PolicyByName(*policyName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	if *stateDir != "" && *fleetSpec == "" {
-		fmt.Fprintln(os.Stderr, "serve: -state-dir requires -fleet (it persists fleet placements)")
-		os.Exit(2)
-	}
-
 	// The signal context is installed before training so ^C during the
 	// (minutes-long, full-length) startup training aborts it promptly
 	// instead of only taking effect once serving starts.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the command: it returns the exit code, 2 for a request that
+// cannot be served as asked (bad flag, unknown machine or policy, a flag
+// that needs another) and 1 for a failure while serving it. The service
+// logs to stderr; stdout stays unused.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("serve", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	addr := flags.String("addr", ":8080", "listen address")
+	machineName := flags.String("machine", "server", "server | workstation | laptop | little")
+	policyName := flags.String("policy", "power-aware", "power-aware | least-loaded")
+	maxPerCore := flags.Int("max-per-core", 0, "time-sharing depth cap per core (0 = unbounded)")
+	seed := flags.Uint64("seed", 1, "base seed for profiling and training")
+	quick := flags.Bool("quick", true, "short profiling/training runs")
+	workers := flags.Int("workers", 0, "profiling/training concurrency (0 = GOMAXPROCS)")
+	cacheCap := flags.Int("cache", 128, "feature-vector cache capacity (entries)")
+	timeout := flags.Duration("timeout", 2*time.Minute, "per-request deadline")
+	maxBody := flags.Int64("max-body", 1<<20, "request body size limit (bytes)")
+	grace := flags.Duration("grace", 30*time.Second, "graceful-shutdown drain window")
+	debugAddr := flags.String("debug-addr", "", "serve net/http/pprof on this extra listener (off by default; keep it private)")
+	fleetSpec := flags.String("fleet", "", "comma-separated machine presets for a fleet (e.g. \"workstation,workstation,server\"); empty = no fleet surface")
+	fleetPolicy := flags.String("fleet-policy", "least-degradation", "least-degradation | least-watts | binpack | spread | colocate-sharers | spread-sharers | least-energy | cap-aware")
+	fleetCap := flags.Float64("fleet-cap", 0, "fleet-wide power budget in watts (0 = uncapped; adjustable at runtime via PUT /v1/fleet/cap)")
+	fleetMaxPerCore := flags.Int("fleet-max-per-core", 2, "per-core time-sharing cap on fleet machines (0 = unbounded)")
+	fleetQueueCap := flags.Int("fleet-queue-cap", 16, "fleet admission-queue capacity (0 = no queue)")
+	scoreCache := flags.Int("score-cache", 0, "fleet score-memo capacity (0 = default, negative = solve cold; same answers either way)")
+	shards := flags.Int("shards", 1, "fleet shard count: independently locked node groups (>1 enables concurrent commits; decisions are shard-count-invariant)")
+	stateDir := flags.String("state-dir", "", "persist fleet placements to a snapshot+WAL directory and recover them on restart (requires -fleet)")
+	synthetic := flags.Bool("synthetic", false, "use the closed-form synthetic power model and truth-table features instead of training (instant startup; smoke/recovery drills)")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	logger := slog.New(slog.NewJSONHandler(stderr, nil))
+
+	m, err := cli.MachineByName(*machineName)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	policy, err := cli.PolicyByName(*policyName)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+
+	if *stateDir != "" && *fleetSpec == "" {
+		fmt.Fprintln(stderr, "serve: -state-dir requires -fleet (it persists fleet placements)")
+		return 2
+	}
 
 	// profile stays nil outside synthetic mode (nil = real profiling in
 	// both the server and the fleet).
@@ -103,7 +119,7 @@ func main() {
 		pm, err = core.SyntheticPowerModel()
 		if err != nil {
 			logger.Error("synthetic power model failed", "error", err.Error())
-			os.Exit(1)
+			return 1
 		}
 		profile = func(_ context.Context, m *machine.Machine, spec *workload.Spec, _ core.ProfileOptions) (*core.FeatureVector, error) {
 			return core.TruthFeature(spec, m), nil
@@ -116,10 +132,10 @@ func main() {
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				logger.Info("power-model training interrupted")
-				os.Exit(1)
+				return 1
 			}
 			logger.Error("power-model training failed", "error", err.Error())
-			os.Exit(1)
+			return 1
 		}
 		logger.Info("power model ready", "r2", pm.R2(), "train_seconds", time.Since(trainStart).Seconds())
 	}
@@ -136,7 +152,7 @@ func main() {
 			stateLog, recovered, err = wal.Open(*stateDir)
 			if err != nil {
 				logger.Error("state directory open failed", "error", err.Error())
-				os.Exit(1)
+				return 1
 			}
 			l := stateLog
 			journal = func(events []wal.Event) {
@@ -152,15 +168,15 @@ func main() {
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				logger.Info("fleet construction interrupted")
-				os.Exit(1)
+				return 1
 			}
 			logger.Error("fleet construction failed", "error", err.Error())
-			os.Exit(2)
+			return 2
 		}
 		if recovered != nil {
 			if err := fl.Recover(ctx, recovered); err != nil {
 				logger.Error("state recovery failed", "error", err.Error())
-				os.Exit(1)
+				return 1
 			}
 			// Fold the replayed log into a fresh snapshot so restart cost
 			// stays O(state), not O(history since the last compaction).
@@ -211,14 +227,14 @@ func main() {
 	srv, err := server.New(scfg)
 	if err != nil {
 		logger.Error("server construction failed", "error", err.Error())
-		os.Exit(1)
+		return 1
 	}
 
 	logger.Info("serving", "addr", *addr, "machine", m.Name, "policy", policy.String(),
 		"fleet", *fleetSpec != "", "shards", *shards, "durable", *stateDir != "")
 	if err := srv.ListenAndServe(ctx, *addr, *grace); err != nil && err != http.ErrServerClosed {
 		logger.Error("server exited", "error", err.Error())
-		os.Exit(1)
+		return 1
 	}
 	if stateLog != nil {
 		// The graceful drain above finished every in-flight mutation, so
@@ -228,6 +244,7 @@ func main() {
 		}
 	}
 	logger.Info("stopped")
+	return 0
 }
 
 // fleetBackend is what buildFleet returns: the HTTP tier's scheduler

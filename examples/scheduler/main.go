@@ -1,26 +1,33 @@
 // Scheduler: the paper's run-time resource-management loop in action.
 //
-// Processes arrive one at a time. The manager profiles each workload the
-// first time it appears ("force it to run alone on an idle machine"),
-// then places every arrival with the Figure 1 combined-model estimate.
-// After a burst of departures leaves the layout stale, Rebalance migrates
-// processes when the predicted saving justifies it. A round-robin manager
-// handles the same arrival trace for comparison, and both final layouts
-// are measured on the simulated machine.
+// Processes arrive one at a time. Each workload is profiled the first time
+// it appears ("force it to run alone on an idle machine"), then every
+// arrival is placed with the Figure 1 combined-model estimate by a fleet of
+// one machine. After departures leave the layout stale, the Section 5
+// search reports the best layout of the remaining processes against the
+// current one (no process migrates). A least-loaded fleet handles the same
+// arrival trace for comparison, and both final layouts are measured on the
+// simulated machine.
 //
 // Run with: go run ./examples/scheduler
 package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
+	"sync"
 
 	"mpmc"
 )
 
+// maxPerCore caps time-sharing depth. Unconstrained power minimization
+// would pile everything onto one core (idle cores are cheap); a throughput
+// SLA caps it, so the real decision is WHICH processes share a die.
+const maxPerCore = 2
+
 func main() {
+	ctx := context.Background()
 	m := mpmc.FourCoreServer()
 	fmt.Printf("runtime power-aware scheduling on %s\n\n", m.Name)
 
@@ -31,69 +38,102 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	cm := mpmc.NewCombinedModel(m, pm)
 
-	profileCache := map[string]*mpmc.FeatureVector{}
-	newManager := func(policy mpmc.PlacementPolicy) *mpmc.Manager {
-		return mpmc.NewManager(m, pm, mpmc.ManagerOptions{
-			Policy:  policy,
-			Profile: mpmc.ProfileOptions{Warmup: 2, Duration: 4, Seed: 31},
-			// Unconstrained power minimization would pile everything onto
-			// one core (idle cores are cheap); a throughput SLA caps
-			// time-sharing depth, so the manager's real decision is WHICH
-			// processes share a die.
-			MaxPerCore:     2,
-			SharedProfiles: profileCache, // profiles survive across managers
-		})
+	// Profiles are deterministic per workload, so both fleets share them.
+	var mu sync.Mutex
+	profiles := map[string]*mpmc.FeatureVector{}
+	profile := func(ctx context.Context, m *mpmc.Machine, w *mpmc.Workload, opts mpmc.ProfileOptions) (*mpmc.FeatureVector, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if f, ok := profiles[w.Name]; ok {
+			return f, nil
+		}
+		opts.Warmup, opts.Duration = 2, 4
+		f, err := mpmc.ProfileContext(ctx, m, w, opts)
+		if err == nil {
+			profiles[w.Name] = f
+		}
+		return f, err
 	}
 
 	arrivals := []string{"mcf", "gzip", "art", "vpr", "equake", "twolf"}
-	run := func(policy mpmc.PlacementPolicy) (*mpmc.Manager, float64) {
-		mgr := newManager(policy)
+	run := func(policy mpmc.FleetPolicy) float64 {
+		f, err := mpmc.NewFleet(mpmc.FleetConfig{
+			Nodes:   []mpmc.FleetNode{{Name: "m0", Machine: m, Power: pm, MaxPerCore: maxPerCore}},
+			Policy:  policy,
+			Seed:    31,
+			Profile: profile,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("\n--- %v placement ---\n", policy)
 		var placed []string
 		for _, name := range arrivals {
-			inst, c, watts, err := mgr.Place(context.Background(), mpmc.WorkloadByName(name))
+			p, err := f.Place(ctx, mpmc.WorkloadByName(name))
 			if err != nil {
 				log.Fatal(err)
 			}
-			placed = append(placed, inst)
-			fmt.Printf("  %-8s → core %d   (estimated %6.2f W)\n", name, c, watts)
+			placed = append(placed, p.Name)
+			fmt.Printf("  %-8s → core %d   (estimated %6.2f W)\n", name, p.Core, p.Watts)
 		}
 		// Two departures leave the layout stale.
 		for _, victim := range []string{placed[1], placed[3]} { // gzip, vpr exit
-			if err := mgr.Remove(victim); err != nil {
+			if _, err := f.Remove(ctx, "m0", victim); err != nil {
 				log.Fatal(err)
 			}
 		}
 		fmt.Printf("  departures: %s, %s\n", placed[1], placed[3])
-		if policy == mpmc.PowerAware {
-			moved, watts, err := mgr.Rebalance(context.Background(), 0.05)
-			switch {
-			case errors.Is(err, mpmc.ErrNoImprovement):
-				fmt.Printf("  rebalance: layout already good (estimated %6.2f W)\n", watts)
-			case err != nil:
+		residents := f.Inspect()[0].Residents
+		_, est, err := f.Totals(ctx)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if policy == mpmc.LeastWatts {
+			feats := make([]*mpmc.FeatureVector, len(residents))
+			for i, r := range residents {
+				feats[i] = r.Feature
+			}
+			ranked, err := cm.BestAssignmentContext(ctx, feats, 0)
+			if err != nil {
 				log.Fatal(err)
-			default:
-				fmt.Printf("  rebalance migrated %d processes (estimated %6.2f W)\n", moved, watts)
+			}
+			for _, r := range ranked {
+				if admissible(r.Assignment) {
+					fmt.Printf("  best layout of the %d residents: estimated %6.2f W against %6.2f W now (saving %.2f W; nothing migrates)\n",
+						len(feats), r.Watts, est, est-r.Watts)
+					break
+				}
 			}
 		}
 		// Measure the final layout.
-		runRes, err := mpmc.Run(m, mpmc.SimAssignment{Procs: mgr.Procs()},
+		procs := make([][]*mpmc.Workload, m.NumCores)
+		for _, r := range residents {
+			procs[r.Core] = append(procs[r.Core], r.Spec)
+		}
+		runRes, err := mpmc.Run(m, mpmc.SimAssignment{Procs: procs},
 			mpmc.SimOptions{Warmup: 2, Duration: 6, Seed: 88})
 		if err != nil {
 			log.Fatal(err)
 		}
 		meas := runRes.AvgMeasuredPower()
-		est, err := mgr.EstimatedPower()
-		if err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("  final layout: estimated %6.2f W, measured %6.2f W\n", est, meas)
-		return mgr, meas
+		return meas
 	}
 
-	_, pa := run(mpmc.PowerAware)
-	_, rr := run(mpmc.RoundRobin)
-	fmt.Printf("\npower-aware %6.2f W vs round-robin %6.2f W (Δ %+.2f W)\n", pa, rr, pa-rr)
-	fmt.Println("profiling ran once per distinct workload and is shared by both managers.")
+	lw := run(mpmc.LeastWatts)
+	ll := run(mpmc.Spread)
+	fmt.Printf("\nleast-watts %6.2f W vs least-loaded %6.2f W (Δ %+.2f W)\n", lw, ll, lw-ll)
+	fmt.Println("profiling ran once per distinct workload and is shared by both fleets.")
+}
+
+// admissible reports whether a layout keeps every core within maxPerCore.
+func admissible(asg mpmc.ModelAssignment) bool {
+	for _, procs := range asg {
+		if len(procs) > maxPerCore {
+			return false
+		}
+	}
+	return true
 }

@@ -22,7 +22,7 @@ func TestScriptFailsExactOccurrences(t *testing.T) {
 	if s.Intercept("fleet.score", "m1") != nil {
 		t.Fatal("unscripted key injected")
 	}
-	if s.Intercept("manager.place", "m0") != nil {
+	if s.Intercept("manager.place_at", "m0") != nil {
 		t.Fatal("unscripted site injected")
 	}
 	if n := s.Log().Len(); n != 2 {

@@ -84,14 +84,13 @@ func TestCheckManagerHealthyIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := manager.New(ws, pm, manager.Options{
-		Policy:     manager.PowerAware,
 		MaxPerCore: 2,
 		Features:   truthFeatures{m: ws},
 	})
 	ctx := context.Background()
-	for _, w := range []string{"gzip", "mcf", "art", "swim"} {
-		if _, _, _, err := mgr.Place(ctx, workload.ByName(w)); err != nil {
-			t.Fatalf("Place(%s): %v", w, err)
+	for i, w := range []string{"gzip", "mcf", "art", "swim"} {
+		if _, _, err := mgr.PlaceAt(ctx, workload.ByName(w), i%ws.NumCores); err != nil {
+			t.Fatalf("PlaceAt(%s): %v", w, err)
 		}
 		c := &Checker{}
 		if vs := c.CheckManager(ctx, "solo", mgr); len(vs) > 0 {

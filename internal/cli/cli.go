@@ -77,12 +77,10 @@ func PolicyByName(name string) (manager.Policy, error) {
 	switch name {
 	case "power-aware":
 		return manager.PowerAware, nil
-	case "round-robin":
-		return manager.RoundRobin, nil
 	case "least-loaded":
 		return manager.LeastLoaded, nil
 	}
-	return 0, fmt.Errorf("unknown policy %q (want power-aware, round-robin, or least-loaded)", name)
+	return 0, fmt.Errorf("unknown policy %q (want power-aware or least-loaded)", name)
 }
 
 // FeatureConfig describes how feature vectors are obtained. The zero value

@@ -64,7 +64,7 @@ func TestParseBenches(t *testing.T) {
 
 func TestPolicyByName(t *testing.T) {
 	cases := map[string]manager.Policy{
-		"power-aware": manager.PowerAware, "round-robin": manager.RoundRobin, "least-loaded": manager.LeastLoaded,
+		"power-aware": manager.PowerAware, "least-loaded": manager.LeastLoaded,
 	}
 	for name, want := range cases {
 		got, err := PolicyByName(name)
@@ -75,8 +75,10 @@ func TestPolicyByName(t *testing.T) {
 			t.Fatalf("%s resolved to %v", name, got)
 		}
 	}
-	if _, err := PolicyByName("chaotic"); err == nil {
-		t.Fatal("accepted unknown policy")
+	for _, name := range []string{"chaotic", "round-robin"} {
+		if _, err := PolicyByName(name); err == nil {
+			t.Fatalf("accepted unknown policy %q", name)
+		}
 	}
 }
 

@@ -46,6 +46,9 @@ var (
 	// ErrUnknownNode reports an operation naming a node the fleet does not
 	// own.
 	ErrUnknownNode = errors.New("unknown node")
+	// ErrRolledBack marks the error of a batch or group that was rolled
+	// back after admitting part of itself; the cause stays in the chain.
+	ErrRolledBack = errors.New("rolled back")
 )
 
 func errUnknownPolicy(p Policy) error {
@@ -473,9 +476,6 @@ func New(cfg Config) (*Fleet, error) {
 			}
 		}
 		mgr := manager.New(nc.Machine, nc.Power, manager.Options{
-			// The node manager's own policy is never exercised: the fleet
-			// scores slots itself and commits with PlaceAt.
-			Policy:      manager.PowerAware,
 			MaxPerCore:  nc.MaxPerCore,
 			Features:    nodeSource{fc: f.feats, k: kind},
 			Intercept:   intercept,
@@ -790,7 +790,7 @@ func (f *Fleet) rolledBack(what, unit string, admitted int, cause error) error {
 		return cause
 	}
 	f.rollbacks.Inc()
-	return fmt.Errorf("fleet: %s rolled back after %d %s(s): %w", what, admitted, unit, cause)
+	return fmt.Errorf("fleet: %s %w after %d %s(s): %w", what, ErrRolledBack, admitted, unit, cause)
 }
 
 // placeOneLocked runs the policy pipeline for one arrival and commits the

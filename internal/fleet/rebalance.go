@@ -37,9 +37,9 @@ type candidate struct {
 // Rebalance finds the single best cross-machine move — the one that most
 // reduces the fleet-wide total predicted SPI — and executes it when the
 // improvement clears minImprovement (in absolute SPI units; 0 accepts any
-// strict improvement). Intra-machine layout is the per-node
-// manager.Rebalance's job; this pass only ever moves a process between
-// machines.
+// strict improvement). This pass only ever moves a process between
+// machines; it never re-lays out the cores of one machine (the Section 5
+// search, core.CombinedModel.BestAssignment, answers that question).
 //
 // When no move clears the bar the error wraps manager.ErrNoImprovement.
 // Execution is one transaction over the source and target: a failure

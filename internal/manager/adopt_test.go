@@ -17,11 +17,7 @@ import (
 func TestAdoptReinstatesRecoveredNames(t *testing.T) {
 	ctx := context.Background()
 	m := machine.TwoCoreWorkstation()
-	mgr := New(m, sharedPowerModel(t, m), Options{
-		Policy:     RoundRobin,
-		Features:   &truthSource{m: m},
-		MaxPerCore: 1,
-	})
+	mgr := testManager(t, m, Options{MaxPerCore: 1})
 
 	if err := mgr.Adopt(ctx, workload.ByName("mcf"), "mcf#7", 0); err != nil {
 		t.Fatalf("Adopt: %v", err)

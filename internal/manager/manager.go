@@ -1,14 +1,15 @@
-// Package manager implements the paper's motivating application
-// (Sections 1 and 5): run-time, power-aware process assignment on a CMP.
+// Package manager holds one machine's placement state for the paper's
+// motivating application (Sections 1 and 5): run-time, power-aware process
+// assignment on a CMP.
 //
-// A Manager owns a machine's current assignment. When a process arrives it
-// is profiled once if unknown — the paper: "when a new application makes
-// up a significant percentage of the workload, we force it to run alone on
-// an idle machine and record profiling information" — and then placed on
-// the core that minimizes the combined model's estimated processor power
-// (the Figure 1 algorithm, evaluated for every candidate core). Departures
-// free their slot; Rebalance re-runs the global search and migrates
-// processes when the predicted savings justify it.
+// A Manager owns a machine's current assignment — which instance runs on
+// which core, with the feature vector the models use for it — and commits
+// placements a caller has already decided (PlaceAt), reinstates recovered
+// ones (Adopt), and evicts departures (Remove). Deciding is the placement
+// engine's job: internal/fleet scores every candidate core with the
+// paper's models and commits through PlaceAt, and the single-machine
+// server is a one-node fleet. Snapshot and Restore are the transaction
+// primitives behind the fleet's rollbacks.
 package manager
 
 import (
@@ -21,65 +22,41 @@ import (
 
 	"mpmc/internal/core"
 	"mpmc/internal/machine"
-	"mpmc/internal/parallel"
 	"mpmc/internal/workload"
 )
 
 // Sentinel errors callers (the serving layer in particular) can test with
 // errors.Is to map placement failures onto typed responses.
 var (
-	// ErrMachineFull reports that no core can accept another process under
-	// the configured MaxPerCore cap.
+	// ErrMachineFull reports that a core cannot accept another process
+	// under the configured MaxPerCore cap.
 	ErrMachineFull = errors.New("no admissible core")
 	// ErrUnknownProcess reports a Remove for an instance name that is not
 	// resident.
 	ErrUnknownProcess = errors.New("unknown process")
-	// ErrNoImprovement reports that Rebalance found no layout change worth
-	// making: nothing is resident, no admissible layout beats the current
-	// one by the requested saving, or the best layout is the one already in
-	// place. The assignment is untouched when it is returned.
+	// ErrNoImprovement reports that a rebalance found no layout change
+	// worth making; the assignment is untouched when it is returned.
 	ErrNoImprovement = errors.New("no improving move")
 )
 
-// FeatureSource supplies feature vectors for workloads. It abstracts the
-// manager's built-in memoizing profiler so a serving layer can substitute
-// a shared bounded cache with singleflight deduplication; implementations
-// must be safe for concurrent use, deterministic for a given workload
-// name (same contract as core.ProfileSeed), and must honour ctx so a
-// cancelled request abandons an in-flight profiling sweep promptly.
+// FeatureSource supplies feature vectors for workloads: the fleet's shared
+// bounded cache with singleflight deduplication, in production.
+// Implementations must be safe for concurrent use, deterministic for a
+// given workload name (same contract as core.ProfileSeed), and must honour
+// ctx so a cancelled request abandons an in-flight profiling sweep
+// promptly.
 type FeatureSource interface {
 	FeatureOf(ctx context.Context, spec *workload.Spec) (*core.FeatureVector, error)
 }
 
-// RollbackError reports that a PlaceAll batch failed after admitting some
-// of its instances; the manager has been rolled back to its pre-call
-// state, so none of the batch is resident. Unwrap exposes the placement
-// failure that triggered the rollback (e.g. ErrMachineFull or ctx's
-// error), keeping errors.Is checks on the cause working.
-type RollbackError struct {
-	// Admitted counts the instances that had been placed before the
-	// failure (all since evicted by the rollback).
-	Admitted int
-	// Err is the underlying placement failure.
-	Err error
-}
-
-func (e *RollbackError) Error() string {
-	return fmt.Sprintf("manager: batch rolled back after %d placement(s): %v", e.Admitted, e.Err)
-}
-
-func (e *RollbackError) Unwrap() error { return e.Err }
-
-// Policy selects how arriving processes are placed.
+// Policy names a single-machine placement policy, as the server's Config
+// selects it. The server decides with the fleet policy each one maps to.
 type Policy int
 
 const (
 	// PowerAware places each arrival on the core minimizing the combined
 	// model's estimated processor power.
 	PowerAware Policy = iota
-	// RoundRobin is the naive baseline: cores in rotation, ignoring
-	// contention and power.
-	RoundRobin
 	// LeastLoaded places each arrival on a core with the fewest
 	// processes, breaking ties by core index.
 	LeastLoaded
@@ -90,8 +67,6 @@ func (p Policy) String() string {
 	switch p {
 	case PowerAware:
 		return "power-aware"
-	case RoundRobin:
-		return "round-robin"
 	case LeastLoaded:
 		return "least-loaded"
 	}
@@ -100,68 +75,45 @@ func (p Policy) String() string {
 
 // Options configures a Manager.
 type Options struct {
-	Policy Policy
-	// Profile controls on-demand profiling runs for unknown processes.
-	Profile core.ProfileOptions
 	// MaxPerCore bounds time-sharing depth (0 = unbounded).
 	MaxPerCore int
-	// SharedProfiles, when non-nil, is used as the profile cache, letting
-	// several managers (or successive sessions) reuse feature vectors
-	// instead of re-running the stressmark sweep.
-	SharedProfiles map[string]*core.FeatureVector
-	// Features, when non-nil, replaces the built-in memoizing profiler
-	// entirely: FeatureOf delegates to it, and caching plus concurrent-run
-	// deduplication become its responsibility. SharedProfiles is ignored
-	// when Features is set.
+	// Features supplies every feature vector (required); caching and
+	// concurrent-run deduplication are its responsibility.
 	Features FeatureSource
 	// SolverState, when non-nil, memoizes converged equilibrium solutions
 	// across this manager's power estimates (and across managers when
 	// shared, as the fleet scheduler does). Estimates are bit-identical
 	// with or without it — see core.PredictGroupCached.
 	SolverState *core.SolverState
-	// Intercept, when non-nil, is consulted at named fault-injection
-	// sites; a non-nil return is injected as the guarded operation's
-	// error, before any state mutates, so every injected failure must
-	// leave the manager exactly as it was. Sites: "manager.place" (key =
-	// workload name, ahead of the policy's core choice), "manager.place_at"
-	// (key = workload name, ahead of the fleet-directed commit), and
-	// "manager.rebalance". It is the chaos-testing seam (internal/chaos);
+	// Intercept, when non-nil, is consulted at the "manager.place_at"
+	// fault-injection site (key = workload name, ahead of the commit); a
+	// non-nil return is injected as PlaceAt's error before any state
+	// mutates. It is the chaos-testing seam (internal/chaos);
 	// implementations must be safe for concurrent use.
 	Intercept func(site, key string) error
 }
 
-// intercept consults the configured fault-injection seam.
-func (mgr *Manager) intercept(site, key string) error {
-	if mgr.opts.Intercept == nil {
-		return nil
-	}
-	return mgr.opts.Intercept(site, key)
-}
-
-// Manager tracks the machine's assignment and places arrivals. All
-// methods are safe for concurrent use: the placement lock serializes
-// assignment mutations, while on-demand profiling runs outside it (see
-// FeatureOf and PlaceAll).
+// Manager tracks one machine's assignment. All methods are safe for
+// concurrent use: the placement lock serializes assignment mutations,
+// while feature resolution runs outside it.
 type Manager struct {
 	mach *machine.Machine
 	cm   *core.CombinedModel
 	opts Options
 
-	// mu is the placement lock: it guards profiles, procs, features,
-	// specs, nextID and rrNext.
-	mu       sync.Mutex
-	profiles map[string]*core.FeatureVector
+	// mu is the placement lock: it guards procs, features, specs and
+	// nextID.
+	mu sync.Mutex
 	// procs[c] holds the resident process names per core, in arrival
 	// order; instances of the same workload get unique instance names.
 	procs    [][]string
 	features map[string]*core.FeatureVector // by instance name
 	specs    map[string]*workload.Spec      // by instance name
 	nextID   int
-	rrNext   int
 	// version counts assignment mutations (placements, removals,
-	// restores, rebalances). Callers that cache derived views of the
-	// assignment (the fleet's per-node snapshots) compare it to decide
-	// whether their copy is current.
+	// restores). Callers that cache derived views of the assignment (the
+	// fleet's per-node snapshots) compare it to decide whether their copy
+	// is current.
 	version uint64
 	// asgCache memoizes assignmentLocked's model-side view for the current
 	// version. The cached value is never written again once handed out —
@@ -174,9 +126,8 @@ type Manager struct {
 
 // New builds a manager for machine m with a trained power model.
 func New(m *machine.Machine, pm *core.PowerModel, opts Options) *Manager {
-	profiles := opts.SharedProfiles
-	if profiles == nil {
-		profiles = map[string]*core.FeatureVector{}
+	if opts.Features == nil {
+		panic("manager: Options.Features is required")
 	}
 	cm := core.NewCombinedModel(m, pm)
 	cm.State = opts.SolverState
@@ -184,129 +135,35 @@ func New(m *machine.Machine, pm *core.PowerModel, opts Options) *Manager {
 		mach:     m,
 		cm:       cm,
 		opts:     opts,
-		profiles: profiles,
 		procs:    make([][]string, m.NumCores),
 		features: map[string]*core.FeatureVector{},
 		specs:    map[string]*workload.Spec{},
 	}
 }
 
-// FeatureOf returns the (memoized) profile of a workload, running the
-// stressmark sweep on first sight. The sweep executes outside the
-// placement lock, so several unknown workloads can profile concurrently;
-// each profiling seed depends only on the configured base seed and the
-// workload's name, never on arrival order, so the resulting vectors are
-// reproducible at any concurrency. A cancelled ctx abandons the sweep
-// between runs and returns ctx's error.
+// intercept consults the configured fault-injection seam.
+func (mgr *Manager) intercept(site, key string) error {
+	if mgr.opts.Intercept == nil {
+		return nil
+	}
+	return mgr.opts.Intercept(site, key)
+}
+
+// FeatureOf returns the feature vector of a workload from the configured
+// source.
 func (mgr *Manager) FeatureOf(ctx context.Context, spec *workload.Spec) (*core.FeatureVector, error) {
-	if mgr.opts.Features != nil {
-		return mgr.opts.Features.FeatureOf(ctx, spec)
-	}
-	mgr.mu.Lock()
-	f, ok := mgr.profiles[spec.Name]
-	mgr.mu.Unlock()
-	if ok {
-		return f, nil
-	}
-	opts := mgr.opts.Profile
-	opts.Seed = core.ProfileSeed(opts.Seed, spec.Name)
-	f, err := core.Profile(ctx, mgr.mach, spec, opts)
-	if err != nil {
-		return nil, fmt.Errorf("manager: profiling %s: %w", spec.Name, err)
-	}
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	if prev, ok := mgr.profiles[spec.Name]; ok {
-		// A concurrent caller profiled the same workload; both runs are
-		// deterministic and identical, keep the first stored vector.
-		return prev, nil
-	}
-	mgr.profiles[spec.Name] = f
-	return f, nil
-}
-
-// Placement records one instance admitted by PlaceAll.
-type Placement struct {
-	Name  string
-	Core  int
-	Watts float64
-}
-
-// PlaceAll admits a batch of arrivals transactionally: either every
-// instance is admitted, or the manager is rolled back to its pre-call
-// state and the error (a *RollbackError when placements had already
-// happened) reports why. Unknown workloads are profiled concurrently
-// first (bounded by the Profile.Workers option) under the caller's ctx;
-// the instances are then placed one at a time in input order under the
-// placement lock, so a successful batch yields the same assignment as
-// making the same Place calls sequentially.
-func (mgr *Manager) PlaceAll(ctx context.Context, specs []*workload.Spec) ([]Placement, error) {
-	var unknown []*workload.Spec
-	seen := map[string]bool{}
-	mgr.mu.Lock()
-	for _, s := range specs {
-		if _, ok := mgr.profiles[s.Name]; !ok && !seen[s.Name] {
-			seen[s.Name] = true
-			unknown = append(unknown, s)
-		}
-	}
-	mgr.mu.Unlock()
-	err := parallel.ForEach(ctx, mgr.opts.Profile.Workers, len(unknown), func(i int) error {
-		_, err := mgr.FeatureOf(ctx, unknown[i])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Resolve every feature before taking the placement lock: from here on
-	// no profiling can happen, so the batch commits or rolls back without
-	// blocking other callers on a sweep.
-	feats := make([]*core.FeatureVector, len(specs))
-	for i, s := range specs {
-		f, err := mgr.FeatureOf(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		feats[i] = f
-	}
-
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	snap := mgr.snapshotLocked()
-	admitted := 0
-	rollback := func(cause error) error {
-		mgr.restoreLocked(snap)
-		if admitted > 0 {
-			return &RollbackError{Admitted: admitted, Err: cause}
-		}
-		return cause
-	}
-	out := make([]Placement, len(specs))
-	for i, s := range specs {
-		if err := ctx.Err(); err != nil {
-			return nil, rollback(err)
-		}
-		name, c, w, err := mgr.placeLocked(ctx, s, feats[i])
-		if err != nil {
-			return nil, rollback(err)
-		}
-		admitted++
-		out[i] = Placement{Name: name, Core: c, Watts: w}
-	}
-	return out, nil
+	return mgr.opts.Features.FeatureOf(ctx, spec)
 }
 
 // Snapshot is a deep copy of a Manager's resident state: the per-core
-// instance lists, the instance feature/spec maps, the instance-name
-// counter, and the round-robin cursor. It is the transaction primitive
-// behind PlaceAll's rollback and the fleet scheduler's cross-machine
-// moves: capture a snapshot, mutate, and Restore on failure.
+// instance lists, the instance feature/spec maps, and the instance-name
+// counter. It is the transaction primitive behind the fleet scheduler's
+// rollbacks: capture a snapshot, mutate, and Restore on failure.
 type Snapshot struct {
 	procs    [][]string
 	features map[string]*core.FeatureVector
 	specs    map[string]*workload.Spec
 	nextID   int
-	rrNext   int
 }
 
 // Snapshot captures the manager's resident state. The copy is deep, so
@@ -315,16 +172,11 @@ type Snapshot struct {
 func (mgr *Manager) Snapshot() *Snapshot {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
-	return mgr.snapshotLocked()
-}
-
-func (mgr *Manager) snapshotLocked() *Snapshot {
 	s := &Snapshot{
 		procs:    make([][]string, len(mgr.procs)),
 		features: make(map[string]*core.FeatureVector, len(mgr.features)),
 		specs:    make(map[string]*workload.Spec, len(mgr.specs)),
 		nextID:   mgr.nextID,
-		rrNext:   mgr.rrNext,
 	}
 	for c, names := range mgr.procs {
 		s.procs[c] = append([]string(nil), names...)
@@ -339,16 +191,10 @@ func (mgr *Manager) snapshotLocked() *Snapshot {
 }
 
 // Restore resets the manager's resident state to a snapshot taken earlier
-// on the same manager. The profile cache is deliberately left alone:
-// feature vectors are deterministic per workload, so keeping them warm
-// after a rollback is always correct.
+// on the same manager.
 func (mgr *Manager) Restore(s *Snapshot) {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
-	mgr.restoreLocked(s)
-}
-
-func (mgr *Manager) restoreLocked(s *Snapshot) {
 	mgr.procs = make([][]string, len(s.procs))
 	for c, names := range s.procs {
 		mgr.procs[c] = append([]string(nil), names...)
@@ -361,7 +207,7 @@ func (mgr *Manager) restoreLocked(s *Snapshot) {
 	for n, sp := range s.specs {
 		mgr.specs[n] = sp
 	}
-	mgr.nextID, mgr.rrNext = s.nextID, s.rrNext
+	mgr.nextID = s.nextID
 	mgr.version++
 }
 
@@ -374,7 +220,7 @@ func (mgr *Manager) Machine() *machine.Machine { return mgr.mach }
 func (mgr *Manager) MaxPerCore() int { return mgr.opts.MaxPerCore }
 
 // Version returns the assignment mutation counter: it changes whenever a
-// placement, removal, restore, or rebalance commits, so a caller holding
+// placement, removal, or restore commits, so a caller holding
 // a derived view (an Assignment copy, a memo key) can cheaply check
 // whether the view is still current. The counter says nothing about
 // *what* changed — equal versions mean an identical assignment, different
@@ -406,52 +252,11 @@ func (mgr *Manager) assignmentLocked() core.Assignment {
 	return asg
 }
 
-// Procs returns the per-core workload specs of the current assignment,
-// directly usable as a sim assignment for validation.
-func (mgr *Manager) Procs() [][]*workload.Spec {
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	out := make([][]*workload.Spec, mgr.mach.NumCores)
-	for c, names := range mgr.procs {
-		for _, n := range names {
-			out[c] = append(out[c], mgr.specs[n])
-		}
-	}
-	return out
-}
-
-// EstimatedPower returns the combined model's estimate for the current
-// assignment.
-func (mgr *Manager) EstimatedPower() (float64, error) {
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	return mgr.estimatedPowerLocked()
-}
-
-func (mgr *Manager) estimatedPowerLocked() (float64, error) {
-	return mgr.cm.EstimateAssignment(mgr.assignmentLocked())
-}
-
-// Place admits a new instance of spec and returns its instance name, the
-// chosen core, and the estimated processor power after placement. On any
-// error — profiling, no admissible core, or a failed power estimate —
-// manager state is untouched.
-func (mgr *Manager) Place(ctx context.Context, spec *workload.Spec) (name string, coreID int, watts float64, err error) {
-	f, err := mgr.FeatureOf(ctx, spec)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	return mgr.placeLocked(ctx, spec, f)
-}
-
-// PlaceAt admits a new instance of spec on a specific core, bypassing the
-// manager's own policy: the caller (the fleet scheduler, which scores
-// candidate slots across machines itself) has already chosen where the
-// process belongs. Admissibility under MaxPerCore is still enforced, the
-// round-robin cursor is untouched, and on any error the manager state is
-// exactly as it was.
+// PlaceAt admits a new instance of spec on a specific core the caller (the
+// fleet scheduler, which scores candidate slots itself) has already
+// chosen, and returns its instance name and the estimated processor power
+// after the placement. Admissibility under MaxPerCore is enforced, and on
+// any error the manager state is exactly as it was.
 func (mgr *Manager) PlaceAt(ctx context.Context, spec *workload.Spec, c int) (name string, watts float64, err error) {
 	f, err := mgr.FeatureOf(ctx, spec)
 	if err != nil {
@@ -538,102 +343,6 @@ func (mgr *Manager) Residents() []Resident {
 	return out
 }
 
-// placeLocked chooses a core, computes the post-placement power estimate,
-// and only then records the instance: every fallible step runs before the
-// first mutation, so an error leaves procs, features, specs, nextID and
-// rrNext exactly as they were. Called with the placement lock held.
-func (mgr *Manager) placeLocked(ctx context.Context, spec *workload.Spec, f *core.FeatureVector) (name string, coreID int, watts float64, err error) {
-	if err := mgr.intercept("manager.place", spec.Name); err != nil {
-		return "", 0, 0, err
-	}
-	switch mgr.opts.Policy {
-	case PowerAware:
-		coreID, watts, err = mgr.placePowerAware(ctx, f)
-	case RoundRobin:
-		coreID, err = mgr.placeRoundRobin()
-	case LeastLoaded:
-		coreID, err = mgr.placeLeastLoaded()
-	default:
-		return "", 0, 0, fmt.Errorf("manager: unknown policy %d", mgr.opts.Policy)
-	}
-	if err != nil {
-		return "", 0, 0, err
-	}
-	if mgr.opts.Policy != PowerAware {
-		// EstimateAddition on the current assignment equals estimating the
-		// post-append assignment, without touching state first.
-		watts, err = mgr.cm.EstimateAdditionContext(ctx, mgr.assignmentLocked(), f, coreID)
-		if err != nil {
-			return "", 0, 0, err
-		}
-	}
-	mgr.nextID++
-	name = spec.Name + "#" + strconv.Itoa(mgr.nextID)
-	mgr.procs[coreID] = append(mgr.procs[coreID], name)
-	mgr.features[name] = f
-	mgr.specs[name] = spec
-	mgr.version++
-	if mgr.opts.Policy == RoundRobin {
-		mgr.rrNext = (coreID + 1) % mgr.mach.NumCores
-	}
-	return name, coreID, watts, nil
-}
-
-// placePowerAware evaluates Figure 1 for every admissible core. Called
-// with the placement lock held.
-func (mgr *Manager) placePowerAware(ctx context.Context, f *core.FeatureVector) (int, float64, error) {
-	asg := mgr.assignmentLocked()
-	best, bestW := -1, 0.0
-	for c := 0; c < mgr.mach.NumCores; c++ {
-		if !mgr.admissible(c) {
-			continue
-		}
-		w, err := mgr.cm.EstimateAdditionContext(ctx, asg, f, c)
-		if err != nil {
-			return 0, 0, err
-		}
-		if best < 0 || w < bestW {
-			best, bestW = c, w
-		}
-	}
-	if best < 0 {
-		return 0, 0, fmt.Errorf("manager: %w (MaxPerCore=%d)", ErrMachineFull, mgr.opts.MaxPerCore)
-	}
-	return best, bestW, nil
-}
-
-// placeRoundRobin scans cores in rotation without mutating anything; the
-// caller commits rrNext = (chosen+1) mod NumCores on success, which keeps
-// the cursor bounded on a long-lived server (it previously grew without
-// bound) and leaves it untouched when placement fails.
-func (mgr *Manager) placeRoundRobin() (int, error) {
-	n := mgr.mach.NumCores
-	start := mgr.rrNext % n
-	for tries := 0; tries < n; tries++ {
-		c := (start + tries) % n
-		if mgr.admissible(c) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("manager: %w (MaxPerCore=%d)", ErrMachineFull, mgr.opts.MaxPerCore)
-}
-
-func (mgr *Manager) placeLeastLoaded() (int, error) {
-	best, bestN := -1, 0
-	for c := 0; c < mgr.mach.NumCores; c++ {
-		if !mgr.admissible(c) {
-			continue
-		}
-		if best < 0 || len(mgr.procs[c]) < bestN {
-			best, bestN = c, len(mgr.procs[c])
-		}
-	}
-	if best < 0 {
-		return 0, fmt.Errorf("manager: %w (MaxPerCore=%d)", ErrMachineFull, mgr.opts.MaxPerCore)
-	}
-	return best, nil
-}
-
 func (mgr *Manager) admissible(c int) bool {
 	return mgr.opts.MaxPerCore == 0 || len(mgr.procs[c]) < mgr.opts.MaxPerCore
 }
@@ -665,101 +374,4 @@ func (mgr *Manager) Running() [][]string {
 		out[c] = append([]string(nil), names...)
 	}
 	return out
-}
-
-// Rebalance re-runs the global assignment search over the resident
-// processes and migrates to the best layout if it saves at least
-// minSavingWatts. Returns the number of processes that moved and the
-// estimated power after rebalancing. A cancelled ctx abandons the search
-// within one candidate estimate and leaves the assignment unchanged.
-//
-// Scope: Rebalance only shuffles processes among this machine's own
-// cores — it cannot migrate across machines, because a Manager models
-// exactly one CMP (the paper's single-machine framework). Cross-machine
-// moves are the fleet scheduler's job (internal/fleet), built on the same
-// Snapshot/Restore transaction primitives. When no move is worth making,
-// the typed ErrNoImprovement sentinel is returned (with the current watts
-// estimate still valid) rather than a silent no-op, so callers can
-// distinguish "nothing to do" from "migrated to a better layout".
-func (mgr *Manager) Rebalance(ctx context.Context, minSavingWatts float64) (moved int, watts float64, err error) {
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	if err := mgr.intercept("manager.rebalance", ""); err != nil {
-		return 0, 0, err
-	}
-	var names []string
-	var feats []*core.FeatureVector
-	for _, coreNames := range mgr.procs {
-		for _, n := range coreNames {
-			names = append(names, n)
-			feats = append(feats, mgr.features[n])
-		}
-	}
-	current, err := mgr.estimatedPowerLocked()
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(names) == 0 {
-		return 0, current, fmt.Errorf("manager: %w: nothing resident", ErrNoImprovement)
-	}
-	results, err := mgr.cm.BestAssignmentContext(ctx, feats, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Respect the same time-sharing cap placement honours.
-	best := core.AssignmentResult{}
-	found := false
-	for _, r := range results {
-		ok := true
-		for _, fs := range r.Assignment {
-			if mgr.opts.MaxPerCore > 0 && len(fs) > mgr.opts.MaxPerCore {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			best = r
-			found = true
-			break
-		}
-	}
-	if !found || current-best.Watts < minSavingWatts {
-		return 0, current, fmt.Errorf("manager: %w: best admissible layout saves %.4f W (threshold %.4f W)",
-			ErrNoImprovement, current-best.Watts, minSavingWatts)
-	}
-	// Adopt the new layout. BestAssignment works on features; map the
-	// feature identity back to instance names (features are shared per
-	// workload, so match multiset-style).
-	remaining := map[*core.FeatureVector][]string{}
-	for i, f := range feats {
-		remaining[f] = append(remaining[f], names[i])
-	}
-	oldCore := map[string]int{}
-	for c, coreNames := range mgr.procs {
-		for _, n := range coreNames {
-			oldCore[n] = c
-		}
-	}
-	newProcs := make([][]string, mgr.mach.NumCores)
-	for c, fs := range best.Assignment {
-		for _, f := range fs {
-			ns := remaining[f]
-			if len(ns) == 0 {
-				return 0, 0, fmt.Errorf("manager: rebalance lost track of a process")
-			}
-			n := ns[0]
-			remaining[f] = ns[1:]
-			newProcs[c] = append(newProcs[c], n)
-			if oldCore[n] != c {
-				moved++
-			}
-		}
-	}
-	if moved == 0 {
-		// The best admissible layout is the one already in place.
-		return 0, best.Watts, fmt.Errorf("manager: %w: current layout is already optimal", ErrNoImprovement)
-	}
-	mgr.procs = newProcs
-	mgr.version++
-	return moved, best.Watts, nil
 }

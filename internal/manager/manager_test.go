@@ -4,29 +4,35 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"mpmc/internal/core"
 	"mpmc/internal/machine"
-	"mpmc/internal/sim"
 	"mpmc/internal/workload"
 )
 
-// Power models and profiles are expensive; share them across the tests
-// (the manager itself memoizes per instance, these caches memoize across
-// manager instances).
-var pmCache = map[string]*core.PowerModel{}
+// Power models are expensive; share them across the tests.
+var (
+	pmMu    sync.Mutex
+	pmCache = map[string]*core.PowerModel{}
+)
 
-func sharedPowerModel(t *testing.T, m *machine.Machine) *core.PowerModel {
+// SharedPowerModel returns m's power model, trained once per test binary
+// (the synthetic fit under -short: instant, deterministic, same shape).
+// It is exported for the one-node fleet tests in package manager_test.
+func SharedPowerModel(t *testing.T, m *machine.Machine) *core.PowerModel {
 	t.Helper()
+	pmMu.Lock()
+	defer pmMu.Unlock()
 	if pm, ok := pmCache[m.Name]; ok {
 		return pm
 	}
 	var pm *core.PowerModel
 	var err error
 	if testing.Short() {
-		// The fast lane swaps the microbenchmark-trained model for the
-		// synthetic fit: instant, deterministic, same shape.
 		pm, err = core.SyntheticPowerModel()
 	} else {
 		pm, err = core.TrainPowerModel(context.Background(), m, workload.ModelSet(), core.PowerTrainOptions{
@@ -40,55 +46,55 @@ func sharedPowerModel(t *testing.T, m *machine.Machine) *core.PowerModel {
 	return pm
 }
 
-// sharedFeatures gives every test manager for a machine the same profile
-// cache, so each benchmark is profiled at most once per machine.
-var featShared = map[string]map[string]*core.FeatureVector{}
+// truthSource is an instant FeatureSource serving analytic oracle features,
+// with optional per-workload overrides (e.g. an invalid vector to force
+// estimation failures).
+type truthSource struct {
+	m        *machine.Machine
+	override map[string]*core.FeatureVector
+}
 
-// testManager builds a manager with a quickly trained power model and the
-// machine's shared profile cache. Under -short the stressmark profiler is
-// replaced by the analytic truth oracle, so the same scenarios run in
-// milliseconds; tests whose subject is the profiler itself skip instead.
-func testManager(t *testing.T, m *machine.Machine, policy Policy) *Manager {
+func (s *truthSource) FeatureOf(_ context.Context, spec *workload.Spec) (*core.FeatureVector, error) {
+	if f, ok := s.override[spec.Name]; ok {
+		return f, nil
+	}
+	return core.TruthFeature(spec, s.m), nil
+}
+
+// testManager builds a manager over the truth oracle.
+func testManager(t *testing.T, m *machine.Machine, opts Options) *Manager {
 	t.Helper()
-	if testing.Short() {
-		return New(m, sharedPowerModel(t, m), Options{
-			Policy:   policy,
-			Features: &truthSource{m: m},
-		})
+	if opts.Features == nil {
+		opts.Features = &truthSource{m: m}
 	}
-	cache := featShared[m.Name]
-	if cache == nil {
-		cache = map[string]*core.FeatureVector{}
-		featShared[m.Name] = cache
-	}
-	return New(m, sharedPowerModel(t, m), Options{
-		Policy:         policy,
-		Profile:        core.ProfileOptions{Warmup: 1.5, Duration: 3, Seed: 17},
-		SharedProfiles: cache,
-	})
+	return New(m, SharedPowerModel(t, m), opts)
 }
 
 func TestPlaceAndRemove(t *testing.T) {
+	ctx := context.Background()
 	m := machine.FourCoreServer()
-	mgr := testManager(t, m, PowerAware)
-	name1, c1, w1, err := mgr.Place(context.Background(), workload.ByName("mcf"))
+	mgr := testManager(t, m, Options{})
+	name1, w1, err := mgr.PlaceAt(ctx, workload.ByName("mcf"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1 < 0 || c1 >= m.NumCores || w1 <= 0 {
-		t.Fatalf("placement (%d, %.2f) implausible", c1, w1)
+	if w1 <= 0 {
+		t.Fatalf("estimate %.2f W implausible", w1)
 	}
-	name2, _, w2, err := mgr.Place(context.Background(), workload.ByName("gzip"))
+	name2, w2, err := mgr.PlaceAt(ctx, workload.ByName("gzip"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w2 <= w1 {
 		t.Fatalf("adding a process reduced estimated power %.2f → %.2f", w1, w2)
 	}
+	if w, err := mgr.cm.EstimateAssignment(mgr.Assignment()); err != nil || w != w2 {
+		t.Fatalf("PlaceAt reported %v W, the assignment estimates %v W (err %v)", w2, w, err)
+	}
 	if err := mgr.Remove(name2); err != nil {
 		t.Fatal(err)
 	}
-	w3, err := mgr.EstimatedPower()
+	w3, err := mgr.cm.EstimateAssignment(mgr.Assignment())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,222 +104,153 @@ func TestPlaceAndRemove(t *testing.T) {
 	if err := mgr.Remove(name1); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Remove("ghost"); err == nil {
-		t.Fatal("removed a non-existent process")
+	if err := mgr.Remove("ghost"); !errors.Is(err, ErrUnknownProcess) {
+		t.Fatalf("removing a non-existent process: %v, want ErrUnknownProcess", err)
 	}
 }
 
-func TestProfilingIsMemoized(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exercises the built-in stressmark profiler; fast variant: TestShortProfilerMemoized")
-	}
+// TestMaxPerCoreEnforced: PlaceAt refuses a core at its time-sharing cap
+// and a core that does not exist.
+func TestMaxPerCoreEnforced(t *testing.T) {
+	ctx := context.Background()
 	m := machine.TwoCoreWorkstation()
-	mgr := testManager(t, m, PowerAware)
-	f1, err := mgr.FeatureOf(context.Background(), workload.ByName("vpr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := mgr.FeatureOf(context.Background(), workload.ByName("vpr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1 != f2 {
-		t.Fatal("second FeatureOf re-profiled")
-	}
-}
-
-func TestPowerAwareAvoidsHotPairing(t *testing.T) {
-	// With mcf on die 0, placing art power-aware should make a deliberate
-	// choice — and its estimate must be the minimum over cores.
-	m := machine.FourCoreServer()
-	mgr := testManager(t, m, PowerAware)
-	if _, _, _, err := mgr.Place(context.Background(), workload.ByName("mcf")); err != nil {
-		t.Fatal(err)
-	}
-	fArt, err := mgr.FeatureOf(context.Background(), workload.ByName("art"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	asg := mgr.Assignment()
-	_, chosenCore, chosenW, err := mgr.Place(context.Background(), workload.ByName("art"))
-	if err != nil {
-		t.Fatal(err)
+	mgr := testManager(t, m, Options{MaxPerCore: 1})
+	for c := 0; c < m.NumCores; c++ {
+		if _, _, err := mgr.PlaceAt(ctx, workload.ByName("gzip"), c); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for c := 0; c < m.NumCores; c++ {
-		w, err := mgr.cm.EstimateAddition(asg, fArt, c)
-		if err != nil {
-			t.Fatal(err)
+		if _, _, err := mgr.PlaceAt(ctx, workload.ByName("gzip"), c); !errors.Is(err, ErrMachineFull) {
+			t.Fatalf("core %d past MaxPerCore: %v, want ErrMachineFull", c, err)
 		}
-		if w < chosenW-1e-9 {
-			t.Fatalf("core %d (%.3f W) beats chosen core %d (%.3f W)", c, w, chosenCore, chosenW)
-		}
+	}
+	if _, _, err := mgr.PlaceAt(ctx, workload.ByName("gzip"), m.NumCores); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("core %d: %v, want out of range", m.NumCores, err)
+	}
+	if n := len(mgr.Residents()); n != m.NumCores {
+		t.Fatalf("%d residents, want %d", n, m.NumCores)
 	}
 }
 
-func TestRoundRobinRotates(t *testing.T) {
-	m := machine.FourCoreServer()
-	mgr := testManager(t, m, RoundRobin)
-	cores := map[int]bool{}
-	for i := 0; i < m.NumCores; i++ {
-		_, c, _, err := mgr.Place(context.Background(), workload.ByName("gzip"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cores[c] = true
-	}
-	if len(cores) != m.NumCores {
-		t.Fatalf("round robin used %d distinct cores", len(cores))
-	}
-}
-
-func TestLeastLoadedBalances(t *testing.T) {
+// TestPlaceErrorLeavesStateUntouched fails PlaceAt twice — once in the
+// power estimate (an invalid feature vector), once at the fault-injection
+// seam — and checks neither leaks anything: the residents, the version and
+// the instance-name counter are as they were.
+func TestPlaceErrorLeavesStateUntouched(t *testing.T) {
+	ctx := context.Background()
 	m := machine.TwoCoreWorkstation()
-	mgr := testManager(t, m, LeastLoaded)
-	for i := 0; i < 4; i++ {
-		if _, _, _, err := mgr.Place(context.Background(), workload.ByName("gzip")); err != nil {
-			t.Fatal(err)
-		}
+	injected := errors.New("injected")
+	mgr := testManager(t, m, Options{
+		Features: &truthSource{m: m, override: map[string]*core.FeatureVector{
+			"art": {}, // fails Validate inside the power estimate
+		}},
+		Intercept: func(site, key string) error {
+			if site == "manager.place_at" && key == "vpr" {
+				return injected
+			}
+			return nil
+		},
+	})
+	if _, _, err := mgr.PlaceAt(ctx, workload.ByName("gzip"), 0); err != nil {
+		t.Fatal(err)
 	}
-	r := mgr.Running()
-	if len(r[0]) != 2 || len(r[1]) != 2 {
-		t.Fatalf("least-loaded imbalance: %d/%d", len(r[0]), len(r[1]))
+	before, version := mgr.Running(), mgr.Version()
+	if _, _, err := mgr.PlaceAt(ctx, workload.ByName("art"), 1); err == nil {
+		t.Fatal("PlaceAt with an invalid feature vector succeeded")
 	}
-}
-
-func TestMaxPerCoreEnforced(t *testing.T) {
-	m := machine.TwoCoreWorkstation()
-	var mgr *Manager
-	if testing.Short() {
-		mgr = New(m, sharedPowerModel(t, m), Options{
-			Policy:     RoundRobin,
-			Features:   &truthSource{m: m},
-			MaxPerCore: 1,
-		})
-	} else {
-		pm, err := core.TrainPowerModel(context.Background(), m, workload.ModelSet()[:2], core.PowerTrainOptions{
-			Warmup: 0.5, Duration: 1, Seed: 7, MicrobenchWindows: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgr = New(m, pm, Options{
-			Policy:     RoundRobin,
-			Profile:    core.ProfileOptions{Warmup: 0.5, Duration: 1, Seed: 3},
-			MaxPerCore: 1,
-		})
+	if _, _, err := mgr.PlaceAt(ctx, workload.ByName("vpr"), 1); !errors.Is(err, injected) {
+		t.Fatalf("PlaceAt at the seam: %v, want the injected fault", err)
 	}
-	for i := 0; i < 2; i++ {
-		if _, _, _, err := mgr.Place(context.Background(), workload.ByName("gzip")); err != nil {
-			t.Fatal(err)
-		}
+	if got := mgr.Running(); !reflect.DeepEqual(got, before) || mgr.Version() != version {
+		t.Fatalf("failed placements changed the state: %v (version %d), want %v (version %d)", got, mgr.Version(), before, version)
 	}
-	if _, _, _, err := mgr.Place(context.Background(), workload.ByName("gzip")); err == nil {
-		t.Fatal("exceeded MaxPerCore")
-	}
-}
-
-func TestRebalanceMigratesWhenItPays(t *testing.T) {
-	// Force a bad layout via round robin with a pathological arrival
-	// order, then let Rebalance fix it.
-	m := machine.FourCoreServer()
-	mgr := testManager(t, m, RoundRobin)
-	for _, n := range []string{"mcf", "art", "gzip", "equake"} {
-		if _, _, _, err := mgr.Place(context.Background(), workload.ByName(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, err := mgr.EstimatedPower()
+	name, _, err := mgr.PlaceAt(ctx, workload.ByName("mcf"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved, after, err := mgr.Rebalance(context.Background(), 0.01)
-	if err != nil && !errors.Is(err, ErrNoImprovement) {
-		t.Fatal(err)
-	}
-	if after > before+1e-9 {
-		t.Fatalf("rebalance increased power %.3f → %.3f", before, after)
-	}
-	if moved > 0 {
-		// The new layout must be internally consistent.
-		total := 0
-		for _, names := range mgr.Running() {
-			total += len(names)
-		}
-		if total != 4 {
-			t.Fatalf("rebalance lost processes: %d resident", total)
-		}
-	}
-	// A second rebalance has nothing left to gain: the typed sentinel
-	// replaces the old silent no-op.
-	moved2, _, err := mgr.Rebalance(context.Background(), 0.01)
-	if !errors.Is(err, ErrNoImprovement) {
-		t.Fatalf("second rebalance error %v, want ErrNoImprovement", err)
-	}
-	if moved2 != 0 {
-		t.Fatalf("second rebalance moved %d processes", moved2)
+	if name != "mcf#2" {
+		t.Fatalf("instance name %q after failed placements, want mcf#2 (nextID leaked)", name)
 	}
 }
 
-func TestPowerAwareBeatsRoundRobinMeasured(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measured-power comparison needs the wall-clock simulator")
-	}
-	// The end-to-end claim: over an arrival sequence, the power-aware
-	// manager's final layout consumes no more measured power than the
-	// round-robin baseline's.
+// TestConcurrentPlaceIsSafe hammers one manager from several goroutines
+// (run under -race in CI) — commits, snapshots and reads — and checks the
+// assignment stays consistent.
+func TestConcurrentPlaceIsSafe(t *testing.T) {
+	ctx := context.Background()
 	m := machine.FourCoreServer()
-	arrivals := []string{"mcf", "art", "gzip", "equake"}
-	measure := func(policy Policy) float64 {
-		mgr := testManager(t, m, policy)
-		for _, n := range arrivals {
-			if _, _, _, err := mgr.Place(context.Background(), workload.ByName(n)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run, err := sim.Run(m, sim.Assignment{Procs: mgr.Procs()},
-			sim.Options{Warmup: 2, Duration: 5, Seed: 99})
+	mgr := testManager(t, m, Options{})
+	specs := []*workload.Spec{
+		workload.ByName("mcf"),
+		workload.ByName("gzip"),
+		workload.ByName("art"),
+		workload.ByName("vpr"),
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(specs))
+	for i, s := range specs {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, _, err := mgr.PlaceAt(ctx, s, i%m.NumCores)
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			mgr.Snapshot()
+			mgr.Residents()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return run.AvgMeasuredPower()
 	}
-	pa := measure(PowerAware)
-	rr := measure(RoundRobin)
-	if pa > rr+0.5 {
-		t.Fatalf("power-aware %.2f W worse than round-robin %.2f W", pa, rr)
+	names := map[string]bool{}
+	for _, r := range mgr.Residents() {
+		names[r.Name] = true
+	}
+	if len(names) != len(specs) {
+		t.Fatalf("%d distinct residents, want %d", len(names), len(specs))
+	}
+	if _, err := mgr.cm.EstimateAssignment(mgr.Assignment()); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestRebalanceHonoursMaxPerCore(t *testing.T) {
-	m := machine.FourCoreServer()
-	opts := Options{
-		Policy:         RoundRobin,
-		Profile:        core.ProfileOptions{Warmup: 1.5, Duration: 3, Seed: 17},
-		MaxPerCore:     1,
-		SharedProfiles: featShared[m.Name],
-	}
-	if testing.Short() {
-		opts.Features = &truthSource{m: m}
-	}
-	mgr := New(m, sharedPowerModel(t, m), opts)
-	for _, n := range []string{"mcf", "art", "gzip", "equake"} {
-		if _, _, _, err := mgr.Place(context.Background(), workload.ByName(n)); err != nil {
+// TestShortFeatureSourceDelegation pins the Options.Features contract:
+// the manager consults the source on every FeatureOf and never layers its
+// own memoization on top.
+func TestShortFeatureSourceDelegation(t *testing.T) {
+	m := machine.TwoCoreWorkstation()
+	src := &countingSource{inner: truthSource{m: m}}
+	mgr := testManager(t, m, Options{Features: src})
+	for i := 0; i < 3; i++ {
+		if _, err := mgr.FeatureOf(context.Background(), workload.ByName("gzip")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := mgr.Rebalance(context.Background(), 0); err != nil && !errors.Is(err, ErrNoImprovement) {
-		t.Fatal(err)
+	if src.calls != 3 {
+		t.Fatalf("source consulted %d times, want 3 (caching is the source's job)", src.calls)
 	}
-	for c, names := range mgr.Running() {
-		if len(names) > 1 {
-			t.Fatalf("rebalance packed %d processes on core %d despite MaxPerCore=1", len(names), c)
-		}
-	}
+}
+
+// countingSource wraps the truth oracle and counts resolutions.
+type countingSource struct {
+	inner truthSource
+	calls int
+}
+
+func (s *countingSource) FeatureOf(ctx context.Context, spec *workload.Spec) (*core.FeatureVector, error) {
+	s.calls++
+	return s.inner.FeatureOf(ctx, spec)
 }
 
 func TestPolicyString(t *testing.T) {
-	if PowerAware.String() != "power-aware" || RoundRobin.String() != "round-robin" ||
-		LeastLoaded.String() != "least-loaded" {
+	if PowerAware.String() != "power-aware" || LeastLoaded.String() != "least-loaded" {
 		t.Fatal("policy names wrong")
 	}
 	if Policy(9).String() == "" {

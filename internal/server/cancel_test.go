@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mpmc/internal/fleet"
 	"mpmc/internal/manager"
 )
 
@@ -120,8 +121,8 @@ func TestToAPIErrorCancellation(t *testing.T) {
 		{"canceled", context.Canceled, statusClientClosedRequest, "client_closed_request"},
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline_exceeded"},
 		{"wrapped canceled", fmt.Errorf("profiling mcf: %w", context.Canceled), statusClientClosedRequest, "client_closed_request"},
-		{"rollback over machine full", &manager.RollbackError{Admitted: 2, Err: manager.ErrMachineFull}, http.StatusConflict, "machine_full"},
-		{"rollback over cancellation", &manager.RollbackError{Admitted: 1, Err: context.Canceled}, statusClientClosedRequest, "client_closed_request"},
+		{"rollback over machine full", onMachine(fmt.Errorf("fleet: batch %w after 2 placement(s): %w", fleet.ErrRolledBack, fleet.ErrFleetFull)), http.StatusConflict, "machine_full"},
+		{"rollback over cancellation", onMachine(fmt.Errorf("fleet: batch %w after 1 placement(s): %w", fleet.ErrRolledBack, context.Canceled)), statusClientClosedRequest, "client_closed_request"},
 		{"unknown process", manager.ErrUnknownProcess, http.StatusNotFound, "unknown_process"},
 	}
 	for _, tc := range cases {

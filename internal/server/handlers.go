@@ -81,10 +81,7 @@ type UnplaceResponse struct {
 }
 
 // CoreState is one core's resident instances.
-type CoreState struct {
-	Core  int      `json:"core"`
-	Procs []string `json:"procs"`
-}
+type CoreState = fleet.CoreState
 
 // CacheState reports the feature-vector cache counters.
 type CacheState struct {
@@ -435,62 +432,85 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) error {
 	if _, err := s.features(r.Context(), specs); err != nil {
 		return err
 	}
-	placements, err := s.mgr.PlaceAll(r.Context(), specs)
+	placed, watts, err := s.place(r.Context(), specs)
 	if err != nil {
-		var rb *manager.RollbackError
-		if errors.As(err, &rb) {
-			s.reg.Counter("place_rollback_total").Inc()
-		}
 		return err
 	}
-	watts, err := s.mgr.EstimatedPower()
-	if err != nil {
-		return fmt.Errorf("estimating power: %w", err)
-	}
-	resp := PlaceResponse{Placements: make([]PlacementInfo, len(placements)), EstimatedWatts: watts}
-	for i, p := range placements {
+	resp := PlaceResponse{Placements: make([]PlacementInfo, len(placed)), EstimatedWatts: watts}
+	for i, p := range placed {
 		resp.Placements[i] = PlacementInfo{Name: p.Name, Core: p.Core, Watts: p.Watts}
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil
 }
 
+// machineNode names the serving machine's node in the one-node fleet.
+const machineNode = "machine"
+
+// place admits specs on the serving machine as one batch, all or nothing,
+// and returns the placements and the machine's estimate after them. A
+// full machine answers 409 machine_full, and a batch rolled back after
+// admitting part of itself counts in place_rollback_total.
+func (s *Server) place(ctx context.Context, specs []*workload.Spec) ([]fleet.Placed, float64, error) {
+	placed, err := s.one.PlaceAll(ctx, specs)
+	if err != nil {
+		if errors.Is(err, fleet.ErrRolledBack) {
+			s.reg.Counter("place_rollback_total").Inc()
+		}
+		return nil, 0, onMachine(err)
+	}
+	watts, err := s.machineWatts(ctx)
+	return placed, watts, err
+}
+
+// onMachine reports a one-node fleet's error as the single-machine routes
+// do: no admissible slot is a full machine.
+func onMachine(err error) error {
+	if errors.Is(err, fleet.ErrFleetFull) {
+		return &apiError{Status: http.StatusConflict, Code: "machine_full", Message: err.Error()}
+	}
+	return err
+}
+
+// machineWatts is the serving machine's estimated processor power.
+func (s *Server) machineWatts(ctx context.Context) (float64, error) {
+	_, watts, err := s.one.Totals(ctx)
+	if err != nil {
+		return 0, fmt.Errorf("estimating power: %w", err)
+	}
+	return watts, nil
+}
+
 func (s *Server) handleUnplace(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
-	if err := s.mgr.Remove(name); err != nil {
+	if _, err := s.one.Remove(r.Context(), machineNode, name); err != nil {
 		return err
 	}
-	watts, err := s.mgr.EstimatedPower()
+	watts, err := s.machineWatts(r.Context())
 	if err != nil {
-		return fmt.Errorf("estimating power: %w", err)
+		return err
 	}
 	writeJSON(w, http.StatusOK, UnplaceResponse{Removed: name, EstimatedWatts: watts})
 	return nil
 }
 
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) error {
-	running := s.mgr.Running()
-	watts, err := s.mgr.EstimatedPower()
+	st, err := s.one.State(r.Context())
 	if err != nil {
-		return fmt.Errorf("estimating power: %w", err)
+		return err
 	}
-	st := s.feats.lru.Stats()
-	resp := StateResponse{
+	node := st.Nodes[0]
+	cs := s.feats.lru.Stats()
+	writeJSON(w, http.StatusOK, StateResponse{
 		Machine:        s.mach.Name,
 		Policy:         s.cfg.Policy.String(),
-		Cores:          make([]CoreState, len(running)),
-		EstimatedWatts: watts,
+		Cores:          node.Cores,
+		EstimatedWatts: node.EstimatedWatts,
 		Cache: CacheState{
-			Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-			Entries: st.Len, Capacity: st.Cap,
+			Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
+			Entries: cs.Len, Capacity: cs.Cap,
 		},
-	}
-	for c, names := range running {
-		procs := make([]string, 0, len(names))
-		procs = append(procs, names...)
-		resp.Cores[c] = CoreState{Core: c, Procs: procs}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 	return nil
 }
 

@@ -67,7 +67,9 @@ type Config struct {
 	// Workers bounds each in-request profiling sweep's concurrency
 	// (<= 0 selects GOMAXPROCS); results are identical at any setting.
 	Workers int
-	// Policy and MaxPerCore configure the resident placement manager.
+	// Policy and MaxPerCore configure placement on the serving machine
+	// (/v1/place): PowerAware decides like the fleet's LeastWatts,
+	// LeastLoaded like its Spread.
 	Policy     manager.Policy
 	MaxPerCore int
 	// CacheCap bounds the feature-vector LRU (0 = 128 entries).
@@ -119,10 +121,13 @@ type FleetBackend interface {
 
 // Server is the resident prediction and placement service.
 type Server struct {
-	cfg     Config
-	mach    *machine.Machine
-	cm      *core.CombinedModel
-	mgr     *manager.Manager
+	cfg  Config
+	mach *machine.Machine
+	cm   *core.CombinedModel
+	// one places on the serving machine: a one-node fleet that profiles
+	// through feats and reports into a registry of its own, so its gauges
+	// never collide with an attached fleet's.
+	one     *fleet.Fleet
 	feats   *featureCache
 	fleet   FleetBackend
 	tickets *ticketStore
@@ -164,6 +169,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Profile == nil {
 		cfg.Profile = core.Profile
 	}
+	var policy fleet.Policy
+	switch cfg.Policy {
+	case manager.PowerAware:
+		policy = fleet.LeastWatts
+	case manager.LeastLoaded:
+		policy = fleet.Spread
+	default:
+		return nil, fmt.Errorf("server: unknown policy %v", cfg.Policy)
+	}
 
 	s := &Server{
 		cfg:     cfg,
@@ -175,12 +189,24 @@ func New(cfg Config) (*Server, error) {
 		log:     cfg.Logger,
 	}
 	s.feats = newFeatureCache(s)
-	s.mgr = manager.New(cfg.Machine, cfg.Power, manager.Options{
-		Policy:     cfg.Policy,
-		MaxPerCore: cfg.MaxPerCore,
-		Profile:    core.ProfileOptions{Seed: cfg.Seed, Workers: cfg.Workers},
-		Features:   s.feats,
+	one, err := fleet.New(fleet.Config{
+		Nodes:    []fleet.NodeConfig{{Name: machineNode, Machine: cfg.Machine, Power: cfg.Power, MaxPerCore: cfg.MaxPerCore}},
+		Policy:   policy,
+		Workers:  cfg.Workers,
+		CacheCap: cfg.CacheCap,
+		// No score memo: every placement solves cold, and the node's
+		// memory stays flat.
+		ScoreCacheCap: -1,
+		Profile: func(ctx context.Context, _ *machine.Machine, spec *workload.Spec, _ core.ProfileOptions) (*core.FeatureVector, error) {
+			f, _, err := s.feats.get(ctx, spec)
+			return f, err
+		},
+		Registry: metrics.NewRegistry(),
 	})
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	s.one = one
 	s.reg.OnCollect(s.collectCacheMetrics)
 	s.routes()
 	return s, nil
@@ -233,7 +259,7 @@ func (s *Server) drainAsync(ctx context.Context) error {
 	}
 }
 
-// featureCache is the server's FeatureSource: a bounded LRU of profiled
+// featureCache is the server's profile store: a bounded LRU of profiled
 // feature vectors in front of the (expensive) profiling sweep, with
 // singleflight deduplication so a burst of requests for one unprofiled
 // benchmark triggers exactly one run.
@@ -257,16 +283,9 @@ func newFeatureCache(s *Server) *featureCache {
 	}
 }
 
-// FeatureOf implements manager.FeatureSource: placement profiling runs
-// under the request context that triggered it, so a client disconnect or
-// deadline abandons the sweep like any direct profile request.
-func (fc *featureCache) FeatureOf(ctx context.Context, spec *workload.Spec) (*core.FeatureVector, error) {
-	f, _, err := fc.get(ctx, spec)
-	return f, err
-}
-
-// get returns the feature vector for spec, profiling on a miss. cached
-// reports whether the LRU already held the vector.
+// get returns the feature vector for spec, profiling on a miss under the
+// caller's ctx, so a client disconnect or deadline abandons the sweep.
+// cached reports whether the LRU already held the vector.
 func (fc *featureCache) get(ctx context.Context, spec *workload.Spec) (f *core.FeatureVector, cached bool, err error) {
 	if f, ok := fc.lru.Get(spec.Name); ok {
 		return f, true, nil

@@ -42,6 +42,7 @@ import (
 	"mpmc/internal/baseline"
 	"mpmc/internal/core"
 	"mpmc/internal/exp"
+	"mpmc/internal/fleet"
 	"mpmc/internal/hpc"
 	"mpmc/internal/machine"
 	"mpmc/internal/manager"
@@ -274,32 +275,36 @@ func DetectPhases(series []float64, opts PhaseOptions) []PhaseSegment {
 // DominantPhase returns the longest detected phase.
 func DominantPhase(segs []PhaseSegment) PhaseSegment { return phase.Dominant(segs) }
 
-// Runtime assignment manager (the paper's Section 1/5 use case).
+// Runtime placement (the paper's Section 1/5 use case): a fleet of one
+// node is the single-machine run-time manager.
 type (
-	// Manager places arriving processes power-aware at runtime.
-	Manager = manager.Manager
-	// ManagerOptions configures a Manager.
-	ManagerOptions = manager.Options
-	// PlacementPolicy selects the placement strategy.
-	PlacementPolicy = manager.Policy
+	// Fleet places arriving processes with the paper's models at runtime.
+	Fleet = fleet.Fleet
+	// FleetConfig configures a Fleet.
+	FleetConfig = fleet.Config
+	// FleetNode describes one machine of a Fleet.
+	FleetNode = fleet.NodeConfig
+	// FleetPolicy selects the placement strategy.
+	FleetPolicy = fleet.Policy
 )
 
 // Placement policies.
 const (
-	PowerAware  = manager.PowerAware
-	RoundRobin  = manager.RoundRobin
-	LeastLoaded = manager.LeastLoaded
+	// LeastWatts places each arrival on the slot with the lowest Figure 1
+	// power estimate.
+	LeastWatts = fleet.LeastWatts
+	// Spread is the load-balancing baseline: on one machine, the least
+	// loaded core.
+	Spread = fleet.Spread
 )
 
-// ErrNoImprovement is returned by Manager.Rebalance when no layout change
-// is worth making; test for it with errors.Is.
+// ErrNoImprovement is returned by Fleet.Rebalance when no move is worth
+// making; test for it with errors.Is.
 var ErrNoImprovement = manager.ErrNoImprovement
 
-// NewManager builds a runtime assignment manager for a machine with a
-// trained power model.
-func NewManager(m *Machine, pm *PowerModel, opts ManagerOptions) *Manager {
-	return manager.New(m, pm, opts)
-}
+// NewFleet builds a run-time placement engine over the configured
+// machines.
+func NewFleet(cfg FleetConfig) (*Fleet, error) { return fleet.New(cfg) }
 
 // Experiment harness.
 type (

@@ -115,24 +115,39 @@ func TestFacadeManager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := map[string]*FeatureVector{}
-	mgr := NewManager(m, pm, ManagerOptions{
-		Policy:         PowerAware,
-		Profile:        ProfileOptions{Warmup: 1, Duration: 2, Seed: 9},
-		SharedProfiles: cache,
+	runs := 0
+	f, err := NewFleet(FleetConfig{
+		Nodes:  []FleetNode{{Machine: m, Power: pm}},
+		Policy: LeastWatts,
+		Seed:   9,
+		Profile: func(ctx context.Context, m *Machine, w *Workload, opts ProfileOptions) (*FeatureVector, error) {
+			runs++
+			opts.Warmup, opts.Duration = 1, 2
+			return ProfileContext(ctx, m, w, opts)
+		},
 	})
-	name, core0, watts, err := mgr.Place(context.Background(), WorkloadByName("vpr"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name == "" || core0 < 0 || watts <= 0 {
-		t.Fatalf("placement %q/%d/%.2f", name, core0, watts)
+	ctx := context.Background()
+	var names []string
+	for i := 0; i < 2; i++ {
+		p, err := f.Place(ctx, WorkloadByName("vpr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name == "" || p.Core < 0 || p.Watts <= 0 {
+			t.Fatalf("placement %q/%d/%.2f", p.Name, p.Core, p.Watts)
+		}
+		names = append(names, p.Name)
 	}
-	if len(cache) != 1 {
-		t.Fatalf("shared cache holds %d profiles", len(cache))
+	if runs != 1 {
+		t.Fatalf("%d profiling runs for two vpr arrivals, want 1", runs)
 	}
-	if err := mgr.Remove(name); err != nil {
-		t.Fatal(err)
+	for _, name := range names {
+		if _, err := f.Remove(ctx, "m0", name); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
