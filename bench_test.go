@@ -12,6 +12,7 @@ package mpmc
 // methodology amortizes them across experiments.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -304,9 +305,10 @@ func BenchmarkProfileOne(b *testing.B) {
 // on the two four-core presets, asking for the winner alone. server-k4 is
 // 72 canonical placements, made of 41 distinct group layouts and 13 co-run
 // combinations (4 solo, 9 contended), each solved once per search; k = 6
-// is 1056 placements over 365 layouts and 31 combinations. server-k6-all
-// asks for the whole ranking, as cmd/assign and Manager.Rebalance do, and
-// so also builds all 1056 assignments.
+// is 1056 placements over 365 layouts and 31 combinations. server-k6-top3
+// asks for the best three, which a bounded heap selects; server-k6-all asks
+// for the whole ranking, as cmd/assign does, and so also sorts and builds
+// all 1056 assignments.
 func BenchmarkAssignmentSearch(b *testing.B) {
 	type run struct {
 		name       string
@@ -318,7 +320,7 @@ func BenchmarkAssignmentSearch(b *testing.B) {
 		machine *Machine
 		runs    []run
 	}{
-		{"server", FourCoreServer(), []run{{"k4", 4, 1}, {"k5", 5, 1}, {"k6", 6, 1}, {"k6-all", 6, 0}}},
+		{"server", FourCoreServer(), []run{{"k4", 4, 1}, {"k5", 5, 1}, {"k6", 6, 1}, {"k6-top3", 6, 3}, {"k6-all", 6, 0}}},
 		{"little", machine.FourCoreLittle(), []run{{"k4", 4, 1}, {"k5", 5, 1}, {"k6", 6, 1}}},
 	} {
 		m := preset.machine
@@ -332,13 +334,13 @@ func BenchmarkAssignmentSearch(b *testing.B) {
 		for _, r := range preset.runs {
 			b.Run(preset.name+"-"+r.name, func(b *testing.B) {
 				procs := benchProcs(m, r.k)
-				if _, err := cm.BestAssignment(procs, r.maxResults); err != nil {
+				if _, err := cm.BestAssignmentContext(context.Background(), procs, r.maxResults); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := cm.BestAssignment(procs, r.maxResults); err != nil {
+					if _, err := cm.BestAssignmentContext(context.Background(), procs, r.maxResults); err != nil {
 						b.Fatal(err)
 					}
 				}

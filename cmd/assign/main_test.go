@@ -44,14 +44,17 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
-// TestRunHelp: -h prints the usage and exits 0.
+// TestRunHelp: -h prints the usage, naming every accepted machine, and
+// exits 0.
 func TestRunHelp(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(context.Background(), []string{"-h"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code %d, want 0", code)
 	}
-	if !strings.Contains(stderr.String(), "-benches") {
-		t.Fatalf("usage does not list the flags: %q", stderr.String())
+	for _, want := range []string{"-benches", "server | workstation | laptop | little"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Fatalf("usage does not say %q: %q", want, stderr.String())
+		}
 	}
 }
 

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -49,7 +50,7 @@ func main() {
 
 	// Estimate every placement with the combined model.
 	cm := mpmc.NewCombinedModel(m, pm)
-	results, err := cm.BestAssignment(features, 0)
+	results, err := cm.BestAssignmentContext(context.Background(), features, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

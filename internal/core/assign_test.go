@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mpmc/internal/machine"
@@ -12,7 +13,7 @@ func TestBestAssignmentOrdersByPower(t *testing.T) {
 	m := machine.FourCoreServer()
 	cm, feats := testCombined(t, m)
 	procs := []*FeatureVector{feats["mcf"], feats["art"], feats["gzip"], feats["vpr"]}
-	results, err := cm.BestAssignment(procs, 0)
+	results, err := cm.BestAssignmentContext(context.Background(), procs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestBestAssignmentOrdersByPower(t *testing.T) {
 func TestBestAssignmentMaxResults(t *testing.T) {
 	m := machine.TwoCoreWorkstation()
 	cm, feats := testCombined(t, m)
-	res, err := cm.BestAssignment([]*FeatureVector{feats["mcf"], feats["vpr"]}, 1)
+	res, err := cm.BestAssignmentContext(context.Background(), []*FeatureVector{feats["mcf"], feats["vpr"]}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestBestAssignmentMaxResults(t *testing.T) {
 func TestBestAssignmentErrors(t *testing.T) {
 	m := machine.TwoCoreWorkstation()
 	cm, _ := testCombined(t, m)
-	if _, err := cm.BestAssignment(nil, 0); err == nil {
+	if _, err := cm.BestAssignmentContext(context.Background(), nil, 0); err == nil {
 		t.Fatal("accepted empty process list")
 	}
 }
@@ -76,7 +77,7 @@ func TestBestAssignmentAgreesWithSimulatedRanking(t *testing.T) {
 	m := machine.FourCoreServer()
 	cm, feats := testCombined(t, m)
 	procs := []*FeatureVector{feats["mcf"], feats["art"], feats["gzip"], feats["equake"]}
-	results, err := cm.BestAssignment(procs, 0)
+	results, err := cm.BestAssignmentContext(context.Background(), procs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,7 +200,7 @@ func TestSearchPlanTableBound(t *testing.T) {
 		procs[i] = feats[i%4]
 	}
 	before := kept()
-	if _, err := NewCombinedModel(m, pm).BestAssignment(procs, 1); err != nil {
+	if _, err := NewCombinedModel(m, pm).BestAssignmentContext(context.Background(), procs, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := kept(); got != before {
@@ -211,13 +211,13 @@ func TestSearchPlanTableBound(t *testing.T) {
 	// one on another Machine value shares it.
 	small := shapedMachine(3, 1)
 	cm := NewCombinedModel(small, pm)
-	if _, err := cm.BestAssignment(procs[:5], 1); err != nil {
+	if _, err := cm.BestAssignmentContext(context.Background(), procs[:5], 1); err != nil {
 		t.Fatal(err)
 	}
 	grown := kept()
 	for _, m := range []*machine.Machine{small, shapedMachine(3, 1), shapedMachine(3, 1)} {
 		for i := 0; i < 3; i++ {
-			if _, err := NewCombinedModel(m, pm).BestAssignment(procs[:5], 1); err != nil {
+			if _, err := NewCombinedModel(m, pm).BestAssignmentContext(context.Background(), procs[:5], 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -232,7 +232,7 @@ func TestSearchPlanTableBound(t *testing.T) {
 	}
 	before3x1 := planOf(small.Groups)
 	small.Groups = [][]int{{0}, {1, 2, 3}}
-	if _, err := cm.BestAssignment(procs[:5], 1); err != nil {
+	if _, err := cm.BestAssignmentContext(context.Background(), procs[:5], 1); err != nil {
 		t.Fatal(err)
 	}
 	if p := planOf(small.Groups); p == nil || p == before3x1 || slices.Equal(p.mappings, before3x1.mappings) {

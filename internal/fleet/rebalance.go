@@ -39,7 +39,7 @@ type candidate struct {
 // improvement clears minImprovement (in absolute SPI units; 0 accepts any
 // strict improvement). This pass only ever moves a process between
 // machines; it never re-lays out the cores of one machine (the Section 5
-// search, core.CombinedModel.BestAssignment, answers that question).
+// search, core.CombinedModel.BestAssignmentContext, answers that question).
 //
 // When no move clears the bar the error wraps manager.ErrNoImprovement.
 // Execution is one transaction over the source and target: a failure
