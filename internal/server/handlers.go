@@ -391,7 +391,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) error {
 	if top == 0 {
 		top = 5
 	}
-	// The search ranks every candidate but builds only the top ones.
+	// The search selects only the top candidates and builds only those.
 	results, err := s.cm.BestAssignmentContext(r.Context(), raw, top)
 	if err != nil {
 		return fmt.Errorf("ranking assignments: %w", err)
