@@ -67,6 +67,26 @@ func resultDigest(r *Result) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// onGrid puts m's clock on powers of two (memory latency, context switch,
+// time slice, sample period), so that event times are exact dyadic sums.
+func onGrid(m *machine.Machine) *machine.Machine {
+	m.MemLatency = 0x1p-14
+	m.MLPOverlap = 0.25
+	m.CtxSwitch = 0x1p-13
+	m.Timeslice = 0x1p-1
+	m.SamplePeriod = 0x1p-5
+	return m
+}
+
+// gridSpec returns a copy of s whose access interval is a power of two:
+// 2^-8 L2 references per instruction at 2^-20 s per instruction.
+func gridSpec(s *workload.Spec) *workload.Spec {
+	g := *s
+	g.L2RPI = 0x1p-8
+	g.BaseSPI = 0x1p-20
+	return &g
+}
+
 // TestRunDigests pins sim.Run to testdata/run_digests.json, recorded
 // before the cache, the generators and the event loop were rebuilt for
 // speed. It covers every branch of the per-access path: all presets, both
@@ -116,6 +136,18 @@ func TestRunDigests(t *testing.T) {
 			Single(by("mcf"), by("art")), Options{Warmup: 1, Duration: 2, Seed: 114}},
 		{"random-prefetch/server", with(machine.FourCoreServer(), func(m *machine.Machine) { m.Policy = cache.Random; m.Prefetch = true }),
 			Single(by("swim"), by("ammp"), nil, by("gzip")), Options{Warmup: 1, Duration: 2, Seed: 115}},
+		// Event times that tie exactly: on a dyadic clock every sum is
+		// exact, so cores meet each other and the sample boundaries at the
+		// same instant. The earliest event runs first, the lowest-numbered
+		// core's among equals, and a sample boundary before any event at
+		// its instant.
+		{"tie/same-spec/workstation", onGrid(machine.TwoCoreWorkstation()),
+			Single(gridSpec(by("gzip")), gridSpec(by("gzip"))), Options{Warmup: 1, Duration: 2, Seed: 116}},
+		{"tie/cores-0-2/server", onGrid(machine.FourCoreServer()),
+			Single(gridSpec(by("art")), nil, gridSpec(by("art")), nil), Options{Warmup: 1, Duration: 2, Seed: 117}},
+		{"tie/time-shared-beside-lone/workstation", onGrid(machine.TwoCoreWorkstation()),
+			Assignment{Procs: [][]*workload.Spec{{gridSpec(by("vpr"))}, {gridSpec(by("vpr")), gridSpec(by("twolf"))}}},
+			Options{Warmup: 1, Duration: 4, Seed: 118, CollectProcSamples: true}},
 	}
 	got := make(map[string]string, len(cases))
 	for _, tc := range cases {
