@@ -12,9 +12,11 @@
 // study.
 //
 // The cache is the inner loop of every simulated experiment, so it is laid
-// out for the host: one flat array of 16-byte lines and a per-set count, no
-// per-set allocations and no valid flags. Under LRU a set is stored in
-// recency order, which makes a lookup one scan and one shift (see Cache).
+// out for the host: one flat array of 8-byte lines and a per-set count, no
+// per-set allocations and no valid flags. A line is one word holding its ID,
+// its owner and its prefetched flag, so a lookup compares one word per way.
+// Under LRU a set is stored in recency order, which makes a lookup one scan
+// and one shift (see Cache).
 package cache
 
 import (
@@ -52,17 +54,40 @@ func (p Policy) String() string {
 // MaxOwners bounds the number of distinct processes a cache tracks.
 const MaxOwners = 64
 
+// MaxLineID is the largest line ID a cache accepts: a line's word keeps the
+// ID above its owner and prefetched bits.
+const MaxLineID = 1<<57 - 1
+
+// MaxSets is the most sets a cache may have. With it, every line ID the
+// trace generators allocate stays within MaxLineID.
+const MaxSets = 1 << 16
+
 // MaxPLRUAssoc is the widest set the PLRU policy supports: its tree bits
 // are heap-indexed into one 32-bit word per set.
 const MaxPLRUAssoc = 32
 
-// line is one resident cache line, packed to 16 bytes so a 16-way set spans
-// four host cache lines.
-type line struct {
-	id         uint64
-	owner      uint8
-	prefetched bool
+// A resident cache line is one word, so a 16-way set spans two host cache
+// lines: bit 0 is the prefetched flag, bits 1-6 the owner, and bits 7-63
+// the line ID. Two lines are the same line exactly when their words agree
+// above bit 0.
+const (
+	prefetchedBit = 1
+	ownerShift    = 1
+	idShift       = 7
+	ownerMask     = MaxOwners - 1
+)
+
+// lineWord packs a line. owner < MaxOwners and id <= MaxLineID.
+func lineWord(owner uint8, id uint64, prefetched bool) uint64 {
+	w := id<<idShift | uint64(owner)<<ownerShift
+	if prefetched {
+		w |= prefetchedBit
+	}
+	return w
 }
+
+// wordOwner returns the owner of a line word.
+func wordOwner(w uint64) uint8 { return uint8(w >> ownerShift & ownerMask) }
 
 // OwnerStats aggregates the demand-access statistics for one owner.
 type OwnerStats struct {
@@ -93,7 +118,8 @@ type Config struct {
 // It is not safe for concurrent use; the simulator is single-threaded per
 // machine (hardware is inherently serialized at the shared cache).
 //
-// All lines live in one array: set s is lines[s·Assoc : s·Assoc+count[s]].
+// All lines live in one array of words: set s is
+// lines[s·Assoc : s·Assoc+count[s]].
 // A set fills left to right and nothing ever invalidates a line, so the
 // first count[s] slots are exactly the valid ones.
 //
@@ -107,7 +133,7 @@ type Config struct {
 // separate recency list, which the tests keep as a reference.
 type Cache struct {
 	cfg       Config
-	lines     []line
+	lines     []uint64 // line words (see lineWord)
 	count     []uint8  // resident lines per set
 	plruBits  []uint32 // per-set PLRU tree state, heap-indexed; PLRU only
 	rng       *xrand.Rand
@@ -121,6 +147,9 @@ func New(cfg Config) *Cache {
 	if cfg.NumSets <= 0 || cfg.Assoc <= 0 {
 		panic(fmt.Sprintf("cache: invalid geometry %d sets × %d ways", cfg.NumSets, cfg.Assoc))
 	}
+	if cfg.NumSets > MaxSets {
+		panic(fmt.Sprintf("cache: %d sets above the maximum %d", cfg.NumSets, MaxSets))
+	}
 	if cfg.Assoc > 255 {
 		panic("cache: associativity above 255 unsupported")
 	}
@@ -129,7 +158,7 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{
 		cfg:   cfg,
-		lines: make([]line, cfg.NumSets*cfg.Assoc),
+		lines: make([]uint64, cfg.NumSets*cfg.Assoc),
 		count: make([]uint8, cfg.NumSets),
 		rng:   xrand.New(cfg.Seed ^ 0xcafef00d),
 	}
@@ -144,16 +173,20 @@ func (c *Cache) Assoc() int { return c.cfg.Assoc }
 
 // Access performs a demand access by owner to lineID and reports whether it
 // hit. A miss installs the line (evicting per policy) and, if prefetching
-// is enabled, also fills lineID+1.
+// is enabled, also fills lineID+1, unless lineID is MaxLineID. It panics on
+// a line ID above MaxLineID.
 func (c *Cache) Access(owner int, lineID uint64) bool {
 	c.checkOwner(owner)
+	if lineID > MaxLineID {
+		panic(fmt.Sprintf("cache: line ID %#x above MaxLineID", lineID))
+	}
 	st := &c.stats[owner]
 	st.Accesses++
 	if c.touch(uint8(owner), lineID, false) {
 		return true
 	}
 	st.Misses++
-	if c.cfg.Prefetch && !c.touch(uint8(owner), lineID+1, true) {
+	if c.cfg.Prefetch && lineID < MaxLineID && !c.touch(uint8(owner), lineID+1, true) {
 		st.PrefetchFill++
 	}
 	return false
@@ -168,22 +201,22 @@ func (c *Cache) touch(owner uint8, lineID uint64, prefetch bool) bool {
 	si := int(lineID % uint64(c.cfg.NumSets))
 	set := c.lines[si*assoc : (si+1)*assoc]
 	n := int(c.count[si])
+	key := lineWord(owner, lineID, false)
 	for i := 0; i < n; i++ {
-		if set[i].id != lineID || set[i].owner != owner {
+		if set[i]^key > prefetchedBit {
 			continue
 		}
 		if prefetch {
 			return true
 		}
-		if set[i].prefetched {
-			set[i].prefetched = false
+		if set[i]&prefetchedBit != 0 {
+			set[i] = key
 			c.stats[owner].PrefetchHit++
 		}
 		switch c.cfg.Policy {
 		case LRU:
-			l := set[i]
 			copy(set[1:i+1], set[:i])
-			set[0] = l
+			set[0] = key
 		case PLRU:
 			c.plruTouch(si, i)
 		}
@@ -201,14 +234,14 @@ func (c *Cache) touch(owner uint8, lineID uint64, prefetch bool) bool {
 		case PLRU:
 			w = c.plruVictim(si)
 		}
-		c.occupancy[set[w].owner]--
+		c.occupancy[wordOwner(set[w])]--
 	}
 	c.occupancy[owner]++
 	if c.cfg.Policy == LRU && !prefetch {
 		copy(set[1:w+1], set[:w])
 		w = 0
 	}
-	set[w] = line{id: lineID, owner: owner, prefetched: prefetch}
+	set[w] = lineWord(owner, lineID, prefetch)
 	if c.cfg.Policy == PLRU {
 		c.plruTouch(si, w)
 	}

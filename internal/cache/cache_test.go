@@ -11,9 +11,25 @@ func newLRU(sets, assoc int) *Cache {
 	return New(Config{NumSets: sets, Assoc: assoc, Policy: LRU, Seed: 1})
 }
 
+// line is one resident line decoded from its word.
+type line struct {
+	id         uint64
+	owner      uint8
+	prefetched bool
+}
+
+func decodeLine(w uint64) line {
+	return line{id: w >> idShift, owner: wordOwner(w), prefetched: w&prefetchedBit != 0}
+}
+
 // residents returns the valid lines of set si, in storage order.
 func residents(c *Cache, si int) []line {
-	return c.lines[si*c.cfg.Assoc:][:c.count[si]]
+	words := c.lines[si*c.cfg.Assoc:][:c.count[si]]
+	out := make([]line, len(words))
+	for i, w := range words {
+		out[i] = decodeLine(w)
+	}
+	return out
 }
 
 func TestBasicHitMiss(t *testing.T) {
@@ -327,6 +343,8 @@ func TestInvalidConfigPanics(t *testing.T) {
 		// PLRU's heap-indexed tree bits live in one uint32: a wider set
 		// would lose bits silently and degenerate the victim walk.
 		{NumSets: 1, Assoc: MaxPLRUAssoc + 1, Policy: PLRU},
+		// More sets would let generated line IDs pass MaxLineID.
+		{NumSets: MaxSets + 1, Assoc: 1},
 	} {
 		func() {
 			defer func() {
@@ -374,6 +392,56 @@ func TestOwnerRangePanics(t *testing.T) {
 		}
 	}()
 	c.Access(MaxOwners, 0)
+}
+
+// TestLineWordRoundTrip: every field of a line word decodes back exactly at
+// the ends of its range, with no bit of one field in another.
+func TestLineWordRoundTrip(t *testing.T) {
+	for _, id := range []uint64{0, 1, MaxLineID - 1, MaxLineID} {
+		for _, owner := range []uint8{0, 1, MaxOwners - 2, MaxOwners - 1} {
+			for _, pf := range []bool{false, true} {
+				want := line{id: id, owner: owner, prefetched: pf}
+				if got := decodeLine(lineWord(owner, id, pf)); got != want {
+					t.Fatalf("word of %+v decodes to %+v", want, got)
+				}
+			}
+		}
+	}
+
+	// The same through the cache: the prefetcher fills MaxLineID for owner
+	// 63 with its prefetched flag set.
+	c := New(Config{NumSets: 1, Assoc: 4, Policy: LRU, Prefetch: true, Seed: 1})
+	c.Access(MaxOwners-1, MaxLineID-1)
+	want := []line{{id: MaxLineID - 1, owner: MaxOwners - 1}, {id: MaxLineID, owner: MaxOwners - 1, prefetched: true}}
+	got := residents(c, 0)
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("residents %+v, want %+v", got, want)
+	}
+	if !c.Access(MaxOwners-1, MaxLineID) || c.Stats(MaxOwners-1).PrefetchHit != 1 {
+		t.Fatalf("prefetched MaxLineID not hit: %+v", c.Stats(MaxOwners-1))
+	}
+	if c.Access(MaxOwners-2, MaxLineID) {
+		t.Fatal("owner 62 hit owner 63's line")
+	}
+}
+
+// TestLineIDRange: a line ID above MaxLineID would alias another line in
+// its word, so Access refuses it; and the prefetcher does not fill past
+// MaxLineID.
+func TestLineIDRange(t *testing.T) {
+	c := New(Config{NumSets: 2, Assoc: 2, Policy: LRU, Prefetch: true, Seed: 1})
+	if c.Access(0, MaxLineID) {
+		t.Fatal("cold access hit")
+	}
+	if st := c.Stats(0); st.PrefetchFill != 0 || c.Occupancy(0) != 1 {
+		t.Fatalf("prefetched past MaxLineID: %+v, occupancy %d", st, c.Occupancy(0))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("line ID above MaxLineID accepted")
+		}
+	}()
+	c.Access(0, MaxLineID+1)
 }
 
 func TestSoloMPAMatchesStackDistance(t *testing.T) {

@@ -245,3 +245,25 @@ func TestGRecursionMatchesMonteCarlo(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkProfileSweep is one round of the profile_sweep workload: a
+// stressmark sweep of every suite benchmark on the workstation and on the
+// server, at 0.075 s warm-up and 0.15 s per run, one run at a time. Almost
+// all of it is sim.Run, so it is the place to profile the simulator:
+//
+//	go test -run=NONE -bench=ProfileSweep -cpuprofile cpu.prof ./internal/core
+func BenchmarkProfileSweep(b *testing.B) {
+	machines := []*machine.Machine{machine.TwoCoreWorkstation(), machine.FourCoreServer()}
+	suite := workload.Suite()
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		for _, m := range machines {
+			for _, spec := range suite {
+				opts := ProfileOptions{Warmup: 0.075, Duration: 0.15, Seed: ProfileSeed(uint64(i)+1, spec.Name), Workers: 1}
+				if _, err := Profile(ctx, m, spec, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}

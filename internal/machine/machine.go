@@ -117,6 +117,9 @@ func (m *Machine) Validate() error {
 	if m.NumSets <= 0 || m.Assoc <= 0 {
 		return fmt.Errorf("machine %s: bad cache geometry", m.Name)
 	}
+	if m.NumSets > cache.MaxSets {
+		return fmt.Errorf("machine %s: %d cache sets, at most %d supported", m.Name, m.NumSets, cache.MaxSets)
+	}
 	if m.Policy == cache.PLRU && m.Assoc > cache.MaxPLRUAssoc {
 		return fmt.Errorf("machine %s: PLRU supports at most %d ways, have %d", m.Name, cache.MaxPLRUAssoc, m.Assoc)
 	}

@@ -99,6 +99,8 @@ func TestValidateCatchesBadMachines(t *testing.T) {
 		func(m *Machine) { m.Core = freq.CoreType{SPIFactor: -1} },
 		// PLRU's tree bits fit 32 ways; wider must not reach cache.New.
 		func(m *Machine) { m.Policy, m.Assoc = cache.PLRU, cache.MaxPLRUAssoc+1 },
+		// More sets would let generated line IDs pass cache.MaxLineID.
+		func(m *Machine) { m.NumSets = cache.MaxSets + 1 },
 	}
 	for i, mut := range cases {
 		m := base()
@@ -112,6 +114,7 @@ func TestValidateCatchesBadMachines(t *testing.T) {
 		func(m *Machine) { m.Policy, m.Assoc = cache.LRU, cache.MaxPLRUAssoc+1 },
 		func(m *Machine) { m.Policy, m.Assoc = cache.Random, cache.MaxPLRUAssoc+1 },
 		func(m *Machine) { m.Policy, m.Assoc = cache.PLRU, cache.MaxPLRUAssoc },
+		func(m *Machine) { m.NumSets = cache.MaxSets },
 	} {
 		m := base()
 		mut(m)

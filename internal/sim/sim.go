@@ -178,7 +178,10 @@ type coreState struct {
 	nextTime float64 // next event time; +Inf when idle
 	rotate   bool    // next event is a rotation, not an access
 
-	counts hpc.Counts // cumulative core-level counters (what HPCs see)
+	// counts are the cumulative core-level counters (what HPCs see). A
+	// core with one process leaves them to doSample, which copies the
+	// process's: they would receive the same additions in the same order.
+	counts hpc.Counts
 	prev   hpc.Counts // counts at the previous sample boundary
 }
 
@@ -285,6 +288,9 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 	doSample := func(t float64) {
 		for c := range cores {
 			cs := &cores[c]
+			if len(cs.queue) == 1 {
+				cs.counts = cs.queue[0].counts
+			}
 			delta := cs.counts.Sub(cs.prev)
 			cs.prev = cs.counts
 			rates := delta.RatesOver(m.SamplePeriod)
@@ -334,13 +340,16 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 
 	warmupDone := opts.Warmup == 0
 	for {
-		// Next core event.
-		minT := math.Inf(1)
-		minC := -1
+		// The next event is the earliest, the lowest-numbered core's among
+		// equals. before is the earliest event of the lower-numbered cores,
+		// after that of the higher-numbered ones.
+		minT, minC := math.Inf(1), -1
+		before, after := math.Inf(1), math.Inf(1)
 		for c := range cores {
-			if cores[c].nextTime < minT {
-				minT = cores[c].nextTime
-				minC = c
+			if t := cores[c].nextTime; t < minT {
+				before, minT, minC, after = minT, t, c, math.Inf(1)
+			} else if t < after {
+				after = t
 			}
 		}
 		// Interleave sampling, warmup reset, and termination in time order.
@@ -364,65 +373,65 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 			// No runnable processes; only sampling advances time.
 			continue
 		}
+		// The core runs its events in a burst for as long as the scan above
+		// would pick it again with no sample due first. An event moves only
+		// its own core's next event, so before and after hold throughout.
 		cs := &cores[minC]
-		t := minT
-		if cs.rotate {
-			cs.rotate = false
-			cs.active = (cs.active + 1) % len(cs.queue)
-			cs.sliceEnd = t + m.Timeslice
-			cs.nextTime = t + m.CtxSwitch + cs.queue[cs.active].gapTime
-			continue
-		}
-		p := cs.queue[cs.active]
-		// Execute the access interval ending at t.
-		p.counts.Instructions += p.instrPerAccess
-		p.counts.L1Refs += p.l1PerAccess
-		p.counts.Branches += p.brPerAccess
-		p.counts.FPOps += p.fpPerAccess
-		p.counts.L2Refs++
-		hit := p.cache.Access(p.owner, p.gen.Next())
-		dt := p.gapTime
-		if !hit {
-			p.counts.L2Misses++
-			// Back-to-back misses overlap (memory-level parallelism).
-			stall := m.MemLatency
-			if p.lastMiss {
-				stall = overlappedStall
+		bound := min(before, nextSample)
+		timeShared := len(cs.queue) > 1
+		for t := minT; t < bound && t <= after; t = cs.nextTime {
+			if cs.rotate {
+				cs.rotate = false
+				cs.active = (cs.active + 1) % len(cs.queue)
+				cs.sliceEnd = t + m.Timeslice
+				cs.nextTime = t + m.CtxSwitch + cs.queue[cs.active].gapTime
+				continue
 			}
-			if busService > 0 {
-				// The group's memory bus serves one miss per 1/bandwidth
-				// seconds; queued misses wait behind in-flight ones.
-				start := t
-				if busFreeAt[p.group] > start {
-					stall += busFreeAt[p.group] - start
-					start = busFreeAt[p.group]
+			p := cs.queue[cs.active]
+			// Execute the access interval ending at t.
+			p.counts.Instructions += p.instrPerAccess
+			p.counts.L1Refs += p.l1PerAccess
+			p.counts.Branches += p.brPerAccess
+			p.counts.FPOps += p.fpPerAccess
+			p.counts.L2Refs++
+			hit := p.cache.Access(p.owner, p.gen.Next())
+			dt := p.gapTime
+			if !hit {
+				p.counts.L2Misses++
+				// Back-to-back misses overlap (memory-level parallelism).
+				stall := m.MemLatency
+				if p.lastMiss {
+					stall = overlappedStall
 				}
-				busFreeAt[p.group] = start + busService
+				if busService > 0 {
+					// The group's memory bus serves one miss per 1/bandwidth
+					// seconds; queued misses wait behind in-flight ones.
+					start := t
+					if busFreeAt[p.group] > start {
+						stall += busFreeAt[p.group] - start
+						start = busFreeAt[p.group]
+					}
+					busFreeAt[p.group] = start + busService
+				}
+				dt += stall
 			}
-			dt += stall
-		}
-		p.lastMiss = !hit
-		p.runTime += dt
-		cs.counts.Instructions += p.instrPerAccess
-		cs.counts.L1Refs += p.l1PerAccess
-		cs.counts.Branches += p.brPerAccess
-		cs.counts.FPOps += p.fpPerAccess
-		cs.counts.L2Refs++
-		if !hit {
-			cs.counts.L2Misses++
-		}
-		nt := t + dt
-		if nt >= cs.sliceEnd && len(cs.queue) > 1 {
-			cs.rotate = true
-			cs.nextTime = cs.sliceEnd
-			if cs.sliceEnd < nt {
-				// The preempted interval would have crossed the slice
-				// boundary; run it to completion first (non-preemptible
-				// memory stall), then rotate.
-				cs.nextTime = nt
+			p.lastMiss = !hit
+			p.runTime += dt
+			cs.nextTime = t + dt
+			if !timeShared {
+				continue
 			}
-		} else {
-			cs.nextTime = nt
+			cs.counts.Instructions += p.instrPerAccess
+			cs.counts.L1Refs += p.l1PerAccess
+			cs.counts.Branches += p.brPerAccess
+			cs.counts.FPOps += p.fpPerAccess
+			cs.counts.L2Refs++
+			if !hit {
+				cs.counts.L2Misses++
+			}
+			// A slice that ends inside the interval rotates when the
+			// interval completes: a memory stall is not preempted.
+			cs.rotate = cs.nextTime >= cs.sliceEnd
 		}
 	}
 
