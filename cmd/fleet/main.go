@@ -37,8 +37,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -48,25 +50,38 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "", "scenario JSON file (required)")
-	workers := flag.Int("workers", 0, "scoring concurrency (0 = GOMAXPROCS; never affects output)")
-	scoreCache := flag.Int("score-cache", 0, "score-memo capacity per replayed fleet (0 = default, negative = solve cold; never affects output)")
-	out := flag.String("o", "", "write the report to this file instead of stdout")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "run the chaos harness with this fault-schedule seed")
-	chaosRate := flag.Float64("chaos-rate", 0.25, "chaos fault intensity in [0,1] (with -chaos-seed)")
-	preemptRate := flag.Float64("chaos-preempt-rate", 0, "preemption fault-class intensity in [0,1]: schedules high-priority arrivals, some with commit faults (with -chaos-seed)")
-	capRate := flag.Float64("chaos-cap-rate", 0, "cap-flip fault-class intensity in [0,1]: schedules power-budget flips with enforcement passes (with -chaos-seed)")
-	capWatts := flag.Float64("chaos-cap-watts", 0, "engaged power budget in watts for cap flips (required with -chaos-cap-rate)")
-	serveOps := flag.Int("serve-stress", 0, "run the sustained-load serving lane with this many placement ops (0 = off; ignores -scenario)")
-	serveMachines := flag.Int("serve-machines", 24, "serving-lane fleet size (with -serve-stress)")
-	serveShards := flag.Int("serve-shards", 4, "serving-lane shard count (with -serve-stress)")
-	serveClients := flag.Int("serve-clients", 8, "serving-lane concurrent churn clients (with -serve-stress)")
-	seed := flag.Uint64("seed", 1, "serving-lane workload-draw seed (with -serve-stress)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the command: usage errors exit 2 before any work, failures 1.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("fleet", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	scenario := flags.String("scenario", "", "scenario JSON file (required)")
+	workers := flags.Int("workers", 0, "scoring concurrency (0 = GOMAXPROCS; never affects output)")
+	scoreCache := flags.Int("score-cache", 0, "score-memo capacity per replayed fleet (0 = default, negative = solve cold; never affects output)")
+	out := flags.String("o", "", "write the report to this file instead of stdout")
+	chaosSeed := flags.Uint64("chaos-seed", 0, "run the chaos harness with this fault-schedule seed")
+	chaosRate := flags.Float64("chaos-rate", 0.25, "chaos fault intensity in [0,1] (with -chaos-seed)")
+	preemptRate := flags.Float64("chaos-preempt-rate", 0, "preemption fault-class intensity in [0,1]: schedules high-priority arrivals, some with commit faults (with -chaos-seed)")
+	capRate := flags.Float64("chaos-cap-rate", 0, "cap-flip fault-class intensity in [0,1]: schedules power-budget flips with enforcement passes (with -chaos-seed)")
+	capWatts := flags.Float64("chaos-cap-watts", 0, "engaged power budget in watts for cap flips (required with -chaos-cap-rate)")
+	serveOps := flags.Int("serve-stress", 0, "run the sustained-load serving lane with this many placement ops (0 = off; ignores -scenario)")
+	serveMachines := flags.Int("serve-machines", 24, "serving-lane fleet size (with -serve-stress)")
+	serveShards := flags.Int("serve-shards", 4, "serving-lane shard count (with -serve-stress)")
+	serveClients := flags.Int("serve-clients", 8, "serving-lane concurrent churn clients (with -serve-stress)")
+	seed := flags.Uint64("seed", 1, "serving-lane workload-draw seed (with -serve-stress)")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *serveOps > 0 {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
 		rep, err := fleet.RunServeStress(ctx, fleet.ServeStressConfig{
 			Machines: *serveMachines,
 			Shards:   *serveShards,
@@ -75,20 +90,23 @@ func main() {
 			Seed:     *seed,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		writeReport(rep, *out)
-		return
+		return writeReport(rep, *out, stdout, stderr)
 	}
 
 	if *scenario == "" {
-		fmt.Fprintln(os.Stderr, "fleet: -scenario is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "fleet: -scenario is required")
+		flags.Usage()
+		return 2
+	}
+	if *capRate > 0 && *capWatts <= 0 {
+		fmt.Fprintln(stderr, "fleet: -chaos-cap-rate needs a positive -chaos-cap-watts")
+		return 2
 	}
 	chaosMode := false
-	flag.Visit(func(f *flag.Flag) {
+	flags.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "chaos-seed", "chaos-rate", "chaos-preempt-rate", "chaos-cap-rate", "chaos-cap-watts":
 			chaosMode = true
@@ -96,12 +114,9 @@ func main() {
 	})
 	sc, err := fleet.LoadScenario(*scenario)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	var report any
 	if chaosMode {
@@ -120,27 +135,29 @@ func main() {
 		report, err = sim.Run(ctx)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	writeReport(report, *out)
+	return writeReport(report, *out, stdout, stderr)
 }
 
 // writeReport marshals the report (indented, trailing newline) to the
-// file, or stdout when the path is empty.
-func writeReport(report any, out string) {
+// file, or to stdout when the path is empty.
+func writeReport(report any, out string, stdout, stderr io.Writer) int {
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	data = append(data, '\n')
 	if out == "" {
-		os.Stdout.Write(data)
-		return
+		_, err = stdout.Write(data)
+	} else {
+		err = os.WriteFile(out, data, 0o644)
 	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	return 0
 }

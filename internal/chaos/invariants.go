@@ -7,7 +7,6 @@ import (
 
 	"mpmc/internal/core"
 	"mpmc/internal/fleet"
-	"mpmc/internal/manager"
 	"mpmc/internal/threads"
 )
 
@@ -174,17 +173,6 @@ func PriorityInversions(f *fleet.Fleet) []fleet.QueuedEntry {
 		}
 	}
 	return out
-}
-
-// CheckManager runs the per-machine invariants against one manager
-// (name labels the violations).
-func (c *Checker) CheckManager(ctx context.Context, name string, mgr *manager.Manager) []Violation {
-	return c.CheckNode(ctx, fleet.NodeInspection{
-		Name:       name,
-		Machine:    mgr.Machine(),
-		MaxPerCore: mgr.MaxPerCore(),
-		Residents:  mgr.Residents(),
-	})
 }
 
 // CheckNode runs the per-machine invariants against one inspected node.

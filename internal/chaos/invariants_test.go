@@ -74,37 +74,6 @@ func TestCheckFleetHealthyStatesClean(t *testing.T) {
 	}
 }
 
-func TestCheckManagerHealthyIsClean(t *testing.T) {
-	pm, err := core.SyntheticPowerModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := cli.MachineByName("workstation")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := manager.New(ws, pm, manager.Options{
-		MaxPerCore: 2,
-		Features:   truthFeatures{m: ws},
-	})
-	ctx := context.Background()
-	for i, w := range []string{"gzip", "mcf", "art", "swim"} {
-		if _, _, err := mgr.PlaceAt(ctx, workload.ByName(w), i%ws.NumCores); err != nil {
-			t.Fatalf("PlaceAt(%s): %v", w, err)
-		}
-		c := &Checker{}
-		if vs := c.CheckManager(ctx, "solo", mgr); len(vs) > 0 {
-			t.Fatalf("violations after placing %s: %v", w, vs)
-		}
-	}
-}
-
-type truthFeatures struct{ m *machine.Machine }
-
-func (s truthFeatures) FeatureOf(ctx context.Context, spec *workload.Spec) (*core.FeatureVector, error) {
-	return core.TruthFeature(spec, s.m), nil
-}
-
 func TestCheckNodeDetectsViolations(t *testing.T) {
 	ws, err := cli.MachineByName("workstation")
 	if err != nil {

@@ -31,16 +31,18 @@ import (
 
 // SolverStateStats is a snapshot of a SolverState's counters.
 type SolverStateStats struct {
-	Hits     uint64 // seeds accepted (replayed bit-exactly)
-	Misses   uint64 // cold solves recorded
-	Rejected uint64 // seeds that failed validation and fell back cold
-	Entries  int    // solved groups currently resident
+	Hits      uint64 // seeds accepted (replayed bit-exactly)
+	Misses    uint64 // cold solves recorded
+	Rejected  uint64 // seeds that failed validation and fell back cold
+	Evictions uint64 // solved groups displaced at capacity
+	Entries   int    // solved groups currently resident
 
 	// Watts-memo counters: averaged per-group power estimates reused by
 	// CombinedModel.estimateGroup (see appendWattsKey).
-	WattsHits    uint64
-	WattsMisses  uint64
-	WattsEntries int
+	WattsHits      uint64
+	WattsMisses    uint64
+	WattsEvictions uint64
+	WattsEntries   int
 }
 
 // SolverState memoizes converged equilibrium solutions so repeated solves
@@ -68,6 +70,10 @@ type SolverState struct {
 	pmids          map[*PowerModel]uint64
 	wlru           *cache.LRUMap[float64]
 	whits, wmisses uint64
+
+	// flushedEvictions/flushedWEvictions carry the eviction counts of the
+	// LRUs Flush replaced, so Stats stays monotonic.
+	flushedEvictions, flushedWEvictions uint64
 }
 
 // DefaultSolverStateCap bounds a SolverState built with capacity 0.
@@ -91,9 +97,12 @@ func NewSolverState(capacity int) *SolverState {
 func (st *SolverState) Stats() SolverStateStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	ls, ws := st.lru.Stats(), st.wlru.Stats()
 	return SolverStateStats{
-		Hits: st.hits, Misses: st.misses, Rejected: st.rejected, Entries: st.lru.Len(),
-		WattsHits: st.whits, WattsMisses: st.wmisses, WattsEntries: st.wlru.Len(),
+		Hits: st.hits, Misses: st.misses, Rejected: st.rejected,
+		Evictions: st.flushedEvictions + ls.Evictions, Entries: ls.Len,
+		WattsHits: st.whits, WattsMisses: st.wmisses,
+		WattsEvictions: st.flushedWEvictions + ws.Evictions, WattsEntries: ws.Len,
 	}
 }
 
@@ -105,11 +114,14 @@ func (st *SolverState) Stats() SolverStateStats {
 func (st *SolverState) Flush() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	ls, ws := st.lru.Stats(), st.wlru.Stats()
+	st.flushedEvictions += ls.Evictions
+	st.flushedWEvictions += ws.Evictions
 	st.ids = make(map[*FeatureVector]uint64)
 	st.next = 0
-	st.lru = cache.NewLRUMap[[]float64](st.lru.Stats().Cap)
+	st.lru = cache.NewLRUMap[[]float64](ls.Cap)
 	st.pmids = make(map[*PowerModel]uint64)
-	st.wlru = cache.NewLRUMap[float64](st.wlru.Stats().Cap)
+	st.wlru = cache.NewLRUMap[float64](ws.Cap)
 }
 
 // appendKey appends the identity of a contended solve to dst, the

@@ -10,7 +10,7 @@
 // scaled Eq. 10 estimate, guarded by its own mutex so a Sharded fleet's
 // shards share their whole fleet's ledger and two shards racing the
 // remaining headroom cannot both win it — tryReserve is the single
-// atomic admission gate, consulted by commitLocked before any manager
+// atomic admission gate, consulted by commitLocked before any node
 // mutation. Enforcement ordering (DESIGN.md §13):
 //
 //  1. Admission: commitLocked reserves the node's post-placement scaled
@@ -32,7 +32,6 @@ import (
 
 	"mpmc/internal/core"
 	"mpmc/internal/freq"
-	"mpmc/internal/manager"
 	"mpmc/internal/wal"
 )
 
@@ -56,7 +55,7 @@ func dynScaleOf(n *node) float64 {
 // of an empty assignment, which is what makes ledger initialization
 // need no solver call.
 func staticWatts(n *node) float64 {
-	return float64(n.cfg.Machine.NumCores) * n.cfg.Power.PIdle()
+	return float64(float64(n.cfg.Machine.NumCores) * n.cfg.Power.PIdle())
 }
 
 // betaTotal sums the residents' compute (Beta) terms exactly as the node
@@ -347,7 +346,7 @@ type CapReport struct {
 // another machine — sheds watts at the least predicted SPI cost per watt
 // (strict less-than over a deterministic enumeration: down-clocks in
 // node order first, then migrations in source/resident/target/core
-// order). The pass is one transaction: any failure rolls the managers and
+// order). The pass is one transaction: any failure rolls the nodes and
 // rungs it changed and the ledger rows back and discards the staged
 // journal, so a failed enforcement leaves the fleet exactly as it was.
 // Migrations may cross shards — a sharded fleet enforces under every shard
@@ -385,7 +384,7 @@ func (f *Fleet) EnforceCap(ctx context.Context) (CapReport, error) {
 	residents := 0
 	for _, n := range f.nodes {
 		limit += n.cfg.Machine.Freq.NumStates()
-		residents += len(n.mgr.Residents())
+		residents += len(n.res)
 	}
 	limit += residents * len(f.nodes)
 	for iter := 0; f.capL.usage() > budget && iter < limit; iter++ {
@@ -421,7 +420,7 @@ type capAction struct {
 	// down-clock: node's index and target rung; afterW its new scaled draw.
 	node, rung int
 	// migration: resident res leaves node, lands on dst at dstCore.
-	res          manager.Resident
+	res          resident
 	dst, dstCore int
 	afterW       float64 // source (or down-clocked) node's scaled draw after
 	afterDstW    float64 // target node's scaled draw after (migrations)
@@ -497,8 +496,8 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 		srcEv := evals[i]
 		srcW1 := freq.ScaleWatts(srcEv.wU, srcSt, dynScaleOf(n))
 		srcSPI1 := freq.ScaleSPI(srcEv.spiU, srcEv.beta, spiScaleOf(n))
-		for _, r := range n.mgr.Residents() {
-			srcAsg2 := withoutResident(f.assignmentOf(n), r)
+		for _, r := range n.res {
+			srcAsg2 := withoutResident(f.assignmentOf(n), r.Resident)
 			srcSPIU2, err := f.nodeSPI(ctx, n, srcAsg2)
 			if err != nil {
 				return capAction{}, false, err
@@ -523,7 +522,7 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 				dstSPI1 := freq.ScaleSPI(dstEv.spiU, dstEv.beta, spiScaleOf(dst))
 				dstAsg := f.assignmentOf(dst)
 				for c := 0; c < dst.cfg.Machine.NumCores; c++ {
-					if dst.cfg.MaxPerCore != 0 && len(dstAsg[c]) >= dst.cfg.MaxPerCore {
+					if dst.full(c) {
 						continue
 					}
 					dstSPIU2, err := f.nodeSPI(ctx, dst, sc.withAddition(dstAsg, feat, c))

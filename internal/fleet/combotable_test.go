@@ -262,7 +262,7 @@ func coldServerFleet(t testing.TB, n, workers int) *Fleet {
 	names := []string{"mcf", "art", "swim", "applu", "equake", "gzip"}
 	for i, n := range f.nodes {
 		for c := range n.cfg.Machine.NumCores {
-			if _, _, err := n.mgr.PlaceAt(ctx, workload.ByName(names[(i+c)%len(names)]), c); err != nil {
+			if _, _, err := f.placeAtLocked(ctx, n, workload.ByName(names[(i+c)%len(names)]), c, PlaceOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -261,7 +261,7 @@ func (f *Fleet) rescoreNodeDetached(ctx context.Context, i int, spec *workload.S
 // commitScored commits a detached decision: under the lock, the winning
 // node's version stamp is revalidated (a mismatch returns ok=false and
 // commits nothing — the caller re-scores) and the winning slot commits
-// through the node manager exactly like an in-lock placement. Counting the
+// into the node record exactly like an in-lock placement. Counting the
 // admission is the caller's: a direct placement and a queue admission
 // move different counters.
 func (f *Fleet) commitScored(ctx context.Context, spec *workload.Spec, opts PlaceOptions, best int, s nodeScore, ver uint64) (Placed, bool, error) {

@@ -10,7 +10,6 @@ import (
 	"mpmc/internal/cli"
 	"mpmc/internal/core"
 	"mpmc/internal/machine"
-	"mpmc/internal/manager"
 	"mpmc/internal/metrics"
 	"mpmc/internal/parallel"
 	"mpmc/internal/workload"
@@ -225,15 +224,3 @@ func (fc *featureCache) get(ctx context.Context, k *machineKind, spec *workload.
 	}
 	return f, err
 }
-
-// nodeSource adapts the shared cache to one node's manager.FeatureSource.
-type nodeSource struct {
-	fc *featureCache
-	k  *machineKind
-}
-
-func (s nodeSource) FeatureOf(ctx context.Context, spec *workload.Spec) (*core.FeatureVector, error) {
-	return s.fc.get(ctx, s.k, spec)
-}
-
-var _ manager.FeatureSource = nodeSource{}

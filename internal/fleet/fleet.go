@@ -1,9 +1,9 @@
 // Package fleet scales the paper's single-machine framework out to a
-// cluster: a scheduler that owns N per-machine managers (heterogeneous
-// machine presets allowed), admits arriving processes through a bounded
-// queue, and scores every candidate (machine, core) slot with the paper's
-// own models — predicted SPI degradation via the Section 3 equilibrium
-// solver, predicted watts via the Eq. 9 MVLR — instead of load heuristics.
+// cluster: a scheduler that owns N machines (heterogeneous presets
+// allowed), admits arriving processes through a bounded queue, and
+// scores every candidate (machine, core) slot with the paper's own models
+// — predicted SPI degradation via the Section 3 equilibrium solver,
+// predicted watts via the Eq. 9 MVLR — instead of load heuristics.
 //
 // The shape follows cluster schedulers like k8s-cluster-simulator (pending
 // queue, per-node scoring, event loop); the substance is the paper's: an
@@ -21,7 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -145,8 +145,8 @@ type Config struct {
 	// inside the singleflight, so a burst of deduplicated callers all see
 	// one injected failure), "fleet.score" (key node name, ahead of the
 	// equilibrium solves), "fleet.rebalance" (ahead of the cross-machine
-	// pass), and the per-node managers' sites with the node name prefixed
-	// onto the key. Implementations must be safe for concurrent use and
+	// pass), and "manager.place_at" (key node/workload, ahead of a node
+	// commit). Implementations must be safe for concurrent use and
 	// cheap: the seam is consulted on hot paths.
 	Intercept func(site, key string) error
 
@@ -156,85 +156,6 @@ type Config struct {
 	// from it — content-addressed or self-locking, so sharing them never
 	// changes a value — and discharges preemption-ledger keys into it.
 	whole *Fleet
-}
-
-// node pairs one machine's manager with its combined model, config and
-// machine kind (the feature identity it shares with every node whose
-// machine carries the same name).
-type node struct {
-	cfg  NodeConfig
-	kind *machineKind
-	mgr  *manager.Manager
-	cm   *core.CombinedModel
-	// down marks a lost machine (guarded by the fleet lock): placement,
-	// rebalancing, and the model totals all skip it until RestoreNode.
-	down bool
-	// version counts this node's state changes (guarded by the fleet
-	// lock): placements, departures, evictions, migrations, down/up,
-	// re-clocks. Detached commits revalidate the WINNING node's stamp
-	// only — a concurrent commit on another node never invalidates a
-	// decision, which is what lets sharded placements on disjoint
-	// machines land without re-scoring each other.
-	version uint64
-	// freqIx is the node's current rung on its machine's DVFS ladder
-	// (guarded by the fleet lock; the base rung for machines without
-	// one). Only setFreqLocked, FailNode (reboot-to-base), recovery, and
-	// the EnforceCap transaction move it.
-	freqIx int
-
-	// asgSnap caches the manager's deep-copied assignment (and asgSuffix
-	// the decision-key bytes derived from it, built on first use), re-read
-	// only when the manager's mutation version moves — Assignment()
-	// rebuilds per-core slices on every call, which dominated the warm
-	// placement path. Both are read-only by contract: every scoring path
-	// copies on write (withAddition, withoutResident), and a captured
-	// suffix stays valid after the lock is released. Writes happen under
-	// the fleet lock, or in fan-out workers that each own one node index
-	// with the fleet lock held by their caller.
-	asgVersion uint64
-	asgSnap    core.Assignment
-	asgSuffix  string
-
-	// meta tracks scheduler-side facts about residents the node manager
-	// does not know: priority class and the submitter's tag (a preempted
-	// victim is requeued under both). Keyed by instance name, allocated
-	// lazily — legacy flows that never tag or prioritize leave it nil.
-	meta map[string]residentMeta
-}
-
-// residentMeta is the fleet-side record of one placed instance. key is
-// the preemption ledger identity (assigned at first preemption, carried
-// through requeue and readmission so repeat preemptions of the same
-// logical process escalate its backoff).
-type residentMeta struct {
-	spec     *workload.Spec
-	tag      string
-	priority int
-	key      string
-}
-
-// assignmentOf returns n's current assignment through the per-node
-// snapshot cache. Callers must hold the fleet lock (or be the only
-// worker touching n under a caller holding it) and must not mutate the
-// result.
-func (f *Fleet) assignmentOf(n *node) core.Assignment {
-	if v := n.mgr.Version(); v != n.asgVersion || n.asgSnap == nil {
-		n.asgSnap = n.mgr.Assignment()
-		n.asgSuffix = ""
-		n.asgVersion = v
-	}
-	return n.asgSnap
-}
-
-// suffixOf returns the decision-key bytes of n's current assignment
-// (decisionSuffix), built once per assignment. Callers must hold the fleet
-// lock.
-func (f *Fleet) suffixOf(n *node) string {
-	asg := f.assignmentOf(n)
-	if n.asgSuffix == "" {
-		n.asgSuffix = decisionSuffix(asg)
-	}
-	return n.asgSuffix
 }
 
 // Fleet is the cluster scheduler. All methods are safe for concurrent
@@ -463,32 +384,14 @@ func New(cfg Config) (*Fleet, error) {
 		if err != nil {
 			return nil, err
 		}
-		var intercept func(site, key string) error
-		if cfg.Intercept != nil {
-			// Prefix the node identity so an injector can target one
-			// machine's commits without a separate seam per node.
-			ic, name := cfg.Intercept, nc.Name
-			intercept = func(site, key string) error {
-				if key == "" {
-					return ic(site, name)
-				}
-				return ic(site, name+"/"+key)
-			}
-		}
-		mgr := manager.New(nc.Machine, nc.Power, manager.Options{
-			MaxPerCore:  nc.MaxPerCore,
-			Features:    nodeSource{fc: f.feats, k: kind},
-			Intercept:   intercept,
-			SolverState: f.solver,
-		})
 		cm := core.NewCombinedModel(nc.Machine, nc.Power)
 		cm.State = f.solver
 		n := &node{
 			cfg:    nc,
 			kind:   kind,
-			mgr:    mgr,
 			cm:     cm,
 			freqIx: nc.Machine.Freq.BaseIx(),
+			asg:    make(core.Assignment, nc.Machine.NumCores),
 		}
 		f.nodes = append(f.nodes, n)
 		if f.capL != nil {
@@ -534,6 +437,9 @@ func (f *Fleet) wire() error {
 	f.noops = f.reg.Counter("fleet_rebalance_noop_total")
 	if f.whole == nil {
 		f.reg.OnCollect(f.collectGauges)
+		if f.scores != nil {
+			f.reg.OnCollect(f.collectMemoStats)
+		}
 	}
 	return nil
 }
@@ -554,7 +460,7 @@ func (f *Fleet) NodeNames() []string {
 }
 
 // Placed records one admitted instance: the node it landed on, the
-// instance name the node's manager assigned, the chosen core, the
+// instance name the node assigned, the chosen core, the
 // machine's estimated watts after the placement, and the policy score of
 // the winning slot (0 under Spread, which never scores; NaN would not
 // survive JSON encoding).
@@ -659,11 +565,10 @@ func (f *Fleet) PlaceWith(ctx context.Context, spec *workload.Spec, opts PlaceOp
 // preemption, cap enforcement, rebalance. When it opens it records what
 // such an operation can change fleet-wide: the watt ledger's rows, the
 // rotation cursor, and the journal's staged tail. A node is recorded the
-// first time the operation writes it (touchLocked): its manager state
-// (resident sets and instance-name counters), DVFS rung and resident
-// metadata. So an operation pays for the nodes it changes, not for the
-// fleet. Queue, preemption ledger and counters are only ever touched
-// after the last fallible step, so they are not in it.
+// first time the operation writes it (touchLocked): its resident record,
+// instance-name counter and DVFS rung. So an operation pays for the nodes
+// it changes, not for the fleet. Queue, preemption ledger and counters are
+// only ever touched after the last fallible step, so they are not in it.
 type txn struct {
 	f       *Fleet
 	touched []touchedNode
@@ -677,12 +582,15 @@ type txn struct {
 }
 
 // touchedNode is one node's state as of the first write to it inside a
-// transaction.
+// transaction: a copy of its resident record, and the assignment and
+// decision suffix that describe it (immutable, so held, not copied).
 type touchedNode struct {
-	n    *node
-	snap *manager.Snapshot
-	rung int
-	meta map[string]residentMeta
+	n      *node
+	res    []resident
+	nextID int
+	asg    core.Assignment
+	suffix string
+	rung   int
 }
 
 // beginLocked opens the fleet's transaction. Callers hold the fleet lock
@@ -707,7 +615,9 @@ func (f *Fleet) beginLocked() *txn {
 // happen inside a transaction.
 func (f *Fleet) touchLocked(n *node) {
 	if t := f.tx; t != nil && !t.has(n) {
-		t.touched = append(t.touched, touchedNode{n: n, snap: n.mgr.Snapshot(), rung: n.freqIx, meta: maps.Clone(n.meta)})
+		t.touched = append(t.touched, touchedNode{
+			n: n, res: slices.Clone(n.res), nextID: n.nextID, asg: n.asg, suffix: n.suffix, rung: n.freqIx,
+		})
 	}
 }
 
@@ -728,9 +638,14 @@ func (t *txn) has(n *node) bool {
 func (t *txn) rollback() {
 	f := t.f
 	for _, tn := range t.touched {
-		tn.n.mgr.Restore(tn.snap)
-		tn.n.freqIx = tn.rung
-		tn.n.meta = tn.meta
+		n := tn.n
+		n.res, n.nextID, n.suffix, n.freqIx = tn.res, tn.nextID, tn.suffix, tn.rung
+		// Cap every core: the operation may have appended into the arrays
+		// the recorded assignment still reaches past its ends.
+		n.asg = make(core.Assignment, len(tn.asg))
+		for c, procs := range tn.asg {
+			n.asg[c] = procs[:len(procs):len(procs)]
+		}
 	}
 	if t.capped {
 		f.capL.restoreRows(t.names, t.rows)
@@ -839,13 +754,12 @@ func (f *Fleet) decideAndCommitLocked(ctx context.Context, spec *workload.Spec, 
 	return f.commitLocked(ctx, spec, opts, best, score)
 }
 
-// commitLocked commits one decided slot through its node manager and
-// records the arrival's scheduler-side metadata. When the score carries
-// a frequency target (the frequency-aware policies), the node is
-// re-clocked as part of the commit; when a power cap is active, the
-// node's post-placement scaled draw is reserved in the watt ledger
-// BEFORE the manager mutates — a failed reservation surfaces as
-// ErrFleetFull with the cluster untouched.
+// commitLocked commits one decided slot into its node's record, with the
+// arrival's scheduler-side facts. When the score carries a frequency
+// target (the frequency-aware policies), the node is re-clocked as part
+// of the commit; when a power cap is active, the node's post-placement
+// scaled draw is reserved in the watt ledger BEFORE the node mutates — a
+// failed reservation surfaces as ErrFleetFull with the cluster untouched.
 func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts PlaceOptions, best int, s nodeScore) (Placed, error) {
 	n := f.nodes[best]
 	tgt := n.freqIx
@@ -873,7 +787,7 @@ func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts Plac
 		capHeld = true
 	}
 	f.touchLocked(n)
-	name, watts, err := n.mgr.PlaceAt(ctx, spec, s.Core)
+	name, watts, err := f.placeAtLocked(ctx, n, spec, s.Core, opts)
 	if err != nil {
 		if capHeld {
 			f.capL.setNode(n.cfg.Name, capOld)
@@ -890,12 +804,6 @@ func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts Plac
 		// a fresh resync — recovery, enforcement — derives. A failure keeps
 		// the reservation's value, equal up to the last ulp.
 		_ = f.resyncNodeCapLocked(ctx, n)
-	}
-	if opts.Tag != "" || opts.Priority != 0 || opts.key != "" {
-		if n.meta == nil {
-			n.meta = map[string]residentMeta{}
-		}
-		n.meta[name] = residentMeta{spec: spec, tag: opts.Tag, priority: opts.Priority, key: opts.key}
 	}
 	score := s.Value
 	if f.pipe.zeroScore {
@@ -1260,17 +1168,15 @@ func (f *Fleet) Remove(ctx context.Context, nodeName, instance string) ([]Placed
 	if n == nil {
 		return nil, fmt.Errorf("fleet: %w %q", ErrUnknownNode, nodeName)
 	}
-	if err := n.mgr.Remove(instance); err != nil {
+	r, err := n.remove(instance)
+	if err != nil {
 		return nil, err
 	}
 	n.version++
 	f.journalLocked(wal.Event{Type: wal.EvDeparted, Node: nodeName, Name: instance})
-	if m, ok := n.meta[instance]; ok {
-		// A clean exit discharges the preemption ledger: the next life of
-		// this workload starts with a fresh backoff budget.
-		f.forgetLocked(m.key)
-		delete(n.meta, instance)
-	}
+	// A clean exit discharges the preemption ledger: the next life of
+	// this workload starts with a fresh backoff budget.
+	f.forgetLocked(r.key)
 	if f.capActive() {
 		// A stale (over-stated) row is the safe failure direction; the next
 		// sync heals it, so an estimate error here never blocks a departure.
@@ -1304,18 +1210,10 @@ func (f *Fleet) FailNode(name string) ([]manager.Resident, error) {
 	// eviction empties its groups, and the pre-fail keys would otherwise
 	// linger until the LRU ages them out.
 	f.invalidateNodeLocked(n)
-	evicted := n.mgr.Residents()
-	for _, r := range evicted {
-		if err := n.mgr.Remove(r.Name); err != nil {
-			// Residents() just listed it under the same lock; Remove can
-			// only fail on a name that is not resident.
-			return nil, fmt.Errorf("fleet: evicting %s from %s: %w", r.Name, name, err)
-		}
+	evicted := n.residents()
+	for _, r := range n.evictAll() {
+		f.forgetLocked(r.key)
 	}
-	for _, m := range n.meta {
-		f.forgetLocked(m.key)
-	}
-	n.meta = nil
 	// A dead machine draws nothing, and it reboots at its base rung —
 	// replay of EvNodeDown resets both, so no extra event is needed.
 	n.freqIx = n.cfg.Machine.Freq.BaseIx()
@@ -1407,17 +1305,16 @@ func (f *Fleet) Inspect() []NodeInspection {
 	defer f.unlock()
 	out := make([]NodeInspection, len(f.nodes))
 	for i, n := range f.nodes {
-		residents := n.mgr.Residents()
-		prios := make([]int, len(residents))
-		for j, r := range residents {
-			prios[j] = n.meta[r.Name].priority
+		prios := make([]int, len(n.res))
+		for j, r := range n.res {
+			prios[j] = r.priority
 		}
 		out[i] = NodeInspection{
 			Name:       n.cfg.Name,
 			Machine:    n.cfg.Machine,
 			MaxPerCore: n.cfg.MaxPerCore,
 			Down:       n.down,
-			Residents:  residents,
+			Residents:  n.residents(),
 			Priorities: prios,
 			Freq:       n.freqIx,
 		}
@@ -1508,18 +1405,16 @@ func (f *Fleet) nodeStateLocked(ctx context.Context, n *node) (NodeState, error)
 		}, nil
 	}
 	asg := f.assignmentOf(n)
-	running := n.mgr.Running()
 	ns := NodeState{
 		Node:       n.cfg.Name,
 		Machine:    n.cfg.Machine.Name,
 		MaxPerCore: n.cfg.MaxPerCore,
 		FreeSlots:  -1,
 	}
-	for c, names := range running {
-		procs := append([]string{}, names...)
-		ns.Cores = append(ns.Cores, CoreState{Core: c, Procs: procs})
-		ns.Residents += len(names)
+	for c, names := range n.running() {
+		ns.Cores = append(ns.Cores, CoreState{Core: c, Procs: append([]string{}, names...)})
 	}
+	ns.Residents = len(n.res)
 	if n.cfg.MaxPerCore > 0 {
 		ns.FreeSlots = n.cfg.MaxPerCore*n.cfg.Machine.NumCores - ns.Residents
 	}
@@ -1583,11 +1478,7 @@ func (f *Fleet) collectGauges(r *metrics.Registry) {
 			r.Gauge(fmt.Sprintf("fleet_machine_milliwatts{node=%q}", n.cfg.Name)).Set(0)
 			continue
 		}
-		running := n.mgr.Running()
-		count := 0
-		for _, names := range running {
-			count += len(names)
-		}
+		count := len(n.res)
 		total += count
 		r.Gauge(fmt.Sprintf("fleet_machine_residents{node=%q}", n.cfg.Name)).Set(int64(count))
 		free := int64(-1)
@@ -1596,7 +1487,7 @@ func (f *Fleet) collectGauges(r *metrics.Registry) {
 		}
 		r.Gauge(fmt.Sprintf("fleet_machine_free_slots{node=%q}", n.cfg.Name)).Set(free)
 		mw := int64(-1)
-		if w, err := f.ctab.EstimateAssignment(context.Background(), n.cm, n.mgr.Assignment()); err == nil {
+		if w, err := f.ctab.EstimateAssignment(context.Background(), n.cm, n.asg); err == nil {
 			mw = int64(freq.ScaleWatts(w, staticWatts(n), dynScaleOf(n)) * 1000)
 		}
 		r.Gauge(fmt.Sprintf("fleet_machine_milliwatts{node=%q}", n.cfg.Name)).Set(mw)

@@ -91,7 +91,7 @@ func checkCapacity(t *testing.T, f *Fleet) int {
 	t.Helper()
 	total := 0
 	for _, n := range f.nodes {
-		for c, names := range n.mgr.Running() {
+		for c, names := range n.running() {
 			if n.cfg.MaxPerCore != 0 && len(names) > n.cfg.MaxPerCore {
 				t.Fatalf("node %s core %d holds %d residents, cap %d",
 					n.cfg.Name, c, len(names), n.cfg.MaxPerCore)
@@ -103,10 +103,10 @@ func checkCapacity(t *testing.T, f *Fleet) int {
 }
 
 // fleetSnapshot captures every observable piece of scheduler state the
-// transactional guarantees protect: each manager's deep snapshot plus the
-// fleet's round-robin cursor and queue.
+// transactional guarantees protect: each node's resident record and
+// instance-name counter plus the fleet's round-robin cursor and queue.
 type fleetSnapshot struct {
-	nodes  []*manager.Snapshot
+	nodes  []nodeSnapshot
 	rrNode int
 	queue  int
 }
@@ -116,9 +116,15 @@ func snapshotFleet(f *Fleet) fleetSnapshot {
 	defer f.mu.Unlock()
 	s := fleetSnapshot{rrNode: f.rrNode, queue: len(f.queue)}
 	for _, n := range f.nodes {
-		s.nodes = append(s.nodes, n.mgr.Snapshot())
+		s.nodes = append(s.nodes, nodeSnapshot{append([]resident(nil), n.res...), n.nextID, n.asg})
 	}
 	return s
+}
+
+type nodeSnapshot struct {
+	res    []resident
+	nextID int
+	asg    core.Assignment
 }
 
 func requireUnchanged(t *testing.T, f *Fleet, before fleetSnapshot) {

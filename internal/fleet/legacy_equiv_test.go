@@ -117,7 +117,7 @@ func legacySpreadDecide(f *Fleet) (best, bestCore int) {
 		if n.down {
 			continue
 		}
-		running := n.mgr.Running()
+		running := n.running()
 		core, load := -1, 0
 		for c := 0; c < n.cfg.Machine.NumCores; c++ {
 			if n.cfg.MaxPerCore != 0 && len(running[c]) >= n.cfg.MaxPerCore {

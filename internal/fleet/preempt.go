@@ -6,8 +6,9 @@
 // victim through the admission queue with exponential backoff (the
 // sched.Ledger). The whole exchange is one transaction (Fleet.beginLocked;
 // the arrival may land anywhere, and the nodes it writes are recorded as
-// it writes them): any failure after the eviction rolls managers, rungs,
-// ledger rows and the cursor back bit for bit before the error surfaces.
+// it writes them): any failure after the eviction rolls resident records,
+// rungs, ledger rows and the cursor back bit for bit before the error
+// surfaces.
 // On a sharded fleet this runs under every shard lock, so the victim is
 // the fleet-wide cheapest and re-enters the one admission queue.
 
@@ -18,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 
-	"mpmc/internal/manager"
 	"mpmc/internal/wal"
 	"mpmc/internal/workload"
 )
@@ -26,34 +26,30 @@ import (
 // victimLocked is preemptLocked's victim scan, split out for testing:
 // it returns the index of the node hosting the chosen victim and the
 // victim itself, or ok false when no resident is outranked. Deterministic
-// at any worker count: nodes in index order, residents in the manager's
-// core/arrival order, strict less-than comparisons.
-func (f *Fleet) victimLocked(ctx context.Context, priority int) (nodeIdx int, victim manager.Resident, ok bool, err error) {
+// at any worker count: nodes in index order, residents in core/arrival
+// order, strict less-than comparisons.
+func (f *Fleet) victimLocked(ctx context.Context, priority int) (nodeIdx int, victim resident, ok bool, err error) {
 	bestPrio, bestDelta := 0, 0.0
 	for i, n := range f.nodes {
 		if n.down {
 			continue
 		}
-		residents := n.mgr.Residents()
-		if len(residents) == 0 {
-			continue
-		}
 		baseComputed := false
 		base := 0.0
-		for _, r := range residents {
-			prio := n.meta[r.Name].priority
+		for _, r := range n.res {
+			prio := r.priority
 			if prio >= priority {
 				continue
 			}
 			if !baseComputed {
 				if base, err = f.nodeSPI(ctx, n, f.assignmentOf(n)); err != nil {
-					return 0, manager.Resident{}, false, err
+					return 0, resident{}, false, err
 				}
 				baseComputed = true
 			}
-			after, err := f.nodeSPI(ctx, n, withoutResident(f.assignmentOf(n), r))
+			after, err := f.nodeSPI(ctx, n, withoutResident(f.assignmentOf(n), r.Resident))
 			if err != nil {
-				return 0, manager.Resident{}, false, err
+				return 0, resident{}, false, err
 			}
 			// delta is how much fleet-wide predicted SPI the eviction
 			// removes; smaller = cheaper victim (the evicted process was
@@ -80,13 +76,12 @@ func (f *Fleet) preemptLocked(ctx context.Context, spec *workload.Spec, opts Pla
 		return Placed{}, false, err
 	}
 	vnode := f.nodes[vi]
-	vmeta := vnode.meta[victim.Name]
 
 	// The queue, ledger, and counters are only touched after the placement
 	// commits, so the transaction never needs to restore them.
 	tx := f.beginLocked()
 	f.touchLocked(vnode)
-	if err := vnode.mgr.Remove(victim.Name); err != nil {
+	if _, err := vnode.remove(victim.Name); err != nil {
 		tx.rollback()
 		return Placed{}, false, fmt.Errorf("fleet: evicting preemption victim %s from %s: %w",
 			victim.Name, vnode.cfg.Name, err)
@@ -118,10 +113,9 @@ func (f *Fleet) preemptLocked(ctx context.Context, spec *workload.Spec, opts Pla
 	// reuse the victim's recorded identity so repeat preemptions escalate
 	// its backoff; first-time victims get the tag or a fresh ticket-based
 	// identity.
-	delete(vnode.meta, victim.Name)
-	key := vmeta.key
+	key := victim.key
 	if key == "" {
-		if key = vmeta.tag; key == "" {
+		if key = victim.tag; key == "" {
 			f.seq++
 			key = fmt.Sprintf("preempt#%d", f.seq)
 		}
@@ -130,17 +124,17 @@ func (f *Fleet) preemptLocked(ctx context.Context, spec *workload.Spec, opts Pla
 		Node:     vnode.cfg.Name,
 		Name:     victim.Name,
 		Workload: victim.Spec.Name,
-		Tag:      vmeta.tag,
-		Priority: vmeta.priority,
+		Tag:      victim.tag,
+		Priority: victim.priority,
 	}
 	requeue, _ := f.ledger.Record(key, f.pumpRound)
 	if requeue && f.cfg.QueueCap > 0 && len(f.queue) < f.cfg.QueueCap {
 		f.seq++
 		f.queue = append(f.queue, queued{
 			spec:     victim.Spec,
-			tag:      vmeta.tag,
+			tag:      victim.tag,
 			ticket:   f.seq,
-			priority: vmeta.priority,
+			priority: victim.priority,
 			key:      key,
 		})
 		f.qSubmitted.Inc()
@@ -161,7 +155,7 @@ func (f *Fleet) preemptLocked(ctx context.Context, spec *workload.Spec, opts Pla
 	// replay reproduces per-core arrival order exactly.)
 	f.journalLocked(wal.Event{
 		Type: wal.EvPreempted, Node: vnode.cfg.Name, Name: victim.Name,
-		Bench: victim.Spec.Name, Tag: vmeta.tag, Priority: vmeta.priority,
+		Bench: victim.Spec.Name, Tag: victim.tag, Priority: victim.priority,
 		Requeued: info.Requeued, Ticket: info.Ticket,
 	})
 	p.Preempted = info

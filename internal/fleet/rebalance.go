@@ -31,7 +31,7 @@ type Move struct {
 // to core dstCore of nodes[dst].
 type candidate struct {
 	src, dst, dstCore int
-	res               manager.Resident
+	res               resident
 }
 
 // Rebalance finds the single best cross-machine move — the one that most
@@ -57,7 +57,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		if n.down {
 			continue
 		}
-		for _, r := range n.mgr.Residents() {
+		for _, r := range n.res {
 			specs = append(specs, r.Spec)
 		}
 	}
@@ -80,14 +80,6 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 	// Fleet-wide baseline: each node's total predicted SPI as placed.
 	// Down nodes hold no residents and accept no moves; they contribute
 	// zero to the baseline and are skipped below.
-	// Warm every live node's assignment snapshot serially first: the
-	// candidate fan-out below reads the same nodes from many workers at
-	// once, and the per-node cache must not see concurrent first fills.
-	for _, n := range f.nodes {
-		if !n.down {
-			f.assignmentOf(n)
-		}
-	}
 	base, err := parallel.Map(ctx, f.cfg.Workers, len(f.nodes), func(i int) (float64, error) {
 		if f.nodes[i].down {
 			return 0, nil
@@ -106,23 +98,18 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 	// order — source nodes by index, residents in core/arrival order,
 	// targets by index, cores by index — so the strict less-than reduction
 	// below is deterministic at any worker count.
-	residents := make([][]manager.Resident, len(f.nodes))
+	var cands []candidate
 	for i, n := range f.nodes {
 		if n.down {
 			continue
 		}
-		residents[i] = n.mgr.Residents()
-	}
-	var cands []candidate
-	for i := range f.nodes {
-		for _, r := range residents[i] {
+		for _, r := range n.res {
 			for j, dst := range f.nodes {
 				if j == i || dst.down {
 					continue
 				}
-				running := dst.mgr.Running()
 				for c := 0; c < dst.cfg.Machine.NumCores; c++ {
-					if dst.cfg.MaxPerCore != 0 && len(running[c]) >= dst.cfg.MaxPerCore {
+					if dst.full(c) {
 						continue
 					}
 					cands = append(cands, candidate{src: i, dst: j, dstCore: c, res: r})
@@ -147,7 +134,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		cd := cands[k]
 		srcN, dstN := f.nodes[cd.src], f.nodes[cd.dst]
 		srcAfter, err := f.nodeSPI(ctx, srcN,
-			withoutResident(f.assignmentOf(srcN), cd.res))
+			withoutResident(f.assignmentOf(srcN), cd.res.Resident))
 		if err != nil {
 			return 0, err
 		}
@@ -189,7 +176,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		// when the fleet total would exceed the cap. The priced draws also
 		// become the ledger rows after execution, so admission check and
 		// accounting can never disagree.
-		srcWU, err := f.ctab.EstimateAssignment(ctx, srcN.cm, withoutResident(f.assignmentOf(srcN), cd.res))
+		srcWU, err := f.ctab.EstimateAssignment(ctx, srcN.cm, withoutResident(f.assignmentOf(srcN), cd.res.Resident))
 		if err != nil {
 			return Move{}, err
 		}
@@ -243,36 +230,28 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 }
 
 // migrateLocked moves resident r of src to core dstCore of dst inside the
-// caller's transaction: remove, re-place, carry the scheduler metadata
-// (priority class, tag, preemption-ledger identity) over to the new
-// instance name, stamp both nodes, and stage both halves in one journal
-// batch so replay sees the move atomically (departed first: the new
-// instance appends at the end of the resident order, exactly like PlaceAt
-// did). Ledger rows and the rollback on error are the caller's.
-func (f *Fleet) migrateLocked(ctx context.Context, src, dst *node, r manager.Resident, dstCore int) (string, error) {
+// caller's transaction: remove, re-place under the same scheduler facts
+// (priority class, tag, preemption-ledger identity), stamp both nodes,
+// and stage both halves in one journal batch so replay sees the move
+// atomically (departed first: the new instance appends at the end of its
+// core's arrival order). Ledger rows and the rollback on error are the
+// caller's.
+func (f *Fleet) migrateLocked(ctx context.Context, src, dst *node, r resident, dstCore int) (string, error) {
 	f.touchLocked(src)
 	f.touchLocked(dst)
-	if err := src.mgr.Remove(r.Name); err != nil {
+	if _, err := src.remove(r.Name); err != nil {
 		return "", err
 	}
-	newName, _, err := dst.mgr.PlaceAt(ctx, r.Spec, dstCore)
+	newName, _, err := f.placeAtLocked(ctx, dst, r.Spec, dstCore, PlaceOptions{Tag: r.tag, Priority: r.priority, key: r.key})
 	if err != nil {
 		return "", err
-	}
-	meta, tagged := src.meta[r.Name]
-	if tagged {
-		delete(src.meta, r.Name)
-		if dst.meta == nil {
-			dst.meta = map[string]residentMeta{}
-		}
-		dst.meta[newName] = meta
 	}
 	src.version++
 	dst.version++
 	f.journalLocked(wal.Event{Type: wal.EvDeparted, Node: src.cfg.Name, Name: r.Name})
 	f.journalLocked(wal.Event{
 		Type: wal.EvAdmitted, Node: dst.cfg.Name, Name: newName, Core: dstCore,
-		Bench: r.Spec.Name, Tag: meta.tag, Priority: meta.priority,
+		Bench: r.Spec.Name, Tag: r.tag, Priority: r.priority,
 	})
 	return newName, nil
 }

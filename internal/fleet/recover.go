@@ -30,7 +30,7 @@ func (f *Fleet) Recover(ctx context.Context, st *wal.State) error {
 	f.lock()
 	defer f.unlock()
 	for _, n := range f.nodes {
-		if len(n.mgr.Residents()) > 0 {
+		if len(n.res) > 0 {
 			return errors.New("fleet: recover into a non-empty fleet")
 		}
 	}
@@ -55,14 +55,8 @@ func (f *Fleet) Recover(ctx context.Context, st *wal.State) error {
 		if spec == nil {
 			return fmt.Errorf("fleet: recovered resident %s names unknown workload %q", r.Name, r.Bench)
 		}
-		if err := n.mgr.Adopt(ctx, spec, r.Name, r.Core); err != nil {
+		if err := f.adoptLocked(ctx, n, spec, r.Name, r.Core, PlaceOptions{Tag: r.Tag, Priority: r.Priority}); err != nil {
 			return fmt.Errorf("fleet: adopting %s on %s: %w", r.Name, r.Node, err)
-		}
-		if r.Tag != "" || r.Priority != 0 {
-			if n.meta == nil {
-				n.meta = map[string]residentMeta{}
-			}
-			n.meta[r.Name] = residentMeta{spec: spec, tag: r.Tag, priority: r.Priority}
 		}
 	}
 	for name, rung := range st.Freq {

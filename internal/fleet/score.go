@@ -194,7 +194,7 @@ func (f *Fleet) scoreNodeCold(ctx context.Context, tab *core.ComboTable, n *node
 				}
 				switch {
 				case policy == LeastEnergy:
-					take(c, ix+1, sW*sSPI*sSPI-edpBefore)
+					take(c, ix+1, float64(sW*sSPI*sSPI)-edpBefore)
 				case capW > 0 && usedEx+sW > capW:
 				default:
 					take(c, ix+1, sSPI-spiBefore)

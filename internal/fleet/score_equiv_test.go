@@ -230,7 +230,7 @@ func TestCappedCommitSolvesNothing(t *testing.T) {
 	f.capL.setCap(1e6)
 	n := f.nodes[0]
 	for c, name := range []string{"mcf", "art", "swim", "applu"} {
-		if _, _, err := n.mgr.PlaceAt(ctx, workload.ByName(name), c); err != nil {
+		if _, _, err := f.placeAtLocked(ctx, n, workload.ByName(name), c, PlaceOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -46,6 +46,7 @@ import (
 	"mpmc/internal/cache"
 	"mpmc/internal/core"
 	"mpmc/internal/machine"
+	"mpmc/internal/metrics"
 )
 
 // ScoreCacheStats is a snapshot of the score memo's counters. The sums
@@ -58,14 +59,16 @@ type ScoreCacheStats struct {
 	Misses      uint64
 	Shared      uint64
 	Invalidated uint64
+	Evictions   uint64 // term lists displaced at capacity
 	Entries     int
 
 	// Decision-memo counters (the second memo level: whole scoreNodeCold
 	// results keyed by node identity + assignment content + arrival).
 	// Every probe counts exactly once, as a hit or as a miss.
-	DecisionHits    uint64
-	DecisionMisses  uint64
-	DecisionEntries int
+	DecisionHits      uint64
+	DecisionMisses    uint64
+	DecisionEvictions uint64
+	DecisionEntries   int
 }
 
 // scoreCache memoizes per-group SPI term lists behind a bounded LRU with
@@ -102,16 +105,19 @@ func newScoreCache(capacity int, intercept func(site, key string) error) *scoreC
 }
 
 func (sc *scoreCache) stats() ScoreCacheStats {
+	ls, ds := sc.lru.Stats(), sc.decisions.Stats()
 	return ScoreCacheStats{
-		Lookups:         sc.lookups.Load(),
-		Hits:            sc.hits.Load(),
-		Misses:          sc.misses.Load(),
-		Shared:          sc.shared.Load(),
-		Invalidated:     sc.invalidated.Load(),
-		Entries:         sc.lru.Len(),
-		DecisionHits:    sc.dhits.Load(),
-		DecisionMisses:  sc.dmisses.Load(),
-		DecisionEntries: sc.decisions.Len(),
+		Lookups:           sc.lookups.Load(),
+		Hits:              sc.hits.Load(),
+		Misses:            sc.misses.Load(),
+		Shared:            sc.shared.Load(),
+		Invalidated:       sc.invalidated.Load(),
+		Evictions:         ls.Evictions,
+		Entries:           ls.Len,
+		DecisionHits:      sc.dhits.Load(),
+		DecisionMisses:    sc.dmisses.Load(),
+		DecisionEvictions: ds.Evictions,
+		DecisionEntries:   ds.Len,
 	}
 }
 
@@ -418,6 +424,28 @@ func (f *Fleet) SolverStateStats() core.SolverStateStats {
 		return core.SolverStateStats{}
 	}
 	return f.solver.Stats()
+}
+
+// collectMemoStats mirrors the memo counters into the registry at scrape
+// time, so a placement pays nothing for them: hits, misses and evictions
+// of the group-score memo ("score"), the decision memo ("decision"), and
+// the solver state's solutions ("solver") and watts memo ("watts").
+func (f *Fleet) collectMemoStats(r *metrics.Registry) {
+	sc, st := f.ScoreCacheStats(), f.SolverStateStats()
+	for _, m := range []struct {
+		memo                    string
+		hits, misses, evictions uint64
+	}{
+		{"score", sc.Hits, sc.Misses, sc.Evictions},
+		{"decision", sc.DecisionHits, sc.DecisionMisses, sc.DecisionEvictions},
+		{"solver", st.Hits, st.Misses, st.Evictions},
+		{"watts", st.WattsHits, st.WattsMisses, st.WattsEvictions},
+	} {
+		label := `{memo="` + m.memo + `"}`
+		r.Counter("fleet_memo_hits_total" + label).Raise(m.hits)
+		r.Counter("fleet_memo_misses_total" + label).Raise(m.misses)
+		r.Counter("fleet_memo_evictions_total" + label).Raise(m.evictions)
+	}
 }
 
 // FlushScoreCache drops every memoized group score and recorded

@@ -76,7 +76,7 @@ func TestFailNodeInvalidatesExactlyAffectedKeys(t *testing.T) {
 
 	target := f.nodes[1]
 	name := target.cfg.Name
-	asg := target.mgr.Assignment()
+	asg := target.asg
 	expect := map[string]bool{}
 	for _, group := range target.cfg.Machine.Groups {
 		busy := busyCores(group, asg)

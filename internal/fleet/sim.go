@@ -214,7 +214,7 @@ type TraceProc struct {
 // expSample draws from Exp(mean) — xrand has no exponential sampler, so
 // invert the CDF (1-Float64 keeps the argument of Log away from zero).
 func expSample(r *xrand.Rand, mean float64) float64 {
-	return -mean * math.Log(1-r.Float64())
+	return -mean * math.Log(1-float64(r.Float64()))
 }
 
 // Trace derives the arrival trace from the scenario seed: cumulative
@@ -488,8 +488,8 @@ func (s *Sim) runPolicy(ctx context.Context, pname string, trace []TraceProc, ho
 		if err != nil {
 			return err
 		}
-		spiSec += spi * (now - prevT)
-		wattSec += watts * (now - prevT)
+		spiSec += float64(spi * (now - prevT))
+		wattSec += float64(watts * (now - prevT))
 		prevT = now
 		return nil
 	}

@@ -185,7 +185,7 @@ func ScaleSPI(spi, beta, k float64) float64 {
 	if k == 1 {
 		return spi
 	}
-	return spi + (k-1)*beta
+	return spi + float64((k-1)*beta)
 }
 
 // ScaleWatts applies the dynamic multiplier d to an Eq. 9 estimate whose
@@ -195,5 +195,5 @@ func ScaleWatts(watts, static, d float64) float64 {
 	if d == 1 {
 		return watts
 	}
-	return static + d*(watts-static)
+	return static + float64(d*(watts-static))
 }

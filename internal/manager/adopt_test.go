@@ -22,7 +22,7 @@ func TestAdoptReinstatesRecoveredNames(t *testing.T) {
 	if err := mgr.Adopt(ctx, workload.ByName("mcf"), "mcf#7", 0); err != nil {
 		t.Fatalf("Adopt: %v", err)
 	}
-	res := mgr.Residents()
+	res := mgr.Snapshot().res
 	if len(res) != 1 || res[0].Name != "mcf#7" || res[0].Core != 0 {
 		t.Fatalf("residents after adopt: %+v", res)
 	}

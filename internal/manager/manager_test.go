@@ -88,13 +88,13 @@ func TestPlaceAndRemove(t *testing.T) {
 	if w2 <= w1 {
 		t.Fatalf("adding a process reduced estimated power %.2f → %.2f", w1, w2)
 	}
-	if w, err := mgr.cm.EstimateAssignment(mgr.Assignment()); err != nil || w != w2 {
+	if w, err := mgr.cm.EstimateAssignment(mgr.assignment()); err != nil || w != w2 {
 		t.Fatalf("PlaceAt reported %v W, the assignment estimates %v W (err %v)", w2, w, err)
 	}
 	if err := mgr.Remove(name2); err != nil {
 		t.Fatal(err)
 	}
-	w3, err := mgr.cm.EstimateAssignment(mgr.Assignment())
+	w3, err := mgr.cm.EstimateAssignment(mgr.assignment())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +128,15 @@ func TestMaxPerCoreEnforced(t *testing.T) {
 	if _, _, err := mgr.PlaceAt(ctx, workload.ByName("gzip"), m.NumCores); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("core %d: %v, want out of range", m.NumCores, err)
 	}
-	if n := len(mgr.Residents()); n != m.NumCores {
+	if n := len(mgr.Snapshot().res); n != m.NumCores {
 		t.Fatalf("%d residents, want %d", n, m.NumCores)
 	}
 }
 
 // TestPlaceErrorLeavesStateUntouched fails PlaceAt twice — once in the
 // power estimate (an invalid feature vector), once at the fault-injection
-// seam — and checks neither leaks anything: the residents, the version and
-// the instance-name counter are as they were.
+// seam — and checks neither leaks anything: the residents and the
+// instance-name counter are as they were.
 func TestPlaceErrorLeavesStateUntouched(t *testing.T) {
 	ctx := context.Background()
 	m := machine.TwoCoreWorkstation()
@@ -155,15 +155,15 @@ func TestPlaceErrorLeavesStateUntouched(t *testing.T) {
 	if _, _, err := mgr.PlaceAt(ctx, workload.ByName("gzip"), 0); err != nil {
 		t.Fatal(err)
 	}
-	before, version := mgr.Running(), mgr.Version()
+	before := mgr.Snapshot()
 	if _, _, err := mgr.PlaceAt(ctx, workload.ByName("art"), 1); err == nil {
 		t.Fatal("PlaceAt with an invalid feature vector succeeded")
 	}
 	if _, _, err := mgr.PlaceAt(ctx, workload.ByName("vpr"), 1); !errors.Is(err, injected) {
 		t.Fatalf("PlaceAt at the seam: %v, want the injected fault", err)
 	}
-	if got := mgr.Running(); !reflect.DeepEqual(got, before) || mgr.Version() != version {
-		t.Fatalf("failed placements changed the state: %v (version %d), want %v (version %d)", got, mgr.Version(), before, version)
+	if got := mgr.Snapshot(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("failed placements changed the state: %+v, want %+v", got, before)
 	}
 	name, _, err := mgr.PlaceAt(ctx, workload.ByName("mcf"), 1)
 	if err != nil {
@@ -175,7 +175,7 @@ func TestPlaceErrorLeavesStateUntouched(t *testing.T) {
 }
 
 // TestConcurrentPlaceIsSafe hammers one manager from several goroutines
-// (run under -race in CI) — commits, snapshots and reads — and checks the
+// (run under -race in CI) — commits and snapshots — and checks the
 // assignment stays consistent.
 func TestConcurrentPlaceIsSafe(t *testing.T) {
 	ctx := context.Background()
@@ -199,7 +199,6 @@ func TestConcurrentPlaceIsSafe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			mgr.Snapshot()
-			mgr.Residents()
 		}()
 	}
 	wg.Wait()
@@ -210,26 +209,26 @@ func TestConcurrentPlaceIsSafe(t *testing.T) {
 		}
 	}
 	names := map[string]bool{}
-	for _, r := range mgr.Residents() {
+	for _, r := range mgr.Snapshot().res {
 		names[r.Name] = true
 	}
 	if len(names) != len(specs) {
 		t.Fatalf("%d distinct residents, want %d", len(names), len(specs))
 	}
-	if _, err := mgr.cm.EstimateAssignment(mgr.Assignment()); err != nil {
+	if _, err := mgr.cm.EstimateAssignment(mgr.assignment()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestShortFeatureSourceDelegation pins the Options.Features contract:
-// the manager consults the source on every FeatureOf and never layers its
+// the manager consults the source on every placement and never layers its
 // own memoization on top.
 func TestShortFeatureSourceDelegation(t *testing.T) {
 	m := machine.TwoCoreWorkstation()
 	src := &countingSource{inner: truthSource{m: m}}
 	mgr := testManager(t, m, Options{Features: src})
 	for i := 0; i < 3; i++ {
-		if _, err := mgr.FeatureOf(context.Background(), workload.ByName("gzip")); err != nil {
+		if _, _, err := mgr.PlaceAt(context.Background(), workload.ByName("gzip"), i%m.NumCores); err != nil {
 			t.Fatal(err)
 		}
 	}

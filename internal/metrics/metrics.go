@@ -35,6 +35,18 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
+// Raise lifts the count to n when n is larger: a counter mirroring a count
+// kept elsewhere, read at scrape time. Concurrent scrapes never
+// double-count, and the counter never goes backwards.
+func (c *Counter) Raise(n uint64) {
+	for {
+		v := c.v.Load()
+		if n <= v || c.v.CompareAndSwap(v, n) {
+			return
+		}
+	}
+}
+
 // Gauge is a value that can go up and down (or be set outright).
 type Gauge struct {
 	v atomic.Int64

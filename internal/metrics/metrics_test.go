@@ -24,6 +24,12 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := r.CounterValue("absent"); got != 0 {
 		t.Fatalf("CounterValue(absent) = %d; want 0", got)
 	}
+	// Raise mirrors a count kept elsewhere: up to a larger value, never back.
+	c.Raise(7)
+	c.Raise(5)
+	if got := c.Value(); got != 7 {
+		t.Fatalf("counter after Raise(7), Raise(5) = %d; want 7", got)
+	}
 
 	g := r.Gauge("profile_inflight")
 	g.Inc()

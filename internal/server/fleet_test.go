@@ -372,6 +372,50 @@ func TestFleetMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestFleetMemoMetrics: the memo counters (hits, misses and evictions of
+// the score and decision memos and of the solver state's solutions and
+// watts) appear in /metrics, read at scrape time, and a warm placement
+// moves the decision memo's hit counter.
+func TestFleetMemoMetrics(t *testing.T) {
+	s, ts := newFleetServer(t, fleet.LeastDegradation, 4)
+	place := func() FleetPlaceResponse {
+		t.Helper()
+		status, raw := do(t, ts, "POST", "/v1/fleet/place", `{"benches":["mcf"]}`)
+		if status != http.StatusOK {
+			t.Fatalf("place status %d: %s", status, raw)
+		}
+		var pr FleetPlaceResponse
+		if err := json.Unmarshal(raw, &pr); err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	pr := place()
+	_, raw := do(t, ts, "GET", "/metrics", "")
+	for _, fam := range []string{"fleet_memo_hits_total", "fleet_memo_misses_total", "fleet_memo_evictions_total"} {
+		for _, memo := range []string{"score", "decision", "solver", "watts"} {
+			if want := fam + `{memo="` + memo + `"} `; !strings.Contains(string(raw), want) {
+				t.Errorf("/metrics missing %q", want)
+			}
+		}
+	}
+	hits := `fleet_memo_hits_total{memo="decision"}`
+	cold := metricValue(t, s, hits)
+	if metricValue(t, s, `fleet_memo_misses_total{memo="decision"}`) == 0 {
+		t.Fatal("the cold placement counted no decision-memo miss")
+	}
+	// Departing and arriving again puts every machine back where the first
+	// placement found it: each decision is a memo hit.
+	p := pr.Placements[0]
+	if status, raw := do(t, ts, "DELETE", "/v1/fleet/place/"+p.Node+"/"+url.PathEscape(p.Name), ""); status != http.StatusOK {
+		t.Fatalf("unplace status %d: %s", status, raw)
+	}
+	place()
+	if warm := metricValue(t, s, hits); warm <= cold {
+		t.Fatalf("decision-memo hits %v after a warm placement, %v before", warm, cold)
+	}
+}
+
 // TestFleetUnplacePumpsQueue drives DELETE /v1/fleet/place/{node}/{name}:
 // the removal frees a slot, the queued arrival is pumped into it, and the
 // response reports both; unknown targets get the typed 404.
