@@ -36,13 +36,6 @@ type SolverStateStats struct {
 	Rejected  uint64 // seeds that failed validation and fell back cold
 	Evictions uint64 // solved groups displaced at capacity
 	Entries   int    // solved groups currently resident
-
-	// Watts-memo counters: averaged per-group power estimates reused by
-	// CombinedModel.estimateGroup (see appendWattsKey).
-	WattsHits      uint64
-	WattsMisses    uint64
-	WattsEvictions uint64
-	WattsEntries   int
 }
 
 // SolverState memoizes converged equilibrium solutions so repeated solves
@@ -61,19 +54,9 @@ type SolverState struct {
 
 	hits, misses, rejected uint64
 
-	// The watts memo rides on the same identity table: one cache group's
-	// Eq. 10 busy-power average is a pure function of the power model, the
-	// solver method, the associativity, and the per-core candidate lists,
-	// so CombinedModel.estimateGroup can reuse it bit-exactly. Power
-	// models get identity ids like feature vectors do — a fleet shares one
-	// SolverState across nodes whose power models may differ.
-	pmids          map[*PowerModel]uint64
-	wlru           *cache.LRUMap[float64]
-	whits, wmisses uint64
-
-	// flushedEvictions/flushedWEvictions carry the eviction counts of the
-	// LRUs Flush replaced, so Stats stays monotonic.
-	flushedEvictions, flushedWEvictions uint64
+	// flushedEvictions carries the eviction count of the LRUs Flush
+	// replaced, so Stats stays monotonic.
+	flushedEvictions uint64
 }
 
 // DefaultSolverStateCap bounds a SolverState built with capacity 0.
@@ -86,10 +69,8 @@ func NewSolverState(capacity int) *SolverState {
 		capacity = DefaultSolverStateCap
 	}
 	return &SolverState{
-		ids:   make(map[*FeatureVector]uint64),
-		lru:   cache.NewLRUMap[[]float64](capacity),
-		pmids: make(map[*PowerModel]uint64),
-		wlru:  cache.NewLRUMap[float64](capacity),
+		ids: make(map[*FeatureVector]uint64),
+		lru: cache.NewLRUMap[[]float64](capacity),
 	}
 }
 
@@ -97,12 +78,10 @@ func NewSolverState(capacity int) *SolverState {
 func (st *SolverState) Stats() SolverStateStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	ls, ws := st.lru.Stats(), st.wlru.Stats()
+	ls := st.lru.Stats()
 	return SolverStateStats{
 		Hits: st.hits, Misses: st.misses, Rejected: st.rejected,
 		Evictions: st.flushedEvictions + ls.Evictions, Entries: ls.Len,
-		WattsHits: st.whits, WattsMisses: st.wmisses,
-		WattsEvictions: st.flushedWEvictions + ws.Evictions, WattsEntries: ws.Len,
 	}
 }
 
@@ -114,14 +93,11 @@ func (st *SolverState) Stats() SolverStateStats {
 func (st *SolverState) Flush() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	ls, ws := st.lru.Stats(), st.wlru.Stats()
+	ls := st.lru.Stats()
 	st.flushedEvictions += ls.Evictions
-	st.flushedWEvictions += ws.Evictions
 	st.ids = make(map[*FeatureVector]uint64)
 	st.next = 0
 	st.lru = cache.NewLRUMap[[]float64](ls.Cap)
-	st.pmids = make(map[*PowerModel]uint64)
-	st.wlru = cache.NewLRUMap[float64](ws.Cap)
 }
 
 // appendKey appends the identity of a contended solve to dst, the
@@ -154,56 +130,6 @@ func (st *SolverState) idLocked(f *FeatureVector) uint64 {
 		st.ids[f] = id
 	}
 	return id
-}
-
-// appendWattsKey appends the identity of one cache group's averaged
-// busy-power estimate to dst: the power model and every candidate feature
-// vector by identity id, the solver method, the associativity, and the
-// per-core list structure (the '|' markers), which fixes the Eq. 10
-// enumeration order.
-func (st *SolverState) appendWattsKey(dst []byte, pm *PowerModel, method SolverMethod, assoc int, asg Assignment, busy []int) []byte {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	pid, ok := st.pmids[pm]
-	if !ok {
-		st.next++
-		pid = st.next
-		st.pmids[pm] = pid
-	}
-	dst = strconv.AppendUint(dst, pid, 36)
-	dst = append(dst, '/')
-	dst = strconv.AppendInt(dst, int64(method), 10)
-	dst = append(dst, '/')
-	dst = strconv.AppendInt(dst, int64(assoc), 10)
-	for _, c := range busy {
-		dst = append(dst, '|')
-		for _, f := range asg[c] {
-			dst = append(dst, ':')
-			dst = strconv.AppendUint(dst, st.idLocked(f), 36)
-		}
-	}
-	return dst
-}
-
-// wattsSeed returns the recorded busy-power average for key. No
-// validation pass exists here — the value is a finished scalar, not an
-// iterative seed, so there is nothing to re-verify cheaper than
-// recomputing it.
-func (st *SolverState) wattsSeed(key []byte) (float64, bool) {
-	v, ok := st.wlru.GetBytes(key)
-	st.mu.Lock()
-	if ok {
-		st.whits++
-	} else {
-		st.wmisses++
-	}
-	st.mu.Unlock()
-	return v, ok
-}
-
-// wattsRecord stores a computed busy-power average under key.
-func (st *SolverState) wattsRecord(key []byte, v float64) {
-	st.wlru.Put(string(key), v)
 }
 
 // seed returns the recorded solution for key when one exists and passes

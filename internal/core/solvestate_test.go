@@ -175,100 +175,6 @@ func TestSolverStateFlushAndEviction(t *testing.T) {
 	}
 }
 
-// TestWattsMemoBitIdentical: the busy-average memo in estimateGroup must
-// change only speed, never bytes. A stateless estimate, the populating
-// (miss) estimate, and the memoized (hit) estimate of the same assignment
-// must agree to the bit — including on a partially idle group, where the
-// idle term is recomputed outside the memo on every call.
-func TestWattsMemoBitIdentical(t *testing.T) {
-	m := machine.TwoCoreWorkstation()
-	cm, feats := testCombined(t, m)
-	for label, asg := range map[string]Assignment{
-		"both busy":   {{feats["mcf"], feats["gzip"]}, {feats["twolf"]}},
-		"half idle":   {{feats["mcf"], feats["art"]}, nil},
-		"single solo": {{feats["vpr"]}, nil},
-	} {
-		cm.State = nil
-		cold, err := cm.EstimateAssignment(asg)
-		if err != nil {
-			t.Fatalf("%s: stateless estimate: %v", label, err)
-		}
-		cm.State = NewSolverState(0)
-		first, err := cm.EstimateAssignment(asg)
-		if err != nil {
-			t.Fatalf("%s: populating estimate: %v", label, err)
-		}
-		s := cm.State.Stats()
-		if s.WattsHits != 0 || s.WattsMisses == 0 || uint64(s.WattsEntries) != s.WattsMisses {
-			t.Fatalf("%s: populating stats = %+v, want only misses, one entry each", label, s)
-		}
-		second, err := cm.EstimateAssignment(asg)
-		if err != nil {
-			t.Fatalf("%s: memoized estimate: %v", label, err)
-		}
-		if s2 := cm.State.Stats(); s2.WattsHits != s.WattsMisses || s2.WattsMisses != s.WattsMisses {
-			t.Fatalf("%s: memoized stats = %+v, want every busy group to hit", label, s2)
-		}
-		if !bitsEqual(cold, first) || !bitsEqual(cold, second) {
-			t.Fatalf("%s: estimates diverge: stateless %x, miss %x, hit %x",
-				label, math.Float64bits(cold), math.Float64bits(first), math.Float64bits(second))
-		}
-	}
-}
-
-// TestWattsMemoIdentityAndFlush: watts keys are pointer identities, so a
-// re-derived (bit-identical, fresh-pointer) feature vector misses rather
-// than risking a cross-profile collision; Flush drops the watts entries
-// alongside the solver seeds; and results stay bit-identical throughout.
-func TestWattsMemoIdentityAndFlush(t *testing.T) {
-	m := machine.TwoCoreWorkstation()
-	cm, feats := testCombined(t, m)
-	asg := Assignment{{feats["mcf"]}, {feats["gzip"]}}
-
-	cm.State = NewSolverState(0)
-	ref, err := cm.EstimateAssignment(asg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := cm.State.Stats()
-
-	// Same workloads, fresh FeatureVector pointers: must miss, not hit.
-	cm2, feats2 := testCombined(t, m)
-	cm2.State = cm.State
-	again, err := cm2.EstimateAssignment(Assignment{{feats2["mcf"]}, {feats2["gzip"]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := cm.State.Stats()
-	if s.WattsHits != base.WattsHits {
-		t.Fatalf("fresh-pointer estimate hit a foreign watts entry: %+v", s)
-	}
-	if !bitsEqual(ref, again) {
-		t.Fatalf("re-derived features changed the estimate: %x vs %x",
-			math.Float64bits(ref), math.Float64bits(again))
-	}
-
-	cm.State.Flush()
-	if s := cm.State.Stats(); s.WattsEntries != 0 {
-		t.Fatalf("watts entries after Flush = %d", s.WattsEntries)
-	}
-	post, err := cm.EstimateAssignment(asg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitsEqual(ref, post) {
-		t.Fatalf("post-Flush estimate diverged: %x vs %x",
-			math.Float64bits(ref), math.Float64bits(post))
-	}
-	if s := cm.State.Stats(); s.WattsMisses <= base.WattsMisses+s.WattsHits {
-		// Not a precise count — just require the re-estimate repopulated
-		// rather than hitting ghost entries.
-		if s.WattsEntries == 0 {
-			t.Fatalf("post-Flush estimate recorded nothing: %+v", s)
-		}
-	}
-}
-
 // TestSolverStateDistinguishesIdentity: equal-shaped groups built from
 // distinct FeatureVector instances must not share entries (keys are
 // pointer identities, the guard against cross-machine-kind collisions).
@@ -297,20 +203,12 @@ func TestSolverStateDistinguishesIdentity(t *testing.T) {
 	}
 }
 
-// TestSolverStateHitAllocs: a solver-state seed hit and a watts-memo hit
-// build their keys in the caller's workspace and probe without a string,
-// so neither allocates.
+// TestSolverStateHitAllocs: a solver-state seed hit builds its key in the
+// caller's workspace and probes without a string, so it allocates nothing.
 func TestSolverStateHitAllocs(t *testing.T) {
-	pm, err := SyntheticPowerModel()
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := machine.FourCoreServer()
-	feats := suiteFeatures(m)
 	ctx := context.Background()
 	st := NewSolverState(0)
-	cm := NewCombinedModel(m, pm)
-	cm.State = st
 
 	pair := []*FeatureVector{TruthFeature(workload.ByName("mcf"), m), TruthFeature(workload.ByName("art"), m)}
 	ws := getWorkspace()
@@ -330,22 +228,5 @@ func TestSolverStateHitAllocs(t *testing.T) {
 	}
 	if n != 0 {
 		t.Errorf("a solver-state seed hit allocates %v objects, want 0", n)
-	}
-
-	asg := Assignment{{feats[0], feats[3]}, {feats[1]}, {feats[2]}, {feats[5]}}
-	if _, err := cm.EstimateGroupContext(ctx, asg, 0, ReadWatts); err != nil {
-		t.Fatal(err)
-	}
-	before = st.Stats()
-	n = testing.AllocsPerRun(100, func() {
-		if _, err := cm.EstimateGroupContext(ctx, asg, 0, ReadWatts); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if s := st.Stats(); s.WattsHits == before.WattsHits || s.WattsMisses != before.WattsMisses {
-		t.Fatalf("watts memo %+v → %+v: the pin needs watts hits only", before, s)
-	}
-	if n != 0 {
-		t.Errorf("a watts-memo hit allocates %v objects, want 0", n)
 	}
 }

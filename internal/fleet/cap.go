@@ -288,7 +288,7 @@ func (f *Fleet) resyncNodeCapLocked(ctx context.Context, n *node) error {
 		f.capL.setNode(n.cfg.Name, staticWatts(n))
 		return nil
 	}
-	w, err := f.ctab.EstimateAssignment(ctx, n.cm, asg)
+	_, w, err := f.nodeEstimate(ctx, n, asg, core.ReadWatts)
 	if err != nil {
 		return err
 	}
@@ -299,7 +299,7 @@ func (f *Fleet) resyncNodeCapLocked(ctx context.Context, n *node) error {
 // setFreqLocked re-clocks a node: the rung moves, the version stamp
 // detached scoring revalidates is bumped, and the change is journaled so
 // recovery restores the rung. Decision keys embed the rung when off base,
-// so no memo needs invalidation; the group-term memo's terms are unscaled
+// so no memo needs invalidation; the group memo's estimates are unscaled
 // and frequency-independent.
 func (f *Fleet) setFreqLocked(n *node, ix int) {
 	if ix == n.freqIx {
@@ -454,11 +454,7 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 			continue
 		}
 		asg := f.assignmentOf(n)
-		spiU, err := f.nodeSPI(ctx, n, asg)
-		if err != nil {
-			return capAction{}, false, err
-		}
-		wU, err := f.ctab.EstimateAssignment(ctx, n.cm, asg)
+		spiU, wU, err := f.nodeEstimate(ctx, n, asg, core.ReadSPI|core.ReadWatts)
 		if err != nil {
 			return capAction{}, false, err
 		}
@@ -498,11 +494,7 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 		srcSPI1 := freq.ScaleSPI(srcEv.spiU, srcEv.beta, spiScaleOf(n))
 		for _, r := range n.res {
 			srcAsg2 := withoutResident(f.assignmentOf(n), r.Resident)
-			srcSPIU2, err := f.nodeSPI(ctx, n, srcAsg2)
-			if err != nil {
-				return capAction{}, false, err
-			}
-			srcWU2, err := f.ctab.EstimateAssignment(ctx, n.cm, srcAsg2)
+			srcSPIU2, srcWU2, err := f.nodeEstimate(ctx, n, srcAsg2, core.ReadSPI|core.ReadWatts)
 			if err != nil {
 				return capAction{}, false, err
 			}
@@ -525,11 +517,7 @@ func (f *Fleet) bestCapActionLocked(ctx context.Context) (capAction, bool, error
 					if dst.full(c) {
 						continue
 					}
-					dstSPIU2, err := f.nodeSPI(ctx, dst, sc.withAddition(dstAsg, feat, c))
-					if err != nil {
-						return capAction{}, false, err
-					}
-					dstWU2, err := f.ctab.EstimateAddition(ctx, dst.cm, dstAsg, feat, c)
+					dstSPIU2, dstWU2, err := f.nodeEstimate(ctx, dst, sc.withAddition(dstAsg, feat, c), core.ReadSPI|core.ReadWatts)
 					if err != nil {
 						return capAction{}, false, err
 					}

@@ -120,12 +120,14 @@ type Config struct {
 	// over-budget fleet back under by down-clocking or migrating. Zero
 	// leaves the fleet uncapped (SetPowerCap can engage one later).
 	PowerCap float64
-	// ScoreCacheCap bounds the group-score memo and the shared equilibrium
-	// solver state (0 = 4096 entries each; negative disables both, making
-	// every scoring pass solve cold). Caching never changes any result —
-	// values are pure functions of their content keys, so cold and cached
-	// runs are byte-identical (the differential suite proves it) — it only
-	// changes how often the equilibrium solver actually runs.
+	// ScoreCacheCap bounds the group-estimate memo (one entry per cache
+	// group content: its SPI terms and busy watts), the decision memo and
+	// the shared equilibrium solver state (0 = 4096 entries each; negative
+	// disables all three, making every scoring pass solve cold). Caching
+	// never changes any result — values are pure functions of their
+	// content keys, so cold and cached runs are byte-identical (the
+	// differential suite proves it) — it only changes how often the
+	// equilibrium solver actually runs.
 	ScoreCacheCap int
 	// Profile overrides the profiling implementation (nil = core.Profile).
 	Profile ProfileFunc
@@ -181,10 +183,13 @@ type Fleet struct {
 	// fleet is wired, so it is read without further ceremony.
 	byName map[string]*node
 	feats  *featureCache
-	// scores memoizes per-group SPI terms and solver the underlying
+	// scores memoizes group estimates and solver the underlying
 	// equilibrium solutions; both nil when ScoreCacheCap < 0 (cold mode).
 	scores *scoreCache
 	solver *core.SolverState
+	// powers numbers the distinct power models in node order, the name the
+	// memo key gives a node's model; a shard shares its whole fleet's.
+	powers map[*core.PowerModel]int
 	// ctab is the combination table of whichever goroutine holds this
 	// fleet's lock: every Eq. 10 pass of one hold solves through it, and
 	// unlock empties it (nil only when tables are off).
@@ -333,18 +338,19 @@ func (cfg *Config) setDefaults() error {
 var comboTablesOff bool
 
 // newShell builds a fleet before any node joins it: the feature cache,
-// score memo, solver state, watt ledger and solve counter — a shard's are
-// its whole fleet's.
+// score memo, solver state, power-model numbering, watt ledger and solve
+// counter — a shard's are its whole fleet's.
 func newShell(cfg Config) *Fleet {
 	f := &Fleet{cfg: cfg, reg: cfg.Registry, whole: cfg.whole}
 	if !comboTablesOff {
 		f.ctab = core.NewComboTable()
 	}
 	if w := cfg.whole; w != nil {
-		f.feats, f.scores, f.solver, f.capL, f.solves = w.feats, w.scores, w.solver, w.capL, w.solves
+		f.feats, f.scores, f.solver, f.powers, f.capL, f.solves = w.feats, w.scores, w.solver, w.powers, w.capL, w.solves
 		return f
 	}
 	f.solves = new(atomic.Uint64)
+	f.powers = make(map[*core.PowerModel]int)
 	f.feats = newFeatureCache(cfg, f.reg)
 	if cfg.ScoreCacheCap > 0 {
 		f.scores = newScoreCache(cfg.ScoreCacheCap, cfg.Intercept)
@@ -386,10 +392,16 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		cm := core.NewCombinedModel(nc.Machine, nc.Power)
 		cm.State = f.solver
+		power, ok := f.powers[nc.Power]
+		if !ok {
+			power = len(f.powers)
+			f.powers[nc.Power] = power
+		}
 		n := &node{
 			cfg:    nc,
 			kind:   kind,
 			cm:     cm,
+			power:  power,
 			freqIx: nc.Machine.Freq.BaseIx(),
 			asg:    make(core.Assignment, nc.Machine.NumCores),
 		}
@@ -772,7 +784,9 @@ func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts Plac
 		if err != nil {
 			return Placed{}, err
 		}
-		w, err := f.ctab.EstimateAddition(ctx, n.cm, f.assignmentOf(n), feat, s.Core)
+		sc := getScratch()
+		_, w, err := f.nodeEstimate(ctx, n, sc.withAddition(f.assignmentOf(n), feat, s.Core), core.ReadWatts)
+		putScratch(sc)
 		if err != nil {
 			return Placed{}, err
 		}
@@ -1418,7 +1432,7 @@ func (f *Fleet) nodeStateLocked(ctx context.Context, n *node) (NodeState, error)
 	if n.cfg.MaxPerCore > 0 {
 		ns.FreeSlots = n.cfg.MaxPerCore*n.cfg.Machine.NumCores - ns.Residents
 	}
-	watts, err := f.ctab.EstimateAssignment(ctx, n.cm, asg)
+	spi, watts, err := f.nodeEstimate(ctx, n, asg, core.ReadSPI|core.ReadWatts)
 	if err != nil {
 		return NodeState{}, fmt.Errorf("fleet: estimating %s power: %w", n.cfg.Name, err)
 	}
@@ -1426,10 +1440,6 @@ func (f *Fleet) nodeStateLocked(ctx context.Context, n *node) (NodeState, error)
 	// helpers are identity-gated, so an out-of-order node at base reports
 	// the exact legacy floats.
 	ns.EstimatedWatts = freq.ScaleWatts(watts, staticWatts(n), dynScaleOf(n))
-	spi, err := f.nodeSPI(ctx, n, asg)
-	if err != nil {
-		return NodeState{}, fmt.Errorf("fleet: estimating %s SPI: %w", n.cfg.Name, err)
-	}
 	ns.PredictedSPI = freq.ScaleSPI(spi, betaTotal(asg), spiScaleOf(n))
 	if n.freqIx != n.cfg.Machine.Freq.BaseIx() {
 		ns.FreqState = n.freqIx + 1
@@ -1447,11 +1457,7 @@ func (f *Fleet) Totals(ctx context.Context) (spi, watts float64, err error) {
 			continue
 		}
 		asg := f.assignmentOf(n)
-		w, err := f.ctab.EstimateAssignment(ctx, n.cm, asg)
-		if err != nil {
-			return 0, 0, err
-		}
-		s, err := f.nodeSPI(ctx, n, asg)
+		s, w, err := f.nodeEstimate(ctx, n, asg, core.ReadSPI|core.ReadWatts)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -1487,7 +1493,7 @@ func (f *Fleet) collectGauges(r *metrics.Registry) {
 		}
 		r.Gauge(fmt.Sprintf("fleet_machine_free_slots{node=%q}", n.cfg.Name)).Set(free)
 		mw := int64(-1)
-		if w, err := f.ctab.EstimateAssignment(context.Background(), n.cm, n.asg); err == nil {
+		if _, w, err := f.nodeEstimate(context.Background(), n, n.asg, core.ReadWatts); err == nil {
 			mw = int64(freq.ScaleWatts(w, staticWatts(n), dynScaleOf(n)) * 1000)
 		}
 		r.Gauge(fmt.Sprintf("fleet_machine_milliwatts{node=%q}", n.cfg.Name)).Set(mw)

@@ -36,6 +36,8 @@ type node struct {
 	cfg  NodeConfig
 	kind *machineKind
 	cm   *core.CombinedModel
+	// power is cm.Power's number in the fleet (Fleet.powers).
+	power int
 	// down marks a lost machine: placement, rebalancing, and the model
 	// totals all skip it until RestoreNode.
 	down bool
@@ -201,7 +203,9 @@ func (f *Fleet) placeAtLocked(ctx context.Context, n *node, spec *workload.Spec,
 	if err := n.checkAdmissible(c); err != nil {
 		return "", 0, err
 	}
-	watts, err := n.cm.EstimateAdditionContext(ctx, n.asg, feat, c)
+	sc := getScratch()
+	_, watts, err := f.nodeEstimate(ctx, n, sc.withAddition(n.asg, feat, c), core.ReadWatts)
+	putScratch(sc)
 	if err != nil {
 		return "", 0, err
 	}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 
+	"mpmc/internal/core"
 	"mpmc/internal/wal"
 	"mpmc/internal/workload"
 )
@@ -42,12 +43,12 @@ func (f *Fleet) victimLocked(ctx context.Context, priority int) (nodeIdx int, vi
 				continue
 			}
 			if !baseComputed {
-				if base, err = f.nodeSPI(ctx, n, f.assignmentOf(n)); err != nil {
+				if base, _, err = f.nodeEstimate(ctx, n, f.assignmentOf(n), core.ReadSPI); err != nil {
 					return 0, resident{}, false, err
 				}
 				baseComputed = true
 			}
-			after, err := f.nodeSPI(ctx, n, withoutResident(f.assignmentOf(n), r.Resident))
+			after, _, err := f.nodeEstimate(ctx, n, withoutResident(f.assignmentOf(n), r.Resident), core.ReadSPI)
 			if err != nil {
 				return 0, resident{}, false, err
 			}

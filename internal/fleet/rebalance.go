@@ -84,7 +84,8 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		if f.nodes[i].down {
 			return 0, nil
 		}
-		return f.nodeSPI(ctx, f.nodes[i], f.assignmentOf(f.nodes[i]))
+		spi, _, err := f.nodeEstimate(ctx, f.nodes[i], f.assignmentOf(f.nodes[i]), core.ReadSPI)
+		return spi, err
 	})
 	if err != nil {
 		return Move{}, err
@@ -133,8 +134,8 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 	totals, err := parallel.Map(ctx, f.cfg.Workers, len(cands), func(k int) (float64, error) {
 		cd := cands[k]
 		srcN, dstN := f.nodes[cd.src], f.nodes[cd.dst]
-		srcAfter, err := f.nodeSPI(ctx, srcN,
-			withoutResident(f.assignmentOf(srcN), cd.res.Resident))
+		srcAfter, _, err := f.nodeEstimate(ctx, srcN,
+			withoutResident(f.assignmentOf(srcN), cd.res.Resident), core.ReadSPI)
 		if err != nil {
 			return 0, err
 		}
@@ -143,7 +144,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 			return 0, err
 		}
 		sc := getScratch()
-		dstAfter, err := f.nodeSPI(ctx, dstN, sc.withAddition(f.assignmentOf(dstN), feat, cd.dstCore))
+		dstAfter, _, err := f.nodeEstimate(ctx, dstN, sc.withAddition(f.assignmentOf(dstN), feat, cd.dstCore), core.ReadSPI)
 		putScratch(sc)
 		if err != nil {
 			return 0, err
@@ -176,7 +177,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		// when the fleet total would exceed the cap. The priced draws also
 		// become the ledger rows after execution, so admission check and
 		// accounting can never disagree.
-		srcWU, err := f.ctab.EstimateAssignment(ctx, srcN.cm, withoutResident(f.assignmentOf(srcN), cd.res.Resident))
+		_, srcWU, err := f.nodeEstimate(ctx, srcN, withoutResident(f.assignmentOf(srcN), cd.res.Resident), core.ReadWatts)
 		if err != nil {
 			return Move{}, err
 		}
@@ -184,7 +185,9 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		if err != nil {
 			return Move{}, err
 		}
-		dstWU, err := f.ctab.EstimateAddition(ctx, dstN.cm, f.assignmentOf(dstN), feat, cd.dstCore)
+		sc := getScratch()
+		_, dstWU, err := f.nodeEstimate(ctx, dstN, sc.withAddition(f.assignmentOf(dstN), feat, cd.dstCore), core.ReadWatts)
+		putScratch(sc)
 		if err != nil {
 			return Move{}, err
 		}

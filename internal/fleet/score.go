@@ -34,7 +34,7 @@ func soloSPI(ctx context.Context, m *machine.Machine, f *core.FeatureVector, sol
 type nodeScore = sched.Score
 
 // scoreNodeCold computes one node's best candidate slot from scratch (up
-// to the term and watts memos), scanning cores in index order with strict
+// to the group-estimate memo), scanning cores in index order with strict
 // less-than comparisons so ties resolve to the lowest core. The node's
 // assignment was read once by the caller, so the whole scan scores against
 // a consistent snapshot; the fleet placement lock guarantees nothing

@@ -185,13 +185,14 @@ func TestScoreNodeColdWork(t *testing.T) {
 		}
 		if scoreCap == 0 {
 			// The solver state sees only what the table could not answer;
-			// the watts memo is asked once per pass.
+			// the group memo is asked once per pass, for SPI and watts at
+			// once.
 			st := f.SolverStateStats()
 			if got := st.Hits + st.Misses + st.Rejected; got != 6 {
 				t.Errorf("%d contended solves reached the solver state, want 6", got)
 			}
-			if got := st.WattsHits + st.WattsMisses; got != 6 {
-				t.Errorf("%d watts-memo lookups, want one per group pass (6)", got)
+			if got := f.ScoreCacheStats().Lookups; got != 6 {
+				t.Errorf("%d group-memo lookups, want one per group pass (6)", got)
 			}
 		}
 		f.ctab.Reset()

@@ -98,21 +98,26 @@ func busyCores(group []int, asg core.Assignment) []int {
 	return busy
 }
 
-// scoreKey is the term-memo key of the given cores' residents (idle ones
-// add no bytes, so a group and its busy cores give the same key).
-func scoreKey(m *machine.Machine, solver core.SolverMethod, cores []int, asg core.Assignment) string {
-	return string(appendScoreKey(nil, m, solver, cores, asg))
+// scoreKey is the group-memo key of the given cores' residents under
+// power model number power (idle cores add no bytes, so a group and its
+// busy cores give the same key).
+func scoreKey(m *machine.Machine, solver core.SolverMethod, power int, cores []int, asg core.Assignment) string {
+	return string(appendScoreKey(nil, m, solver, power, cores, asg))
 }
 
 // refGroupTerms is the old groupTerms: one group's term list through the
-// term memo, or cold when caching is disabled.
+// term memo, or cold when caching is disabled. Its entries carry no watts:
+// the reference fleet prices watts through core alone and never reads them
+// from its memo.
 func (f *Fleet) refGroupTerms(ctx context.Context, m *machine.Machine, busy []int, asg core.Assignment) ([]float64, error) {
 	if f.scores == nil {
 		return groupSPITerms(ctx, m, busy, asg, core.SolverAuto, f.solver)
 	}
-	return f.scores.get([]byte(scoreKey(m, core.SolverAuto, busy, asg)), func() ([]float64, error) {
-		return groupSPITerms(ctx, m, busy, asg, core.SolverAuto, f.solver)
+	e, err := f.scores.get([]byte(scoreKey(m, core.SolverAuto, 0, busy, asg)), func() (groupEntry, error) {
+		terms, err := groupSPITerms(ctx, m, busy, asg, core.SolverAuto, f.solver)
+		return groupEntry{spi: terms}, err
 	})
+	return e.spi, err
 }
 
 // refNodeTerms is the old nodeTerms: every group's term list, nil for idle

@@ -1,31 +1,36 @@
-// Memoized group scoring: the fleet-level cache over per-group SPI terms.
+// Memoized group estimates: the fleet-level cache over one cache group's
+// Eq. 10 pass.
 //
-// Every scoring pass — placement candidates, rebalance scans, state and
-// totals reports — reduces to solving cache groups to equilibrium, and
-// the same group recurs constantly: a machine's resident groups are
-// re-solved for every candidate slot, every policy consult, and every
-// totals sample between sim events. The scoreCache memoizes the solved
-// per-resident SPI *term list* of one cache group, keyed by the exact
-// content that determines it (machine kind, solver, busy cores and their
-// resident workload names in order), so a recurring group costs one map
-// lookup instead of an equilibrium solve.
+// Every scoring pass — placement candidates, rebalance scans, cap checks,
+// state and totals reports — reduces to solving cache groups to
+// equilibrium, and the same group recurs constantly: a machine's resident
+// groups are re-solved for every candidate slot, every policy consult, and
+// every totals sample between sim events. The group-estimate memo
+// (scoreCache) keeps what one enumeration of a group's combinations yields
+// — the per-resident SPI *term list* and the busy cores' power average —
+// keyed by the exact content that determines it (machine kind, solver,
+// power model, busy cores and their resident workload names in order), so
+// a recurring group costs one map lookup instead of an equilibrium solve.
 //
 // Byte-identity contract: a cached value must be indistinguishable —
 // bit for bit — from recomputing it cold. Three properties deliver that:
 //
-//  1. Keys are content-addressed. Every input of a group's SPI terms
-//     (core.GroupEstimate.SPI) appears in the key: the machine kind name fixes the cache geometry (and which
-//     profile a workload name resolves to — profiling is deterministic
-//     per (fleet seed, kind, name), so equal names imply bit-equal
-//     feature vectors within one fleet), the solver method fixes the
-//     algorithm, and the per-core name lists fix the Eq. 10 enumeration.
-//     A key can therefore never resolve to a stale value: any change to
-//     a group's residents changes its key.
-//  2. Values are term *lists*, not subtotals. A node total is one running
-//     float sum across groups in (group, busy core, proc) order; float
-//     addition is not associative, so the memo stores the flattened
-//     per-resident terms and callers replay the accumulation in that
-//     order (see nodeSPI and scoreNodeCold).
+//  1. Keys are content-addressed. Every input of a group's estimate
+//     appears in the key: the machine kind name fixes the cache geometry
+//     (and which profile a workload name resolves to — profiling is
+//     deterministic per (fleet seed, kind, name), so equal names imply
+//     bit-equal feature vectors within one fleet), the solver method fixes
+//     the algorithm, the power model's number in the fleet fixes the watts,
+//     and the per-core name lists fix the Eq. 10 enumeration. A key can
+//     therefore never resolve to a stale value: any change to a group's
+//     residents changes its key.
+//  2. Values are term *lists* and the busy average, not subtotals. A node
+//     total is one running float sum across groups in (group, busy core,
+//     proc) order; float addition is not associative, so the memo stores
+//     the flattened per-resident terms and callers replay the accumulation
+//     in that order (see nodeEstimate and scoreNodeCold). The idle cores'
+//     P_idle term stays outside the memo (two machines may share a name
+//     but not a core count) and is recomputed with core.GroupWatts.
 //  3. Hit/miss/shared counters are scheduling-dependent and never appear
 //     in any golden or transcript; only the pure values do.
 //
@@ -71,20 +76,28 @@ type ScoreCacheStats struct {
 	DecisionEntries   int
 }
 
-// scoreCache memoizes per-group SPI term lists behind a bounded LRU with
+// groupEntry is one memoized group estimate: the per-resident SPI terms
+// (core.GroupEstimate.SPI) and the busy cores' power average
+// (core.GroupEstimate.Busy), both from one enumeration.
+type groupEntry struct {
+	spi  []float64
+	busy float64
+}
+
+// scoreCache memoizes group estimates behind a bounded LRU with
 // singleflight deduplication, mirroring featureCache's shape. All methods
 // are safe for concurrent use.
 type scoreCache struct {
-	lru    *cache.LRUMap[[]float64]
-	flight cache.Flight[[]float64]
+	lru    *cache.LRUMap[groupEntry]
+	flight cache.Flight[groupEntry]
 
 	// decisions memoizes whole scoreNodeCold results — the second memo level.
 	// A decision is a pure function of the node identity (which fixes the
 	// machine kind, power model, and MaxPerCore), the fleet's immutable
 	// policy knobs, the assignment content, and the arrival's workload
-	// name, so it obeys the same byte-identity contract the term memo
+	// name, so it obeys the same byte-identity contract the group memo
 	// does. No singleflight: recomputing a decision is cheap once the
-	// term memo is warm, so concurrent first scorers just race benignly.
+	// group memo is warm, so concurrent first scorers just race benignly.
 	decisions *cache.LRUMap[nodeScore]
 
 	// intercept is the fleet's fault-injection seam, consulted at site
@@ -98,7 +111,7 @@ type scoreCache struct {
 
 func newScoreCache(capacity int, intercept func(site, key string) error) *scoreCache {
 	return &scoreCache{
-		lru:       cache.NewLRUMap[[]float64](capacity),
+		lru:       cache.NewLRUMap[groupEntry](capacity),
 		decisions: cache.NewLRUMap[nodeScore](capacity),
 		intercept: intercept,
 	}
@@ -138,11 +151,11 @@ func (sc *scoreCache) putDecision(key string, s nodeScore) {
 	sc.decisions.Put(key, s)
 }
 
-// get returns the memoized term list for key, solving via compute on a
-// miss. The key is the caller's scratch: a hit allocates nothing, and only
-// a miss makes it a string. Errors are never cached (an injected or
+// get returns the memoized group estimate for key, solving via compute on
+// a miss. The key is the caller's scratch: a hit allocates nothing, and
+// only a miss makes it a string. Errors are never cached (an injected or
 // solver failure must not poison later lookups).
-func (sc *scoreCache) get(kb []byte, compute func() ([]float64, error)) ([]float64, error) {
+func (sc *scoreCache) get(kb []byte, compute func() (groupEntry, error)) (groupEntry, error) {
 	sc.lookups.Add(1)
 	if v, ok := sc.lru.GetBytes(kb); ok {
 		sc.hits.Add(1)
@@ -150,19 +163,19 @@ func (sc *scoreCache) get(kb []byte, compute func() ([]float64, error)) ([]float
 	}
 	key := string(kb)
 	var innerHit bool
-	v, err, shared := sc.flight.Do(key, func() ([]float64, error) {
+	v, err, shared := sc.flight.Do(key, func() (groupEntry, error) {
 		if v, ok := sc.lru.Get(key); ok {
 			innerHit = true
 			return v, nil
 		}
 		if sc.intercept != nil {
 			if err := sc.intercept("fleet.solve", key); err != nil {
-				return nil, err
+				return groupEntry{}, err
 			}
 		}
 		v, err := compute()
 		if err != nil {
-			return nil, err
+			return groupEntry{}, err
 		}
 		sc.lru.Put(key, v)
 		return v, nil
@@ -185,7 +198,7 @@ func (sc *scoreCache) invalidate(key string) {
 	}
 }
 
-// flush drops every memoized term list and placement decision.
+// flush drops every memoized group estimate and placement decision.
 func (sc *scoreCache) flush() {
 	for _, k := range sc.lru.Keys() {
 		sc.invalidate(k)
@@ -197,18 +210,21 @@ func (sc *scoreCache) flush() {
 	}
 }
 
-// appendScoreKey appends the content identity of one cache group's term
-// list to dst: the machine kind, the solver, and every busy core of the
-// group (in group order) with its resident workload names in order. The
-// busy core IDs are included alongside the names: today two symmetric
-// groups with equal residents would solve to equal terms, but per-core
-// factors (machine.CoreSpeed) may one day enter the SPI terms, and the key
-// must already name every input that could. The separators cannot occur
-// in machine or workload names.
-func appendScoreKey(dst []byte, m *machine.Machine, solver core.SolverMethod, group []int, asg core.Assignment) []byte {
+// appendScoreKey appends the content identity of one cache group's
+// estimate to dst: the machine kind, the solver, the power model's number
+// in the fleet (Fleet.powers), and every busy core of the group (in group
+// order) with its resident workload names in order. The busy core IDs are
+// included alongside the names: today two symmetric groups with equal
+// residents would solve to equal terms, but per-core factors
+// (machine.CoreSpeed) may one day enter the SPI terms, and the key must
+// already name every input that could. The separators cannot occur in
+// machine or workload names.
+func appendScoreKey(dst []byte, m *machine.Machine, solver core.SolverMethod, power int, group []int, asg core.Assignment) []byte {
 	dst = append(dst, m.Name...)
 	dst = append(dst, '\x00')
 	dst = strconv.AppendInt(dst, int64(solver), 10)
+	dst = append(dst, '\x00')
+	dst = strconv.AppendInt(dst, int64(power), 10)
 	for _, c := range group {
 		if len(asg[c]) == 0 {
 			continue
@@ -268,81 +284,97 @@ func decisionSuffix(asg core.Assignment) string {
 	return string(buf)
 }
 
-// groupIdle reports whether no core of the group hosts a process.
-func groupIdle(group []int, asg core.Assignment) bool {
+// idleCores counts the group's cores that host no process.
+func idleCores(group []int, asg core.Assignment) int {
+	idle := 0
 	for _, c := range group {
-		if len(asg[c]) > 0 {
-			return false
+		if len(asg[c]) == 0 {
+			idle++
 		}
 	}
-	return true
+	return idle
 }
 
 // groupEstimate runs (or recalls) one Eq. 10 pass of cache group gi of one
-// node's assignment: the per-resident SPI terms through the term memo, the
-// group's watts through the solver state's watts memo, both from one
-// enumeration of the group's combinations when neither memo answers (and
-// always with caching disabled). The combinations are solved through tab,
-// the calling operation's table. Every executed pass that reads SPI — real
+// node's assignment through the group-estimate memo: a miss enumerates the
+// group's combinations once, reading out both the SPI terms and the busy
+// power, and a hit serves whichever read asks for; the idle cores' term is
+// recomputed either way. With caching disabled (and for an idle group) the
+// pass reads out only what read asks for. The combinations are solved
+// through tab, the calling operation's table. Every executed pass that
+// reads SPI — every memo miss, and a cold pass asked for SPI: real
 // equilibrium solves of one cache group, the unit of work predicates exist
 // to avoid — bumps the fleet's solver-invocation counter; memo hits and
-// idle groups do not, so SolverInvocations measures solve work, not demand.
-// With caching disabled the SPI terms are written into *buf, which the
-// caller owns and which keeps any growth; a memo's terms are its own. The
-// term-memo key is built in sc.
+// idle groups do not, so SolverInvocations measures solve work, not
+// demand. With caching disabled the SPI terms are written into
+// *buf, which the caller owns and which keeps any growth; a memo's terms
+// are its own. The memo key is built in sc.
 func (f *Fleet) groupEstimate(ctx context.Context, tab *core.ComboTable, sc *scoreScratch, n *node, asg core.Assignment, gi int, read core.Readout, buf *[]float64) (core.GroupEstimate, error) {
 	m := n.cfg.Machine
-	if read&core.ReadSPI == 0 || groupIdle(m.Groups[gi], asg) {
-		return tab.EstimateGroup(ctx, n.cm, asg, gi, read&core.ReadWatts, nil)
-	}
-	if f.scores == nil {
-		f.solves.Add(1)
+	group := m.Groups[gi]
+	idle := idleCores(group, asg)
+	if f.scores == nil || idle == len(group) {
+		if idle < len(group) && read&core.ReadSPI != 0 {
+			f.solves.Add(1)
+		}
 		est, err := tab.EstimateGroup(ctx, n.cm, asg, gi, read, *buf)
-		if err == nil {
+		if est.SPI != nil {
 			*buf = est.SPI
 		}
 		return est, err
 	}
-	var est core.GroupEstimate
-	ran := false
-	sc.key = appendScoreKey(sc.key[:0], m, n.cm.Solver, m.Groups[gi], asg)
-	terms, err := f.scores.get(sc.key, func() ([]float64, error) {
+	sc.key = appendScoreKey(sc.key[:0], m, n.cm.Solver, n.power, group, asg)
+	e, err := f.scores.get(sc.key, func() (groupEntry, error) {
 		f.solves.Add(1)
-		var err error
-		est, err = tab.EstimateGroup(ctx, n.cm, asg, gi, read, nil)
-		ran = true
-		return est.SPI, err
+		est, err := tab.EstimateGroup(ctx, n.cm, asg, gi, core.ReadSPI|core.ReadWatts, nil)
+		return groupEntry{spi: est.SPI, busy: est.Busy}, err
 	})
-	if err == nil && !ran && read&core.ReadWatts != 0 {
-		est, err = tab.EstimateGroup(ctx, n.cm, asg, gi, core.ReadWatts, nil)
+	if err != nil {
+		return core.GroupEstimate{}, err
 	}
-	est.SPI = terms
-	return est, err
+	var est core.GroupEstimate
+	if read&core.ReadSPI != 0 {
+		est.SPI = e.spi
+	}
+	if read&core.ReadWatts != 0 {
+		est.Watts = n.cm.GroupWatts(idle, e.busy)
+	}
+	return est, nil
 }
 
-// nodeSPI returns the total predicted SPI of one node's assignment, one
-// term per RESIDENT: every group's terms (see core.GroupEstimate.SPI)
-// accumulated into one running total in (group, busy core, arrival)
-// order. Counting per resident — not per core — is what makes the metric
-// comparable across layouts: migrating a process from a time-shared core
-// to an idle machine keeps the number of terms fixed and only changes
-// their contention, so an improvement is a real predicted speed-up, not an
-// artifact of the accounting. Callers hold the fleet lock: the solves go
-// through its table.
-func (f *Fleet) nodeSPI(ctx context.Context, n *node, asg core.Assignment) (float64, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	total := 0.0
-	for gi := range n.cfg.Machine.Groups {
-		est, err := f.groupEstimate(ctx, f.ctab, sc, n, asg, gi, core.ReadSPI, &sc.cand)
-		if err != nil {
-			return 0, err
-		}
-		for _, t := range est.SPI {
-			total += t
+// nodeEstimate is every whole-node Eq. 10 pass the fleet makes: one node's
+// assignment (asg may be a tentative one), its total predicted SPI — one
+// term per RESIDENT, every group's terms (see core.GroupEstimate.SPI)
+// accumulated into one running total in (group, busy core, arrival) order
+// — and its estimated watts, the groups' Watts summed in group order, each
+// read out only when read asks for it. The sums replay core's
+// whole-assignment estimate bit for bit, and a read that includes watts
+// validates asg first, as that estimate does. Counting SPI per resident —
+// not per core — is what makes the metric comparable across layouts:
+// migrating a process from a time-shared core to an idle machine keeps the
+// number of terms fixed and only changes their contention, so an
+// improvement is a real predicted speed-up, not an artifact of the
+// accounting. Callers hold the fleet lock: the solves go through its
+// table.
+func (f *Fleet) nodeEstimate(ctx context.Context, n *node, asg core.Assignment, read core.Readout) (spi, watts float64, err error) {
+	if read&core.ReadWatts != 0 {
+		if err := n.cm.Validate(asg); err != nil {
+			return 0, 0, err
 		}
 	}
-	return total, nil
+	sc := getScratch()
+	defer putScratch(sc)
+	for gi := range n.cfg.Machine.Groups {
+		est, err := f.groupEstimate(ctx, f.ctab, sc, n, asg, gi, read, &sc.cand)
+		if err != nil {
+			return 0, 0, err
+		}
+		for _, t := range est.SPI {
+			spi += t
+		}
+		watts += est.Watts
+	}
+	return spi, watts, nil
 }
 
 // scoreScratch is the reusable memory of one scoring call, taken from a
@@ -355,7 +387,7 @@ type scoreScratch struct {
 	// next and ext spell out withAddition's tentative assignment.
 	next core.Assignment
 	ext  []*core.FeatureVector
-	// key holds the term-memo key being probed.
+	// key holds the group-estimate memo key being probed.
 	key []byte
 }
 
@@ -393,8 +425,8 @@ func (f *Fleet) invalidateNodeLocked(n *node) {
 	m := n.cfg.Machine
 	asg := f.assignmentOf(n)
 	for _, group := range m.Groups {
-		if !groupIdle(group, asg) {
-			f.scores.invalidate(string(appendScoreKey(nil, m, n.cm.Solver, group, asg)))
+		if idleCores(group, asg) < len(group) {
+			f.scores.invalidate(string(appendScoreKey(nil, m, n.cm.Solver, n.power, group, asg)))
 		}
 	}
 	// Decision keys embed arrival names the node cannot enumerate, so the
@@ -428,8 +460,8 @@ func (f *Fleet) SolverStateStats() core.SolverStateStats {
 
 // collectMemoStats mirrors the memo counters into the registry at scrape
 // time, so a placement pays nothing for them: hits, misses and evictions
-// of the group-score memo ("score"), the decision memo ("decision"), and
-// the solver state's solutions ("solver") and watts memo ("watts").
+// of the group-estimate memo ("score"), the decision memo ("decision"), and
+// the solver state's solutions ("solver").
 func (f *Fleet) collectMemoStats(r *metrics.Registry) {
 	sc, st := f.ScoreCacheStats(), f.SolverStateStats()
 	for _, m := range []struct {
@@ -439,7 +471,6 @@ func (f *Fleet) collectMemoStats(r *metrics.Registry) {
 		{"score", sc.Hits, sc.Misses, sc.Evictions},
 		{"decision", sc.DecisionHits, sc.DecisionMisses, sc.DecisionEvictions},
 		{"solver", st.Hits, st.Misses, st.Evictions},
-		{"watts", st.WattsHits, st.WattsMisses, st.WattsEvictions},
 	} {
 		label := `{memo="` + m.memo + `"}`
 		r.Counter("fleet_memo_hits_total" + label).Raise(m.hits)
@@ -448,7 +479,7 @@ func (f *Fleet) collectMemoStats(r *metrics.Registry) {
 	}
 }
 
-// FlushScoreCache drops every memoized group score and recorded
+// FlushScoreCache drops every memoized group estimate and recorded
 // equilibrium solution. Values are pure functions of their keys, so
 // flushing never changes any result; call it when the models behind the
 // fleet are rebuilt in place (a power-model retrain) or to release

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"mpmc/internal/core"
+	"mpmc/internal/machine"
 	"mpmc/internal/manager"
 	"mpmc/internal/workload"
 )
@@ -53,24 +54,27 @@ func TestScoreCacheConcurrentPlaceHammer(t *testing.T) {
 				t.Fatalf("counter invariant broken: lookups=%d hits=%d misses=%d shared=%d",
 					st.Lookups, st.Hits, st.Misses, st.Shared)
 			}
-			ss := f.SolverStateStats()
-			if pol != LeastWatts && st.Lookups == 0 {
-				t.Fatal("expected term-memo traffic")
-			}
-			if pol == LeastWatts && ss.WattsHits+ss.WattsMisses == 0 {
-				t.Fatal("expected watts-memo traffic under LeastWatts")
+			// LeastWatts reads watts only, through the same memo.
+			if st.Lookups == 0 {
+				t.Fatal("expected group-memo traffic")
 			}
 		})
 	}
 }
 
 // TestFailNodeInvalidatesExactlyAffectedKeys proves FailNode drops exactly
-// the failing node's current group keys and its decision keys — nothing
-// belonging to any other node — and counts the drops.
+// the failing node's current group entries — SPI terms and watts alike —
+// and its decision keys, nothing belonging to any other node, and counts
+// the drops.
 func TestFailNodeInvalidatesExactlyAffectedKeys(t *testing.T) {
 	f := testFleet(t, LeastDegradation, nil)
 	ctx := context.Background()
 	if _, err := f.PlaceAll(ctx, sixteenSpecs()[:8]); err != nil {
+		t.Fatal(err)
+	}
+	// Totals reads every live node's SPI and watts through the memo, so
+	// every busy group has an entry before the failure.
+	if _, _, err := f.Totals(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,7 +85,7 @@ func TestFailNodeInvalidatesExactlyAffectedKeys(t *testing.T) {
 	for _, group := range target.cfg.Machine.Groups {
 		busy := busyCores(group, asg)
 		if len(busy) > 0 {
-			expect[scoreKey(target.cfg.Machine, target.cm.Solver, busy, asg)] = true
+			expect[scoreKey(target.cfg.Machine, target.cm.Solver, target.power, busy, asg)] = true
 		}
 	}
 	if len(expect) == 0 {
@@ -111,7 +115,10 @@ func TestFailNodeInvalidatesExactlyAffectedKeys(t *testing.T) {
 		}
 	}
 	for k := range expect {
-		if beforeG[k] && afterG[k] {
+		if !beforeG[k] {
+			t.Errorf("the target's group %q was not memoized before FailNode", k)
+		}
+		if afterG[k] {
 			t.Errorf("stale group key survived FailNode: %q", k)
 		}
 	}
@@ -126,6 +133,15 @@ func TestFailNodeInvalidatesExactlyAffectedKeys(t *testing.T) {
 	}
 	if got := f.ScoreCacheStats().Invalidated; got == inv0 {
 		t.Error("FailNode invalidated nothing")
+	}
+	// Every other node's entries survived whole: their SPI and watts are
+	// read again without a miss.
+	before := f.ScoreCacheStats()
+	if _, _, err := f.Totals(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if after := f.ScoreCacheStats(); after.Misses != before.Misses || after.Hits == before.Hits {
+		t.Errorf("totals after FailNode: memo %+v → %+v, want hits only", before, after)
 	}
 }
 
@@ -234,10 +250,55 @@ func TestCachedMatchesColdAcrossMutations(t *testing.T) {
 	if st := warm.ScoreCacheStats(); st.Entries != 0 || st.DecisionEntries != 0 {
 		t.Fatalf("flush left %d term + %d decision entries", st.Entries, st.DecisionEntries)
 	}
-	if ss := warm.SolverStateStats(); ss.Entries != 0 || ss.WattsEntries != 0 {
-		t.Fatalf("flush left %d solver + %d watts entries", ss.Entries, ss.WattsEntries)
+	if ss := warm.SolverStateStats(); ss.Entries != 0 {
+		t.Fatalf("flush left %d solver entries", ss.Entries)
 	}
 	sameTotals("post-flush")
+}
+
+// TestGroupMemoWattsBitIdentical: the group memo changes only speed, never
+// bytes. Core's stateless whole-assignment estimate, the memo's populating
+// (miss) read and its memoized (hit) read of the same assignment agree to
+// the bit — on partially idle groups too, where the idle cores' term is
+// recomputed outside the memo on every read.
+func TestGroupMemoWattsBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	m := machine.FourCoreServer()
+	fv := func(name string) *core.FeatureVector { return core.TruthFeature(workload.ByName(name), m) }
+	for _, tc := range []struct {
+		label string
+		asg   core.Assignment
+	}{
+		{"all busy", core.Assignment{{fv("mcf"), fv("gzip")}, {fv("twolf")}, {fv("art")}, {fv("vpr")}}},
+		{"half idle", core.Assignment{{fv("mcf"), fv("art")}, nil, {fv("swim")}, nil}},
+		{"single solo", core.Assignment{{fv("vpr")}, nil, nil, nil}},
+	} {
+		f := scoreFleet(t, m, LeastWatts, 0)
+		n := f.nodes[0]
+		cold, err := n.cm.EstimateAssignment(tc.asg)
+		if err != nil {
+			t.Fatalf("%s: stateless estimate: %v", tc.label, err)
+		}
+		_, miss, err := f.nodeEstimate(ctx, n, tc.asg, core.ReadWatts)
+		if err != nil {
+			t.Fatalf("%s: populating read: %v", tc.label, err)
+		}
+		st := f.ScoreCacheStats()
+		if st.Hits != 0 || st.Misses == 0 || uint64(st.Entries) != st.Misses {
+			t.Fatalf("%s: populating stats = %+v, want only misses, one entry each", tc.label, st)
+		}
+		_, hit, err := f.nodeEstimate(ctx, n, tc.asg, core.ReadWatts)
+		if err != nil {
+			t.Fatalf("%s: memoized read: %v", tc.label, err)
+		}
+		if st2 := f.ScoreCacheStats(); st2.Hits != st.Misses || st2.Misses != st.Misses {
+			t.Fatalf("%s: memoized stats = %+v, want every busy group to hit", tc.label, st2)
+		}
+		if math.Float64bits(cold) != math.Float64bits(miss) || math.Float64bits(cold) != math.Float64bits(hit) {
+			t.Fatalf("%s: estimates diverge: stateless %x, miss %x, hit %x", tc.label,
+				math.Float64bits(cold), math.Float64bits(miss), math.Float64bits(hit))
+		}
+	}
 }
 
 // TestRebalanceSolvesEachKeyOnce is the regression test for the rebalance
@@ -326,7 +387,8 @@ func TestDecisionMemoCounters(t *testing.T) {
 }
 
 // TestKeyConstruction pins the content-addressing down: any difference in
-// machine kind, solver, busy set, per-core grouping, or arrival must
+// machine kind, solver, power model, busy set, per-core grouping, or
+// arrival must
 // produce a distinct key, and position must matter (a process on core 0 is
 // not a process on core 1).
 func TestKeyConstruction(t *testing.T) {
@@ -359,11 +421,12 @@ func TestKeyConstruction(t *testing.T) {
 	asg1 := core.Assignment{nil, {fa}}
 	asg2 := core.Assignment{{fa}, {fb}}
 	asg3 := core.Assignment{{fa, fb}, nil}
-	add("core0", scoreKey(m, core.SolverAuto, busyCores(m.Groups[0], asg0), asg0))
-	add("core1", scoreKey(m, core.SolverAuto, busyCores(m.Groups[0], asg1), asg1))
-	add("split", scoreKey(m, core.SolverAuto, busyCores(m.Groups[0], asg2), asg2))
-	add("stacked", scoreKey(m, core.SolverAuto, busyCores(m.Groups[0], asg3), asg3))
-	add("solver", scoreKey(m, core.SolverWindow, busyCores(m.Groups[0], asg0), asg0))
+	add("core0", scoreKey(m, core.SolverAuto, 0, busyCores(m.Groups[0], asg0), asg0))
+	add("core1", scoreKey(m, core.SolverAuto, 0, busyCores(m.Groups[0], asg1), asg1))
+	add("split", scoreKey(m, core.SolverAuto, 0, busyCores(m.Groups[0], asg2), asg2))
+	add("stacked", scoreKey(m, core.SolverAuto, 0, busyCores(m.Groups[0], asg3), asg3))
+	add("solver", scoreKey(m, core.SolverWindow, 0, busyCores(m.Groups[0], asg0), asg0))
+	add("power", scoreKey(m, core.SolverAuto, 1, busyCores(m.Groups[0], asg0), asg0))
 
 	dk := map[string]string{}
 	addD := func(label, k string) {
@@ -380,9 +443,10 @@ func TestKeyConstruction(t *testing.T) {
 	addD("other-node", decisionKey(f.nodes[1], fa, core.Assignment{nil, nil}))
 }
 
-// TestMemoHitAllocs: a decision-memo probe and a term-memo hit build
+// TestMemoHitAllocs: a decision-memo probe and a group-memo hit build
 // their keys in the caller's scratch and look them up without a string,
-// so a hit allocates nothing.
+// so a hit allocates nothing — for an SPI read, a watts-only read, and a
+// whole-node watts read alike.
 func TestMemoHitAllocs(t *testing.T) {
 	ctx := context.Background()
 	f := testFleet(t, LeastDegradation, nil)
@@ -420,20 +484,31 @@ func TestMemoHitAllocs(t *testing.T) {
 	sc := getScratch()
 	defer putScratch(sc)
 	asg := f.assignmentOf(n)
-	if groupIdle(n.cfg.Machine.Groups[0], asg) {
+	if g := n.cfg.Machine.Groups[0]; idleCores(g, asg) == len(g) {
 		t.Fatal("node 0's group is idle; the pin would probe nothing")
 	}
+	for _, read := range []core.Readout{core.ReadSPI, core.ReadWatts} {
+		allocs = testing.AllocsPerRun(100, func() {
+			if _, err := f.groupEstimate(ctx, f.ctab, sc, n, asg, 0, read, &sc.cand); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a group-memo hit reading %d allocates %v objects, want 0", read, allocs)
+		}
+	}
+	// The whole-node watts read every cap resync and gauge scrape makes.
 	allocs = testing.AllocsPerRun(100, func() {
-		if _, err := f.groupEstimate(ctx, f.ctab, sc, n, asg, 0, core.ReadSPI, &sc.cand); err != nil {
+		if _, _, err := f.nodeEstimate(ctx, n, asg, core.ReadWatts); err != nil {
 			t.Fatal(err)
 		}
 	})
+	if allocs != 0 {
+		t.Errorf("a memoized whole-node watts read allocates %v objects, want 0", allocs)
+	}
 	after := f.ScoreCacheStats()
 	if after.Hits == before.Hits || after.Misses != before.Misses || after.DecisionMisses != before.DecisionMisses {
 		t.Fatalf("memo stats %+v → %+v: the pins need hits only", before, after)
-	}
-	if allocs != 0 {
-		t.Errorf("a term-memo hit allocates %v objects, want 0", allocs)
 	}
 }
 

@@ -120,7 +120,7 @@ func (h *Histogram) MPA(s float64) float64 {
 		return mLo
 	}
 	mHi := h.mpaInt(lo + 1)
-	return mLo + frac*(mHi-mLo)
+	return mLo + float64(frac*(mHi-mLo))
 }
 
 // mpaInt returns Σ_{d>s} h(d) for integer s in 0..len(p).
@@ -141,7 +141,7 @@ func (h *Histogram) MPACurve(maxS int) []float64 {
 func (h *Histogram) Mean() float64 {
 	m := h.overflow * float64(len(h.p)+1)
 	for d, p := range h.p {
-		m += p * float64(d+1)
+		m += float64(p * float64(d+1))
 	}
 	return m
 }

@@ -117,12 +117,12 @@ func (o *Oracle) CorePower(r hpc.Rates) float64 {
 		l1 = o.p.L1Ref * r.L1RPS / (1 + r.L1RPS/(2*o.p.SatL1))
 	}
 	p += l1
-	p += o.p.L2Ref * r.L2RPS
-	p += o.p.QuadL2 * r.L2RPS * r.L2RPS
-	p += o.p.L2Miss * r.L2MPS
-	p += o.p.Branch * r.BRPS
-	p += o.p.FPOp * r.FPPS
-	p += o.p.NoiseStd * o.rng.NormFloat64()
+	p += float64(o.p.L2Ref * r.L2RPS)
+	p += float64(o.p.QuadL2 * r.L2RPS * r.L2RPS)
+	p += float64(o.p.L2Miss * r.L2MPS)
+	p += float64(o.p.Branch * r.BRPS)
+	p += float64(o.p.FPOp * r.FPPS)
+	p += float64(o.p.NoiseStd * o.rng.NormFloat64())
 	if p < 0 {
 		p = 0
 	}
@@ -139,7 +139,7 @@ func (o *Oracle) ProcessorPower(cores []hpc.Rates) float64 {
 	}
 	if o.p.WanderStd > 0 && o.p.WanderTau > 0 {
 		decay := math.Exp(-1 / o.p.WanderTau)
-		o.wander = o.wander*decay + o.p.WanderStd*math.Sqrt(1-decay*decay)*o.rng.NormFloat64()
+		o.wander = float64(o.wander*decay) + float64(o.p.WanderStd*math.Sqrt(1-float64(decay*decay))*o.rng.NormFloat64())
 		p += o.wander
 	}
 	if p < 0 {
@@ -197,7 +197,7 @@ func (s *Sensor) MeasureWindow(truePower, dt float64) float64 {
 		n = 1
 	}
 	// Mean of n iid noisy samples: noise std shrinks by √n.
-	noisy := trueCurrent + s.p.ClampNoiseStd/math.Sqrt(n)*s.rng.NormFloat64()
+	noisy := trueCurrent + float64(s.p.ClampNoiseStd/math.Sqrt(n)*s.rng.NormFloat64())
 	if s.p.CurrentLSB > 0 {
 		noisy = math.Round(noisy/s.p.CurrentLSB) * s.p.CurrentLSB
 	}

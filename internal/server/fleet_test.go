@@ -393,7 +393,7 @@ func TestFleetMemoMetrics(t *testing.T) {
 	pr := place()
 	_, raw := do(t, ts, "GET", "/metrics", "")
 	for _, fam := range []string{"fleet_memo_hits_total", "fleet_memo_misses_total", "fleet_memo_evictions_total"} {
-		for _, memo := range []string{"score", "decision", "solver", "watts"} {
+		for _, memo := range []string{"score", "decision", "solver"} {
 			if want := fam + `{memo="` + memo + `"} `; !strings.Contains(string(raw), want) {
 				t.Errorf("/metrics missing %q", want)
 			}

@@ -106,7 +106,7 @@ func Coherence(sharedFrac, writeFrac float64, remote, threads int) float64 {
 // Dilation returns the private-distance stretch factor for local
 // co-located members: 1 + (local−1)(1−σ).
 func Dilation(sharedFrac float64, local int) float64 {
-	return 1 + float64(local-1)*(1-sharedFrac)
+	return 1 + float64(float64(local-1)*(1-sharedFrac))
 }
 
 // bundleCache interns derived bundle specs by name. Bundles are pure
@@ -170,19 +170,19 @@ func (g GroupSpec) build(name string, local, remote int) (*workload.Spec, error)
 		if p == 0 {
 			continue
 		}
-		weights[i-1] += shared * p
+		weights[i-1] += float64(shared * p)
 		di := int(math.Ceil(float64(i) * d))
 		if di > length {
 			di = length
 		}
-		weights[di-1] += (1 - shared) * p
+		weights[di-1] += float64((1 - shared) * p)
 	}
 	overflow := base.Reuse.Overflow()
 	if coh > 0 {
 		for i := range weights {
 			weights[i] *= 1 - coh
 		}
-		overflow = coh + (1-coh)*overflow
+		overflow = coh + float64((1-coh)*overflow)
 	}
 	h, err := hist.New(weights, overflow)
 	if err != nil {

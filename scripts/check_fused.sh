@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-packages=(./internal/fleet)
+packages=(./internal/fleet ./internal/freq ./internal/hist ./internal/threads ./internal/power)
 fused='\bF(N)?M(ADD|SUB)[DS]?\b'
 
 status=0
