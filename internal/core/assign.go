@@ -456,6 +456,12 @@ func (cm *CombinedModel) SearchCandidates(k int) (int, error) {
 // the search within one estimation step. More than 2^20 mappings is
 // ErrSearchSpace.
 func (cm *CombinedModel) BestAssignmentContext(ctx context.Context, procs []*FeatureVector, maxResults int) ([]AssignmentResult, error) {
+	return cm.bestAssignment(ctx, procs, maxResults, nil)
+}
+
+// bestAssignment is BestAssignmentContext. layouts, if not nil, counts the
+// group layouts the search starts to estimate.
+func (cm *CombinedModel) bestAssignment(ctx context.Context, procs []*FeatureVector, maxResults int, layouts *int) ([]AssignmentResult, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("core: no processes to assign")
 	}
@@ -504,6 +510,9 @@ func (cm *CombinedModel) BestAssignmentContext(ctx context.Context, procs []*Fea
 					if plan.groupOf[c] == gi {
 						s.asg[c], s.tab.ids[c] = append(s.asg[c], procs[i]), append(s.tab.ids[c], s.procID[i])
 					}
+				}
+				if layouts != nil {
+					*layouts++
 				}
 				est, err := cm.estimateGroup(ctx, s.asg, group, env, ReadWatts, nil)
 				if err != nil {
