@@ -92,6 +92,8 @@ func gridSpec(s *workload.Spec) *workload.Spec {
 // speed. It covers every branch of the per-access path: all presets, both
 // dies, time sharing, the warm-up reset, per-process samples, prefetch,
 // the bandwidth-limited bus, heterogeneous cores and the non-LRU policies.
+// The stressmark cases were recorded before the cache's LRU moved from an
+// MRU-first shift to recency stamps and gained its way predictor.
 func TestRunDigests(t *testing.T) {
 	by := workload.ByName
 	with := func(m *machine.Machine, edit func(*machine.Machine)) *machine.Machine {
@@ -148,6 +150,21 @@ func TestRunDigests(t *testing.T) {
 		{"tie/time-shared-beside-lone/workstation", onGrid(machine.TwoCoreWorkstation()),
 			Assignment{Procs: [][]*workload.Spec{{gridSpec(by("vpr"))}, {gridSpec(by("vpr")), gridSpec(by("twolf"))}}},
 			Options{Warmup: 1, Duration: 4, Seed: 118, CollectProcSamples: true}},
+		// The stressmark under every policy and with the prefetcher, a
+		// thrashing stressmark whose lines keep evicting each other, and a
+		// stressmark time-sharing a core: its hits dominate the profiling
+		// sweep, so each way the cache can answer them is pinned.
+		{"stressmark-plru/server", with(machine.FourCoreServer(), func(m *machine.Machine) { m.Policy = cache.PLRU }),
+			Single(by("mcf"), workload.Stressmark(9), nil, nil), Options{Warmup: 1, Duration: 2, Seed: 119}},
+		{"stressmark-random-prefetch/workstation", with(machine.TwoCoreWorkstation(), func(m *machine.Machine) { m.Policy = cache.Random; m.Prefetch = true }),
+			Single(by("art"), workload.Stressmark(5)), Options{Warmup: 1, Duration: 2, Seed: 120}},
+		{"stressmark-prefetch/laptop", with(machine.TwoCoreLaptop(), func(m *machine.Machine) { m.Prefetch = true }),
+			Single(by("equake"), workload.Stressmark(7)), Options{Warmup: 1, Duration: 2, Seed: 121}},
+		{"stressmark-thrash/server", machine.FourCoreServer(),
+			Single(by("mcf"), workload.Stressmark(15), nil, nil), Options{Warmup: 1, Duration: 2, Seed: 122}},
+		{"stressmark-time-shared/workstation", machine.TwoCoreWorkstation(),
+			Assignment{Procs: [][]*workload.Spec{{by("gzip"), workload.Stressmark(4)}, {by("vpr")}}},
+			Options{Warmup: 1, Duration: 5, Seed: 123}},
 	}
 	got := make(map[string]string, len(cases))
 	for _, tc := range cases {
