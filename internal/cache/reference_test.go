@@ -7,10 +7,11 @@ import (
 	"mpmc/internal/xrand"
 )
 
-// refCache is the cache as it stood before the flat recency-ordered
-// layout: positional ways with a valid flag, and a separate per-set list
-// of way indices in recency order under LRU. It is the oracle the flat
-// Cache is checked against, access by access.
+// refCache is the cache as plainly as it can be written: positional ways
+// with a valid flag, a lookup that scans every way, and a separate per-set
+// list of way indices in recency order under LRU. It is the oracle the flat
+// Cache, with its stamps and its way predictor, is checked against, access
+// by access.
 type refCache struct {
 	cfg       Config
 	sets      []refSet
@@ -193,19 +194,68 @@ func TestMatchesReference(t *testing.T) {
 					if got, want := c.Access(o, id), ref.Access(o, id); got != want {
 						t.Fatalf("%s: access %d (owner %d, line %d): hit %v, reference %v", name, i, o, id, got, want)
 					}
-					for o := 0; o < owners; o++ {
-						if c.Stats(o) != ref.stats[o] {
-							t.Fatalf("%s: access %d: owner %d stats %+v, reference %+v", name, i, o, c.Stats(o), ref.stats[o])
-						}
-						if c.Occupancy(o) != ref.occupancy[o] {
-							t.Fatalf("%s: access %d: owner %d occupancy %d, reference %d", name, i, o, c.Occupancy(o), ref.occupancy[o])
-						}
-						if want := float64(ref.occupancy[o]) / float64(cfg.NumSets); c.AvgWays(o) != want {
-							t.Fatalf("%s: access %d: owner %d AvgWays %v, reference %v", name, i, o, c.AvgWays(o), want)
-						}
-					}
+					checkAgainstRef(t, c, ref, owners, name, i)
 				}
 			}
 		}
 	}
+}
+
+// checkAgainstRef fails t unless c and ref report the same statistics,
+// occupancy and average ways for owners 0..owners−1 after access i of the
+// stream called name.
+func checkAgainstRef(t *testing.T, c *Cache, ref *refCache, owners int, name string, i int) {
+	t.Helper()
+	for o := 0; o < owners; o++ {
+		if c.Stats(o) != ref.stats[o] {
+			t.Fatalf("%s: access %d: owner %d stats %+v, reference %+v", name, i, o, c.Stats(o), ref.stats[o])
+		}
+		if c.Occupancy(o) != ref.occupancy[o] {
+			t.Fatalf("%s: access %d: owner %d occupancy %d, reference %d", name, i, o, c.Occupancy(o), ref.occupancy[o])
+		}
+		if want := float64(ref.occupancy[o]) / float64(ref.cfg.NumSets); c.AvgWays(o) != want {
+			t.Fatalf("%s: access %d: owner %d AvgWays %v, reference %v", name, i, o, c.AvgWays(o), want)
+		}
+	}
+}
+
+// FuzzAccessMatchesReference checks the Cache against the reference after
+// every access of a fuzzed stream: hit or miss, OwnerStats, Occupancy and
+// AvgWays. mode picks the policy (all three), the prefetcher (on or off)
+// and the geometry: 48 sets × 12 ways, whose set and predictor indices are
+// a modulo, or 64 × 16, where they are masks. Each access takes two bytes:
+// the first gives the owner (of four) and k < 8, the second j and s < 2,
+// for line k·Sets·Ways + j·Sets + s. Lines with the same j and s but
+// another k or owner share a predictor byte, and up to 128 lines per owner
+// compete for each of two sets, so predictions go stale through evictions
+// and refills by other owners and other IDs.
+func FuzzAccessMatchesReference(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 0, 1, 0, 0, 2, 4, 4})
+	f.Add(uint8(5), []byte{0x21, 0x31, 0x42, 0x1f, 0xe3, 0x0c, 0x01, 0x01, 0x61, 0x30})
+	f.Add(uint8(10), []byte{0x1c, 0x7e, 0x2d, 0x5a, 0x3b, 0x46, 0x8f, 0xd2, 0x90, 0x11, 0xa4, 0x0d})
+	seed := make([]byte, 512)
+	r := xrand.New(7)
+	for i := range seed {
+		seed[i] = byte(r.Uint64())
+	}
+	for mode := uint8(0); mode < 16; mode++ {
+		f.Add(mode, seed)
+	}
+	f.Fuzz(func(t *testing.T, mode uint8, ops []byte) {
+		geom := [2][2]int{{48, 12}, {64, 16}}[mode>>3&1]
+		cfg := Config{NumSets: geom[0], Assoc: geom[1], Policy: Policy(mode % 3), Prefetch: mode&4 != 0, Seed: uint64(mode)}
+		c, ref := New(cfg), newRef(cfg)
+		name := fmt.Sprintf("%+v", cfg)
+		sets, ways := uint64(geom[0]), uint64(geom[1])
+		for i := 0; i+1 < len(ops); i += 2 {
+			o := int(ops[i] & 3)
+			k := uint64(ops[i] >> 2 & 7)
+			j, s := uint64(ops[i+1]>>1&15), uint64(ops[i+1]&1)
+			id := k*sets*ways + j*sets + s
+			if got, want := c.Access(o, id), ref.Access(o, id); got != want {
+				t.Fatalf("%s: access %d (owner %d, line %d): hit %v, reference %v", name, i/2, o, id, got, want)
+			}
+			checkAgainstRef(t, c, ref, 4, name, i/2)
+		}
+	})
 }
