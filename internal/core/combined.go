@@ -58,7 +58,7 @@ func PredictedRates(p Prediction) hpc.Rates {
 func (cm *CombinedModel) P1(p Prediction) float64 {
 	c := cm.Power.Coefficients()
 	f := p.Feature
-	return cm.Power.PIdle() + (c[0]*f.L1RPI+c[1]*f.API+c[3]*f.BRPI+c[4]*f.FPPI)/p.SPI
+	return cm.Power.PIdle() + (float64(c[0]*f.L1RPI)+float64(c[1]*f.API)+float64(c[3]*f.BRPI)+float64(c[4]*f.FPPI))/p.SPI
 }
 
 // P2 returns the L2-miss power term of a predicted process (negative on
@@ -310,20 +310,14 @@ func (cm *CombinedModel) tablePowers(ctx context.Context, combo []*FeatureVector
 	return tab.arena[off : off+len(combo)], nil
 }
 
-// EstimateAddition implements the Figure 1 algorithm: the estimated
+// EstimateAdditionContext implements the Figure 1 algorithm: the estimated
 // processor power after assigning process k to core c, given the current
 // assignment. The partner-set case analysis of the paper reduces to
 // re-estimating c's cache group with k added while every other group's
-// estimate is unchanged (its P_rest).
-func (cm *CombinedModel) EstimateAddition(asg Assignment, k *FeatureVector, c int) (float64, error) {
-	return cm.EstimateAdditionContext(context.Background(), asg, k, c)
-}
-
-// EstimateAdditionContext is EstimateAddition under a caller-supplied
-// context. It never mutates asg: the tentative assignment shares the
-// unchanged per-core slices and spells out only core c, in scratch memory,
-// which lets callers evaluate a placement before committing state
-// (estimation only reads the lists).
+// estimate is unchanged (its P_rest). It never mutates asg: the tentative
+// assignment shares the unchanged per-core slices and spells out only core
+// c, in scratch memory, which lets callers evaluate a placement before
+// committing state (estimation only reads the lists).
 func (cm *CombinedModel) EstimateAdditionContext(ctx context.Context, asg Assignment, k *FeatureVector, c int) (float64, error) {
 	if c < 0 || c >= cm.Machine.NumCores {
 		return 0, fmt.Errorf("core: core %d out of range", c)

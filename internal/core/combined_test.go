@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -105,7 +106,7 @@ func TestEstimateAdditionConsistent(t *testing.T) {
 	m := machine.TwoCoreWorkstation()
 	cm, feats := testCombined(t, m)
 	base := Assignment{{feats["twolf"]}, nil}
-	viaAdd, err := cm.EstimateAddition(base, feats["art"], 1)
+	viaAdd, err := cm.EstimateAdditionContext(context.Background(), base, feats["art"], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestEstimateAdditionConsistent(t *testing.T) {
 	}
 	// The base assignment must not be mutated.
 	if len(base[1]) != 0 {
-		t.Fatal("EstimateAddition mutated its input")
+		t.Fatal("EstimateAdditionContext mutated its input")
 	}
 }
 
@@ -131,7 +132,7 @@ func TestEstimateAssignmentErrors(t *testing.T) {
 	if _, err := cm.EstimateAssignment(Assignment{{nil}, nil}); err == nil {
 		t.Fatal("accepted nil feature")
 	}
-	if _, err := cm.EstimateAddition(Assignment{nil, nil}, feats["mcf"], 9); err == nil {
+	if _, err := cm.EstimateAdditionContext(context.Background(), Assignment{nil, nil}, feats["mcf"], 9); err == nil {
 		t.Fatal("accepted out-of-range core")
 	}
 }

@@ -256,7 +256,7 @@ func solveWindow(ctx context.Context, features []*FeatureVector, assoc float64) 
 				if sizes[i] >= box {
 					continue
 				}
-				grown := sizes[i] * scale
+				grown := float64(sizes[i] * scale)
 				if grown > box {
 					deficit += grown - box
 					grown = box
@@ -353,7 +353,7 @@ func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64, 
 		// an untouched row differences its own residual, so NaN and the sign
 		// of zero come out as the full difference gave them.
 		for j := 0; j < k; j++ {
-			h := 1e-6 * math.Max(1, s[j])
+			h := float64(1e-6 * math.Max(1, s[j]))
 			if s[j]+h > upper[j] {
 				h = -h
 			}
@@ -400,7 +400,7 @@ func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64, 
 			copy(trial, s)
 			ok := true
 			for j := 0; j < k; j++ {
-				trial[j] -= lambda * step[j]
+				trial[j] -= float64(lambda * step[j])
 				if trial[j] < 0.02 || trial[j] > upper[j]+1e-12 {
 					ok = false
 					break

@@ -130,7 +130,7 @@ func NewFeatureVector(name string, mpaCurve []float64, alpha, beta, api float64)
 func (f *FeatureVector) MPA(s float64) float64 { return f.Hist.MPA(s) }
 
 // SPI returns the Eq. 3 throughput estimate at miss rate mpa.
-func (f *FeatureVector) SPI(mpa float64) float64 { return f.Alpha*mpa + f.Beta }
+func (f *FeatureVector) SPI(mpa float64) float64 { return float64(f.Alpha*mpa) + f.Beta }
 
 // APS returns the process's cache accesses per second at miss rate mpa:
 // API / SPI(mpa) — Eq. 6's right-hand side.
@@ -275,7 +275,7 @@ func (f *FeatureVector) buildGTable() *gTable {
 		p, q = q, p
 		g = 0
 		for i := 1; i <= a; i++ {
-			g += float64(i) * p[i]
+			g += float64(float64(i) * p[i])
 		}
 		if n <= denseLimit || float64(n) >= nextStore {
 			t.ns = append(t.ns, float64(n))
@@ -317,7 +317,7 @@ func (f *FeatureVector) G(n float64) float64 {
 		}
 	}
 	frac := (n - t.ns[lo]) / (t.ns[hi] - t.ns[lo])
-	return t.gs[lo] + frac*(t.gs[hi]-t.gs[lo])
+	return t.gs[lo] + float64(frac*(t.gs[hi]-t.gs[lo]))
 }
 
 // GMax returns the asymptotic effective cache size the process reaches
@@ -347,5 +347,5 @@ func (f *FeatureVector) GInverse(s float64) float64 {
 		return t.ns[lo]
 	}
 	frac := (s - t.gs[lo]) / (t.gs[hi] - t.gs[lo])
-	return t.ns[lo] + frac*(t.ns[hi]-t.ns[lo])
+	return t.ns[lo] + float64(frac*(t.ns[hi]-t.ns[lo]))
 }

@@ -108,9 +108,9 @@ func TrainNNModel(ds *PowerDataset, opts NNOptions) (*NNModel, error) {
 	for h := 0; h < o.Hidden; h++ {
 		nn.w1[h] = make([]float64, dim)
 		for j := range nn.w1[h] {
-			nn.w1[h][j] = (rng.Float64()*2 - 1) / math.Sqrt(float64(dim))
+			nn.w1[h][j] = (float64(rng.Float64())*2 - 1) / math.Sqrt(float64(dim))
 		}
-		nn.w2[h] = (rng.Float64()*2 - 1) / math.Sqrt(float64(o.Hidden))
+		nn.w2[h] = (float64(rng.Float64())*2 - 1) / math.Sqrt(float64(o.Hidden))
 	}
 
 	// Full-batch gradient descent with momentum.
@@ -146,35 +146,35 @@ func TrainNNModel(ds *PowerDataset, opts NNOptions) (*NNModel, error) {
 			for h := 0; h < o.Hidden; h++ {
 				a := nn.b1[h]
 				for j, xv := range x {
-					a += nn.w1[h][j] * xv
+					a += float64(nn.w1[h][j] * xv)
 				}
 				hid[h] = sigmoid(a)
-				out += nn.w2[h] * hid[h]
+				out += float64(nn.w2[h] * hid[h])
 			}
 			// Backward (MSE).
-			d := (out - ys[i]) * inv
+			d := float64((out - ys[i]) * inv)
 			gB2 += d
 			for h := 0; h < o.Hidden; h++ {
-				gW2[h] += d * hid[h]
-				dh := d * nn.w2[h] * hid[h] * (1 - hid[h])
+				gW2[h] += float64(d * hid[h])
+				dh := float64(d * nn.w2[h] * hid[h] * (1 - hid[h]))
 				gB1[h] += dh
 				for j, xv := range x {
-					gW1[h][j] += dh * xv
+					gW1[h][j] += float64(dh * xv)
 				}
 			}
 		}
 		// Momentum update.
 		for h := 0; h < o.Hidden; h++ {
 			for j := 0; j < dim; j++ {
-				vW1[h][j] = momentum*vW1[h][j] - o.LR*gW1[h][j]
+				vW1[h][j] = float64(momentum*vW1[h][j]) - float64(o.LR*gW1[h][j])
 				nn.w1[h][j] += vW1[h][j]
 			}
-			vB1[h] = momentum*vB1[h] - o.LR*gB1[h]
+			vB1[h] = float64(momentum*vB1[h]) - float64(o.LR*gB1[h])
 			nn.b1[h] += vB1[h]
-			vW2[h] = momentum*vW2[h] - o.LR*gW2[h]
+			vW2[h] = float64(momentum*vW2[h]) - float64(o.LR*gW2[h])
 			nn.w2[h] += vW2[h]
 		}
-		vB2 = momentum*vB2 - o.LR*gB2
+		vB2 = float64(momentum*vB2) - float64(o.LR*gB2)
 		nn.b2 += vB2
 	}
 	return nn, nil
@@ -200,11 +200,11 @@ func (nn *NNModel) CorePower(r hpc.Rates) float64 {
 	for h := 0; h < nn.hidden; h++ {
 		a := nn.b1[h]
 		for j, xv := range x {
-			a += nn.w1[h][j] * xv
+			a += float64(nn.w1[h][j] * xv)
 		}
-		out += nn.w2[h] * sigmoid(a)
+		out += float64(nn.w2[h] * sigmoid(a))
 	}
-	return nn.yMin + out*(nn.yMax-nn.yMin)
+	return nn.yMin + float64(out*(nn.yMax-nn.yMin))
 }
 
 // ProcessorPower estimates total processor power from per-core rates.

@@ -298,7 +298,7 @@ func eq3Fit(mpas, spis []float64) (alpha, beta float64) {
 	if beta <= 0 {
 		// Anchor the line at the mean operating point with a positive
 		// intercept: predictions stay exact near the measured range.
-		beta = 0.1 * stats.Min(spis)
+		beta = float64(0.1 * stats.Min(spis))
 		if meanMPA > 0 {
 			alpha = (meanSPI - beta) / meanMPA
 		}

@@ -168,7 +168,7 @@ func validSizes(sizes []float64, features []*FeatureVector, a float64) bool {
 	if len(sizes) != len(features) {
 		return false
 	}
-	tol := 1e-6 * a
+	tol := float64(1e-6 * a)
 	sum := 0.0
 	for i, s := range sizes {
 		if math.IsNaN(s) || s <= 0 || s > math.Min(a, features[i].GMax())+tol {

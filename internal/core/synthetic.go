@@ -18,7 +18,7 @@ func SyntheticPowerModel() (*PowerModel, error) {
 		}
 		w := coef[0]
 		for j, c := range coef[1:] {
-			w += c * v[j]
+			w += float64(c * v[j])
 		}
 		ds.Features = append(ds.Features, v)
 		ds.Watts = append(ds.Watts, w)

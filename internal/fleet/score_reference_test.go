@@ -11,8 +11,8 @@ import (
 
 // This file keeps the scorer this package had before the fused Eq. 10 pass
 // — one copy of the candidate loop per policy family, the SPI terms from a
-// walker of their own, the watts from a whole-machine EstimateAddition per
-// candidate — as the reference TestScoreNodeColdMatchesReference compares
+// walker of their own, the watts from a whole-machine
+// EstimateAdditionContext per candidate — as the reference TestScoreNodeColdMatchesReference compares
 // scoreNodeCold against, field by field and bit by bit.
 
 // withAdditionShared returns asg with feat appended to core c, sharing

@@ -120,7 +120,7 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 			}
 			ok := other.data[k*other.cols : (k+1)*other.cols]
 			for j, b := range ok {
-				oi[j] += a * b
+				oi[j] += float64(a * b)
 			}
 		}
 	}
@@ -137,7 +137,7 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		s := 0.0
 		for j, a := range row {
-			s += a * v[j]
+			s += float64(a * v[j])
 		}
 		out[i] = s
 	}
@@ -216,16 +216,16 @@ func SolveLUInPlace(a, b []float64) error {
 			}
 			a[r*n+col] = f
 			for j := col + 1; j < n; j++ {
-				a[r*n+j] -= f * a[col*n+j]
+				a[r*n+j] -= float64(f * a[col*n+j])
 			}
-			b[r] -= f * b[col]
+			b[r] -= float64(f * b[col])
 		}
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		for j := i + 1; j < n; j++ {
-			s -= a[i*n+j] * b[j]
+			s -= float64(a[i*n+j] * b[j])
 		}
 		b[i] = s / a[i*n+i]
 	}
@@ -269,21 +269,21 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 		for j := k + 1; j < n; j++ {
 			s := 0.0
 			for i := k; i < m; i++ {
-				s += r.data[i*n+k] * r.data[i*n+j]
+				s += float64(r.data[i*n+k] * r.data[i*n+j])
 			}
 			s = -s / r.data[k*n+k]
 			for i := k; i < m; i++ {
-				r.data[i*n+j] += s * r.data[i*n+k]
+				r.data[i*n+j] += float64(s * r.data[i*n+k])
 			}
 		}
 		// Apply to the right-hand side.
 		s := 0.0
 		for i := k; i < m; i++ {
-			s += r.data[i*n+k] * y[i]
+			s += float64(r.data[i*n+k] * y[i])
 		}
 		s = -s / r.data[k*n+k]
 		for i := k; i < m; i++ {
-			y[i] += s * r.data[i*n+k]
+			y[i] += float64(s * r.data[i*n+k])
 		}
 		// Store the diagonal of R; the reflector occupied it. With the sign
 		// convention above, R(k,k) = -norm.
@@ -294,7 +294,7 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for j := i + 1; j < n; j++ {
-			s -= r.data[i*n+j] * x[j]
+			s -= float64(r.data[i*n+j] * x[j])
 		}
 		x[i] = s / r.data[i*n+i]
 	}
@@ -328,7 +328,7 @@ func Dot(a, b []float64) float64 {
 	}
 	s := 0.0
 	for i, x := range a {
-		s += x * b[i]
+		s += float64(x * b[i])
 	}
 	return s
 }
@@ -339,6 +339,6 @@ func AXPY(alpha float64, x, y []float64) {
 		panic("linalg: axpy length mismatch")
 	}
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float64(alpha * v)
 	}
 }

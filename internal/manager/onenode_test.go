@@ -106,7 +106,7 @@ func TestPowerAwareAvoidsHotPairing(t *testing.T) {
 	p := placeEach(t, f, specs("art"))[0]
 	cm := core.NewCombinedModel(m, manager.SharedPowerModel(t, m))
 	for c := 0; c < m.NumCores; c++ {
-		w, err := cm.EstimateAddition(asg, core.TruthFeature(workload.ByName("art"), m), c)
+		w, err := cm.EstimateAdditionContext(context.Background(), asg, core.TruthFeature(workload.ByName("art"), m), c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -133,7 +133,7 @@ func (s *Spec) NewGenerator(numSets int, seed uint64) trace.Generator {
 // effective cache size of s ways, accounting for the streaming component
 // (which always misses: its reuse distance is the streaming footprint).
 func (sp *Spec) EffectiveMPA(s float64) float64 {
-	return (1-sp.SeqFrac)*sp.Reuse.MPA(s) + sp.SeqFrac
+	return float64((1-sp.SeqFrac)*sp.Reuse.MPA(s)) + sp.SeqFrac
 }
 
 // TrueSPI returns the ground-truth expected seconds per instruction at
@@ -148,7 +148,7 @@ func (sp *Spec) EffectiveMPA(s float64) float64 {
 // The mild concavity is deliberate: it gives the linear Eq. 3 the same
 // kind of model-form error it has on hardware.
 func (sp *Spec) TrueSPI(memLatency, mlpOverlap, mpa float64) float64 {
-	return sp.BaseSPI + memLatency*sp.L2RPI*mpa*(1-mlpOverlap*mpa)
+	return sp.BaseSPI + float64(memLatency*sp.L2RPI*mpa*(1-float64(mlpOverlap*mpa)))
 }
 
 // geom returns n geometrically decaying weights starting at first.
