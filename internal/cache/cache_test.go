@@ -508,6 +508,57 @@ func TestLineIDRange(t *testing.T) {
 	c.Access(0, MaxLineID+1)
 }
 
+// TestPredictedHit: PredictedHit answers an LRU demand hit in the
+// predicted way, on a line that was not prefetched, exactly as Access
+// would; in every other case it reports false and changes nothing.
+func TestPredictedHit(t *testing.T) {
+	c := New(Config{NumSets: 64, Assoc: 16, Policy: LRU, Prefetch: true, Seed: 1})
+	// Unfilled ways must not match: owner 0's line 0 packs to word 0.
+	if c.PredictedHit(0, 0) || c.Stats(0) != (OwnerStats{}) {
+		t.Fatalf("cold line 0 predicted a hit; stats %+v", c.Stats(0))
+	}
+	c.Access(0, 0) // miss; prefetches line 1
+	if !c.PredictedHit(0, 0) {
+		t.Fatal("resident line 0 not answered")
+	}
+	if st := c.Stats(0); st != (OwnerStats{Accesses: 2, Misses: 1, PrefetchFill: 1}) {
+		t.Fatalf("stats after a predicted hit %+v", st)
+	}
+	// A prefetched line, an owner out of range and an ID above MaxLineID
+	// (whose word would alias line 0's) all go to Access.
+	before := c.Stats(0)
+	for _, a := range []struct {
+		owner int
+		id    uint64
+	}{{0, 1}, {-1, 0}, {MaxOwners, 0}, {0, MaxLineID + 1}, {0, 1 << 63}, {1, 0}} {
+		if c.PredictedHit(a.owner, a.id) {
+			t.Fatalf("owner %d, line %#x: predicted a hit", a.owner, a.id)
+		}
+	}
+	if c.Stats(0) != before || c.Stats(1) != (OwnerStats{}) {
+		t.Fatalf("a declined PredictedHit changed stats: %+v → %+v", before, c.Stats(0))
+	}
+	if !c.Access(0, 1) || c.Stats(0).PrefetchHit != 1 {
+		t.Fatalf("prefetched line 1: stats %+v", c.Stats(0))
+	}
+	if !c.PredictedHit(0, 1) {
+		t.Fatal("line 1 not answered once its demand hit cleared the prefetched flag")
+	}
+	// Only LRU caches whose set and predictor indices are masks answer.
+	for _, cfg := range []Config{
+		{NumSets: 64, Assoc: 16, Policy: Random},
+		{NumSets: 64, Assoc: 16, Policy: PLRU},
+		{NumSets: 48, Assoc: 12, Policy: LRU},
+		{NumSets: 1, Assoc: 4, Policy: LRU},
+	} {
+		c := New(cfg)
+		c.Access(0, 5)
+		if c.PredictedHit(0, 5) || !c.Access(0, 5) {
+			t.Fatalf("%+v: PredictedHit answered", cfg)
+		}
+	}
+}
+
 func TestSoloMPAMatchesStackDistance(t *testing.T) {
 	// Ground-truth check that underpins the whole performance model: a
 	// process whose accesses have reuse distance d hits in an A-way cache

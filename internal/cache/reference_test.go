@@ -164,11 +164,17 @@ func (c *refCache) plruVictim(s *refSet) int {
 	return lo
 }
 
+// demand is an access the way the simulator makes one: PredictedHit, and
+// Access when it does not answer.
+func demand(c *Cache, owner int, lineID uint64) bool {
+	return c.PredictedHit(owner, lineID) || c.Access(owner, lineID)
+}
+
 // TestMatchesReference drives the flat Cache and the positional reference
 // with the same random (owner, lineID) streams and requires the same hit
 // sequence, statistics and occupancy after every access: all policies,
 // prefetch on and off, 1–8 owners, and geometries that include one way,
-// one set and non-powers of two.
+// one set and non-powers of two. Odd seeds access through demand.
 func TestMatchesReference(t *testing.T) {
 	geoms := [][2]int{{1, 1}, {1, 4}, {7, 1}, {4, 2}, {3, 12}, {16, 8}, {6, 16}, {2, 32}}
 	r := xrand.New(2024)
@@ -183,6 +189,10 @@ func TestMatchesReference(t *testing.T) {
 				span := 1 + r.Intn(3*g[0]*g[1]*owners)
 				name := fmt.Sprintf("%v/prefetch=%v/%dx%d/owners=%d/seed=%d", pol, prefetch, g[0], g[1], owners, seed)
 				c, ref := New(cfg), newRef(cfg)
+				access := (*Cache).Access
+				if seed%2 == 1 {
+					access = demand
+				}
 				var id uint64
 				for i := 0; i < 4000; i++ {
 					o := r.Intn(owners)
@@ -191,7 +201,7 @@ func TestMatchesReference(t *testing.T) {
 					} else {
 						id = uint64(r.Intn(span))
 					}
-					if got, want := c.Access(o, id), ref.Access(o, id); got != want {
+					if got, want := access(c, o, id), ref.Access(o, id); got != want {
 						t.Fatalf("%s: access %d (owner %d, line %d): hit %v, reference %v", name, i, o, id, got, want)
 					}
 					checkAgainstRef(t, c, ref, owners, name, i)
@@ -221,9 +231,10 @@ func checkAgainstRef(t *testing.T, c *Cache, ref *refCache, owners int, name str
 
 // FuzzAccessMatchesReference checks the Cache against the reference after
 // every access of a fuzzed stream: hit or miss, OwnerStats, Occupancy and
-// AvgWays. mode picks the policy (all three), the prefetcher (on or off)
-// and the geometry: 48 sets × 12 ways, whose set and predictor indices are
-// a modulo, or 64 × 16, where they are masks. Each access takes two bytes:
+// AvgWays. mode picks the policy (all three), the prefetcher (on or off),
+// the geometry: 48 sets × 12 ways, whose set and predictor indices are
+// a modulo, or 64 × 16, where they are masks; and whether to access through
+// Access or demand. Each access takes two bytes:
 // the first gives the owner (of four) and k < 8, the second j and s < 2,
 // for line k·Sets·Ways + j·Sets + s. Lines with the same j and s but
 // another k or owner share a predictor byte, and up to 128 lines per owner
@@ -238,21 +249,25 @@ func FuzzAccessMatchesReference(f *testing.F) {
 	for i := range seed {
 		seed[i] = byte(r.Uint64())
 	}
-	for mode := uint8(0); mode < 16; mode++ {
+	for mode := uint8(0); mode < 32; mode++ {
 		f.Add(mode, seed)
 	}
 	f.Fuzz(func(t *testing.T, mode uint8, ops []byte) {
 		geom := [2][2]int{{48, 12}, {64, 16}}[mode>>3&1]
 		cfg := Config{NumSets: geom[0], Assoc: geom[1], Policy: Policy(mode % 3), Prefetch: mode&4 != 0, Seed: uint64(mode)}
 		c, ref := New(cfg), newRef(cfg)
-		name := fmt.Sprintf("%+v", cfg)
+		access := (*Cache).Access
+		if mode&16 != 0 {
+			access = demand
+		}
+		name := fmt.Sprintf("%+v/demand=%v", cfg, mode&16 != 0)
 		sets, ways := uint64(geom[0]), uint64(geom[1])
 		for i := 0; i+1 < len(ops); i += 2 {
 			o := int(ops[i] & 3)
 			k := uint64(ops[i] >> 2 & 7)
 			j, s := uint64(ops[i+1]>>1&15), uint64(ops[i+1]&1)
 			id := k*sets*ways + j*sets + s
-			if got, want := c.Access(o, id), ref.Access(o, id); got != want {
+			if got, want := access(c, o, id), ref.Access(o, id); got != want {
 				t.Fatalf("%s: access %d (owner %d, line %d): hit %v, reference %v", name, i/2, o, id, got, want)
 			}
 			checkAgainstRef(t, c, ref, 4, name, i/2)

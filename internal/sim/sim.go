@@ -144,10 +144,17 @@ func (r *Result) ProcByName(name string) *ProcResult {
 	return nil
 }
 
+// idBatch is how many line IDs a process draws from its generator at a
+// time. A stream never depends on cache outcomes, so drawing ahead changes
+// no run.
+const idBatch = 256
+
 // proc is the internal runtime state of one process.
 type proc struct {
 	spec  *workload.Spec
 	gen   trace.Generator
+	ids   [idBatch]uint64 // gen's next IDs, from ids[next] on
+	next  int
 	cache *cache.Cache // the shared L2 of the process's core
 	core  int
 	group int
@@ -224,6 +231,7 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 			p := &proc{
 				spec:           spec,
 				gen:            spec.NewGenerator(m.NumSets, rng.Uint64()),
+				next:           idBatch,
 				cache:          caches[group],
 				core:           c,
 				group:          group,
@@ -376,63 +384,89 @@ func Run(m *machine.Machine, asg Assignment, opts Options) (*Result, error) {
 		// The core runs its events in a burst for as long as the scan above
 		// would pick it again with no sample due first. An event moves only
 		// its own core's next event, so before and after hold throughout.
+		// The running process's counters, run time and ID cursor live in
+		// locals for its stint, written back when the burst ends or the
+		// core rotates; each float addition is the one it would be in p.
 		cs := &cores[minC]
 		bound := min(before, nextSample)
 		timeShared := len(cs.queue) > 1
-		for t := minT; t < bound && t <= after; t = cs.nextTime {
+		t := minT
+		for t < bound && t <= after {
 			if cs.rotate {
 				cs.rotate = false
 				cs.active = (cs.active + 1) % len(cs.queue)
 				cs.sliceEnd = t + m.Timeslice
-				cs.nextTime = t + m.CtxSwitch + cs.queue[cs.active].gapTime
+				t = t + m.CtxSwitch + cs.queue[cs.active].gapTime
 				continue
 			}
 			p := cs.queue[cs.active]
-			// Execute the access interval ending at t.
-			p.counts.Instructions += p.instrPerAccess
-			p.counts.L1Refs += p.l1PerAccess
-			p.counts.Branches += p.brPerAccess
-			p.counts.FPOps += p.fpPerAccess
-			p.counts.L2Refs++
-			hit := p.cache.Access(p.owner, p.gen.Next())
-			dt := p.gapTime
-			if !hit {
-				p.counts.L2Misses++
-				// Back-to-back misses overlap (memory-level parallelism).
-				stall := m.MemLatency
-				if p.lastMiss {
-					stall = overlappedStall
+			c, owner := p.cache, p.owner
+			instr, l1, br, fp := p.counts.Instructions, p.counts.L1Refs, p.counts.Branches, p.counts.FPOps
+			refs, misses := p.counts.L2Refs, p.counts.L2Misses
+			runTime, lastMiss, next := p.runTime, p.lastMiss, p.next
+			for {
+				// Execute the access interval ending at t.
+				instr += p.instrPerAccess
+				l1 += p.l1PerAccess
+				br += p.brPerAccess
+				fp += p.fpPerAccess
+				refs++
+				if next == idBatch {
+					p.gen.Fill(p.ids[:])
+					next = 0
 				}
-				if busService > 0 {
-					// The group's memory bus serves one miss per 1/bandwidth
-					// seconds; queued misses wait behind in-flight ones.
-					start := t
-					if busFreeAt[p.group] > start {
-						stall += busFreeAt[p.group] - start
-						start = busFreeAt[p.group]
+				id := p.ids[next]
+				next++
+				hit := c.PredictedHit(owner, id) || c.Access(owner, id)
+				dt := p.gapTime
+				if !hit {
+					misses++
+					// Back-to-back misses overlap (memory-level parallelism).
+					stall := m.MemLatency
+					if lastMiss {
+						stall = overlappedStall
 					}
-					busFreeAt[p.group] = start + busService
+					if busService > 0 {
+						// The group's memory bus serves one miss per
+						// 1/bandwidth seconds; queued misses wait behind
+						// in-flight ones.
+						start := t
+						if busFreeAt[p.group] > start {
+							stall += busFreeAt[p.group] - start
+							start = busFreeAt[p.group]
+						}
+						busFreeAt[p.group] = start + busService
+					}
+					dt += stall
 				}
-				dt += stall
+				lastMiss = !hit
+				runTime += dt
+				t += dt
+				if timeShared {
+					cs.counts.Instructions += p.instrPerAccess
+					cs.counts.L1Refs += p.l1PerAccess
+					cs.counts.Branches += p.brPerAccess
+					cs.counts.FPOps += p.fpPerAccess
+					cs.counts.L2Refs++
+					if !hit {
+						cs.counts.L2Misses++
+					}
+					// A slice that ends inside the interval rotates when the
+					// interval completes: a memory stall is not preempted.
+					if t >= cs.sliceEnd {
+						cs.rotate = true
+						break
+					}
+				}
+				if !(t < bound && t <= after) {
+					break
+				}
 			}
-			p.lastMiss = !hit
-			p.runTime += dt
-			cs.nextTime = t + dt
-			if !timeShared {
-				continue
-			}
-			cs.counts.Instructions += p.instrPerAccess
-			cs.counts.L1Refs += p.l1PerAccess
-			cs.counts.Branches += p.brPerAccess
-			cs.counts.FPOps += p.fpPerAccess
-			cs.counts.L2Refs++
-			if !hit {
-				cs.counts.L2Misses++
-			}
-			// A slice that ends inside the interval rotates when the
-			// interval completes: a memory stall is not preempted.
-			cs.rotate = cs.nextTime >= cs.sliceEnd
+			p.counts.Instructions, p.counts.L1Refs, p.counts.Branches, p.counts.FPOps = instr, l1, br, fp
+			p.counts.L2Refs, p.counts.L2Misses = refs, misses
+			p.runTime, p.lastMiss, p.next = runTime, lastMiss, next
 		}
+		cs.nextTime = t
 	}
 
 done:

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -291,6 +292,32 @@ func BenchmarkCoRunSecond(b *testing.B) {
 		if _, err := Run(m, asg, Options{Duration: 1, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStressmarkAccess is the cost of one simulated L2 access in a
+// profiling co-run: mcf beside the stressmark on the server's first die for
+// one simulated second, reported per access of the two processes. At 8 of
+// the 16 ways the stressmark holds its ways and almost every access is one
+// of its hits, as in most of a profiling sweep; at 15 it thrashes beside
+// mcf and most accesses miss.
+func BenchmarkStressmarkAccess(b *testing.B) {
+	m := machine.FourCoreServer()
+	for _, ways := range []int{8, 15} {
+		asg := Single(workload.ByName("mcf"), workload.Stressmark(ways), nil, nil)
+		b.Run(fmt.Sprintf("ways=%d", ways), func(b *testing.B) {
+			var refs uint64
+			for i := 0; i < b.N; i++ {
+				res, err := Run(m, asg, Options{Duration: 1, Seed: uint64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range res.Procs {
+					refs += p.L2Refs
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(refs), "ns/access")
+		})
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 type Recorder struct {
 	gen Generator
 	w   *bufio.Writer
+	buf [8]byte // one encoded ID; a field, so passing it to w does not allocate
 	n   uint64
 	err error
 }
@@ -27,18 +28,18 @@ func NewRecorder(gen Generator, w io.Writer) *Recorder {
 	return &Recorder{gen: gen, w: bufio.NewWriter(w)}
 }
 
-// Next emits the wrapped generator's next reference and records it.
-func (r *Recorder) Next() uint64 {
-	id := r.gen.Next()
-	if r.err == nil {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], id)
-		if _, err := r.w.Write(buf[:]); err != nil {
-			r.err = err
+// Fill emits the wrapped generator's next len(dst) references and records
+// them, in the order it returns them.
+func (r *Recorder) Fill(dst []uint64) {
+	r.gen.Fill(dst)
+	for _, id := range dst {
+		if r.err != nil {
+			break
 		}
+		binary.LittleEndian.PutUint64(r.buf[:], id)
+		_, r.err = r.w.Write(r.buf[:])
 	}
-	r.n++
-	return id
+	r.n += uint64(len(dst))
 }
 
 // Count returns how many references were recorded.
@@ -93,6 +94,13 @@ func (r *Replayer) Next() uint64 {
 		r.pos = 0
 	}
 	return id
+}
+
+// Fill writes the next len(dst) references of Next's stream.
+func (r *Replayer) Fill(dst []uint64) {
+	for i := range dst {
+		dst[i] = r.Next()
+	}
 }
 
 // Len returns the number of recorded references.

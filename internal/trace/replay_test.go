@@ -14,9 +14,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(gen, &buf)
 	want := make([]uint64, 5000)
-	for i := range want {
-		want[i] = rec.Next()
-	}
+	rec.Fill(want)
 	if rec.Count() != 5000 {
 		t.Fatalf("count %d", rec.Count())
 	}
@@ -50,7 +48,7 @@ func TestReplayReproducesCacheBehaviour(t *testing.T) {
 	rec := NewRecorder(gen, &buf)
 	c1 := cache.New(cache.Config{NumSets: 8, Assoc: 4, Policy: cache.LRU, Seed: 1})
 	for i := 0; i < 20000; i++ {
-		c1.Access(0, rec.Next())
+		c1.Access(0, next(rec))
 	}
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)

@@ -22,9 +22,16 @@ import (
 )
 
 // Generator produces an infinite stream of L2 line references.
+//
+// A stream is a pure function of the generator's construction arguments: it
+// never depends on what the cache did with earlier references, so a caller
+// may draw ahead in batches without changing a run. Each generator defines
+// its stream once. ReuseGen, StrideGen and Replayer define it in Next, and
+// their Fill loops over Next with a static call. CyclicGen defines it in its
+// Fill loop, where its set draw inlines. PhasedGen and Recorder fill from the generators they wrap.
 type Generator interface {
-	// Next returns the next line ID to access.
-	Next() uint64
+	// Fill overwrites dst with the stream's next len(dst) line IDs.
+	Fill(dst []uint64)
 }
 
 // freshBase offsets the IDs of generator-allocated fresh lines so they can
@@ -144,6 +151,13 @@ func (g *ReuseGen) Next() uint64 {
 	return id
 }
 
+// Fill writes the next len(dst) line IDs of Next's stream.
+func (g *ReuseGen) Fill(dst []uint64) {
+	for i := range dst {
+		dst[i] = g.Next()
+	}
+}
+
 // push puts id at the top of set's stack, dropping the tail at the cap.
 func (g *ReuseGen) push(set int, id uint64) {
 	if g.depth[set] < g.cap {
@@ -182,6 +196,13 @@ func (g *StrideGen) Next() uint64 {
 	return id
 }
 
+// Fill writes the next len(dst) line IDs of Next's stream.
+func (g *StrideGen) Fill(dst []uint64) {
+	for i := range dst {
+		dst[i] = g.Next()
+	}
+}
+
 // Phase pairs a generator with the number of accesses it covers.
 type Phase struct {
 	Gen      Generator
@@ -211,16 +232,22 @@ func NewPhasedGen(phases []Phase) *PhasedGen {
 	return &PhasedGen{phases: phases}
 }
 
-// Next advances the current phase, rolling over at phase boundaries.
-func (g *PhasedGen) Next() uint64 {
-	p := &g.phases[g.cur]
-	id := p.Gen.Next()
-	g.used++
-	if g.used >= p.Accesses {
-		g.used = 0
-		g.cur = (g.cur + 1) % len(g.phases)
+// Fill draws each stretch of dst from the phase it falls in, rolling over
+// at phase boundaries.
+func (g *PhasedGen) Fill(dst []uint64) {
+	for len(dst) > 0 {
+		p := &g.phases[g.cur]
+		n := uint64(len(dst))
+		if left := p.Accesses - g.used; n >= left {
+			n = left
+			g.used = 0
+			g.cur = (g.cur + 1) % len(g.phases)
+		} else {
+			g.used += n
+		}
+		p.Gen.Fill(dst[:n])
+		dst = dst[n:]
 	}
-	return id
 }
 
 // CyclicGen walks a fixed number of lines per set in strict rotation: every
@@ -228,10 +255,12 @@ func (g *PhasedGen) Next() uint64 {
 // pattern of Section 3.4 — with linesPerSet ways available it always hits;
 // with fewer it always misses and aggressively claims ways.
 type CyclicGen struct {
-	numSets     int
-	linesPerSet int
-	rng         *xrand.Rand
-	pos         []int // per-set rotation cursor
+	rng  *xrand.Rand
+	sets xrand.Bounded // the set draw, rng.Intn(numSets)
+	// next holds each set's next line ID. Set s walks s, s+step, …,
+	// up to below end, then wraps to s.
+	next      []uint64
+	step, end uint64 // numSets and linesPerSet·numSets
 }
 
 // NewCyclicGen builds the stressmark access pattern.
@@ -239,22 +268,36 @@ func NewCyclicGen(numSets, linesPerSet int, seed uint64) *CyclicGen {
 	if numSets <= 0 || linesPerSet <= 0 {
 		panic("trace: invalid cyclic generator geometry")
 	}
-	return &CyclicGen{
-		numSets:     numSets,
-		linesPerSet: linesPerSet,
-		rng:         xrand.New(seed),
-		pos:         make([]int, numSets),
+	g := &CyclicGen{
+		rng:  xrand.New(seed),
+		sets: xrand.NewBounded(numSets),
+		next: make([]uint64, numSets),
+		step: uint64(numSets),
+		end:  uint64(linesPerSet) * uint64(numSets),
 	}
+	for s := range g.next {
+		g.next[s] = uint64(s)
+	}
+	return g
 }
 
-// Next picks a set uniformly and returns that set's next line in rotation.
-func (g *CyclicGen) Next() uint64 {
-	set := g.rng.Intn(g.numSets)
-	k := g.pos[set]
-	next := k + 1
-	if next == g.linesPerSet {
-		next = 0
+// Fill picks a set uniformly for each ID and writes that set's next line in
+// rotation. The stream has no Next: with its set draw inlined, a one-ID
+// step would be over the compiler's inlining budget, so the stream is this
+// loop, into which the draw inlines, and an ID costs no call.
+func (g *CyclicGen) Fill(dst []uint64) {
+	// The state lives in locals for the batch: stores to g.next could
+	// alias g's own fields, so through g every draw would reload them.
+	rng, sets, lines, step, end := *g.rng, g.sets, g.next, g.step, g.end
+	for i := range dst {
+		set := sets.Draw(&rng)
+		id := lines[set]
+		next := id + step
+		if next >= end {
+			next = uint64(set)
+		}
+		lines[set] = next
+		dst[i] = id
 	}
-	g.pos[set] = next
-	return uint64(k)*uint64(g.numSets) + uint64(set)
+	*g.rng = rng
 }

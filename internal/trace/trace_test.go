@@ -13,11 +13,11 @@ func runSolo(t *testing.T, gen Generator, numSets, assoc int, warm, measured int
 	t.Helper()
 	c := cache.New(cache.Config{NumSets: numSets, Assoc: assoc, Policy: cache.LRU, Seed: 9})
 	for i := 0; i < warm; i++ {
-		c.Access(0, gen.Next())
+		c.Access(0, next(gen))
 	}
 	c.ResetStats()
 	for i := 0; i < measured; i++ {
-		c.Access(0, gen.Next())
+		c.Access(0, next(gen))
 	}
 	return c.Stats(0).MPA()
 }
@@ -184,7 +184,7 @@ func TestPhasedGenRotation(t *testing.T) {
 	// Phase 1 emits 0,1,2; phase 2 emits 0,1; then phase 1 resumes at 3.
 	want := []uint64{0, 1, 2, 0, 1, 3, 4, 5, 2, 3}
 	for i, w := range want {
-		if got := g.Next(); got != w {
+		if got := next(g); got != w {
 			t.Fatalf("access %d: got %d want %d", i, got, w)
 		}
 	}

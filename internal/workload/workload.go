@@ -303,14 +303,41 @@ func ByName(name string) *Spec {
 	return nil
 }
 
+// maxStressWays is the widest stressmark the shared table keeps: a cache
+// has at most 255 ways, so a profiling sweep never asks for more.
+const maxStressWays = 255
+
+// stressmarks holds the stressmark for each ways count up to
+// maxStressWays, built on first use and shared from then on.
+var stressmarks [maxStressWays]struct {
+	once sync.Once
+	spec *Spec
+}
+
 // Stressmark returns the Section 3.4 profiling stressmark configured to
 // occupy ways ways of each set. Its cyclic pattern gives every access a
 // reuse distance of exactly ways, and its access rate is made much higher
 // than any benchmark's so it wins the contention race and pins its ways.
+//
+// Like ByName, every call for the same ways hands out the same *Spec (up
+// to 255 ways; a wider one is built afresh), so a profiling sweep builds
+// each of its stressmarks once per process. The spec is shared and must be
+// treated as read-only; its histogram computes everything at construction
+// and is only read after.
 func Stressmark(ways int) *Spec {
 	if ways <= 0 {
 		panic("workload: stressmark needs at least one way")
 	}
+	if ways > maxStressWays {
+		return newStressmark(ways)
+	}
+	e := &stressmarks[ways-1]
+	e.once.Do(func() { e.spec = newStressmark(ways) })
+	return e.spec
+}
+
+// newStressmark builds Stressmark(ways).
+func newStressmark(ways int) *Spec {
 	// A degenerate histogram: all mass at distance = ways.
 	w := make([]float64, ways)
 	w[ways-1] = 1

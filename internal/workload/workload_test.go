@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"mpmc/internal/cache"
@@ -105,11 +107,11 @@ func TestGeneratorMatchesEffectiveMPA(t *testing.T) {
 		gen := s.NewGenerator(numSets, 7)
 		c := cache.New(cache.Config{NumSets: numSets, Assoc: assoc, Policy: cache.LRU, Seed: 1})
 		for i := 0; i < 60000; i++ {
-			c.Access(0, gen.Next())
+			c.Access(0, next(gen))
 		}
 		c.ResetStats()
 		for i := 0; i < 250000; i++ {
-			c.Access(0, gen.Next())
+			c.Access(0, next(gen))
 		}
 		got := c.Stats(0).MPA()
 		want := s.EffectiveMPA(assoc)
@@ -146,11 +148,11 @@ func TestStressmarkPinsWays(t *testing.T) {
 	gen := s.NewGenerator(numSets, 3)
 	c := cache.New(cache.Config{NumSets: numSets, Assoc: ways, Policy: cache.LRU, Seed: 2})
 	for i := 0; i < 20000; i++ {
-		c.Access(0, gen.Next())
+		c.Access(0, next(gen))
 	}
 	c.ResetStats()
 	for i := 0; i < 50000; i++ {
-		c.Access(0, gen.Next())
+		c.Access(0, next(gen))
 	}
 	if mpa := c.Stats(0).MPA(); mpa != 0 {
 		t.Fatalf("steady-state stressmark MPA %v", mpa)
@@ -158,6 +160,43 @@ func TestStressmarkPinsWays(t *testing.T) {
 	if got := c.AvgWays(0); got != float64(ways) {
 		t.Fatalf("stressmark occupies %v ways, want %v", got, ways)
 	}
+}
+
+// TestStressmarkShared checks the stressmark table: one spec per ways
+// count, equal to a fresh build, free to fetch, and safe to use from many
+// goroutines at once (this test runs in the -race lane too).
+func TestStressmarkShared(t *testing.T) {
+	for _, ways := range []int{1, 2, 7, 16, 255} {
+		s := Stressmark(ways)
+		if Stressmark(ways) != s {
+			t.Fatalf("Stressmark(%d) built twice", ways)
+		}
+		if !reflect.DeepEqual(s, newStressmark(ways)) {
+			t.Fatalf("shared Stressmark(%d) differs from a fresh build", ways)
+		}
+	}
+	if a, b := Stressmark(256), Stressmark(256); a == b || !reflect.DeepEqual(a, b) {
+		t.Fatal("Stressmark(256) must be a fresh, equal spec per call")
+	}
+	if n := testing.AllocsPerRun(100, func() { Stressmark(9) }); n != 0 {
+		t.Fatalf("fetching a built stressmark allocates %v objects", n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids := make([]uint64, 64)
+			for ways := 1; ways <= 24; ways++ {
+				s := Stressmark(ways)
+				if s.Reuse.MPA(float64(ways)) != 0 || s.Reuse.MPACurve(ways)[ways-1] != 1 {
+					t.Errorf("Stressmark(%d): wrong MPA curve", ways)
+				}
+				s.NewGenerator(16, uint64(g)).Fill(ids)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestStressmarkPanics(t *testing.T) {
@@ -254,13 +293,13 @@ func TestPhasedSpecGenerator(t *testing.T) {
 	// a window per phase in a 2-way cache; the broad phase misses more.
 	c := cache.New(cache.Config{NumSets: 4, Assoc: 2, Policy: cache.LRU, Seed: 1})
 	for i := 0; i < 2000; i++ { // warm
-		c.Access(0, g.Next())
+		c.Access(0, next(g))
 	}
 	var mpas []float64
 	for p := 0; p < 8; p++ {
 		c.ResetStats()
 		for i := 0; i < 100; i++ {
-			c.Access(0, g.Next())
+			c.Access(0, next(g))
 		}
 		mpas = append(mpas, c.Stats(0).MPA())
 	}
@@ -277,4 +316,11 @@ func TestPhasedSpecGenerator(t *testing.T) {
 	if hi-lo < 0.2 {
 		t.Fatalf("phases not visible: window MPAs %v", mpas)
 	}
+}
+
+// next draws one ID from gen.
+func next(gen trace.Generator) uint64 {
+	var id [1]uint64
+	gen.Fill(id[:])
+	return id[0]
 }

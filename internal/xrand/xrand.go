@@ -67,6 +67,34 @@ func (r *Rand) Intn(n int) int {
 	}
 }
 
+// Bounded draws uniform ints in [0, n) for a fixed n exactly as Intn(n)
+// does: from the same Rand, Draw and Intn consume the same words and return
+// the same ints. It computes Intn's rejection threshold once, so a draw is
+// a multiply and a compare and inlines into its caller.
+type Bounded struct {
+	n, thresh uint64
+}
+
+// NewBounded prepares draws from [0, n). It panics if n <= 0.
+func NewBounded(n int) Bounded {
+	if n <= 0 {
+		panic("xrand: NewBounded with non-positive n")
+	}
+	bound := uint64(n)
+	return Bounded{n: bound, thresh: -bound % bound}
+}
+
+// Draw returns a uniform int in [0, n), consuming r's words as Intn(n).
+func (b Bounded) Draw(r *Rand) int {
+	for {
+		// Intn accepts lo >= n || lo >= thresh, and thresh < n.
+		hi, lo := bits.Mul64(r.Uint64(), b.n)
+		if lo >= b.thresh {
+			return int(hi)
+		}
+	}
+}
+
 // NormFloat64 returns a standard normal variate (mean 0, stddev 1) using
 // the Box–Muller transform. Two uniforms are consumed per call; the spare
 // deviate is not cached so the stream is stateless aside from the counter.

@@ -85,7 +85,8 @@ func ModelSet() []*Workload { return workload.ModelSet() }
 func WorkloadByName(name string) *Workload { return workload.ByName(name) }
 
 // Stressmark returns the Section 3.4 profiling stressmark pinned to the
-// given number of cache ways.
+// given number of cache ways. It hands out one shared workload per ways
+// count; treat it as read-only.
 func Stressmark(ways int) *Workload { return workload.Stressmark(ways) }
 
 // Performance model.
