@@ -91,6 +91,29 @@ func TestIntnUniform(t *testing.T) {
 	}
 }
 
+// TestBoundedMatchesIntn: a Bounded draw consumes the same words and
+// returns the same ints as Intn, including n = 2^62 + 1, where a quarter
+// of Intn's draws are rejected.
+func TestBoundedMatchesIntn(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 48, 64, 1000, 1<<62 + 1, 1<<63 - 1} {
+		a, b, bounded := New(uint64(n)), New(uint64(n)), NewBounded(n)
+		for i := 0; i < 2000; i++ {
+			if x, y := a.Intn(n), bounded.Draw(b); x != y {
+				t.Fatalf("n=%d, draw %d: Intn %d, Bounded %d", n, i, x, y)
+			}
+		}
+		if a.state != b.state {
+			t.Fatalf("n=%d: Intn and Bounded consumed different words", n)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewBounded(0) accepted")
+		}
+	}()
+	NewBounded(0)
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
