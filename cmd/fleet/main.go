@@ -118,20 +118,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	sim := fleet.NewSim(sc, *workers)
+	sim.ScoreCacheCap = *scoreCache
 	var report any
 	if chaosMode {
-		report, err = chaos.NewHarness(sc, chaos.Options{
+		report, err = chaos.NewHarness(sim, chaos.Options{
 			Seed:        *chaosSeed,
 			Rate:        *chaosRate,
-			Workers:     *workers,
-			ColdScore:   *scoreCache < 0,
 			PreemptRate: *preemptRate,
 			CapRate:     *capRate,
 			CapWatts:    *capWatts,
 		}).Run(ctx)
 	} else {
-		sim := fleet.NewSim(sc, *workers)
-		sim.ScoreCacheCap = *scoreCache
 		report, err = sim.Run(ctx)
 	}
 	if err != nil {

@@ -49,6 +49,8 @@ func TestRunGoldens(t *testing.T) {
 			[]string{"-scenario", "../../internal/fleet/testdata/scenario_smoke.json"}},
 		{"chaos seed 1", "../../internal/chaos/testdata/chaos_seed1.json",
 			[]string{"-scenario", "../../internal/chaos/testdata/scenario_chaos.json", "-chaos-seed", "1"}},
+		{"chaos threads", "../../internal/chaos/testdata/chaos_threads_seed1.json",
+			[]string{"-scenario", "../../internal/fleet/testdata/scenario_threads.json", "-chaos-seed", "1"}},
 	} {
 		want, err := os.ReadFile(tc.golden)
 		if err != nil {

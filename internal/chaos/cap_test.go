@@ -30,8 +30,8 @@ func capScenario(t *testing.T) *fleet.Scenario {
 // capOpts is the pinned cap-flip configuration: a budget around the
 // fleet's loaded draw, so flips alternate between binding hard and
 // barely at all.
-func capOpts(workers int) Options {
-	return Options{Seed: 1, Rate: 0.25, CapRate: 0.5, CapWatts: 26, Workers: workers}
+func capOpts() Options {
+	return Options{Seed: 1, Rate: 0.25, CapRate: 0.5, CapWatts: 26}
 }
 
 // TestChaosCapGolden pins the cap-flip fault class: the transcript for a
@@ -43,7 +43,7 @@ func TestChaosCapGolden(t *testing.T) {
 	sc := capScenario(t)
 	golden := filepath.Join("testdata", "chaos_cap_seed1.json")
 	for _, workers := range []int{1, 4} {
-		tr, err := NewHarness(sc, capOpts(workers)).Run(context.Background())
+		tr, err := NewHarness(fleet.NewSim(sc, workers), capOpts()).Run(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -71,7 +71,7 @@ func TestChaosCapGolden(t *testing.T) {
 // invariants (checked after every event).
 func TestChaosCapLaws(t *testing.T) {
 	sc := capScenario(t)
-	tr, err := NewHarness(sc, capOpts(2)).Run(context.Background())
+	tr, err := NewHarness(fleet.NewSim(sc, 2), capOpts()).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestChaosCapLaws(t *testing.T) {
 // stream is only split off when the class is enabled.
 func TestChaosCapDisabledIsInert(t *testing.T) {
 	sc := chaosScenario(t)
-	tr, err := NewHarness(sc, Options{Seed: 1, Rate: 0.25, Workers: 2}).Run(context.Background())
+	tr, err := NewHarness(fleet.NewSim(sc, 2), Options{Seed: 1, Rate: 0.25}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +126,10 @@ func TestChaosCapDisabledIsInert(t *testing.T) {
 
 func TestHarnessRejectsBadCapOptions(t *testing.T) {
 	sc := chaosScenario(t)
-	if _, err := NewHarness(sc, Options{Seed: 1, CapRate: 1.5, CapWatts: 10}).Run(context.Background()); err == nil {
+	if _, err := NewHarness(fleet.NewSim(sc, 0), Options{Seed: 1, CapRate: 1.5, CapWatts: 10}).Run(context.Background()); err == nil {
 		t.Fatal("cap rate 1.5 accepted")
 	}
-	if _, err := NewHarness(sc, Options{Seed: 1, CapRate: 0.5}).Run(context.Background()); err == nil {
+	if _, err := NewHarness(fleet.NewSim(sc, 0), Options{Seed: 1, CapRate: 0.5}).Run(context.Background()); err == nil {
 		t.Fatal("cap rate without a budget accepted")
 	}
 }

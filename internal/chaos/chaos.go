@@ -21,6 +21,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -40,19 +41,11 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("chaos: injected fault at %s [%s]", f.Site, f.Key)
 }
 
-// IsFault reports whether err is, or wraps, an injected fault.
+// IsFault reports whether err is, or wraps, an injected fault — also
+// through an error that wraps several causes, as a rolled-back group does.
 func IsFault(err error) bool {
-	for err != nil {
-		if _, ok := err.(*Fault); ok {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
+	var f *Fault
+	return errors.As(err, &f)
 }
 
 // Event is one recorded injection decision.

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -12,10 +11,10 @@ import (
 // TestGroupInvariantsAfterEverySimEvent is the per-group conservation
 // acceptance test: the sharing scenario (mixed group sizes, sharing
 // fractions 0/0.5/0.9, both sharer-aware policies plus a group-oblivious
-// arm) is replayed with a CheckFleet sweep after EVERY sim event —
-// arrivals, departures, rebalances. Any broken invariant (member
-// occupancy split, coherence-when-colocated, group ledger) aborts the
-// sim at the exact event time, at every worker count.
+// arm) is replayed by a zero-rate harness, which sweeps CheckFleet after
+// EVERY event — arrivals, departures, rebalances. Any broken invariant
+// (member occupancy split, coherence-when-colocated, group ledger) is a
+// violation in the transcript, at every worker count.
 func TestGroupInvariantsAfterEverySimEvent(t *testing.T) {
 	sc, err := fleet.LoadScenario("../fleet/testdata/scenario_threads.json")
 	if err != nil {
@@ -25,23 +24,22 @@ func TestGroupInvariantsAfterEverySimEvent(t *testing.T) {
 		t.Fatal("scenario_threads.json lost its thread_groups block")
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		var c Checker
-		checks := 0
-		sim := fleet.NewSim(sc, workers)
-		sim.AfterEvent = func(f *fleet.Fleet) error {
-			checks++
-			if vs := c.CheckFleet(context.Background(), f); len(vs) > 0 {
-				return fmt.Errorf("%d invariant violation(s), first: %v", len(vs), vs[0])
-			}
-			return nil
-		}
-		if _, err := sim.Run(context.Background()); err != nil {
+		tr, err := NewHarness(fleet.NewSim(sc, workers), Options{Seed: 1}).Run(context.Background())
+		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		// Every arrival and departure must have been swept; with three
-		// policies and 14 processes that is at least 3×2×14 events.
-		if min := 3 * 2 * sc.Processes; checks < min {
-			t.Fatalf("workers=%d: only %d invariant sweeps ran, want >= %d", workers, checks, min)
+		for _, po := range tr.Policies {
+			if len(po.Violations) > 0 {
+				t.Fatalf("workers=%d policy %s: %d invariant violation(s), first: %v", workers, po.Policy, len(po.Violations), po.Violations[0])
+			}
+			// Every arrival and departure must have been swept: at least
+			// 2×14 events per policy.
+			if min := 2 * sc.Processes; po.InvariantChecks < min {
+				t.Fatalf("workers=%d policy %s: only %d invariant sweeps ran, want >= %d", workers, po.Policy, po.InvariantChecks, min)
+			}
+			if po.GroupsPlaced == 0 {
+				t.Fatalf("workers=%d policy %s: no thread group placed", workers, po.Policy)
+			}
 		}
 	}
 }

@@ -6,15 +6,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync/atomic"
 
-	"mpmc/internal/cli"
-	"mpmc/internal/core"
 	"mpmc/internal/fleet"
-	"mpmc/internal/machine"
-	"mpmc/internal/manager"
-	"mpmc/internal/workload"
 	"mpmc/internal/xrand"
 )
 
@@ -27,22 +21,13 @@ type Options struct {
 	// arrival's operation is faulted, that a node suffers an outage, and
 	// the scale of the queue-pressure burst count.
 	Rate float64
-	// Workers caps scoring concurrency (0 = GOMAXPROCS). It affects
-	// speed, never the transcript.
-	Workers int
-	// ColdScore disables the fleet's score memo and solver state, forcing
-	// every scoring pass to solve cold. Like Workers it affects speed,
-	// never the transcript: the differential suite replays chaos runs
-	// cold and cached and asserts the transcripts are byte-identical.
-	ColdScore bool
 	// PreemptRate in (0, 1] enables the preemption fault class: the
 	// schedule gains high-priority arrivals (some with a commit fault
-	// armed, exercising the preemption rollback), every process is tagged
-	// so victims stay tracked across eviction and requeue, and the run
-	// ends with a settle phase asserting no priority inversion survives a
-	// fault-free pump. 0 (the default) leaves the schedule — and every
-	// pre-existing golden — untouched: the extra random stream is only
-	// split off when the class is enabled.
+	// armed, exercising the preemption rollback), and after every queue
+	// pump the harness asserts that no priority inversion survives two
+	// consecutive fault-free pumps. 0 (the default) leaves the schedule —
+	// and every pre-existing golden — untouched: the extra random stream
+	// is only split off when the class is enabled.
 	PreemptRate float64
 	// CapRate in (0, 1] enables the cap-flip fault class: the schedule
 	// gains power-budget flips that alternately engage a tight fleet-wide
@@ -88,6 +73,15 @@ type PolicyOutcome struct {
 	QueueRejected   uint64 `json:"queue_rejected"`
 	Moves           uint64 `json:"moves"`
 	RebalanceFaults int    `json:"rebalance_faults"`
+	// Thread-group accounting (present only when the scenario places
+	// groups): groups admitted whole (also counted in Placed) and groups
+	// turned away whole for want of capacity. A group whose placement
+	// faults or is cancelled counts as Faulted or Cancelled instead.
+	GroupsPlaced   int `json:"groups_placed,omitempty"`
+	GroupsRejected int `json:"groups_rejected,omitempty"`
+	// FaultRollbacks counts faulted thread groups the fleet rolled back
+	// after admitting some of their members (also counted in Faulted).
+	FaultRollbacks int `json:"fault_rollbacks,omitempty"`
 	// Preemption accounting (present only when the preemption fault class
 	// is enabled). PreemptPlaced counts priority arrivals admitted
 	// directly; Preemptions..PreemptAborted mirror the fleet's
@@ -133,7 +127,10 @@ type Transcript struct {
 }
 
 // Harness replays a fleet scenario under a deterministic fault schedule,
-// checking every model invariant after every event.
+// checking every model invariant after every event. The replay itself is
+// the simulator's (fleet.Replay): the harness adds the faults, the
+// invariant sweep and the conservation ledger, so at rate 0 it reproduces
+// fleet.Sim's averages and counters exactly.
 //
 // Determinism contract: every chaos decision is drawn serially from
 // seeded streams while the schedule is built — never inside concurrent
@@ -144,13 +141,17 @@ type Transcript struct {
 // Seeded cannot make that promise: under early abort, whether a given
 // consult happens at all depends on the worker count.)
 type Harness struct {
+	sim  *fleet.Sim
 	sc   *fleet.Scenario
 	opts Options
 }
 
-// NewHarness builds a chaos harness over a validated scenario.
-func NewHarness(sc *fleet.Scenario, opts Options) *Harness {
-	return &Harness{sc: sc, opts: opts}
+// NewHarness builds a chaos harness over the simulator's scenario. The
+// simulator's worker count and score-memo capacity configure every
+// replayed fleet; like in the simulator they affect speed, never the
+// transcript.
+func NewHarness(sim *fleet.Sim, opts Options) *Harness {
+	return &Harness{sim: sim, sc: sim.Scenario(), opts: opts}
 }
 
 // Fault classes armed on arrivals, drawn per process up front.
@@ -173,11 +174,31 @@ var className = map[int]string{
 // serial event loop arms one fault class for the duration of one fleet
 // operation, and every seam consult at the matching site — from any
 // worker — observes the same injected failure.
-type armer struct{ v atomic.Int32 }
+type armer struct {
+	v atomic.Int32
+	// held, set by the event loop for a thread group's score or place
+	// fault, keeps the armed fault back until the operation's first
+	// placement commit. A thread group's members commit one at a time
+	// under the fleet lock, and a member's scoring finishes before its
+	// commit, so the fault then lands on the second member whole: the
+	// first is resident and PlaceGroup must roll it back. (Under
+	// colocate-sharers a group is one bundled instance, so a held fault
+	// never fires and the group places.)
+	held atomic.Bool
+}
 
-func (a *armer) arm(class int) { a.v.Store(int32(class)) }
+func (a *armer) arm(class int) {
+	a.v.Store(int32(class))
+	a.held.Store(false)
+}
 
 func (a *armer) intercept(site, key string) error {
+	if a.held.Load() {
+		if site == "manager.place_at" {
+			a.held.Store(false)
+		}
+		return nil
+	}
 	var want string
 	switch a.v.Load() {
 	case classProfile:
@@ -207,7 +228,8 @@ const (
 
 // Event kinds in same-timestamp order: departures free capacity first,
 // outages resolve next, then rebalancing sees the layout, then arrivals
-// and bursts claim slots.
+// and bursts claim slots. The scenario's own kinds keep the simulator's
+// relative order.
 const (
 	evDepart = iota
 	evFail
@@ -218,18 +240,12 @@ const (
 	// evPreempt sorts after ordinary arrivals at the same timestamp, so a
 	// priority arrival always contends against the fullest fleet.
 	evPreempt
-	// evCapFlip sorts last: a budget change always sees the timestamp's
-	// final layout, mirroring the sim's cap-event ordering.
+	// Budget changes sort last — the scenario's cap events, then the
+	// injected flips — so they see the timestamp's final layout, as in
+	// the simulator.
+	evCap
 	evCapFlip
 )
-
-type event struct {
-	time float64
-	kind int
-	seq  int
-	proc int // trace index (arrive/depart/burst)
-	node int // node index (fail/restore)
-}
 
 // schedule is the precomputed chaos plan for one run.
 type schedule struct {
@@ -240,7 +256,7 @@ type schedule struct {
 	classes    []int             // per trace proc: armed fault class
 	prios      []int             // per trace proc: priority class (0 except preempt procs)
 	capFlips   []float64         // cap-flip budgets in schedule order (0 = lift the cap)
-	events     []event
+	events     []fleet.Event
 	rebalFault map[int]bool // rebalance event seq -> inject
 	horizon    float64
 	injections []Injection
@@ -248,21 +264,8 @@ type schedule struct {
 
 func (h *Harness) buildSchedule() *schedule {
 	sc := h.sc
-	s := &schedule{rebalFault: map[int]bool{}}
-	for i, m := range sc.Machines {
-		name := m.Name
-		if name == "" {
-			name = fmt.Sprintf("m%d", i)
-		}
-		s.nodeNames = append(s.nodeNames, name)
-	}
-	s.trace = sc.Trace()
-	traceHorizon := 0.0
-	for _, p := range s.trace {
-		if p.Depart > traceHorizon {
-			traceHorizon = p.Depart
-		}
-	}
+	s := &schedule{rebalFault: map[int]bool{}, nodeNames: sc.NodeNames(), trace: sc.Trace()}
+	traceHorizon := fleet.Horizon(s.trace)
 
 	base := xrand.New(h.opts.Seed)
 	outR, burstR, arriveR, rebalR := base.Split(), base.Split(), base.Split(), base.Split()
@@ -279,8 +282,8 @@ func (h *Harness) buildSchedule() *schedule {
 		if outR.Float64() >= rate {
 			continue
 		}
-		down := outR.Float64() * traceHorizon * 0.6
-		up := down + (0.1+0.3*outR.Float64())*traceHorizon
+		down := float64(outR.Float64() * traceHorizon * 0.6)
+		up := down + float64((0.1+float64(0.3*outR.Float64()))*traceHorizon)
 		outages = append(outages, outage{node: i, down: down, up: up})
 	}
 
@@ -288,14 +291,14 @@ func (h *Harness) buildSchedule() *schedule {
 	// to overflow a small queue. Burst processes get ordinary lifetimes
 	// so every one departs (or abandons the queue) before the horizon
 	// accounting closes.
-	pool := h.workloadPool()
-	nBursts := int(rate*8 + 0.5)
+	pool := sc.Pool()
+	nBursts := int(float64(rate*8) + 0.5)
 	for b := 0; b < nBursts; b++ {
-		at := burstR.Float64() * traceHorizon * 0.8
+		at := float64(burstR.Float64() * traceHorizon * 0.8)
 		size := 1 + burstR.Intn(3)
 		for j := 0; j < size; j++ {
 			spec := pool[burstR.Intn(len(pool))]
-			life := -sc.MeanLifetime * math.Log(1-burstR.Float64())
+			life := float64(-sc.MeanLifetime * math.Log(1-float64(burstR.Float64())))
 			id := len(s.trace)
 			s.trace = append(s.trace, fleet.TraceProc{ID: id, Spec: spec, Arrive: at, Depart: at + life})
 			s.bursts++
@@ -333,13 +336,13 @@ func (h *Harness) buildSchedule() *schedule {
 	s.prios = make([]int, len(s.trace))
 	if h.opts.PreemptRate > 0 {
 		preR := base.Split()
-		nPre := 2 + int(h.opts.PreemptRate*8+0.5)
+		nPre := 2 + int(float64(h.opts.PreemptRate*8)+0.5)
 		for k := 0; k < nPre; k++ {
 			// Land inside the congested middle of the trace so the fleet
 			// is plausibly full when the priority arrival hits it.
-			at := (0.2 + 0.6*preR.Float64()) * traceHorizon
+			at := float64((0.2 + float64(0.6*preR.Float64())) * traceHorizon)
 			spec := pool[preR.Intn(len(pool))]
-			life := -sc.MeanLifetime * math.Log(1-preR.Float64())
+			life := float64(-sc.MeanLifetime * math.Log(1-float64(preR.Float64())))
 			prio := 1 + preR.Intn(3)
 			class := classNone
 			if preR.Float64() < rate {
@@ -364,13 +367,13 @@ func (h *Harness) buildSchedule() *schedule {
 	// disabled run draws the exact schedule it always did.
 	if h.opts.CapRate > 0 {
 		capR := base.Split()
-		nFlips := 1 + int(h.opts.CapRate*6+0.5)
+		nFlips := 1 + int(float64(h.opts.CapRate*6)+0.5)
 		for k := 0; k < nFlips; k++ {
-			at := (0.15 + 0.7*capR.Float64()) * traceHorizon
+			at := (0.15 + float64(0.7*capR.Float64())) * traceHorizon
 			watts := 0.0
 			kind := "cap_off"
 			if k%2 == 0 {
-				watts = h.opts.CapWatts * (0.75 + 0.5*capR.Float64())
+				watts = h.opts.CapWatts * (0.75 + float64(0.5*capR.Float64()))
 				kind = "cap_engage"
 			} else {
 				// Burn the second uniform anyway so engage/lift alternation
@@ -378,66 +381,49 @@ func (h *Harness) buildSchedule() *schedule {
 				capR.Float64()
 			}
 			s.capFlips = append(s.capFlips, watts)
-			s.events = append(s.events, event{time: at, kind: evCapFlip, seq: k, proc: k})
+			s.events = append(s.events, fleet.Event{Time: at, Kind: evCapFlip, Seq: k, Proc: k})
 			s.injections = append(s.injections, Injection{
 				Time: at, Kind: kind, Target: fmt.Sprintf("%.4g W", watts),
 			})
 		}
 	}
 
-	s.horizon = 0
-	for _, p := range s.trace {
-		if p.Depart > s.horizon {
-			s.horizon = p.Depart
-		}
+	s.horizon = fleet.Horizon(s.trace)
+	for k, ce := range sc.CapEvents {
+		s.events = append(s.events, fleet.Event{Time: ce.Time, Kind: evCap, Seq: k, Proc: k})
 	}
 
 	n0 := len(s.trace) - s.bursts - s.preempts
-	for _, p := range s.trace[:n0] {
+	for _, p := range s.trace {
+		kind := evArrive
+		if p.ID >= n0+s.bursts {
+			kind = evPreempt
+		} else if p.ID >= n0 {
+			kind = evBurst
+		}
 		s.events = append(s.events,
-			event{time: p.Arrive, kind: evArrive, seq: p.ID, proc: p.ID},
-			event{time: p.Depart, kind: evDepart, seq: p.ID, proc: p.ID},
-		)
-	}
-	for _, p := range s.trace[n0 : n0+s.bursts] {
-		s.events = append(s.events,
-			event{time: p.Arrive, kind: evBurst, seq: p.ID, proc: p.ID},
-			event{time: p.Depart, kind: evDepart, seq: p.ID, proc: p.ID},
-		)
-	}
-	for _, p := range s.trace[n0+s.bursts:] {
-		s.events = append(s.events,
-			event{time: p.Arrive, kind: evPreempt, seq: p.ID, proc: p.ID},
-			event{time: p.Depart, kind: evDepart, seq: p.ID, proc: p.ID},
+			fleet.Event{Time: p.Arrive, Kind: kind, Seq: p.ID, Proc: p.ID},
+			fleet.Event{Time: p.Depart, Kind: evDepart, Seq: p.ID, Proc: p.ID},
 		)
 	}
 	for _, o := range outages {
-		s.events = append(s.events, event{time: o.down, kind: evFail, seq: o.node, node: o.node})
+		s.events = append(s.events, fleet.Event{Time: o.down, Kind: evFail, Seq: o.node, Proc: o.node})
 		s.injections = append(s.injections, Injection{Time: o.down, Kind: "node_down", Target: s.nodeNames[o.node]})
 		if o.up < s.horizon {
-			s.events = append(s.events, event{time: o.up, kind: evRestore, seq: o.node, node: o.node})
+			s.events = append(s.events, fleet.Event{Time: o.up, Kind: evRestore, Seq: o.node, Proc: o.node})
 			s.injections = append(s.injections, Injection{Time: o.up, Kind: "node_up", Target: s.nodeNames[o.node]})
 		}
 	}
 	if sc.RebalanceEvery > 0 {
 		for k, t := 1, sc.RebalanceEvery; t < s.horizon; k, t = k+1, float64(k+1)*sc.RebalanceEvery {
-			s.events = append(s.events, event{time: t, kind: evRebalance, seq: k})
+			s.events = append(s.events, fleet.Event{Time: t, Kind: evRebalance, Seq: k})
 			if rebalR.Float64() < rate {
 				s.rebalFault[k] = true
 				s.injections = append(s.injections, Injection{Time: t, Kind: "rebalance_error", Target: fmt.Sprintf("pass %d", k)})
 			}
 		}
 	}
-	sort.SliceStable(s.events, func(i, j int) bool {
-		a, b := s.events[i], s.events[j]
-		if a.time != b.time {
-			return a.time < b.time
-		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		return a.seq < b.seq
-	})
+	fleet.SortEvents(s.events)
 	sort.SliceStable(s.injections, func(i, j int) bool {
 		a, b := s.injections[i], s.injections[j]
 		if a.Time != b.Time {
@@ -449,69 +435,6 @@ func (h *Harness) buildSchedule() *schedule {
 		return a.Target < b.Target
 	})
 	return s
-}
-
-func (h *Harness) workloadPool() []*workload.Spec {
-	if len(h.sc.Workloads) > 0 {
-		out := make([]*workload.Spec, len(h.sc.Workloads))
-		for i, n := range h.sc.Workloads {
-			out[i] = workload.ByName(n)
-		}
-		return out
-	}
-	return workload.Suite()
-}
-
-func (h *Harness) policies() []string {
-	if len(h.sc.Policies) > 0 {
-		return h.sc.Policies
-	}
-	var out []string
-	for _, p := range fleet.Policies() {
-		out = append(out, p.String())
-	}
-	return out
-}
-
-func (h *Harness) buildFleet(pname string, arm *armer) (*fleet.Fleet, error) {
-	policy, err := fleet.ParsePolicy(pname)
-	if err != nil {
-		return nil, err
-	}
-	pm, err := core.SyntheticPowerModel()
-	if err != nil {
-		return nil, err
-	}
-	var nodes []fleet.NodeConfig
-	for _, m := range h.sc.Machines {
-		preset, err := cli.MachineByName(m.Preset)
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, fleet.NodeConfig{
-			Name:       m.Name,
-			Machine:    preset,
-			Power:      pm,
-			MaxPerCore: m.MaxPerCore,
-		})
-	}
-	scoreCap := 0
-	if h.opts.ColdScore {
-		scoreCap = -1
-	}
-	return fleet.New(fleet.Config{
-		Nodes:          nodes,
-		Policy:         policy,
-		BinPackCeiling: h.sc.BinPackCeiling,
-		QueueCap:       h.sc.QueueCap,
-		Seed:           h.sc.Seed,
-		Workers:        h.opts.Workers,
-		ScoreCacheCap:  scoreCap,
-		Intercept:      arm.intercept,
-		Profile: func(ctx context.Context, m *machine.Machine, spec *workload.Spec, opts core.ProfileOptions) (*core.FeatureVector, error) {
-			return core.TruthFeature(spec, m), nil
-		},
-	})
 }
 
 // Run replays the scenario under every requested policy against the
@@ -549,7 +472,7 @@ func (h *Harness) Run(ctx context.Context) (*Transcript, error) {
 	for i, m := range h.sc.Machines {
 		tr.Machines = append(tr.Machines, s.nodeNames[i]+":"+m.Preset)
 	}
-	for _, pname := range h.policies() {
+	for _, pname := range h.sc.PolicyNames() {
 		po, err := h.runPolicy(ctx, pname, s)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: policy %s: %w", pname, err)
@@ -559,133 +482,29 @@ func (h *Harness) Run(ctx context.Context) (*Transcript, error) {
 	return tr, nil
 }
 
-type procState struct {
-	resident bool
-	node     string
-	instance string
-	queued   bool
-	ticket   int
-}
-
 func (h *Harness) runPolicy(ctx context.Context, pname string, s *schedule) (PolicyOutcome, error) {
 	arm := &armer{}
-	f, err := h.buildFleet(pname, arm)
+	r, err := h.sim.NewReplay(pname, len(s.trace), arm.intercept)
 	if err != nil {
 		return PolicyOutcome{}, err
 	}
+	f := r.Fleet()
 	po := PolicyOutcome{Policy: pname}
 	checker := &Checker{}
-	states := make([]procState, len(s.trace))
 
-	// With the preemption class enabled every process carries its trace ID
-	// as its tag, so a victim stays tracked across eviction and requeue
-	// (PreemptedInfo echoes the tag). Disabled runs keep the legacy
-	// untagged placements and their byte-identical transcripts.
-	tagOf := func(id int) string {
-		if h.opts.PreemptRate > 0 {
-			return strconv.Itoa(id)
+	violation := func(v string) {
+		if len(po.Violations) < 16 {
+			po.Violations = append(po.Violations, v)
 		}
-		return ""
 	}
-
-	// noteVictim re-points a preemption victim's state at its new life:
-	// back in the queue under its fresh ticket, or gone (the drop is
-	// counted by the fleet and checked against the ledger at the end).
-	noteVictim := func(pi *fleet.PreemptedInfo) error {
-		if pi == nil {
-			return nil
-		}
-		if pi.Tag == "" {
-			return fmt.Errorf("preemption victim %s/%s has no tag", pi.Node, pi.Name)
-		}
-		id, err := strconv.Atoi(pi.Tag)
-		if err != nil {
-			return fmt.Errorf("bad victim tag %q: %w", pi.Tag, err)
-		}
-		if pi.Requeued {
-			states[id] = procState{queued: true, ticket: pi.Ticket}
-		} else {
-			states[id] = procState{}
-		}
-		return nil
-	}
-
-	admit := func(placed []fleet.Placed) error {
-		for _, p := range placed {
-			// A pumped high-priority entry may itself preempt: its victim
-			// changes state in the same breath as the admission.
-			if err := noteVictim(p.Preempted); err != nil {
-				return err
-			}
-			if p.Tag == "" {
-				continue
-			}
-			id, err := strconv.Atoi(p.Tag)
-			if err != nil {
-				return fmt.Errorf("bad queue tag %q: %w", p.Tag, err)
-			}
-			states[id] = procState{resident: true, node: p.Node, instance: p.Name}
-		}
-		return nil
-	}
-
-	prevT := 0.0
-	var spiSec, wattSec float64
-	integrate := func(now float64) error {
-		if now <= prevT {
-			return nil
-		}
-		spi, watts, err := f.Totals(ctx)
-		if err != nil {
-			return err
-		}
-		spiSec += spi * (now - prevT)
-		wattSec += watts * (now - prevT)
-		prevT = now
-		return nil
-	}
-
-	// capSatisfied records whether the last enforcement pass got the fleet
-	// under its budget; while it is false the "usage ≤ cap" law is waived
-	// (the idle floor alone exceeds the cap) and only ledger consistency
-	// is checked.
-	capSatisfied := true
 	check := func() {
 		po.InvariantChecks++
 		for _, v := range checker.CheckFleet(ctx, f) {
-			if len(po.Violations) < 16 {
-				po.Violations = append(po.Violations, v.String())
-			}
+			violation(v.String())
 		}
-		for _, v := range CheckCap(ctx, f, capSatisfied) {
-			if len(po.Violations) < 16 {
-				po.Violations = append(po.Violations, v.String())
-			}
+		for _, v := range CheckCap(ctx, f, r.CapSatisfied()) {
+			violation(v.String())
 		}
-	}
-
-	// enforce runs one cap-enforcement pass and folds its actions into the
-	// outcome, re-pointing any resident the pass migrated.
-	enforce := func() error {
-		rep, err := f.EnforceCap(ctx)
-		if err != nil {
-			return err
-		}
-		po.CapDownclocks += rep.Downclocks
-		po.CapMigrations += rep.Migrations
-		if !rep.Satisfied {
-			po.CapUnsatisfied++
-		}
-		capSatisfied = rep.Satisfied
-		for _, mv := range rep.Moves {
-			for i := range states {
-				if states[i].resident && states[i].node == mv.From && states[i].instance == mv.Name {
-					states[i].node, states[i].instance = mv.To, mv.NewName
-					break
-				}
-			}
-		}
-		return nil
 	}
 
 	// Priority-inversion law: Remove and RestoreNode pump the queue, and
@@ -703,8 +522,8 @@ func (h *Harness) runPolicy(ctx context.Context, pname string, s *schedule) (Pol
 		cur := map[int]bool{}
 		for _, q := range PriorityInversions(f) {
 			cur[q.Ticket] = true
-			if prevInverted[q.Ticket] && len(po.Violations) < 16 {
-				po.Violations = append(po.Violations, fmt.Sprintf(
+			if prevInverted[q.Ticket] {
+				violation(fmt.Sprintf(
 					"preempt/inversion: ticket %d (%s, class %d) still outranks a resident after consecutive fault-free pumps",
 					q.Ticket, q.Workload, q.Priority))
 			}
@@ -716,200 +535,129 @@ func (h *Harness) runPolicy(ctx context.Context, pname string, s *schedule) (Pol
 		if err := ctx.Err(); err != nil {
 			return PolicyOutcome{}, err
 		}
-		if err := integrate(ev.time); err != nil {
+		if err := r.Advance(ctx, ev.Time); err != nil {
 			return PolicyOutcome{}, err
 		}
-		switch ev.kind {
-		case evArrive:
-			p := s.trace[ev.proc]
-			if s.classes[ev.proc] == classCancel {
-				cctx, cancel := context.WithCancel(ctx)
+		switch ev.Kind {
+		case evArrive, evPreempt:
+			// The fault class is armed for this one operation; a
+			// cancel-class arrival runs on an already-cancelled context.
+			p, class := s.trace[ev.Proc], s.classes[ev.Proc]
+			actx := ctx
+			if class == classCancel {
+				var cancel context.CancelFunc
+				actx, cancel = context.WithCancel(ctx)
 				cancel()
-				_, err := f.Place(cctx, p.Spec)
+			}
+			arm.arm(class)
+			arm.held.Store(p.Threads > 1 && (class == classScore || class == classPlace))
+			admitted, err := r.Arrive(actx, p, s.prios[ev.Proc])
+			arm.arm(classNone)
+			switch {
+			case class == classCancel:
 				if !errors.Is(err, context.Canceled) {
 					return PolicyOutcome{}, fmt.Errorf("cancelled place of %s#%d: got %v", p.Spec.Name, p.ID, err)
 				}
 				po.Cancelled++
-				break
-			}
-			arm.arm(s.classes[ev.proc])
-			placed, err := f.PlaceWith(ctx, p.Spec, fleet.PlaceOptions{Tag: tagOf(p.ID)})
-			arm.arm(classNone)
-			switch {
-			case err == nil:
-				po.Placed++
-				states[ev.proc] = procState{resident: true, node: placed.Node, instance: placed.Name}
 			case IsFault(err):
+				// On a priority arrival the armed commit fault may land
+				// mid-preemption; the fleet then rolled the eviction back.
 				po.Faulted++
-			case errors.Is(err, fleet.ErrFleetFull):
-				ticket, qerr := f.Submit(p.Spec, strconv.Itoa(p.ID))
-				if qerr == nil {
-					states[ev.proc] = procState{queued: true, ticket: ticket}
-				} else if !errors.Is(qerr, fleet.ErrQueueFull) {
-					return PolicyOutcome{}, qerr
+				if errors.Is(err, fleet.ErrRolledBack) {
+					po.FaultRollbacks++
 				}
-			default:
+			case err != nil:
 				return PolicyOutcome{}, err
+			case admitted && ev.Kind == evPreempt:
+				po.PreemptPlaced++
+			case admitted:
+				po.Placed++
+				if p.Threads > 1 {
+					po.GroupsPlaced++
+				}
+			case p.Threads > 1:
+				po.GroupsRejected++
 			}
 		case evBurst:
-			p := s.trace[ev.proc]
-			ticket, qerr := f.Submit(p.Spec, strconv.Itoa(p.ID))
-			if qerr == nil {
-				states[ev.proc] = procState{queued: true, ticket: ticket}
-			} else if !errors.Is(qerr, fleet.ErrQueueFull) {
-				return PolicyOutcome{}, qerr
-			}
-		case evPreempt:
-			p := s.trace[ev.proc]
-			arm.arm(s.classes[ev.proc])
-			placed, err := f.PlaceWith(ctx, p.Spec, fleet.PlaceOptions{
-				Tag:      tagOf(p.ID),
-				Priority: s.prios[ev.proc],
-			})
-			arm.arm(classNone)
-			switch {
-			case err == nil:
-				po.PreemptPlaced++
-				states[ev.proc] = procState{resident: true, node: placed.Node, instance: placed.Name}
-				if err := noteVictim(placed.Preempted); err != nil {
-					return PolicyOutcome{}, err
-				}
-			case IsFault(err):
-				// The armed commit fault fired — possibly mid-preemption,
-				// in which case the fleet just rolled the eviction back.
-				po.Faulted++
-			case errors.Is(err, fleet.ErrFleetFull):
-				// Full and nothing outranked: wait in the queue at class;
-				// a later pump may still preempt on its behalf.
-				ticket, qerr := f.SubmitWith(p.Spec, strconv.Itoa(p.ID), s.prios[ev.proc])
-				if qerr == nil {
-					states[ev.proc] = procState{queued: true, ticket: ticket}
-				} else if !errors.Is(qerr, fleet.ErrQueueFull) {
-					return PolicyOutcome{}, qerr
-				}
-			default:
+			r.Submit(s.trace[ev.Proc], 0)
+		case evDepart:
+			removed, err := r.Depart(ctx, ev.Proc)
+			if err != nil {
 				return PolicyOutcome{}, err
 			}
-		case evDepart:
-			st := states[ev.proc]
-			switch {
-			case st.resident:
-				admitted, err := f.Remove(ctx, st.node, st.instance)
-				if err != nil {
-					return PolicyOutcome{}, err
-				}
-				states[ev.proc] = procState{}
-				if err := admit(admitted); err != nil {
-					return PolicyOutcome{}, err
-				}
+			if removed {
 				pumped()
-			case st.queued:
-				f.CancelQueued(st.ticket)
-				states[ev.proc] = procState{}
 			}
 		case evFail:
-			name := s.nodeNames[ev.node]
-			evicted, err := f.FailNode(name)
+			killed, err := r.FailNode(s.nodeNames[ev.Proc])
 			if err != nil {
 				return PolicyOutcome{}, err
 			}
 			po.NodesLost++
-			byInstance := map[string]bool{}
-			for _, r := range evicted {
-				byInstance[r.Name] = true
-			}
-			for i := range states {
-				if states[i].resident && states[i].node == name && byInstance[states[i].instance] {
-					states[i] = procState{}
-					po.Killed++
-				}
-			}
+			po.Killed += killed
 		case evRestore:
-			admitted, err := f.RestoreNode(ctx, s.nodeNames[ev.node])
-			if err != nil {
+			if err := r.RestoreNode(ctx, s.nodeNames[ev.Proc]); err != nil {
 				return PolicyOutcome{}, err
 			}
 			po.NodesRestored++
-			if err := admit(admitted); err != nil {
-				return PolicyOutcome{}, err
-			}
 			pumped()
-			// A restored machine adds its idle draw without passing the
-			// admission gate; under an engaged budget the cap controller
-			// reacts to the capacity event.
-			if f.PowerCap() > 0 {
-				if err := enforce(); err != nil {
-					return PolicyOutcome{}, err
-				}
-			}
 		case evRebalance:
-			if s.rebalFault[ev.seq] {
+			if s.rebalFault[ev.Seq] {
 				arm.arm(classRebalance)
 			}
-			mv, err := f.Rebalance(ctx, h.sc.RebalanceMinImprovement)
+			err := r.Rebalance(ctx, h.sc.RebalanceMinImprovement)
 			arm.arm(classNone)
 			switch {
-			case err == nil:
-				for i := range states {
-					if states[i].resident && states[i].node == mv.From && states[i].instance == mv.Name {
-						states[i].node, states[i].instance = mv.To, mv.NewName
-						break
-					}
-				}
 			case IsFault(err):
 				po.RebalanceFaults++
-			case !errors.Is(err, manager.ErrNoImprovement):
+			case err != nil:
+				return PolicyOutcome{}, err
+			}
+		case evCap:
+			if err := r.SetCap(ctx, h.sc.CapEvents[ev.Proc].Watts); err != nil {
 				return PolicyOutcome{}, err
 			}
 		case evCapFlip:
-			watts := s.capFlips[ev.proc]
-			if err := f.SetPowerCap(ctx, watts); err != nil {
+			if err := r.SetCap(ctx, s.capFlips[ev.Proc]); err != nil {
 				return PolicyOutcome{}, err
 			}
 			po.CapFlips++
-			if watts > 0 {
-				if err := enforce(); err != nil {
-					return PolicyOutcome{}, err
-				}
-			} else {
-				capSatisfied = true
-			}
 		}
 		check()
 	}
-	if err := integrate(s.horizon); err != nil {
+
+	pr, err := r.Report(ctx, s.horizon)
+	if err != nil {
 		return PolicyOutcome{}, err
 	}
-
 	reg := f.Registry()
-	po.QueueAdmitted = reg.CounterValue("fleet_queue_admitted_total")
-	po.QueueAbandoned = reg.CounterValue("fleet_queue_abandoned_total")
+	po.QueueAdmitted = pr.QueueAdmitted
+	po.QueueAbandoned = pr.QueueAbandoned
 	po.QueueDropped = reg.CounterValue("fleet_queue_dropped_total")
-	po.QueueRejected = reg.CounterValue("fleet_queue_rejected_total")
-	po.Moves = reg.CounterValue("fleet_rebalance_moves_total")
+	po.QueueRejected = pr.QueueRejected
+	po.Moves = pr.Moves
 	po.Preemptions = reg.CounterValue("fleet_preempt_total")
 	po.PreemptRequeued = reg.CounterValue("fleet_preempt_requeued_total")
 	po.PreemptDropped = reg.CounterValue("fleet_preempt_dropped_total")
 	po.PreemptAborted = reg.CounterValue("fleet_preempt_aborted_total")
-	po.AvgSPI = spiSec / s.horizon
-	po.AvgWatts = wattSec / s.horizon
-	for _, st := range states {
-		if st.resident || st.queued {
-			po.FinalResidents++
-		}
-	}
+	po.CapDownclocks = int(pr.CapDownclocks)
+	po.CapMigrations = int(pr.CapMigrations)
+	po.CapUnsatisfied = int(pr.CapUnsatisfied)
+	po.AvgSPI = pr.AvgSPI
+	po.AvgWatts = pr.AvgWatts
+	po.FinalResidents = pr.FinalResidents
 
 	// Ledger conservation: every process — scenario arrival, burst, or
 	// priority arrival — must end in exactly one disposition. A preemption
 	// victim is intentionally counted twice (once placed, once resubmitted
 	// by its requeue), so the expected total grows by the requeue count.
 	submitted := reg.CounterValue("fleet_queue_submitted_total")
-	total := uint64(po.Placed+po.PreemptPlaced+po.Faulted+po.Cancelled) + submitted + po.QueueRejected
+	total := uint64(po.Placed+po.PreemptPlaced+po.Faulted+po.Cancelled+po.GroupsRejected) + submitted + po.QueueRejected
 	want := uint64(len(s.trace)) + po.PreemptRequeued
 	if total != want {
 		po.Violations = append(po.Violations, fmt.Sprintf(
-			"conservation/ledger: placed %d + preempt-placed %d + faulted %d + cancelled %d + queued %d + queue-rejected %d != %d processes + %d requeues",
-			po.Placed, po.PreemptPlaced, po.Faulted, po.Cancelled, submitted, po.QueueRejected, len(s.trace), po.PreemptRequeued))
+			"conservation/ledger: placed %d + preempt-placed %d + faulted %d + cancelled %d + groups-rejected %d + queued %d + queue-rejected %d != %d processes + %d requeues",
+			po.Placed, po.PreemptPlaced, po.Faulted, po.Cancelled, po.GroupsRejected, submitted, po.QueueRejected, len(s.trace), po.PreemptRequeued))
 	}
 	return po, nil
 }

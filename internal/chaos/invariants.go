@@ -296,7 +296,7 @@ func (c *Checker) checkGroup(ctx context.Context, node string, gi int, combo []*
 		bad("eq1/solve", "equilibrium solve failed: %v", err)
 		return out
 	}
-	tol := c.tol() * a
+	tol := float64(c.tol() * a)
 	sum, appetite := 0.0, 0.0
 	for i, p := range preds {
 		lim := math.Min(a, combo[i].GMax())

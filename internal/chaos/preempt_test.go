@@ -32,7 +32,7 @@ func TestChaosPreemptGolden(t *testing.T) {
 	sc := preemptScenario(t)
 	golden := filepath.Join("testdata", "chaos_preempt_seed1.json")
 	for _, workers := range []int{1, 4} {
-		tr, err := NewHarness(sc, Options{Seed: 1, Rate: 0.25, PreemptRate: 0.5, Workers: workers}).Run(context.Background())
+		tr, err := NewHarness(fleet.NewSim(sc, workers), Options{Seed: 1, Rate: 0.25, PreemptRate: 0.5}).Run(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -61,7 +61,7 @@ func TestChaosPreemptGolden(t *testing.T) {
 // consecutive fault-free pumps.
 func TestChaosPreemptLaws(t *testing.T) {
 	sc := preemptScenario(t)
-	tr, err := NewHarness(sc, Options{Seed: 1, Rate: 0.25, PreemptRate: 0.5, Workers: 2}).Run(context.Background())
+	tr, err := NewHarness(fleet.NewSim(sc, 2), Options{Seed: 1, Rate: 0.25, PreemptRate: 0.5}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,46 @@ func TestChaosPreemptLaws(t *testing.T) {
 	}
 }
 
+// TestChaosPreemptOnThreadGroups: priority arrivals on a scenario of
+// thread groups may evict a single group member. The replay must follow
+// that member into the queue (or out of the fleet) while its siblings stay
+// resident, and every law must still hold. The threads scenario is packed
+// tighter here — one process per core, arrivals twice as dense — so the
+// priority arrivals find the fleet full and a group member is a victim.
+func TestChaosPreemptOnThreadGroups(t *testing.T) {
+	sc, err := fleet.LoadScenario("../fleet/testdata/scenario_threads.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sc.Machines {
+		sc.Machines[i].MaxPerCore = 1
+	}
+	sc.MeanInterarrival = 0.5
+	tr, err := NewHarness(fleet.NewSim(sc, 2), Options{Seed: 1, Rate: 0.25, PreemptRate: 0.5}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var preemptions uint64
+	for _, po := range tr.Policies {
+		if len(po.Violations) > 0 {
+			t.Errorf("policy %s: invariant violations: %v", po.Policy, po.Violations)
+		}
+		if po.FinalResidents != 0 {
+			t.Errorf("policy %s: %d residents leaked past the horizon", po.Policy, po.FinalResidents)
+		}
+		preemptions += po.Preemptions
+	}
+	if preemptions == 0 {
+		t.Error("no policy realized a single preemption — the test pins nothing")
+	}
+}
+
 // TestChaosPreemptDisabledIsInert: PreemptRate 0 must leave the schedule,
 // and therefore every pre-existing golden, byte-identical — the fifth
 // random stream is only split off when the class is enabled.
 func TestChaosPreemptDisabledIsInert(t *testing.T) {
 	sc := chaosScenario(t)
-	tr, err := NewHarness(sc, Options{Seed: 1, Rate: 0.25, Workers: 2}).Run(context.Background())
+	tr, err := NewHarness(fleet.NewSim(sc, 2), Options{Seed: 1, Rate: 0.25}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +161,7 @@ func TestChaosPreemptDisabledIsInert(t *testing.T) {
 
 func TestHarnessRejectsBadPreemptRate(t *testing.T) {
 	sc := chaosScenario(t)
-	if _, err := NewHarness(sc, Options{Seed: 1, PreemptRate: -0.1}).Run(context.Background()); err == nil {
+	if _, err := NewHarness(fleet.NewSim(sc, 0), Options{Seed: 1, PreemptRate: -0.1}).Run(context.Background()); err == nil {
 		t.Fatal("preempt rate -0.1 accepted")
 	}
 }

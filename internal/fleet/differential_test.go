@@ -95,18 +95,18 @@ func TestDifferentialChaosColdVsCached(t *testing.T) {
 	sc := loadScenario(t, filepath.Join("..", "chaos", "testdata", "scenario_chaos.json"))
 	var ref []byte
 	for _, w := range workerCounts() {
-		for _, cold := range []bool{true, false} {
-			tr, err := chaos.NewHarness(sc, chaos.Options{
-				Seed: 1, Rate: 0.25, Workers: w, ColdScore: cold,
-			}).Run(context.Background())
+		for _, cap := range []int{-1, 0} {
+			sim := fleet.NewSim(sc, w)
+			sim.ScoreCacheCap = cap
+			tr, err := chaos.NewHarness(sim, chaos.Options{Seed: 1, Rate: 0.25}).Run(context.Background())
 			if err != nil {
-				t.Fatalf("workers=%d cold=%v: %v", w, cold, err)
+				t.Fatalf("workers=%d cap=%d: %v", w, cap, err)
 			}
 			got := render(t, tr)
 			if ref == nil {
 				ref = got
 			} else if !bytes.Equal(got, ref) {
-				t.Fatalf("workers=%d cold=%v: transcript diverges from cold workers=1", w, cold)
+				t.Fatalf("workers=%d cap=%d: transcript diverges from cold workers=1", w, cap)
 			}
 		}
 	}
@@ -120,12 +120,12 @@ func TestDifferentialChaosShortSmoke(t *testing.T) {
 	}
 	sc := loadScenario(t, filepath.Join("..", "chaos", "testdata", "scenario_chaos.json"))
 	var ref []byte
-	for _, cold := range []bool{true, false} {
-		tr, err := chaos.NewHarness(sc, chaos.Options{
-			Seed: 1, Rate: 0.25, Workers: 2, ColdScore: cold,
-		}).Run(context.Background())
+	for _, cap := range []int{-1, 0} {
+		sim := fleet.NewSim(sc, 2)
+		sim.ScoreCacheCap = cap
+		tr, err := chaos.NewHarness(sim, chaos.Options{Seed: 1, Rate: 0.25}).Run(context.Background())
 		if err != nil {
-			t.Fatalf("cold=%v: %v", cold, err)
+			t.Fatalf("cap=%d: %v", cap, err)
 		}
 		got := render(t, tr)
 		if ref == nil {

@@ -100,12 +100,6 @@ type Config struct {
 	// MaxFeasible stops scoring after this many candidates survive the
 	// predicates (0 = score everything). See sched.Pipeline.MaxFeasible.
 	MaxFeasible int
-	// PreemptMaxAttempts / PreemptMaxBackoff tune the preemption retry
-	// ledger (0 = the sched.Ledger defaults: 3 attempts, 8-round backoff
-	// cap). Preemption itself needs no switch: only arrivals with a
-	// positive priority class ever preempt.
-	PreemptMaxAttempts int
-	PreemptMaxBackoff  int
 	// Seed, Quick and Workers configure profiling exactly like the
 	// single-machine server: per-workload seeds derive from Seed by name,
 	// so vectors are reproducible and shared with the other front ends.
@@ -435,8 +429,6 @@ func (f *Fleet) wire() error {
 		return err
 	}
 	f.pipe = pipe
-	f.ledger.MaxAttempts = f.cfg.PreemptMaxAttempts
-	f.ledger.MaxBackoff = f.cfg.PreemptMaxBackoff
 	f.placed = f.reg.Counter("fleet_place_total")
 	f.rejected = f.reg.Counter("fleet_place_rejected_total")
 	f.rollbacks = f.reg.Counter("fleet_place_rollback_total")
@@ -483,9 +475,10 @@ type Placed struct {
 	Watts float64 `json:"watts"`
 	Score float64 `json:"score"`
 
-	// Tag echoes the Submit tag when the instance was admitted from the
-	// queue (empty for direct placements).
-	Tag string `json:"-"`
+	// Tag and Ticket echo the queue entry's tag and ticket when the
+	// instance was admitted from the queue (zero for direct placements).
+	Tag    string `json:"-"`
+	Ticket int    `json:"-"`
 
 	// Preempted reports the resident this placement evicted, when the
 	// arrival's priority class forced a preemption (nil otherwise — in
@@ -1122,9 +1115,10 @@ func (f *Fleet) dropTicket(ticket int) {
 }
 
 // admitQueuedLocked records queue entry i's successful admission: the
-// entry leaves the queue, its tag is echoed, and the counters move.
+// entry leaves the queue, its tag and ticket are echoed, and the counters
+// move.
 func (f *Fleet) admitQueuedLocked(p *Placed, i int) {
-	p.Tag = f.queue[i].tag
+	p.Tag, p.Ticket = f.queue[i].tag, f.queue[i].ticket
 	f.queue = append(f.queue[:i], f.queue[i+1:]...)
 	f.placed.Inc()
 	f.qAdmitted.Inc()

@@ -201,10 +201,10 @@ func TestPreemptionRollsBackOnCommitFailure(t *testing.T) {
 
 // TestPreemptionBackoffEscalatesToDrop preempts the same logical process
 // (pinned by tag) repeatedly: each requeue doubles its backoff, and once
-// the attempt budget is spent the victim is dropped with the drop
-// reported, never silently.
+// the ledger's default attempt budget (three) is spent the victim is
+// dropped with the drop reported, never silently.
 func TestPreemptionBackoffEscalatesToDrop(t *testing.T) {
-	f := testFleet(t, LeastDegradation, func(c *Config) { c.PreemptMaxAttempts = 2 })
+	f := testFleet(t, LeastDegradation, nil)
 	ctx := context.Background()
 	specs := sixteenSpecs()
 	// One class-0 victim (tagged), the rest class 1: every preemption by a
@@ -249,9 +249,10 @@ func TestPreemptionBackoffEscalatesToDrop(t *testing.T) {
 	}
 	evictAndRecover(true)  // attempt 1: backoff 1 round
 	evictAndRecover(true)  // attempt 2: backoff 2 rounds
-	evictAndRecover(false) // attempt 3: budget of 2 spent → reported drop
-	if got := f.Registry().Counter("fleet_preempt_requeued_total").Value(); got != 2 {
-		t.Fatalf("fleet_preempt_requeued_total = %d, want 2", got)
+	evictAndRecover(true)  // attempt 3: backoff 4 rounds
+	evictAndRecover(false) // attempt 4: budget of 3 spent → reported drop
+	if got := f.Registry().Counter("fleet_preempt_requeued_total").Value(); got != 3 {
+		t.Fatalf("fleet_preempt_requeued_total = %d, want 3", got)
 	}
 	if got := f.Registry().Counter("fleet_preempt_dropped_total").Value(); got != 1 {
 		t.Fatalf("fleet_preempt_dropped_total = %d, want 1", got)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -129,7 +130,7 @@ func (sc *Scenario) Validate() error {
 	if sc.MeanInterarrival <= 0 || sc.MeanLifetime <= 0 {
 		return errors.New("mean_interarrival and mean_lifetime must be positive")
 	}
-	for _, p := range sc.policies() {
+	for _, p := range sc.PolicyNames() {
 		if _, err := ParsePolicy(p); err != nil {
 			return err
 		}
@@ -178,7 +179,9 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
-func (sc *Scenario) policies() []string {
+// PolicyNames returns the policies the scenario replays under, in order
+// (default: all four, in Policies() order).
+func (sc *Scenario) PolicyNames() []string {
 	if len(sc.Policies) > 0 {
 		return sc.Policies
 	}
@@ -198,6 +201,29 @@ func (sc *Scenario) workloadNames() []string {
 		out = append(out, s.Name)
 	}
 	return out
+}
+
+// Pool returns the benchmarks arrivals draw from.
+func (sc *Scenario) Pool() []*workload.Spec {
+	names := sc.workloadNames()
+	pool := make([]*workload.Spec, len(names))
+	for i, name := range names {
+		pool[i] = workload.ByName(name)
+	}
+	return pool
+}
+
+// NodeNames returns each machine's node identity, in scenario order
+// ("m<index>" where the scenario names none, as the fleet does).
+func (sc *Scenario) NodeNames() []string {
+	names := make([]string, len(sc.Machines))
+	for i, m := range sc.Machines {
+		names[i] = m.Name
+		if names[i] == "" {
+			names[i] = fmt.Sprintf("m%d", i)
+		}
+	}
+	return names
 }
 
 // TraceProc is one simulated process: what it runs and when it arrives
@@ -223,10 +249,7 @@ func expSample(r *xrand.Rand, mean float64) float64 {
 // policy (and, in the chaos harness, every replay), so runs are compared
 // on identical demand.
 func (sc *Scenario) Trace() []TraceProc {
-	pool := make([]*workload.Spec, 0, len(sc.workloadNames()))
-	for _, name := range sc.workloadNames() {
-		pool = append(pool, workload.ByName(name))
-	}
+	pool := sc.Pool()
 	r := xrand.New(sc.Seed)
 	t := 0.0
 	procs := make([]TraceProc, sc.Processes)
@@ -251,6 +274,15 @@ func (sc *Scenario) Trace() []TraceProc {
 	return procs
 }
 
+// Horizon is the trace's last departure: the end of the simulated run.
+func Horizon(trace []TraceProc) float64 {
+	h := 0.0
+	for _, p := range trace {
+		h = max(h, p.Depart)
+	}
+	return h
+}
+
 // Event kinds, in their same-timestamp processing order: departures free
 // capacity before rebalancing considers the layout, and both run before
 // arrivals claim slots; cap changes apply last, so a budget that tightens
@@ -262,11 +294,28 @@ const (
 	evCap
 )
 
-type event struct {
-	time float64
-	kind int
-	seq  int // tiebreak: trace order within (time, kind)
-	proc int // trace index (arrive/depart)
+// Event is one scheduled replay operation. Kind is the caller's (numbered
+// in same-timestamp processing order), Seq breaks ties within a (Time,
+// Kind), and Proc indexes what the kind acts on: a trace process, a cap
+// event, a machine.
+type Event struct {
+	Time            float64
+	Kind, Seq, Proc int
+}
+
+// SortEvents puts events in processing order: by time, then kind, then
+// Seq; equal keys keep their order.
+func SortEvents(events []Event) {
+	sort.SliceStable(events, func(i, j int) bool {
+		a, b := events[i], events[j]
+		if a.Time != b.Time {
+			return a.Time < b.Time
+		}
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		return a.Seq < b.Seq
+	})
 }
 
 // Sim replays one scenario under each requested policy on a virtual
@@ -281,12 +330,6 @@ type Sim struct {
 	// workers it affects speed, never output — the differential suite
 	// replays scenarios at both settings and asserts byte equality.
 	ScoreCacheCap int
-
-	// AfterEvent, when non-nil, runs after every processed sim event
-	// with the policy's live fleet — the hook the chaos invariant sweep
-	// uses to check model and ledger conservation at every step. An
-	// error aborts the run. It must not mutate the fleet.
-	AfterEvent func(f *Fleet) error
 }
 
 // NewSim builds a simulator. workers caps scoring concurrency (0 =
@@ -294,6 +337,9 @@ type Sim struct {
 func NewSim(sc *Scenario, workers int) *Sim {
 	return &Sim{sc: sc, workers: workers}
 }
+
+// Scenario returns the scenario the simulator replays.
+func (s *Sim) Scenario() *Scenario { return s.sc }
 
 // PolicyReport is one policy's outcome on the shared trace.
 type PolicyReport struct {
@@ -347,25 +393,16 @@ type Report struct {
 // Run replays the trace under every requested policy.
 func (s *Sim) Run(ctx context.Context) (*Report, error) {
 	trace := s.sc.Trace()
-	horizon := 0.0
-	for _, p := range trace {
-		if p.Depart > horizon {
-			horizon = p.Depart
-		}
-	}
+	horizon := Horizon(trace)
 	rep := &Report{
 		Seed:      s.sc.Seed,
 		Processes: s.sc.Processes,
 		Horizon:   horizon,
 	}
-	for i, m := range s.sc.Machines {
-		name := m.Name
-		if name == "" {
-			name = fmt.Sprintf("m%d", i)
-		}
-		rep.Machines = append(rep.Machines, name+":"+m.Preset)
+	for i, name := range s.sc.NodeNames() {
+		rep.Machines = append(rep.Machines, name+":"+s.sc.Machines[i].Preset)
 	}
-	for _, pname := range s.sc.policies() {
+	for _, pname := range s.sc.PolicyNames() {
 		pr, err := s.runPolicy(ctx, pname, trace, horizon)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: sim policy %s: %w", pname, err)
@@ -375,11 +412,85 @@ func (s *Sim) Run(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// buildFleet assembles the simulated fleet for one policy: machine
-// presets from the scenario, the analytic truth oracle in place of
-// profiling sweeps, and one shared synthetic power model — everything
-// deterministic and instant.
-func (s *Sim) buildFleet(pname string) (*Fleet, error) {
+func (s *Sim) runPolicy(ctx context.Context, pname string, trace []TraceProc, horizon float64) (PolicyReport, error) {
+	r, err := s.NewReplay(pname, len(trace), nil)
+	if err != nil {
+		return PolicyReport{}, err
+	}
+	var events []Event
+	for _, p := range trace {
+		events = append(events,
+			Event{Time: p.Arrive, Kind: evArrive, Seq: p.ID, Proc: p.ID},
+			Event{Time: p.Depart, Kind: evDepart, Seq: p.ID, Proc: p.ID},
+		)
+	}
+	if s.sc.RebalanceEvery > 0 {
+		for k, t := 1, s.sc.RebalanceEvery; t < horizon; k, t = k+1, float64(k+1)*s.sc.RebalanceEvery {
+			events = append(events, Event{Time: t, Kind: evRebalance, Seq: k})
+		}
+	}
+	for k := range s.sc.CapEvents {
+		events = append(events, Event{Time: s.sc.CapEvents[k].Time, Kind: evCap, Seq: k, Proc: k})
+	}
+	SortEvents(events)
+
+	for _, ev := range events {
+		if err := r.Advance(ctx, ev.Time); err != nil {
+			return PolicyReport{}, err
+		}
+		switch ev.Kind {
+		case evArrive:
+			_, err = r.Arrive(ctx, trace[ev.Proc], 0)
+		case evDepart:
+			_, err = r.Depart(ctx, ev.Proc)
+		case evCap:
+			err = r.SetCap(ctx, s.sc.CapEvents[ev.Proc].Watts)
+		case evRebalance:
+			err = r.Rebalance(ctx, s.sc.RebalanceMinImprovement)
+		}
+		if err != nil {
+			return PolicyReport{}, err
+		}
+	}
+	return r.Report(ctx, horizon)
+}
+
+// Replay is one policy's replay of a traced scenario: the policy's fleet,
+// where each traced process lives, and the time integrals of the fleet
+// totals. Sim.Run drives one per policy through the scenario's events;
+// the chaos harness drives one through its fault schedule. Operations are
+// serial: a Replay must not be used from two goroutines at once.
+type Replay struct {
+	policy string
+	sc     *Scenario
+	f      *Fleet
+	procs  []procState
+
+	// Time-weighted integrals of the fleet totals: between consecutive
+	// operations the fleet is static, so each interval contributes
+	// totals × dt. Advance charges the current state for the elapsed
+	// interval, so it must run before the state changes.
+	prevT, spiSec, wattSec float64
+
+	capDownclocks, capMigrations, capUnsatisfied uint64
+	capSatisfied                                 bool
+}
+
+// procState is where one traced process lives: its resident instances
+// (one for a single process, every member of a thread group) and its
+// queue tickets (a queued single, or group members a preemption evicted
+// and requeued).
+type procState struct {
+	members []Placed
+	tickets []int
+}
+
+// NewReplay builds the fleet for one policy — the scenario's machine
+// presets, the analytic truth oracle in place of profiling sweeps, and one
+// shared synthetic power model, so everything is deterministic and
+// instant — and a replay that tracks procs traced processes (IDs 0 to
+// procs-1). intercept, when non-nil, is the fleet's fault seam.
+func (s *Sim) NewReplay(pname string, procs int, intercept func(site, key string) error) (*Replay, error) {
 	policy, err := ParsePolicy(pname)
 	if err != nil {
 		return nil, err
@@ -401,7 +512,7 @@ func (s *Sim) buildFleet(pname string) (*Fleet, error) {
 			MaxPerCore: m.MaxPerCore,
 		})
 	}
-	return New(Config{
+	f, err := New(Config{
 		Nodes:          nodes,
 		Policy:         policy,
 		BinPackCeiling: s.sc.BinPackCeiling,
@@ -410,237 +521,180 @@ func (s *Sim) buildFleet(pname string) (*Fleet, error) {
 		Seed:           s.sc.Seed,
 		Workers:        s.workers,
 		ScoreCacheCap:  s.ScoreCacheCap,
+		Intercept:      intercept,
 		Profile: func(ctx context.Context, m *machine.Machine, spec *workload.Spec, opts core.ProfileOptions) (*core.FeatureVector, error) {
 			return core.TruthFeature(spec, m), nil
 		},
 	})
-}
-
-// procState tracks where one trace process currently lives. A
-// thread-group process (Threads > 1) records every member placement;
-// single-thread processes use the legacy resident/queued fields.
-type procState struct {
-	resident bool
-	node     string
-	instance string
-	queued   bool
-	ticket   int
-	members  []Placed
-}
-
-func (s *Sim) runPolicy(ctx context.Context, pname string, trace []TraceProc, horizon float64) (PolicyReport, error) {
-	f, err := s.buildFleet(pname)
 	if err != nil {
-		return PolicyReport{}, err
+		return nil, err
 	}
+	return &Replay{policy: pname, sc: s.sc, f: f, procs: make([]procState, procs), capSatisfied: true}, nil
+}
 
-	var events []event
-	for _, p := range trace {
-		events = append(events,
-			event{time: p.Arrive, kind: evArrive, seq: p.ID, proc: p.ID},
-			event{time: p.Depart, kind: evDepart, seq: p.ID, proc: p.ID},
-		)
-	}
-	if s.sc.RebalanceEvery > 0 {
-		for k, t := 1, s.sc.RebalanceEvery; t < horizon; k, t = k+1, float64(k+1)*s.sc.RebalanceEvery {
-			events = append(events, event{time: t, kind: evRebalance, seq: k})
-		}
-	}
-	for k := range s.sc.CapEvents {
-		events = append(events, event{time: s.sc.CapEvents[k].Time, kind: evCap, seq: k, proc: k})
-	}
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].time != events[j].time {
-			return events[i].time < events[j].time
-		}
-		if events[i].kind != events[j].kind {
-			return events[i].kind < events[j].kind
-		}
-		return events[i].seq < events[j].seq
-	})
+// Fleet returns the replayed fleet.
+func (r *Replay) Fleet() *Fleet { return r.f }
 
-	states := make([]procState, len(trace))
-	admit := func(placed []Placed) error {
-		for _, p := range placed {
-			if p.Tag == "" {
-				continue
-			}
-			id, err := strconv.Atoi(p.Tag)
-			if err != nil {
-				return fmt.Errorf("bad queue tag %q: %w", p.Tag, err)
-			}
-			states[id] = procState{resident: true, node: p.Node, instance: p.Name}
-		}
+// Advance charges the fleet's current totals for the time since the last
+// call; a time at or before it charges nothing.
+func (r *Replay) Advance(ctx context.Context, now float64) error {
+	if now <= r.prevT {
 		return nil
 	}
+	spi, watts, err := r.f.Totals(ctx)
+	if err != nil {
+		return err
+	}
+	r.spiSec += float64(spi * (now - r.prevT))
+	r.wattSec += float64(watts * (now - r.prevT))
+	r.prevT = now
+	return nil
+}
 
-	// Time-weighted integrals of the fleet totals: between consecutive
-	// event timestamps the fleet is static, so each interval contributes
-	// totals × dt.
-	prevT := 0.0
-	var spiSec, wattSec float64
-	var capDownclocks, capMigrations, capUnsatisfied uint64
-	integrate := func(now float64) error {
-		if now <= prevT {
-			return nil
+// Arrive admits traced process p at a priority class. A thread group
+// (Threads > 1) places as one transaction and never queues; a single that
+// does not fit is submitted to the queue under its trace ID and class.
+// It reports whether the process (for a group, every member) is resident;
+// a process that did not fit is queued or rejected, and the fleet counts
+// which. Any other failure is returned, and the process lives nowhere.
+func (r *Replay) Arrive(ctx context.Context, p TraceProc, priority int) (bool, error) {
+	if p.Threads > 1 {
+		placed, err := r.f.PlaceGroup(ctx, threads.GroupSpec{
+			Base: p.Spec, Threads: p.Threads,
+			SharedFrac: p.SharedFrac, WriteFrac: r.sc.ThreadGroups.WriteFrac,
+		})
+		if err == nil {
+			r.procs[p.ID] = procState{members: placed}
+			return true, nil
 		}
-		spi, watts, err := f.Totals(ctx)
+		if errors.Is(err, ErrFleetFull) {
+			err = nil
+		}
+		return false, err
+	}
+	placed, err := r.f.PlaceWith(ctx, p.Spec, PlaceOptions{Tag: strconv.Itoa(p.ID), Priority: priority})
+	switch {
+	case err == nil:
+		r.procs[p.ID] = procState{members: []Placed{placed}}
+		return true, r.noteVictim(placed.Preempted)
+	case errors.Is(err, ErrFleetFull):
+		r.Submit(p, priority)
+		return false, nil
+	}
+	return false, err
+}
+
+// Submit queues traced process p at a priority class under its trace ID,
+// without trying to place it first. A full queue rejects it (the fleet
+// counts the rejection; that is the only way SubmitWith fails).
+func (r *Replay) Submit(p TraceProc, priority int) {
+	if ticket, err := r.f.SubmitWith(p.Spec, strconv.Itoa(p.ID), priority); err == nil {
+		r.procs[p.ID] = procState{tickets: []int{ticket}}
+	}
+}
+
+// Depart ends traced process id wherever it lives: its queue entries are
+// withdrawn, and its resident instances are removed in placement order,
+// each freed slot pumping queued arrivals in. It reports whether any
+// instance was removed — that is, whether the queue was pumped.
+func (r *Replay) Depart(ctx context.Context, id int) (bool, error) {
+	st := r.procs[id]
+	r.procs[id] = procState{}
+	for _, t := range st.tickets {
+		r.f.CancelQueued(t)
+	}
+	for _, m := range st.members {
+		admitted, err := r.f.Remove(ctx, m.Node, m.Name)
 		if err != nil {
-			return err
+			return false, err
 		}
-		spiSec += float64(spi * (now - prevT))
-		wattSec += float64(watts * (now - prevT))
-		prevT = now
-		return nil
+		if err := r.admit(admitted); err != nil {
+			return false, err
+		}
 	}
-	// Totals are sampled lazily: integrate(now) charges the *current*
-	// state for the elapsed interval, so it must run before the state
-	// changes at now.
+	return len(st.members) > 0, nil
+}
 
-	for _, ev := range events {
-		if err := integrate(ev.time); err != nil {
-			return PolicyReport{}, err
-		}
-		switch ev.kind {
-		case evArrive:
-			p := trace[ev.proc]
-			if p.Threads > 1 {
-				// Thread groups place as one transactional unit and
-				// bypass the admission queue: a group that does not fit
-				// is rejected whole (the rejection is counted).
-				g := threads.GroupSpec{
-					Base: p.Spec, Threads: p.Threads,
-					SharedFrac: p.SharedFrac, WriteFrac: s.sc.ThreadGroups.WriteFrac,
-				}
-				placed, err := f.PlaceGroup(ctx, g)
-				switch {
-				case err == nil:
-					states[ev.proc] = procState{members: placed}
-				case errors.Is(err, ErrFleetFull):
-				default:
-					return PolicyReport{}, err
-				}
-				break
-			}
-			placed, err := f.Place(ctx, p.Spec)
-			switch {
-			case err == nil:
-				states[ev.proc] = procState{resident: true, node: placed.Node, instance: placed.Name}
-			case errors.Is(err, ErrFleetFull):
-				ticket, qerr := f.Submit(p.Spec, strconv.Itoa(p.ID))
-				if qerr == nil {
-					states[ev.proc] = procState{queued: true, ticket: ticket}
-				} else if !errors.Is(qerr, ErrQueueFull) {
-					return PolicyReport{}, qerr
-				}
-			default:
-				return PolicyReport{}, err
-			}
-		case evDepart:
-			st := states[ev.proc]
-			switch {
-			case len(st.members) > 0:
-				// The whole group departs: members leave in placement
-				// order, and each freed slot may pump queued legacy
-				// arrivals in.
-				for _, m := range st.members {
-					admitted, err := f.Remove(ctx, m.Node, m.Name)
-					if err != nil {
-						return PolicyReport{}, err
-					}
-					if err := admit(admitted); err != nil {
-						return PolicyReport{}, err
-					}
-				}
-				states[ev.proc] = procState{}
-			case st.resident:
-				admitted, err := f.Remove(ctx, st.node, st.instance)
-				if err != nil {
-					return PolicyReport{}, err
-				}
-				states[ev.proc] = procState{}
-				if err := admit(admitted); err != nil {
-					return PolicyReport{}, err
-				}
-			case st.queued:
-				f.CancelQueued(st.ticket)
-				states[ev.proc] = procState{}
-			}
-		case evCap:
-			// Budget change: engage (or clear) the cap, then enforce —
-			// down-clocking or migrating residents until the fleet fits.
-			if err := f.SetPowerCap(ctx, s.sc.CapEvents[ev.proc].Watts); err != nil {
-				return PolicyReport{}, err
-			}
-			crep, err := f.EnforceCap(ctx)
-			if err != nil {
-				return PolicyReport{}, err
-			}
-			capDownclocks += uint64(crep.Downclocks)
-			capMigrations += uint64(crep.Migrations)
-			if !crep.Satisfied {
-				capUnsatisfied++
-			}
-			// Enforcement migrations rename residents on their new nodes;
-			// keep the departure bookkeeping pointed at them (same fixup as
-			// evRebalance, once per executed move).
-			for _, mv := range crep.Moves {
-			capfix:
-				for i := range states {
-					if states[i].resident && states[i].node == mv.From && states[i].instance == mv.Name {
-						states[i].node, states[i].instance = mv.To, mv.NewName
-						break
-					}
-					for j, m := range states[i].members {
-						if m.Node == mv.From && m.Name == mv.Name {
-							states[i].members[j].Node, states[i].members[j].Name = mv.To, mv.NewName
-							break capfix
-						}
-					}
-				}
-			}
-		case evRebalance:
-			mv, err := f.Rebalance(ctx, s.sc.RebalanceMinImprovement)
-			if err != nil && !errors.Is(err, manager.ErrNoImprovement) {
-				return PolicyReport{}, err
-			}
-			if err == nil {
-				// The migrated process got a fresh instance name on its
-				// new node; keep the departure bookkeeping pointed at it.
-			fixup:
-				for i := range states {
-					if states[i].resident && states[i].node == mv.From && states[i].instance == mv.Name {
-						states[i].node, states[i].instance = mv.To, mv.NewName
-						break
-					}
-					for j, m := range states[i].members {
-						if m.Node == mv.From && m.Name == mv.Name {
-							states[i].members[j].Node, states[i].members[j].Name = mv.To, mv.NewName
-							break fixup
-						}
-					}
-				}
-			}
-		}
-		if s.AfterEvent != nil {
-			if err := s.AfterEvent(f); err != nil {
-				return PolicyReport{}, fmt.Errorf("after event at t=%v: %w", ev.time, err)
-			}
-		}
+// Rebalance runs one rebalancing pass. A pass that finds no move worth
+// minImprovement is not an error.
+func (r *Replay) Rebalance(ctx context.Context, minImprovement float64) error {
+	mv, err := r.f.Rebalance(ctx, minImprovement)
+	switch {
+	case err == nil:
+		r.moved(mv)
+	case !errors.Is(err, manager.ErrNoImprovement):
+		return err
 	}
-	if err := integrate(horizon); err != nil {
+	return nil
+}
+
+// SetCap sets the fleet's watt budget (0 = uncapped) and runs one
+// enforcement pass, down-clocking or migrating residents until the fleet
+// fits.
+func (r *Replay) SetCap(ctx context.Context, watts float64) error {
+	if err := r.f.SetPowerCap(ctx, watts); err != nil {
+		return err
+	}
+	return r.enforce(ctx)
+}
+
+// CapSatisfied reports whether the last enforcement pass fit the fleet
+// under its budget (true before any pass). While it is false the idle
+// floor alone exceeds the cap.
+func (r *Replay) CapSatisfied() bool { return r.capSatisfied }
+
+// FailNode takes the named machine down; its residents die with it. It
+// returns how many traced instances were killed.
+func (r *Replay) FailNode(name string) (int, error) {
+	evicted, err := r.f.FailNode(name)
+	if err != nil {
+		return 0, err
+	}
+	dead := make(map[string]bool, len(evicted))
+	for _, e := range evicted {
+		dead[e.Name] = true
+	}
+	killed := 0
+	for i := range r.procs {
+		live := r.procs[i].members[:0]
+		for _, m := range r.procs[i].members {
+			if m.Node == name && dead[m.Name] {
+				killed++
+			} else {
+				live = append(live, m)
+			}
+		}
+		r.procs[i].members = live
+	}
+	return killed, nil
+}
+
+// RestoreNode brings the named machine back, empty, and pumps the queue
+// into it. A restored machine adds its idle draw without passing the
+// admission gate, so under an engaged budget an enforcement pass follows.
+func (r *Replay) RestoreNode(ctx context.Context, name string) error {
+	admitted, err := r.f.RestoreNode(ctx, name)
+	if err != nil {
+		return err
+	}
+	if err := r.admit(admitted); err != nil {
+		return err
+	}
+	if r.f.PowerCap() > 0 {
+		return r.enforce(ctx)
+	}
+	return nil
+}
+
+// Report closes the integrals at horizon and reads the policy's outcome
+// off the fleet's counters.
+func (r *Replay) Report(ctx context.Context, horizon float64) (PolicyReport, error) {
+	if err := r.Advance(ctx, horizon); err != nil {
 		return PolicyReport{}, err
 	}
-
-	reg := f.Registry()
-	final := 0
-	for _, st := range states {
-		if st.resident || st.queued {
-			final++
-		}
-	}
+	reg := r.f.Registry()
 	pr := PolicyReport{
-		Policy:         pname,
+		Policy:         r.policy,
 		Placed:         reg.CounterValue("fleet_place_total"),
 		Rejected:       reg.CounterValue("fleet_place_rejected_total"),
 		QueueAdmitted:  reg.CounterValue("fleet_queue_admitted_total"),
@@ -652,17 +706,108 @@ func (s *Sim) runPolicy(ctx context.Context, pname string, trace []TraceProc, ho
 		GroupsRejected: reg.CounterValue("fleet_groups_rejected_total"),
 		MembersPlaced:  reg.CounterValue("fleet_group_placed_members_total"),
 		MembersFaulted: reg.CounterValue("fleet_group_faulted_members_total"),
-		AvgSPI:         spiSec / horizon,
-		AvgWatts:       wattSec / horizon,
-		FinalResidents: final,
+		AvgSPI:         r.spiSec / horizon,
+		AvgWatts:       r.wattSec / horizon,
+		CapDownclocks:  r.capDownclocks,
+		CapMigrations:  r.capMigrations,
+		CapUnsatisfied: r.capUnsatisfied,
 	}
-	if s.sc.PowerCap > 0 || len(s.sc.CapEvents) > 0 {
-		// Assigned only when the scenario engages a cap, so legacy report
-		// goldens keep their exact bytes.
-		pr.EnergyJ = wattSec
-		pr.CapDownclocks = capDownclocks
-		pr.CapMigrations = capMigrations
-		pr.CapUnsatisfied = capUnsatisfied
+	for _, st := range r.procs {
+		if len(st.members) > 0 || len(st.tickets) > 0 {
+			pr.FinalResidents++
+		}
+	}
+	if r.sc.PowerCap > 0 || len(r.sc.CapEvents) > 0 {
+		// Only a capped scenario reports its energy, so legacy report
+		// goldens keep their exact bytes. (The enforcement tallies are
+		// zero unless some pass ran.)
+		pr.EnergyJ = r.wattSec
 	}
 	return pr, nil
+}
+
+// enforce runs one cap-enforcement pass and tallies its actions.
+func (r *Replay) enforce(ctx context.Context) error {
+	rep, err := r.f.EnforceCap(ctx)
+	if err != nil {
+		return err
+	}
+	r.capDownclocks += uint64(rep.Downclocks)
+	r.capMigrations += uint64(rep.Migrations)
+	if !rep.Satisfied {
+		r.capUnsatisfied++
+	}
+	r.capSatisfied = rep.Satisfied
+	for _, mv := range rep.Moves {
+		r.moved(mv)
+	}
+	return nil
+}
+
+// moved re-points the instance a migration renamed on its new node.
+func (r *Replay) moved(mv Move) {
+	if i, j := r.member(mv.From, mv.Name); i >= 0 {
+		r.procs[i].members[j].Node, r.procs[i].members[j].Name = mv.To, mv.NewName
+	}
+}
+
+// member locates the resident instance name on node: the traced process
+// holding it and its index among that process's members, or -1, -1.
+func (r *Replay) member(node, name string) (int, int) {
+	for i := range r.procs {
+		for j, m := range r.procs[i].members {
+			if m.Node == node && m.Name == name {
+				return i, j
+			}
+		}
+	}
+	return -1, -1
+}
+
+// admit records queue admissions with the traced process that holds the
+// ticket. A pumped high-priority entry may itself preempt: its victim
+// changes state in the same breath.
+func (r *Replay) admit(placed []Placed) error {
+	for _, p := range placed {
+		if err := r.noteVictim(p.Preempted); err != nil {
+			return err
+		}
+		id := r.ticketOwner(p.Ticket)
+		if id < 0 {
+			return fmt.Errorf("queue admission %s/%s: ticket %d belongs to no traced process", p.Node, p.Name, p.Ticket)
+		}
+		r.procs[id].members = append(r.procs[id].members, p)
+	}
+	return nil
+}
+
+// noteVictim re-points a preemption victim's process at the victim's new
+// life: back in the queue under a fresh ticket, or gone (the fleet counts
+// the drop). The victim may be one member of a thread group; the group's
+// other members stay resident.
+func (r *Replay) noteVictim(pi *PreemptedInfo) error {
+	if pi == nil {
+		return nil
+	}
+	i, j := r.member(pi.Node, pi.Name)
+	if i < 0 {
+		return fmt.Errorf("preemption victim %s/%s belongs to no traced process", pi.Node, pi.Name)
+	}
+	r.procs[i].members = slices.Delete(r.procs[i].members, j, j+1)
+	if pi.Requeued {
+		r.procs[i].tickets = append(r.procs[i].tickets, pi.Ticket)
+	}
+	return nil
+}
+
+// ticketOwner removes queue ticket t from the traced process holding it
+// and returns that process's ID, or -1 when no process holds it.
+func (r *Replay) ticketOwner(t int) int {
+	for i := range r.procs {
+		if j := slices.Index(r.procs[i].tickets, t); j >= 0 {
+			r.procs[i].tickets = slices.Delete(r.procs[i].tickets, j, j+1)
+			return i
+		}
+	}
+	return -1
 }

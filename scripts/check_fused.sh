@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-packages=(./internal/cache ./internal/core ./internal/fleet ./internal/freq ./internal/hist ./internal/linalg ./internal/power ./internal/sim ./internal/threads ./internal/trace ./internal/xrand)
+packages=(./internal/cache ./internal/chaos ./internal/core ./internal/fleet ./internal/freq ./internal/hist ./internal/linalg ./internal/power ./internal/sim ./internal/threads ./internal/trace ./internal/xrand)
 fused='\bF(N)?M(ADD|SUB)[DS]?\b'
 
 status=0
